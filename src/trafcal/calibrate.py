@@ -9,6 +9,7 @@ probability with the smallest error (ties go to the smaller value).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -127,17 +128,7 @@ def sim_series(out: SimOutput, origin: str = "simulated") -> list[DetectorSeries
 
 def _evaluate_point(args) -> tuple[float, float]:
     (p, net, plans, detectors, bus_lines, base, seed, real_total) = args
-    cfg = SimConfig(
-        begin=base.begin,
-        end=base.end,
-        step_length=base.step_length,
-        ignore_junction_blocker=base.ignore_junction_blocker,
-        time_to_teleport=base.time_to_teleport,
-        rerouting_probability=p,
-        rerouting_period=base.rerouting_period,
-        speed_smoothing=base.speed_smoothing,
-        seed=seed,
-    )
+    cfg = dataclasses.replace(base, rerouting_probability=p, seed=seed)
     try:
         out = Simulation(net, plans, cfg, detectors, bus_lines).run()
     except Exception as exc:

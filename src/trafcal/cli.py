@@ -39,11 +39,7 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-_SIM_KEYS = (
-    "begin", "end", "step_length", "ignore_junction_blocker",
-    "time_to_teleport", "rerouting_probability", "rerouting_period",
-    "speed_smoothing", "seed",
-)
+_SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig))
 _SWEEP_KEYS = ("p_min", "p_max", "step")
 _EQ_KEYS = ("max_iter", "tol", "window", "beta", "alpha", "max_alternatives")
 _PATH_KEYS = (

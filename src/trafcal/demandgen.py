@@ -232,28 +232,6 @@ def _weighted_pick(rng: random.Random, items: list, weights: list[float]):
     return items[-1]
 
 
-class _TravelTimes:
-    """Free-flow travel-time estimates with per-origin caching."""
-
-    def __init__(self, net: netmodel.RoadNetwork):
-        self.net = net
-        self._cache: dict[str, dict[str, float]] = {}
-
-    def between(self, from_edge: str, to_edge: str) -> float:
-        dist = self._cache.get(from_edge)
-        if dist is None:
-            dist, _ = netmodel.shortest_paths_from(self.net, from_edge, car_weight)
-            self._cache[from_edge] = dist
-        return dist.get(to_edge, 0.0)
-
-
-def car_weight(edge: netmodel.Edge) -> float:
-    """Routing weight for private cars: free-flow time, bus lanes barred."""
-    if edge.bus_only:
-        return math.inf
-    return edge.length / edge.speed_limit
-
-
 # ---------------------------------------------------------------------------
 # Trip generation
 # ---------------------------------------------------------------------------
@@ -278,7 +256,7 @@ def generate_trips(
     """
     validate_inputs(stats, gates, schools, config, net)
     rng = random.Random(f"{config.seed}/demandgen")
-    tt = _TravelTimes(net)
+    routes = netmodel.CarRoutes(net)
     drive_p = config.car_rate * config.car_preference_rate
     trips: list[Trip] = []
     counter = 0
@@ -290,7 +268,7 @@ def generate_trips(
         counter += 1
 
     def commute_depart(home: str, dest: str, opening_h: float) -> float:
-        est = tt.between(home, dest)
+        est = routes.cost(home, dest) or 0.0
         return opening_h - est - abs(rng.gauss(0.0, config.departure_jitter_sd))
 
     work_pool = [d for d in stats if d.work_positions > 0]
@@ -417,7 +395,7 @@ def expand_routes(trips: TripTable, net: netmodel.RoadNetwork) -> ExpandResult:
     the no_path list instead of being dropped silently."""
     routes: list[RoutePlan] = []
     no_path: list[str] = []
-    cache: dict[str, tuple[dict, dict]] = {}
+    car_routes = netmodel.CarRoutes(net)
     for trip in trips.trips:
         if trip.from_edge not in net.edges or trip.to_edge not in net.edges:
             no_path.append(trip.id)
@@ -425,15 +403,10 @@ def expand_routes(trips: TripTable, net: netmodel.RoadNetwork) -> ExpandResult:
         if trip.from_edge == trip.to_edge:
             routes.append(RoutePlan(trip.id, (trip.from_edge,), trip.depart))
             continue
-        hit = cache.get(trip.from_edge)
-        if hit is None:
-            hit = netmodel.shortest_paths_from(net, trip.from_edge, car_weight)
-            cache[trip.from_edge] = hit
-        dist, pred = hit
-        if trip.to_edge not in dist:
+        edges = car_routes.route(trip.from_edge, trip.to_edge)
+        if edges is None:
             no_path.append(trip.id)
             continue
-        edges = netmodel.reconstruct_route(pred, trip.from_edge, trip.to_edge)
         routes.append(RoutePlan(trip.id, tuple(edges), trip.depart))
     return ExpandResult(routes, no_path)
 
@@ -481,16 +454,7 @@ def read_trips(path) -> TripTable:
     seen = set()
     for i, rec in enumerate(doc.get("trips", [])):
         where = f"trips[{i}]"
-        if not isinstance(rec, dict):
-            raise DemandError(f"{where}: expected an object")
-        for key in rec:
-            if key not in _TRIP_FIELDS:
-                raise DemandError(f"{where}: unknown field '{key}'")
-        for key, types in _TRIP_FIELDS.items():
-            if key not in rec:
-                raise DemandError(f"{where}: missing field '{key}'")
-            if not isinstance(rec[key], types) or isinstance(rec[key], bool):
-                raise DemandError(f"{where}: field '{key}' has wrong type")
+        rec = netmodel.check_record(rec, _TRIP_FIELDS, where, error=DemandError)
         if rec["purpose"] not in TRIP_PURPOSES:
             raise DemandError(f"{where}: unknown purpose '{rec['purpose']}'")
         depart = float(rec["depart"])
@@ -529,22 +493,6 @@ _CONFIG_FIELDS = {
 _CONFIG_OPTIONAL = {"departure_jitter_sd", "free_time_rate", "seed"}
 
 
-def _demand_check(rec, fields: dict, where: str, optional=frozenset()) -> dict:
-    if not isinstance(rec, dict):
-        raise DemandError(f"{where}: expected an object")
-    for key in rec:
-        if key not in fields:
-            raise DemandError(f"{where}: unknown field '{key}'")
-    for key, types in fields.items():
-        if key not in rec:
-            if key in optional:
-                continue
-            raise DemandError(f"{where}: missing field '{key}'")
-        if not isinstance(rec[key], types) or isinstance(rec[key], bool):
-            raise DemandError(f"{where}: field '{key}' has wrong type")
-    return rec
-
-
 def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[School], DemandConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -565,7 +513,7 @@ def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[Sch
     districts = []
     for i, rec in enumerate(doc.get("districts", [])):
         where = f"districts[{i}]"
-        rec = _demand_check(rec, _DISTRICT_FIELDS, where)
+        rec = netmodel.check_record(rec, _DISTRICT_FIELDS, where, error=DemandError)
         if not all(isinstance(e, str) for e in rec["edge_ids"]):
             raise DemandError(f"{where}: edge_ids must be strings")
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in rec["age_brackets"]):
@@ -582,7 +530,7 @@ def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[Sch
 
     gates = []
     for i, rec in enumerate(doc.get("gates", [])):
-        rec = _demand_check(rec, _GATE_FIELDS, f"gates[{i}]")
+        rec = netmodel.check_record(rec, _GATE_FIELDS, f"gates[{i}]", error=DemandError)
         gates.append(
             CityGate(
                 id=rec["id"], in_edge=rec["in_edge"], out_edge=rec["out_edge"],
@@ -593,7 +541,7 @@ def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[Sch
 
     schools = []
     for i, rec in enumerate(doc.get("schools", [])):
-        rec = _demand_check(rec, _SCHOOL_FIELDS, f"schools[{i}]")
+        rec = netmodel.check_record(rec, _SCHOOL_FIELDS, f"schools[{i}]", error=DemandError)
         schools.append(
             School(
                 id=rec["id"], edge_id=rec["edge_id"], age_min=rec["age_min"],
@@ -602,10 +550,14 @@ def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[Sch
             )
         )
 
-    cfg = _demand_check(doc["config"], _CONFIG_FIELDS, "config", _CONFIG_OPTIONAL)
+    cfg = netmodel.check_record(
+        doc["config"], _CONFIG_FIELDS, "config", _CONFIG_OPTIONAL, DemandError
+    )
     hours = []
     for i, rec in enumerate(cfg["work_hours"]):
-        rec = _demand_check(rec, _HOURS_FIELDS, f"config.work_hours[{i}]")
+        rec = netmodel.check_record(
+            rec, _HOURS_FIELDS, f"config.work_hours[{i}]", error=DemandError
+        )
         hours.append(
             WorkHours(
                 opening_h=float(rec["opening_h"]),

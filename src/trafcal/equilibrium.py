@@ -9,12 +9,13 @@ pairwise towards cheaper alternatives, until average travel times settle.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
 
 from trafcal import netmodel
-from trafcal.demandgen import TripTable, car_weight, expand_routes
+from trafcal.demandgen import TripTable, expand_routes
 from trafcal.microsim import RoutePlan, SimConfig, Simulation
 
 GAWRON_BETA = 0.9
@@ -129,7 +130,7 @@ def _experienced_cost(
     if result.arrived:
         return result.travel_time
     if result.insert_time is None:
-        return netmodel.route_cost(net, list(route), car_weight)
+        return netmodel.route_cost(net, list(route))
     rest = sum(
         netmodel.free_flow_time(net.edges[eid]) for eid in route[result.edges_done:]
     )
@@ -158,7 +159,7 @@ def dua_iterate(
     expansion = expand_routes(trips, net)
     route_sets: dict[str, RouteSet] = {}
     for plan in expansion.routes:
-        cost = netmodel.route_cost(net, list(plan.edges), car_weight)
+        cost = netmodel.route_cost(net, list(plan.edges))
         route_sets[plan.trip_id] = RouteSet(
             trip_id=plan.trip_id,
             alternatives=[Alternative(plan.edges, cost, 1.0)],
@@ -166,17 +167,7 @@ def dua_iterate(
     departs = {p.trip_id: p.depart for p in expansion.routes}
 
     # keep assignment runs deterministic and rerouting-free
-    sim_cfg = SimConfig(
-        begin=config.begin,
-        end=config.end,
-        step_length=config.step_length,
-        ignore_junction_blocker=config.ignore_junction_blocker,
-        time_to_teleport=config.time_to_teleport,
-        rerouting_probability=0.0,
-        rerouting_period=config.rerouting_period,
-        speed_smoothing=config.speed_smoothing,
-        seed=config.seed,
-    )
+    sim_cfg = dataclasses.replace(config, rerouting_probability=0.0)
 
     smooth_cost: dict[str, float] = {
         e.id: netmodel.free_flow_time(e) for e in net.edges.values()
@@ -212,13 +203,8 @@ def dua_iterate(
         for eid, t in out.edge_mean_time.items():
             smooth_cost[eid] = 0.5 * smooth_cost[eid] + 0.5 * t
 
-        def est_weight(edge: netmodel.Edge) -> float:
-            if edge.bus_only:
-                return math.inf
-            return smooth_cost[edge.id]
-
+        routes = netmodel.CarRoutes(net, lambda edge: smooth_cost[edge.id])
         choice_rng = random.Random(f"{config.seed}/assign/{iteration}")
-        cache: dict[str, tuple[dict, dict]] = {}
         for trip_id in sorted(route_sets):
             rs = route_sets[trip_id]
             result = out.vehicles[trip_id]
@@ -231,13 +217,9 @@ def dua_iterate(
 
             src = rs.alternatives[0].route[0]
             dst = rs.alternatives[0].route[-1]
-            hit = cache.get(src)
-            if hit is None:
-                hit = netmodel.shortest_paths_from(net, src, est_weight)
-                cache[src] = hit
-            dist, pred = hit
-            if dst in dist:
-                candidate = tuple(netmodel.reconstruct_route(pred, src, dst))
+            candidate = routes.route(src, dst)
+            if candidate is not None:
+                candidate = tuple(candidate)
                 known = {a.route for a in rs.alternatives}
                 if candidate not in known:
                     n = len(rs.alternatives) + 1
@@ -245,7 +227,7 @@ def dua_iterate(
                     for a in rs.alternatives:
                         a.probability *= scale
                     rs.alternatives.append(
-                        Alternative(candidate, dist[dst], 1.0 / n)
+                        Alternative(candidate, routes.cost(src, dst), 1.0 / n)
                     )
                     while len(rs.alternatives) > max_alternatives:
                         worst = max(

@@ -70,17 +70,3 @@ def next_speed(
         return 0.0
     return v
 
-
-def krauss_speed(
-    speed: float,
-    leader_speed: float,
-    gap: float,
-    params: VehicleType,
-    step: float,
-    rand01: float,
-) -> float:
-    """Follower update with the parameter set's own top speed; gap is net
-    bumper distance already floored at zero by the caller."""
-    return next_speed(
-        speed, params.max_speed, max(0.0, gap), leader_speed, params, step, rand01
-    )

@@ -677,31 +677,18 @@ class Simulation:
         return out
 
     def _reroute(self, now: float) -> None:
-        cache: dict[str, tuple[dict, dict]] = {}
         est = self._est_speed
-
-        def weight(edge: netmodel.Edge) -> float:
-            if edge.bus_only:
-                return math.inf
-            return edge.length / max(est[edge.id], 0.1)
-
+        routes = netmodel.CarRoutes(
+            self.net, lambda edge: edge.length / max(est[edge.id], 0.1)
+        )
         for trip_id in sorted(self.vehicles):
             veh = self.vehicles[trip_id]
             if not veh.equipped or veh.vtype.id != "car":
                 continue
             if veh.idx + 1 >= len(veh.route):
                 continue
-            src = veh.route[veh.idx]
-            dst = veh.route[-1]
-            hit = cache.get(src)
-            if hit is None:
-                hit = netmodel.shortest_paths_from(self.net, src, weight)
-                cache[src] = hit
-            dist, pred = hit
-            if dst not in dist:
-                continue
-            new_tail = netmodel.reconstruct_route(pred, src, dst)
-            if new_tail != veh.route[veh.idx:]:
+            new_tail = routes.route(veh.route[veh.idx], veh.route[-1])
+            if new_tail is not None and new_tail != veh.route[veh.idx:]:
                 veh.route = veh.route[: veh.idx] + new_tail
 
     # -- results ------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from trafcal.netmodel import NetworkFormatError, RoadNetwork
+from trafcal.netmodel import NetworkFormatError, RoadNetwork, check_record
 
 VEHICLE_MODES = ("car", "bus")
 
@@ -25,7 +25,6 @@ class RoutePlan:
     edges: tuple[str, ...]
     depart: float
     mode: str = "car"
-    equipped: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ _PLAN_FIELDS = {
     "edges": list,
     "depart": (int, float),
     "mode": str,
-    "equipped": bool,
 }
 _DET_FIELDS = {
     "id": str,
@@ -73,26 +71,6 @@ _LINE_FIELDS = {
 }
 
 
-def _check(rec: dict, fields: dict, where: str, optional: set) -> dict:
-    if not isinstance(rec, dict):
-        raise NetworkFormatError(f"{where}: expected an object")
-    for key in rec:
-        if key not in fields:
-            raise NetworkFormatError(f"{where}: unknown field '{key}'")
-    for key, types in fields.items():
-        if key not in rec:
-            if key in optional:
-                continue
-            raise NetworkFormatError(f"{where}: missing field '{key}'")
-        if rec[key] is None and key in optional:
-            continue
-        if isinstance(rec[key], bool) and types not in (bool,):
-            raise NetworkFormatError(f"{where}: field '{key}' has wrong type")
-        if not isinstance(rec[key], types):
-            raise NetworkFormatError(f"{where}: field '{key}' has wrong type")
-    return rec
-
-
 def load_route_plans(path, net: Optional[RoadNetwork] = None) -> list[RoutePlan]:
     """Read a route file; with a network given, also verify every edge
     exists and consecutive edges are connected."""
@@ -108,7 +86,7 @@ def load_route_plans(path, net: Optional[RoadNetwork] = None) -> list[RoutePlan]
     plans = []
     for i, rec in enumerate(doc.get("routes", [])):
         where = f"routes[{i}]"
-        rec = _check(rec, _PLAN_FIELDS, where, optional={"mode", "equipped"})
+        rec = check_record(rec, _PLAN_FIELDS, where, {"mode"})
         edges = rec["edges"]
         if not edges or not all(isinstance(e, str) for e in edges):
             raise NetworkFormatError(f"{where}: 'edges' must be a non-empty string array")
@@ -120,7 +98,6 @@ def load_route_plans(path, net: Optional[RoadNetwork] = None) -> list[RoutePlan]
             edges=tuple(edges),
             depart=float(rec["depart"]),
             mode=mode,
-            equipped=rec.get("equipped"),
         )
         if net is not None:
             _check_route_edges(plan, net, where)
@@ -138,17 +115,10 @@ def _check_route_edges(plan: RoutePlan, net: RoadNetwork, where: str) -> None:
 
 
 def save_route_plans(plans: list[RoutePlan], path) -> None:
-    rows = []
-    for p in sorted(plans, key=lambda p: (p.depart, p.trip_id)):
-        rec = {
-            "trip_id": p.trip_id,
-            "edges": list(p.edges),
-            "depart": p.depart,
-            "mode": p.mode,
-        }
-        if p.equipped is not None:
-            rec["equipped"] = p.equipped
-        rows.append(rec)
+    rows = [
+        {"trip_id": p.trip_id, "edges": list(p.edges), "depart": p.depart, "mode": p.mode}
+        for p in sorted(plans, key=lambda p: (p.depart, p.trip_id))
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"routes": rows}, fh, indent=1)
         fh.write("\n")
@@ -168,7 +138,7 @@ def load_detectors(path, net: Optional[RoadNetwork] = None) -> list[Detector]:
     seen = set()
     for i, rec in enumerate(doc.get("detectors", [])):
         where = f"detectors[{i}]"
-        rec = _check(rec, _DET_FIELDS, where, optional={"window"})
+        rec = check_record(rec, _DET_FIELDS, where, {"window"})
         det = Detector(
             id=rec["id"],
             edge_id=rec["edge_id"],
@@ -227,7 +197,7 @@ def load_bus_lines(path, net: Optional[RoadNetwork] = None) -> list[BusLine]:
     lines = []
     for i, rec in enumerate(doc.get("bus_lines", [])):
         where = f"bus_lines[{i}]"
-        rec = _check(rec, _LINE_FIELDS, where, optional={"dwell"})
+        rec = check_record(rec, _LINE_FIELDS, where, {"dwell"})
         for key in ("stop_sequence", "route"):
             if not all(isinstance(x, str) for x in rec[key]):
                 raise NetworkFormatError(f"{where}: '{key}' must be a string array")

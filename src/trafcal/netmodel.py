@@ -3,7 +3,8 @@
 The network is a directed graph of edges (road segments) and junctions
 (intersections or dead ends), carrying traffic-light programs, bus stops,
 parking areas, and building polygons. Networks are immutable after
-construction and safe for concurrent read access.
+construction and safe for concurrent read access. Car routing goes through
+`CarRoutes`, one cached shortest-path tree per source with bus lanes barred.
 """
 
 from __future__ import annotations
@@ -201,9 +202,6 @@ class RoadNetwork:
         """Ordered (in_edge, out_edge) movements controlled at a junction."""
         return self._connections[junction_id]
 
-    def approaches(self, junction_id: str) -> tuple[str, ...]:
-        return self.in_edges[junction_id]
-
 
 def _index_by_id(items: Iterable, where: str) -> dict:
     index: dict = {}
@@ -262,21 +260,28 @@ _OPTIONAL = {
 }
 
 
-def _check_record(rec: dict, fields: dict, where: str) -> dict:
+def check_record(
+    rec, fields: dict, where: str, optional=frozenset(), error=NetworkFormatError
+) -> dict:
+    """Check one JSON object against a field-to-type schema.
+
+    Unknown fields and missing non-optional fields are rejected, null is
+    never accepted, and a bool passes only where the schema asks for one.
+    Failures raise `error`, naming the record by `where`.
+    """
     if not isinstance(rec, dict):
-        raise NetworkFormatError(f"{where}: expected an object, got {type(rec).__name__}")
+        raise error(f"{where}: expected an object, got {type(rec).__name__}")
     for key in rec:
         if key not in fields:
-            raise NetworkFormatError(f"{where}: unknown field '{key}'")
+            raise error(f"{where}: unknown field '{key}'")
     for key, types in fields.items():
         if key not in rec:
-            if key in _OPTIONAL:
+            if key in optional:
                 continue
-            raise NetworkFormatError(f"{where}: missing field '{key}'")
-        if isinstance(rec[key], bool) and types is not bool:
-            raise NetworkFormatError(f"{where}: field '{key}' has wrong type")
-        if not isinstance(rec[key], types):
-            raise NetworkFormatError(f"{where}: field '{key}' has wrong type")
+            raise error(f"{where}: missing field '{key}'")
+        value = rec[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise error(f"{where}: field '{key}' has wrong type")
     return rec
 
 
@@ -299,7 +304,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     junctions = []
     for i, rec in enumerate(doc.get("junctions", [])):
         where = f"junctions[{i}]"
-        rec = _check_record(rec, _JUNCTION_FIELDS, where)
+        rec = check_record(rec, _JUNCTION_FIELDS, where, _OPTIONAL)
         junctions.append(
             Junction(
                 id=rec["id"],
@@ -312,7 +317,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     edges = []
     for i, rec in enumerate(doc.get("edges", [])):
         where = f"edges[{i}]"
-        rec = _check_record(rec, _EDGE_FIELDS, where)
+        rec = check_record(rec, _EDGE_FIELDS, where, _OPTIONAL)
         edges.append(
             Edge(
                 id=rec["id"],
@@ -331,10 +336,10 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     programs = []
     for i, rec in enumerate(doc.get("tls", [])):
         where = f"tls[{i}]"
-        rec = _check_record(rec, _TLS_FIELDS, where)
+        rec = check_record(rec, _TLS_FIELDS, where, _OPTIONAL)
         phases = []
         for k, ph in enumerate(rec["phases"]):
-            ph = _check_record(ph, _PHASE_FIELDS, f"{where}.phases[{k}]")
+            ph = check_record(ph, _PHASE_FIELDS, f"{where}.phases[{k}]", _OPTIONAL)
             duration = float(ph["duration"])
             phases.append(
                 TlsPhase(
@@ -355,7 +360,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     stops = []
     for i, rec in enumerate(doc.get("bus_stops", [])):
         where = f"bus_stops[{i}]"
-        rec = _check_record(rec, _STOP_FIELDS, where)
+        rec = check_record(rec, _STOP_FIELDS, where, _OPTIONAL)
         stops.append(
             BusStop(
                 id=rec["id"],
@@ -368,7 +373,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     parking = []
     for i, rec in enumerate(doc.get("parking", [])):
         where = f"parking[{i}]"
-        rec = _check_record(rec, _PARKING_FIELDS, where)
+        rec = check_record(rec, _PARKING_FIELDS, where, _OPTIONAL)
         parking.append(
             ParkingArea(
                 id=rec["id"],
@@ -381,7 +386,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     buildings = []
     for i, rec in enumerate(doc.get("buildings", [])):
         where = f"buildings[{i}]"
-        rec = _check_record(rec, _BUILDING_FIELDS, where)
+        rec = check_record(rec, _BUILDING_FIELDS, where, _OPTIONAL)
         verts = []
         for k, pt in enumerate(rec["vertices"]):
             if (
@@ -614,10 +619,6 @@ def shortest_paths_from(
     return _dijkstra(net, from_edge, weight, target=None)
 
 
-def reconstruct_route(pred: dict[str, str], from_edge: str, to_edge: str) -> list[str]:
-    return _reconstruct(pred, from_edge, to_edge)
-
-
 def _dijkstra(
     net: RoadNetwork,
     from_edge: str,
@@ -674,6 +675,36 @@ def _reconstruct(pred: dict[str, str], from_edge: str, to_edge: str) -> list[str
         route.append(pred[route[-1]])
     route.reverse()
     return route
+
+
+class CarRoutes:
+    """Car routes under one edge cost, with bus-only edges barred.
+
+    Runs one single-source search per distinct source edge and keeps its
+    tree, so any number of destinations from that source cost no more.
+    """
+
+    def __init__(self, net: RoadNetwork, cost: WeightFn = free_flow_time):
+        self._net = net
+        self._weight = lambda edge: math.inf if edge.bus_only else cost(edge)
+        self._trees: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+
+    def _tree(self, src: str) -> tuple[dict[str, float], dict[str, str]]:
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = shortest_paths_from(self._net, src, self._weight)
+        return tree
+
+    def route(self, src: str, dst: str) -> Optional[list[str]]:
+        """Cheapest edge sequence from src to dst, None when unreachable."""
+        dist, pred = self._tree(src)
+        if dst not in dist:
+            return None
+        return _reconstruct(pred, src, dst)
+
+    def cost(self, src: str, dst: str) -> Optional[float]:
+        """Cost of that route, None when unreachable."""
+        return self._tree(src)[0].get(dst)
 
 
 def route_cost(net: RoadNetwork, route: list[str], weight: Optional[WeightFn] = None) -> float:

@@ -1,0 +1,32 @@
+"""Shared test set-up.
+
+Some tests run the `trafcal` executable. When the package is not installed
+(a plain checkout run with `PYTHONPATH=src`), put a shim on PATH that runs
+`python -m trafcal` from this checkout's `src`.
+"""
+
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trafcal_on_path(tmp_path_factory):
+    if shutil.which("trafcal") is not None:
+        yield
+        return
+    bindir = tmp_path_factory.mktemp("bin")
+    shim = bindir / "trafcal"
+    shim.write_text(
+        "#!/bin/sh\n"
+        f'PYTHONPATH="{SRC}${{PYTHONPATH:+:$PYTHONPATH}}" exec "{sys.executable}" -m trafcal "$@"\n'
+    )
+    shim.chmod(0o755)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+        yield

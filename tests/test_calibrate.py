@@ -1,11 +1,12 @@
 """Calibration objective and probability sweep."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from trafcal import calibrate, fixtures
+from trafcal import calibrate, equilibrium, fixtures
 from trafcal.calibrate import (
     DetectorSeries,
     GridSpec,
@@ -159,6 +160,43 @@ def test_sweep_scores_truth_seed_at_zero():
     assert [e.p for e in res.entries] == [0.0, 0.5, 1.0]
     assert res.entries[0].nrmse == 0.0
     assert res.best_p == 0.0
+
+
+def test_sweep_and_dua_keep_every_base_field(monkeypatch):
+    # every field differs from its default, so a field that a derived run
+    # rebuilds instead of copying shows up as a mismatch
+    base = SimConfig(
+        begin=10.0, end=86410.0, step_length=0.5, ignore_junction_blocker=20.0,
+        time_to_teleport=250.0, rerouting_probability=0.3, rerouting_period=120.0,
+        speed_smoothing=0.25, seed=9,
+    )
+    default = SimConfig()
+    for f in dataclasses.fields(SimConfig):
+        assert getattr(base, f.name) != getattr(default, f.name), f.name
+
+    net = fixtures.two_route_network()
+    plans = [RoutePlan(f"v{i:03d}", ("e_in", "e_dn", "e_out"), 10.0 + i) for i in range(10)]
+    dets = [Detector("d", "e_out", 0, 50.0)]
+    real = sim_series(Simulation(net, plans, base, detectors=dets).run(), origin="real")
+
+    seen = []
+
+    class Capturing(Simulation):
+        def __init__(self, net, plans, config, *args, **kwargs):
+            seen.append(config)
+            super().__init__(net, plans, config, *args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "Simulation", Capturing)
+    monkeypatch.setattr(equilibrium, "Simulation", Capturing)
+    sweep_rerouting_probability(
+        net, plans, dets, real, grid=GridSpec(0.7, 0.7, 0.1), seed=4, base_config=base
+    )
+    assert seen == [dataclasses.replace(base, rerouting_probability=0.7, seed=4)]
+
+    seen.clear()
+    trips = fixtures.two_route_trips(n=10, begin=10.0)
+    equilibrium.dua_iterate(net, trips, base, max_iter=1)
+    assert seen == [dataclasses.replace(base, rerouting_probability=0.0)]
 
 
 def test_sweep_checks_detector_ids():

@@ -7,7 +7,6 @@ from trafcal.microsim.carfollow import (
     BUS,
     CAR,
     VehicleType,
-    krauss_speed,
     next_speed,
     safe_speed,
 )
@@ -17,8 +16,8 @@ from trafcal.microsim.carfollow import (
 
 
 def test_standstill_behind_stopped_leader():
-    assert krauss_speed(0.0, 0.0, 0.0, CAR, 0.1, 0.0) == 0.0
-    assert krauss_speed(0.0, 0.0, 0.0, CAR, 0.1, 0.999) == 0.0
+    assert next_speed(0.0, CAR.max_speed, 0.0, 0.0, CAR, 0.1, 0.0) == 0.0
+    assert next_speed(0.0, CAR.max_speed, 0.0, 0.0, CAR, 0.1, 0.999) == 0.0
 
 
 def test_free_road_accelerates_one_step():
@@ -34,7 +33,7 @@ def test_safe_speed_closed_form():
     assert abs(got - want) < 1e-12
     assert abs(got - 1.6847) < 5e-5
     # with plenty of speed and no imperfection the safe speed is the result
-    v = krauss_speed(50.0, 0.0, 2.0, CAR, 0.1, 0.0)
+    v = next_speed(50.0, CAR.max_speed, 2.0, 0.0, CAR, 0.1, 0.0)
     assert abs(v - want) < 1e-12
 
 
@@ -94,9 +93,10 @@ def test_more_imperfection_never_speeds_up():
         assert b <= a + 1e-12
 
 
-def test_krauss_speed_floors_negative_gap():
-    # a caller measuring bumpers may hand in a small negative gap
-    assert krauss_speed(20.0, 0.0, -0.5, CAR, 1.0, 0.0) == 0.0
+def test_next_speed_stops_at_floored_negative_gap():
+    # a caller measuring bumpers may find a small negative gap; floored at
+    # zero it forces a stop
+    assert next_speed(20.0, CAR.max_speed, max(0.0, -0.5), 0.0, CAR, 1.0, 0.0) == 0.0
 
 
 def test_default_types():

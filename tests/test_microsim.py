@@ -336,12 +336,14 @@ def test_config_validation():
 
 
 def test_route_plan_round_trip(tmp_path):
+    import json
+
+    from trafcal.netmodel import NetworkFormatError
     from trafcal.microsim.simio import load_route_plans, save_route_plans
 
     plans = [
         RoutePlan("a", ("e0", "e1"), 5.0),
         RoutePlan("b", ("e1",), 1.0, mode="bus"),
-        RoutePlan("c", ("e0",), 1.0, equipped=True),
     ]
     path = tmp_path / "routes.json"
     save_route_plans(plans, path)
@@ -351,6 +353,12 @@ def test_route_plan_round_trip(tmp_path):
     again = tmp_path / "routes2.json"
     save_route_plans(back, again)
     assert path.read_bytes() == again.read_bytes()
+    # device ownership is drawn by the engine, never read from the file
+    path.write_text(json.dumps(
+        {"routes": [{"trip_id": "c", "edges": ["e0"], "depart": 1.0, "equipped": True}]}
+    ))
+    with pytest.raises(NetworkFormatError, match="unknown field 'equipped'"):
+        load_route_plans(path)
 
 
 def test_route_plan_validation(tmp_path):
@@ -416,6 +424,27 @@ def test_bus_line_round_trip(tmp_path):
     save_bus_lines([BusLine("L", ("nope",), ("e0",), (0.0,))], path)
     with pytest.raises(NetworkFormatError):
         load_bus_lines(path, net)
+
+
+def test_null_optional_fields_rejected(tmp_path):
+    import json
+
+    from trafcal.netmodel import NetworkFormatError
+    from trafcal.microsim.simio import load_bus_lines, load_detectors
+
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps({"detectors": [
+        {"id": "d1", "edge_id": "e0", "lane": 0, "position": 40.0, "window": None}
+    ]}))
+    with pytest.raises(NetworkFormatError, match=r"detectors\[0\]"):
+        load_detectors(path)
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"bus_lines": [
+        {"id": "L", "stop_sequence": [], "route": ["e0"], "departures": [0.0],
+         "dwell": None}
+    ]}))
+    with pytest.raises(NetworkFormatError, match=r"bus_lines\[0\]"):
+        load_bus_lines(path)
 
 
 def test_detector_csv_round_trip(tmp_path):

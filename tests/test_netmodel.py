@@ -7,9 +7,11 @@ import random
 import pytest
 
 from trafcal import fixtures
+from trafcal import netmodel
 from trafcal.netmodel import (
     BuildingPoly,
     BusStop,
+    CarRoutes,
     DanglingReferenceError,
     Edge,
     Junction,
@@ -333,3 +335,47 @@ def test_dijkstra_matches_bellman_ford_on_random_graphs():
             assert route_cost(net, route, weight=weight) == dist[target]
             for a, b in zip(route, route[1:]):
                 assert b in net.successors[a]
+
+
+# -- cached car routes -------------------------------------------------------
+
+
+def test_car_routes_match_shortest_path_with_bus_lanes_barred(monkeypatch):
+    rng = random.Random(20261017)
+    real = netmodel.shortest_paths_from
+    sources_searched = []
+
+    def counting(net, from_edge, weight=None):
+        sources_searched.append(from_edge)
+        return real(net, from_edge, weight)
+
+    monkeypatch.setattr(netmodel, "shortest_paths_from", counting)
+    cost = lambda e: e.length  # integer lengths keep float sums exact
+    barred = lambda e: math.inf if e.bus_only else e.length
+    unreachable_seen = 0
+    for _ in range(50):
+        base = random_network(rng)
+        edges = [
+            Edge(e.id, e.from_junction, e.to_junction, e.length,
+                 speed_limit=e.speed_limit, bus_only=rng.random() < 0.2)
+            for e in base.edges.values()
+        ]
+        net = RoadNetwork(base.junctions.values(), edges)
+        routes = CarRoutes(net, cost)
+        car_edges = sorted(e.id for e in edges if not e.bus_only)
+        sources_searched.clear()
+        sources = rng.sample(car_edges, min(3, len(car_edges)))
+        for src in sources:
+            for dst in rng.sample(sorted(net.edges), min(6, len(net.edges))):
+                got = routes.route(src, dst)
+                try:
+                    want = shortest_path(net, src, dst, weight=barred)
+                except NoPathError:
+                    unreachable_seen += 1
+                    assert got is None and routes.cost(src, dst) is None
+                    continue
+                assert got == want
+                assert not any(net.edges[eid].bus_only for eid in got)
+                assert routes.cost(src, dst) == route_cost(net, got, weight=cost)
+        assert sorted(sources_searched) == sorted(sources)
+    assert unreachable_seen > 0
