@@ -64,8 +64,7 @@ class ProjectConfig:
 
 
 def load_project(path) -> ProjectConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = netmodel.read_json(path, UsageError)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: project config must be an object")
     known = {"seed", "workers", "paths", "sim", "demand", "sweep", "equilibrium"}
@@ -124,38 +123,31 @@ class _Ctx:
         os.makedirs(self.output_dir, exist_ok=True)
         return os.path.normpath(os.path.join(self.output_dir, name))
 
-    def sim_config(self) -> SimConfig:
-        merged = dict(self.cfg.sim)
-        for key in _SIM_KEYS:
+    def _overlay(self, section: dict, keys) -> dict:
+        """A config section with every one of `keys` given as a flag laid over it."""
+        merged = dict(section)
+        for key in keys:
             flag = getattr(self.args, key, None)
             if flag is not None:
                 merged[key] = flag
-        merged["seed"] = int(merged.get("seed", self.seed))
-        if self.args.seed is not None:
-            merged["seed"] = self.args.seed
+        return merged
+
+    def sim_config(self) -> SimConfig:
+        merged = self._overlay(self.cfg.sim, _SIM_KEYS)
         try:
+            merged["seed"] = int(merged.get("seed", self.seed))
             return SimConfig(**merged)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad simulation settings: {exc}") from exc
 
     def sweep_grid(self) -> calibrate.GridSpec:
-        merged = dict(self.cfg.sweep)
-        for key in _SWEEP_KEYS:
-            flag = getattr(self.args, key, None)
-            if flag is not None:
-                merged[key] = flag
         try:
-            return calibrate.GridSpec(**merged)
+            return calibrate.GridSpec(**self._overlay(self.cfg.sweep, _SWEEP_KEYS))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad sweep grid: {exc}") from exc
 
     def equilibrium_params(self) -> dict:
-        merged = dict(self.cfg.equilibrium)
-        for key in _EQ_KEYS:
-            flag = getattr(self.args, key, None)
-            if flag is not None:
-                merged[key] = flag
-        return merged
+        return self._overlay(self.cfg.equilibrium, _EQ_KEYS)
 
 
 def _load_net(ctx: _Ctx, flag_value) -> netmodel.RoadNetwork:
@@ -364,6 +356,7 @@ def cmd_report_validate(ctx: _Ctx) -> int:
 
 def cmd_fixture_make(ctx: _Ctx) -> int:
     seed = ctx.seed
+    sim_cfg = dataclasses.replace(ctx.sim_config(), seed=seed)
     scenario = fixtures.twin_scenario(seed)
     out = ctx.out_path  # ensures the directory exists
 
@@ -383,9 +376,6 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     ctx.log(f"grid and twin inputs in {ctx.output_dir}")
 
     eq_params = dict(ctx.cfg.equilibrium) or {"max_iter": 6, "tol": 0.05, "window": 3}
-    sim_kwargs = dict(ctx.cfg.sim)
-    sim_kwargs["seed"] = seed
-    sim_cfg = SimConfig(**sim_kwargs)
 
     # ground truth: the exact pipeline a user will run, ending in one
     # simulation at the hidden true rerouting probability
@@ -572,7 +562,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         ctx = _Ctx(args)
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -13,7 +13,7 @@ import csv
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from trafcal.calibrate import (
@@ -39,10 +39,6 @@ class NoSurvivingDaysError(ValueError):
             f"detector '{detector_id}': no day of data survives the filters"
         )
         self.detector_id = detector_id
-
-
-class MissingMonthError(ValueError):
-    pass
 
 
 class DetectorMismatchError(ValueError):
@@ -212,50 +208,6 @@ def ingest(records: Sequence[RawMeasurement], filt: IngestionFilter = IngestionF
             DetectorSeries(det, tuple(s / n for s in sums[det]), origin="real")
         )
     return IngestResult(series=series, days_used=days)
-
-
-@dataclass
-class SplitDataset:
-    modeling: list[DetectorSeries]
-    validation: list[DetectorSeries]
-    flags: list[str] = field(default_factory=list)
-
-
-def split_dataset(
-    series_by_month: dict[str, list[DetectorSeries]],
-    modeling_month: str,
-    validation_month: str,
-) -> SplitDataset:
-    """Partition month-keyed series into the modeling and validation sets.
-
-    The modeling month must exist; a missing validation month yields an
-    empty subset with a flag instead of an error.
-    """
-    if modeling_month not in series_by_month:
-        raise MissingMonthError(
-            f"modeling month '{modeling_month}' not in {sorted(series_by_month)}"
-        )
-    flags = []
-    validation = series_by_month.get(validation_month)
-    if validation is None:
-        validation = []
-        flags.append(f"validation month '{validation_month}' has no data")
-    return SplitDataset(
-        modeling=list(series_by_month[modeling_month]),
-        validation=list(validation),
-        flags=flags,
-    )
-
-
-def month_label(date: datetime.date) -> str:
-    return f"{date.year:04d}-{date.month:02d}"
-
-
-def group_by_month(records: Sequence[RawMeasurement]) -> dict[str, list[RawMeasurement]]:
-    out: dict[str, list[RawMeasurement]] = {}
-    for rec in records:
-        out.setdefault(month_label(rec.date), []).append(rec)
-    return out
 
 
 # ---------------------------------------------------------------------------

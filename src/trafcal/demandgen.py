@@ -441,13 +441,7 @@ def write_trips(table: TripTable, path) -> None:
 
 
 def read_trips(path) -> TripTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DemandError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = netmodel.read_json(path, DemandError)
     if not isinstance(doc, dict) or set(doc) - {"trips"}:
         raise DemandError("top level: expected an object with 'trips'")
     trips = []
@@ -494,13 +488,7 @@ _CONFIG_OPTIONAL = {"departure_jitter_sd", "free_time_rate", "seed"}
 
 
 def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[School], DemandConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DemandError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = netmodel.read_json(path, DemandError)
     if not isinstance(doc, dict):
         raise DemandError("top level: expected a JSON object")
     known = {"districts", "gates", "schools", "config"}

@@ -7,7 +7,11 @@ Induction-loop detectors count front-bumper crossings into fixed windows.
 Every step runs the same sub-phases in order: signal update, synchronous
 speed update, movement (including edge transitions), junction-blocker
 override, teleport of hopelessly stuck vehicles, insertion of due
-departures, periodic rerouting, and output sampling. All randomness comes
+departures, periodic rerouting, and output sampling. However a vehicle
+reaches an edge (driving over the line, a junction-blocker override, a
+teleport or its insertion) it enters through one helper, and it leaves
+through one, so detectors, distance and edge times count every way alike.
+Bus stops are resolved once per trip, before the run. All randomness comes
 from named substreams of the run seed, and every container is walked in a
 sorted order, so equal seeds give byte-equal outputs.
 """
@@ -145,8 +149,21 @@ class Simulation:
         if vehicle_types:
             self.vehicle_types.update(vehicle_types)
         all_plans = list(plans)
-        self._line_stops: dict[str, list[tuple[int, float]]] = {}
-        self._line_dwell: dict[str, float] = {}
+        # trip id -> (stops as (route index, position), dwell) for every bus:
+        # a line bus stops where its stop sequence says, a bus from a routes
+        # file at every stop along its edges
+        self._bus_stops: dict[str, tuple[tuple[tuple[int, float], ...], float]] = {}
+        along: dict[str, list[float]] = {}
+        for s in net.bus_stops.values():
+            along.setdefault(s.edge_id, []).append(s.position)
+        for plan in all_plans:
+            if plan.mode == "bus":
+                stops = tuple(
+                    (idx, pos)
+                    for idx, eid in enumerate(plan.edges)
+                    for pos in sorted(along.get(eid, ()))
+                )
+                self._bus_stops[plan.trip_id] = (stops, DEFAULT_BUS_DWELL)
         for line in bus_lines:
             all_plans.extend(self._expand_bus_line(line))
         self.plans = sorted(all_plans, key=lambda p: (p.depart, p.trip_id))
@@ -247,8 +264,7 @@ class Simulation:
         for i, dep in enumerate(line.departures):
             trip_id = f"{line.id}#{i}"
             plans.append(RoutePlan(trip_id, tuple(line.route), float(dep), mode="bus"))
-            self._line_stops[trip_id] = list(stops)
-            self._line_dwell[trip_id] = line.dwell
+            self._bus_stops[trip_id] = (tuple(stops), line.dwell)
         return plans
 
     # -- access helpers -----------------------------------------------------
@@ -447,7 +463,7 @@ class Simulation:
                     new_pos = veh.pos + v * dt
                     if new_pos > length:
                         if i == 0 and self._cross(
-                            veh, eid, li, lane, new_pos - length, v, now, dt
+                            veh, eid, new_pos - length, v, now, dt
                         ):
                             continue  # left this lane; deque index stays put
                         new_pos = length
@@ -485,18 +501,13 @@ class Simulation:
         return new_pos
 
     def _cross(
-        self, veh: _Vehicle, eid: str, li: int, lane: deque, overshoot: float,
-        v: float, now: float, dt: float,
+        self, veh: _Vehicle, eid: str, overshoot: float, v: float, now: float,
+        dt: float,
     ) -> bool:
         """Move a front vehicle off its edge: either the trip ends here or
         it enters the next edge. Returns False if it must hold at the line."""
-        edge = self.net.edges[eid]
         if veh.idx + 1 >= len(veh.route):
-            self._detector_sweep(eid, li, veh.pos, edge.length, now)
-            veh.distance += edge.length - veh.pos
-            veh.ff_done += netmodel.free_flow_time(edge)
-            lane.popleft()
-            self._deactivate_if_empty(eid)
+            self._exit_edge(veh, now, timed=False)
             del self.vehicles[veh.trip_id]
             self.totals["arrived"] += 1
             pid = self._parking_by_edge.get(eid)
@@ -516,30 +527,57 @@ class Simulation:
             if limit < 0:
                 return False
             entry = min(entry, limit)
-        self._detector_sweep(eid, li, veh.pos, edge.length, now)
-        veh.distance += (edge.length - veh.pos) + entry
-        lane.popleft()
-        self._deactivate_if_empty(eid)
-        self._leave_edge(veh, eid, now)
-        veh.idx += 1
-        veh.lane = li_new
-        veh.pos = entry
-        veh.speed = v
-        veh.edge_entered = now
-        self.lanes[nxt][li_new].append(veh)
-        self.active_edges.add(nxt)
-        self._detector_sweep(nxt, li_new, -1.0, entry, now)
-        veh.pos = self._bus_stop_check(veh, entry, now)
-        self._after_move(veh, now)
+        self._exit_edge(veh, now)
+        self._enter_edge(veh, veh.idx + 1, li_new, entry, v, now, driven=True)
         return True
 
-    def _leave_edge(self, veh: _Vehicle, eid: str, now: float) -> None:
-        t = now - veh.edge_entered + self.config.step_length
-        self.edge_time_sum[eid] = self.edge_time_sum.get(eid, 0.0) + t
-        self.edge_time_n[eid] = self.edge_time_n.get(eid, 0) + 1
+    def _exit_edge(self, veh: _Vehicle, now: float, timed: bool = True) -> None:
+        """Drive the front vehicle of a lane over the stop line and off its
+        edge: the lane's detectors ahead of it and the metres to the line
+        count, and the edge's free-flow time joins the baseline. `timed`
+        also records how long the edge took, which an arrival does not."""
+        eid = veh.route[veh.idx]
         edge = self.net.edges[eid]
+        self._detector_sweep(eid, veh.lane, veh.pos, edge.length, now)
+        veh.distance += edge.length - veh.pos
+        self.lanes[eid][veh.lane].popleft()
+        self._deactivate_if_empty(eid)
         veh.ff_done += netmodel.free_flow_time(edge)
-        self._period_speed.setdefault(eid, []).append(edge.length / t)
+        if timed:
+            t = now - veh.edge_entered + self.config.step_length
+            self.edge_time_sum[eid] = self.edge_time_sum.get(eid, 0.0) + t
+            self.edge_time_n[eid] = self.edge_time_n.get(eid, 0) + 1
+            self._period_speed.setdefault(eid, []).append(edge.length / t)
+
+    def _enter_edge(
+        self, veh: _Vehicle, j: int, li: int, pos: float, speed: float,
+        now: float, driven: bool, stopped_since: Optional[float] = None,
+    ) -> None:
+        """Put `veh` on lane `li` of its route edge `j` at `pos`.
+
+        A vehicle that drove in over the stop line (`driven`) trips the new
+        lane's detectors up to where it ends, after any stop it reached
+        held it back. A placed one (insertion, teleport) trips none and
+        skips the stops behind it. `stopped_since`, when given, restarts
+        the waiting clock; otherwise a driven vehicle sets it from its
+        speed as after any move and a placed one keeps its own."""
+        eid = veh.route[j]
+        if not driven:
+            veh.stops = [s for s in veh.stops if s >= (j, pos)]
+        veh.idx = j
+        veh.lane = li
+        veh.speed = speed
+        veh.edge_entered = now
+        self.lanes[eid][li].append(veh)
+        self.active_edges.add(eid)
+        veh.pos = self._bus_stop_check(veh, pos, now)
+        if driven:
+            self._detector_sweep(eid, li, -1.0, veh.pos, now)
+            veh.distance += veh.pos
+        if stopped_since is not None:
+            veh.stopped_since = stopped_since
+        elif driven:
+            self._after_move(veh, now)
 
     def _flush_speed_estimates(self) -> None:
         """Fold the period's observed edge speeds into the running estimate."""
@@ -586,17 +624,11 @@ class Simulation:
                 li_new, space, _ = self._best_entry_lane(nxt)
                 if space <= OVERRIDE_MIN_SPACE:
                     continue
-                lane.popleft()
-                self._deactivate_if_empty(eid)
-                self._leave_edge(veh, eid, now)
-                veh.idx += 1
-                veh.lane = li_new
-                veh.pos = 0.0
-                veh.speed = 0.0
-                veh.stopped_since = now
-                veh.edge_entered = now
-                self.lanes[nxt][li_new].append(veh)
-                self.active_edges.add(nxt)
+                self._exit_edge(veh, now)
+                self._enter_edge(
+                    veh, veh.idx + 1, li_new, 0.0, 0.0, now, driven=True,
+                    stopped_since=now,
+                )
 
     def _teleports(self, now: float) -> None:
         """Relocate vehicles stuck past the threshold to the first edge on
@@ -612,69 +644,42 @@ class Simulation:
         for veh in sorted(stuck, key=lambda v: v.trip_id):
             dest = None
             for j in range(veh.idx + 1, len(veh.route)):
-                eid = veh.route[j]
-                li, space, _ = self._best_entry_lane(eid)
+                li, space, _ = self._best_entry_lane(veh.route[j])
                 if space >= veh.vtype.length + veh.vtype.min_gap:
-                    dest = (j, eid, li)
+                    dest = (j, li)
                     break
             if dest is None:
                 continue
-            j, eid, li = dest
-            self._remove_from_lane(veh)
+            j, li = dest
+            eid = veh.route[veh.idx]
+            self.lanes[eid][veh.lane].remove(veh)
+            self._deactivate_if_empty(eid)
             veh.teleports += 1
             self.totals["teleports"] += 1
             # edges skipped over still count toward the free-flow baseline
             for skipped in veh.route[veh.idx:j]:
                 veh.ff_done += netmodel.free_flow_time(self.net.edges[skipped])
-            veh.idx = j
-            veh.lane = li
-            veh.pos = veh.vtype.length
-            veh.speed = 0.0
-            veh.stopped_since = now
-            veh.edge_entered = now
-            veh.stops = [s for s in veh.stops if s[0] >= j]
-            self.lanes[eid][li].append(veh)
-            self.active_edges.add(eid)
-
-    def _remove_from_lane(self, veh: _Vehicle) -> None:
-        eid = veh.route[veh.idx]
-        self.lanes[eid][veh.lane].remove(veh)
-        self._deactivate_if_empty(eid)
+            self._enter_edge(
+                veh, j, li, veh.vtype.length, 0.0, now, driven=False,
+                stopped_since=now,
+            )
 
     def _try_insert(self, plan: RoutePlan, now: float) -> bool:
         eid = plan.edges[0]
-        edge = self.net.edges.get(eid)
-        if edge is None:
+        if eid not in self.net.edges:
             raise KeyError(f"trip '{plan.trip_id}': unknown edge '{eid}'")
         vtype = self.vehicle_types.get(plan.mode, CAR)
-        li, space, last = self._best_entry_lane(eid)
+        li, space, _ = self._best_entry_lane(eid)
         if space < vtype.min_gap:
             return False
         veh = _Vehicle(plan, vtype, self._equipped.get(plan.trip_id, False))
-        veh.speed = 0.0  # standing start
-        veh.lane = li
+        stops, veh.dwell = self._bus_stops.get(plan.trip_id, ((), DEFAULT_BUS_DWELL))
+        veh.stops = list(stops)
         veh.insert_time = now
-        veh.edge_entered = now
-        if plan.mode == "bus":
-            veh.stops = self._line_stops.get(
-                plan.trip_id, self._stops_along(plan.edges)
-            )
-            veh.dwell = self._line_dwell.get(plan.trip_id, DEFAULT_BUS_DWELL)
-        self.lanes[eid][li].append(veh)
-        self.active_edges.add(eid)
+        self._enter_edge(veh, 0, li, 0.0, 0.0, now, driven=False)
         self.vehicles[plan.trip_id] = veh
         self.totals["departed"] += 1
         return True
-
-    def _stops_along(self, edges: tuple[str, ...]) -> list[tuple[int, float]]:
-        by_edge: dict[str, list[float]] = {}
-        for s in self.net.bus_stops.values():
-            by_edge.setdefault(s.edge_id, []).append(s.position)
-        out = []
-        for idx, eid in enumerate(edges):
-            for pos in sorted(by_edge.get(eid, [])):
-                out.append((idx, pos))
-        return out
 
     def _reroute(self, now: float) -> None:
         est = self._est_speed

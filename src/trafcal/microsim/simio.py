@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from trafcal.netmodel import NetworkFormatError, RoadNetwork, check_record
+from trafcal.netmodel import NetworkFormatError, RoadNetwork, check_record, read_json
 
 VEHICLE_MODES = ("car", "bus")
 
@@ -74,13 +74,7 @@ _LINE_FIELDS = {
 def load_route_plans(path, net: Optional[RoadNetwork] = None) -> list[RoutePlan]:
     """Read a route file; with a network given, also verify every edge
     exists and consecutive edges are connected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) - {"routes"}:
         raise NetworkFormatError("top level: expected an object with 'routes'")
     plans = []
@@ -125,13 +119,7 @@ def save_route_plans(plans: list[RoutePlan], path) -> None:
 
 
 def load_detectors(path, net: Optional[RoadNetwork] = None) -> list[Detector]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) - {"detectors"}:
         raise NetworkFormatError("top level: expected an object with 'detectors'")
     dets = []
@@ -185,13 +173,7 @@ def save_detectors(dets: list[Detector], path) -> None:
 
 
 def load_bus_lines(path, net: Optional[RoadNetwork] = None) -> list[BusLine]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) - {"bus_lines"}:
         raise NetworkFormatError("top level: expected an object with 'bus_lines'")
     lines = []

@@ -5,6 +5,8 @@ The network is a directed graph of edges (road segments) and junctions
 parking areas, and building polygons. Networks are immutable after
 construction and safe for concurrent read access. Car routing goes through
 `CarRoutes`, one cached shortest-path tree per source with bus lanes barred.
+Network, route, detector, bus-line, trip and statistics files are all parsed
+by `read_json`, which names the line and column of a syntax error.
 """
 
 from __future__ import annotations
@@ -465,16 +467,21 @@ def network_to_dict(net: RoadNetwork) -> dict:
     }
 
 
-def load_network(path) -> RoadNetwork:
-    """Load and cross-link a network file, raising on schema violations."""
+def read_json(path, error=NetworkFormatError):
+    """Parse the JSON document at `path`; a syntax error is raised as
+    `error`, naming its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
+            raise error(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-    return network_from_dict(doc)
+
+
+def load_network(path) -> RoadNetwork:
+    """Load and cross-link a network file, raising on schema violations."""
+    return network_from_dict(read_json(path))
 
 
 def save_network(net: RoadNetwork, path) -> None:

@@ -136,6 +136,18 @@ def test_bad_config_file_exits_two(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     cfg.write_text("{not json")
     assert run(["net", "validate", "--config", cfg]) == 2
+    assert "project.json: line 1 column 2" in capsys.readouterr().err
+
+
+def test_bad_sim_settings_exit_two_before_any_output(tmp_path, capsys):
+    # fixture make reads the same sim section as sim run and rejects it
+    # the same way, before it writes a single file
+    cfg = tmp_path / "project.json"
+    cfg.write_text('{"sim": {"step_length": 0}}\n')
+    out = tmp_path / "out"
+    assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 2
+    assert "bad simulation settings" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # -- net validate --------------------------------------------------------------

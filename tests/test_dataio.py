@@ -1,4 +1,4 @@
-"""Measurement ingestion, dataset splitting, and validation reports."""
+"""Measurement ingestion and validation reports."""
 
 import datetime
 import math
@@ -13,17 +13,13 @@ from trafcal.dataio import (
     DetectorMismatchError,
     IngestionFilter,
     MeasurementFormatError,
-    MissingMonthError,
     NoSurvivingDaysError,
     RawMeasurement,
-    group_by_month,
     ingest,
-    month_label,
     read_measurements_csv,
     read_report,
     series_from_csv,
     series_to_csv,
-    split_dataset,
     validate,
     write_measurements_csv,
     write_report,
@@ -232,41 +228,6 @@ def test_measurements_csv_rejects_bad_input(tmp_path):
     path.write_text("detector_id,date,window_start_s,count\nd1,2023-09-05,0,-3\n")
     with pytest.raises(MeasurementFormatError):
         read_measurements_csv(path)
-
-
-# -- monthly split -------------------------------------------------------------
-
-
-def test_month_label_and_grouping():
-    assert month_label(TUE) == "2023-09"
-    assert month_label(datetime.date(2024, 1, 2)) == "2024-01"
-    records = [
-        RawMeasurement("d1", TUE, 0, 1),
-        RawMeasurement("d1", datetime.date(2023, 10, 3), 0, 2),
-        RawMeasurement("d2", WED, 900, 3),
-    ]
-    groups = group_by_month(records)
-    assert sorted(groups) == ["2023-09", "2023-10"]
-    assert len(groups["2023-09"]) == 2
-
-
-def test_split_dataset():
-    months = {
-        "2023-09": [flat("d1", 4.0)],
-        "2023-10": [flat("d1", 5.0)],
-    }
-    split = split_dataset(months, "2023-09", "2023-10")
-    assert split.modeling == months["2023-09"]
-    assert split.validation == months["2023-10"]
-    assert split.flags == []
-
-    partial = split_dataset(months, "2023-09", "2023-11")
-    assert partial.modeling == months["2023-09"]
-    assert partial.validation == []
-    assert partial.flags and "2023-11" in partial.flags[0]
-
-    with pytest.raises(MissingMonthError):
-        split_dataset(months, "2023-01", "2023-10")
 
 
 # -- validation ----------------------------------------------------------------

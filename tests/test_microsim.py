@@ -247,45 +247,99 @@ def test_stuck_vehicle_teleports_past_detector():
 
 def test_junction_blocker_override():
     # the next edge holds a dwelling bus with 2 m of space behind it: not
-    # enough for a normal entry (min_gap 2.5) but enough for the override
+    # enough for a normal entry (min_gap 2.5) but enough for the override;
+    # the override is a crossing like any other, so it trips the loop at
+    # the stop line and the one at the start of the next edge, and the
+    # metres up to the line count as driven
     net = chain_net(
         [100.0, 100.0],
         bus_stops=[BusStop("halt", "e1", 14.0)],
     )
     line = BusLine("L", ("halt",), ("e1",), (0.0,), dwell=900.0)
-    entered_at = []
+    dets = [Detector("line", "e0", 0, 100.0), Detector("start", "e1", 0, 0.0)]
+    entered = []
 
     def probe(sim, now):
         veh = sim.vehicles.get("car")
-        if veh is not None and veh.idx == 1 and not entered_at:
-            entered_at.append(now)
+        if veh is not None and veh.idx == 1 and not entered:
+            entered.append((now, veh.pos, veh.distance))
 
     out = Simulation(
         net,
         [RoutePlan("car", ("e0", "e1"), 0.0)],
         cfg(end=120.0, ignore_junction_blocker=15.0, time_to_teleport=1e9),
+        detectors=dets,
         bus_lines=[line],
     ).run(probe=probe)
-    assert entered_at and entered_at[0] < 60.0
+    at, pos, distance = entered[0]
+    assert at < 60.0
+    assert distance == pytest.approx(100.0 + pos)
     assert out.totals["still_running"] == 2  # both still behind the dwell
     assert out.totals["departed"] == 2
+    assert sum(out.detector_counts["line"]) == 1
+    assert sum(out.detector_counts["start"]) == 1  # the bus was placed there
+
+
+def test_no_entry_moves_a_vehicle_back_or_counts_undriven_metres():
+    # L#0 queues behind B#0 dwelling on e0 and teleports onto e1 beyond its
+    # own stop there, which it has then passed; C#0 drives into e1 past a
+    # stop 1 cm in and is held at it
+    net = chain_net(
+        [100.0, 200.0],
+        bus_stops=[
+            BusStop("halt", "e0", 50.0),
+            BusStop("s1", "e1", 5.0),
+            BusStop("s0", "e1", 0.01),
+        ],
+    )
+    lines = [
+        BusLine("B", ("halt",), ("e0", "e1"), (0.0,), dwell=400.0),
+        BusLine("L", ("s1",), ("e0", "e1"), (5.0,)),
+        BusLine("C", ("s0",), ("e0", "e1"), (600.0,)),
+    ]
+    last = {}
+
+    def probe(sim, now):
+        for trip_id, veh in sim.vehicles.items():
+            seen = last.get(trip_id)
+            if seen is not None:
+                idx, pos, distance = seen
+                assert veh.distance >= distance, (trip_id, now)
+                if veh.idx == idx:
+                    assert veh.pos >= pos, (trip_id, now)
+            last[trip_id] = (veh.idx, veh.pos, veh.distance)
+
+    out = Simulation(
+        net, [], cfg(end=900.0, time_to_teleport=60.0), bus_lines=lines,
+    ).run(probe=probe)
+    assert out.vehicles["L#0"].teleports == 1
+    held = out.vehicles["C#0"]
+    assert held.arrived and held.teleports == 0
+    assert held.distance == pytest.approx(300.0)
 
 
 # -- buses -------------------------------------------------------------------
 
 
 def test_bus_dwells_at_each_stop():
+    # s0 sits where the bus is inserted: it dwells there before setting off
     net = chain_net(
         [300.0, 300.0, 300.0],
-        bus_stops=[BusStop("s1", "e0", 150.0), BusStop("s2", "e2", 150.0)],
+        bus_stops=[
+            BusStop("s0", "e0", 0.0),
+            BusStop("s1", "e0", 150.0),
+            BusStop("s2", "e2", 150.0),
+        ],
     )
-    line = BusLine("L", ("s1", "s2"), ("e0", "e1", "e2"), (0.0, 600.0), dwell=10.0)
+    line = BusLine(
+        "L", ("s0", "s1", "s2"), ("e0", "e1", "e2"), (0.0, 600.0), dwell=10.0
+    )
     out = Simulation(net, [], cfg(end=3000.0), bus_lines=[line]).run()
     ff = sum(free_flow_time(e) for e in net.edges.values())
     for i in range(2):
         r = out.vehicles[f"L#{i}"]
-        assert r.arrived
-        assert r.travel_time >= ff + 20.0  # two dwells on top of driving
+        assert r.arrived and r.teleports == 0
+        assert r.travel_time >= ff + 30.0  # three dwells on top of driving
 
 
 # -- load response -----------------------------------------------------------
