@@ -138,11 +138,11 @@ def read_measurements_csv(path) -> list[RawMeasurement]:
                 count = int(count_s)
             except ValueError as exc:
                 raise MeasurementFormatError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(_check_record(RawMeasurement(det, date, start, count), f"{path}: line {lineno}"))
+            records.append(_check_measurement(RawMeasurement(det, date, start, count), f"{path}: line {lineno}"))
     return records
 
 
-def _check_record(rec: RawMeasurement, where: str) -> RawMeasurement:
+def _check_measurement(rec: RawMeasurement, where: str) -> RawMeasurement:
     if rec.window_start % WINDOW_S != 0 or not 0 <= rec.window_start < 86400:
         raise MeasurementFormatError(
             f"{where}: window_start {rec.window_start} not a quarter-hour of the day"
@@ -176,7 +176,7 @@ def ingest(records: Sequence[RawMeasurement], filt: IngestionFilter = IngestionF
     by_day: dict[tuple[str, datetime.date], dict[int, int]] = {}
     dupes: set[tuple[str, datetime.date]] = set()
     for rec in records:
-        _check_record(rec, f"record for '{rec.detector_id}'")
+        _check_measurement(rec, f"record for '{rec.detector_id}'")
         if not filt.admits(rec.date):
             continue
         key = (rec.detector_id, rec.date)

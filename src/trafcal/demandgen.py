@@ -9,7 +9,6 @@ statistics file and seed always produce the same trip table.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -415,76 +414,23 @@ def expand_routes(trips: TripTable, net: netmodel.RoadNetwork) -> ExpandResult:
 # Trip table and statistics files
 # ---------------------------------------------------------------------------
 
-_TRIP_FIELDS = {
-    "id": str,
-    "depart": (int, float),
-    "from_edge": str,
-    "to_edge": str,
-    "purpose": str,
-}
-
-
 def write_trips(table: TripTable, path) -> None:
-    rows = [
-        {
-            "id": t.id,
-            "depart": t.depart,
-            "from_edge": t.from_edge,
-            "to_edge": t.to_edge,
-            "purpose": t.purpose,
-        }
-        for t in sorted(table.trips, key=lambda t: (t.depart, t.id))
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"trips": rows}, fh, indent=1)
-        fh.write("\n")
+    netmodel.write_records(sorted(table.trips, key=lambda t: (t.depart, t.id)), path, "trips")
 
 
 def read_trips(path) -> TripTable:
-    doc = netmodel.read_json(path, DemandError)
-    if not isinstance(doc, dict) or set(doc) - {"trips"}:
-        raise DemandError("top level: expected an object with 'trips'")
-    trips = []
+    trips = netmodel.read_records(path, "trips", Trip, DemandError)
     seen = set()
-    for i, rec in enumerate(doc.get("trips", [])):
+    for i, trip in enumerate(trips):
         where = f"trips[{i}]"
-        rec = netmodel.check_record(rec, _TRIP_FIELDS, where, error=DemandError)
-        if rec["purpose"] not in TRIP_PURPOSES:
-            raise DemandError(f"{where}: unknown purpose '{rec['purpose']}'")
-        depart = float(rec["depart"])
-        if not 0.0 <= depart < DAY_S:
-            raise DemandError(f"{where}: depart {depart} outside [0, 86400)")
-        if rec["id"] in seen:
-            raise DemandError(f"{where}: duplicate trip id '{rec['id']}'")
-        seen.add(rec["id"])
-        trips.append(Trip(rec["id"], depart, rec["from_edge"], rec["to_edge"], rec["purpose"]))
+        if trip.purpose not in TRIP_PURPOSES:
+            raise DemandError(f"{where}: unknown purpose '{trip.purpose}'")
+        if not 0.0 <= trip.depart < DAY_S:
+            raise DemandError(f"{where}: depart {trip.depart} outside [0, 86400)")
+        if trip.id in seen:
+            raise DemandError(f"{where}: duplicate trip id '{trip.id}'")
+        seen.add(trip.id)
     return TripTable(trips)
-
-
-_DISTRICT_FIELDS = {
-    "id": str, "edge_ids": list, "inhabitants": int, "households": int,
-    "workers": int, "work_positions": int, "unemployed": int,
-    "vehicles": int, "age_brackets": list,
-}
-_GATE_FIELDS = {
-    "id": str, "in_edge": str, "out_edge": str,
-    "incoming_share": (int, float), "outgoing_share": (int, float),
-}
-_SCHOOL_FIELDS = {
-    "id": str, "edge_id": str, "age_min": int, "age_max": int,
-    "capacity": int, "opening_h": (int, float), "closing_h": (int, float),
-}
-_HOURS_FIELDS = {
-    "opening_h": (int, float), "closing_h": (int, float),
-    "worker_share": (int, float),
-}
-_CONFIG_FIELDS = {
-    "car_rate": (int, float), "car_preference_rate": (int, float),
-    "incoming_total": int, "outgoing_total": int, "work_hours": list,
-    "departure_jitter_sd": (int, float), "free_time_rate": (int, float),
-    "seed": int,
-}
-_CONFIG_OPTIONAL = {"departure_jitter_sd", "free_time_rate", "seed"}
 
 
 def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[School], DemandConfig]:
@@ -497,73 +443,12 @@ def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[Sch
             raise DemandError(f"top level: unknown field '{key}'")
     if "config" not in doc:
         raise DemandError("top level: missing 'config'")
-
-    districts = []
-    for i, rec in enumerate(doc.get("districts", [])):
-        where = f"districts[{i}]"
-        rec = netmodel.check_record(rec, _DISTRICT_FIELDS, where, error=DemandError)
-        if not all(isinstance(e, str) for e in rec["edge_ids"]):
-            raise DemandError(f"{where}: edge_ids must be strings")
-        if not all(isinstance(n, int) and not isinstance(n, bool) for n in rec["age_brackets"]):
-            raise DemandError(f"{where}: age_brackets must be integers")
-        districts.append(
-            DistrictStats(
-                id=rec["id"], edge_ids=tuple(rec["edge_ids"]),
-                inhabitants=rec["inhabitants"], households=rec["households"],
-                workers=rec["workers"], work_positions=rec["work_positions"],
-                unemployed=rec["unemployed"], vehicles=rec["vehicles"],
-                age_brackets=tuple(rec["age_brackets"]),
-            )
-        )
-
-    gates = []
-    for i, rec in enumerate(doc.get("gates", [])):
-        rec = netmodel.check_record(rec, _GATE_FIELDS, f"gates[{i}]", error=DemandError)
-        gates.append(
-            CityGate(
-                id=rec["id"], in_edge=rec["in_edge"], out_edge=rec["out_edge"],
-                incoming_share=float(rec["incoming_share"]),
-                outgoing_share=float(rec["outgoing_share"]),
-            )
-        )
-
-    schools = []
-    for i, rec in enumerate(doc.get("schools", [])):
-        rec = netmodel.check_record(rec, _SCHOOL_FIELDS, f"schools[{i}]", error=DemandError)
-        schools.append(
-            School(
-                id=rec["id"], edge_id=rec["edge_id"], age_min=rec["age_min"],
-                age_max=rec["age_max"], capacity=rec["capacity"],
-                opening_h=float(rec["opening_h"]), closing_h=float(rec["closing_h"]),
-            )
-        )
-
-    cfg = netmodel.check_record(
-        doc["config"], _CONFIG_FIELDS, "config", _CONFIG_OPTIONAL, DemandError
+    return (
+        netmodel.records_from(doc, "districts", DistrictStats, DemandError),
+        netmodel.records_from(doc, "gates", CityGate, DemandError),
+        netmodel.records_from(doc, "schools", School, DemandError),
+        netmodel.record_from(DemandConfig, doc["config"], "config", DemandError),
     )
-    hours = []
-    for i, rec in enumerate(cfg["work_hours"]):
-        rec = netmodel.check_record(
-            rec, _HOURS_FIELDS, f"config.work_hours[{i}]", error=DemandError
-        )
-        hours.append(
-            WorkHours(
-                opening_h=float(rec["opening_h"]),
-                closing_h=float(rec["closing_h"]),
-                worker_share=float(rec["worker_share"]),
-            )
-        )
-    config = DemandConfig(
-        car_rate=float(cfg["car_rate"]),
-        car_preference_rate=float(cfg["car_preference_rate"]),
-        incoming_total=cfg["incoming_total"],
-        outgoing_total=cfg["outgoing_total"],
-        work_hours=tuple(hours),
-        departure_jitter_sd=float(cfg.get("departure_jitter_sd", 900.0)),
-        free_time_rate=float(cfg.get("free_time_rate", 0.1)),
-        seed=cfg.get("seed", 0),
-    )
-    return districts, gates, schools, config
 
 
 def save_statistics(
@@ -573,50 +458,12 @@ def save_statistics(
     config: DemandConfig,
     path,
 ) -> None:
-    doc = {
-        "districts": [
-            {
-                "id": d.id, "edge_ids": list(d.edge_ids),
-                "inhabitants": d.inhabitants, "households": d.households,
-                "workers": d.workers, "work_positions": d.work_positions,
-                "unemployed": d.unemployed, "vehicles": d.vehicles,
-                "age_brackets": list(d.age_brackets),
-            }
-            for d in stats
-        ],
-        "gates": [
-            {
-                "id": g.id, "in_edge": g.in_edge, "out_edge": g.out_edge,
-                "incoming_share": g.incoming_share,
-                "outgoing_share": g.outgoing_share,
-            }
-            for g in gates
-        ],
-        "schools": [
-            {
-                "id": s.id, "edge_id": s.edge_id, "age_min": s.age_min,
-                "age_max": s.age_max, "capacity": s.capacity,
-                "opening_h": s.opening_h, "closing_h": s.closing_h,
-            }
-            for s in schools
-        ],
-        "config": {
-            "car_rate": config.car_rate,
-            "car_preference_rate": config.car_preference_rate,
-            "incoming_total": config.incoming_total,
-            "outgoing_total": config.outgoing_total,
-            "work_hours": [
-                {
-                    "opening_h": w.opening_h, "closing_h": w.closing_h,
-                    "worker_share": w.worker_share,
-                }
-                for w in config.work_hours
-            ],
-            "departure_jitter_sd": config.departure_jitter_sd,
-            "free_time_rate": config.free_time_rate,
-            "seed": config.seed,
+    netmodel.write_json(
+        {
+            "districts": [netmodel.record_to(d) for d in stats],
+            "gates": [netmodel.record_to(g) for g in gates],
+            "schools": [netmodel.record_to(s) for s in schools],
+            "config": netmodel.record_to(config),
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        path,
+    )

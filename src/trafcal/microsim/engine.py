@@ -27,12 +27,11 @@ from typing import Optional
 from trafcal import netmodel
 from trafcal.microsim import carfollow, tls
 from trafcal.microsim.carfollow import BUS, CAR, VehicleType
-from trafcal.microsim.simio import BusLine, Detector, RoutePlan
+from trafcal.microsim.simio import DEFAULT_BUS_DWELL, BusLine, Detector, RoutePlan
 
 STOP_SPEED = 0.1  # below this a vehicle counts as standing
 AT_LINE = 0.5  # metres from the stop line that still count as "at" it
 OVERRIDE_MIN_SPACE = 0.1  # rear space a junction-blocker override still needs
-DEFAULT_BUS_DWELL = 10.0
 
 
 @dataclass
@@ -253,6 +252,8 @@ class Simulation:
             stop = net.bus_stops.get(sid)
             if stop is None:
                 raise ValueError(f"bus line '{line.id}': unknown bus stop '{sid}'")
+            if stops and line.route[cursor] == stop.edge_id and stop.position < stops[-1][1]:
+                cursor += 1  # behind the previous stop: a later pass over its edge
             while cursor < len(line.route) and line.route[cursor] != stop.edge_id:
                 cursor += 1
             if cursor >= len(line.route):

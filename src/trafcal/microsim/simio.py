@@ -1,20 +1,22 @@
 """File formats consumed and produced by the simulator.
 
-Route plans and detector definitions are JSON; detector windows and the
-running-vehicle series are CSV. All writers emit rows in a fixed sort
-order so equal runs produce byte-identical files.
+Route plans, detector definitions and bus lines are JSON files holding one
+array of `RoutePlan`, `Detector` or `BusLine` records, read and written by
+the `netmodel` record codec; detector windows and the running-vehicle
+series are CSV. All writers emit rows in a fixed order so equal runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from trafcal.netmodel import NetworkFormatError, RoadNetwork, check_record, read_json
+from trafcal.netmodel import NetworkFormatError, RoadNetwork, read_records, write_records
 
 VEHICLE_MODES = ("car", "bus")
+DEFAULT_BUS_DWELL = 10.0
 
 
 @dataclass(frozen=True)
@@ -46,56 +48,21 @@ class BusLine:
     stop_sequence: tuple[str, ...]
     route: tuple[str, ...]
     departures: tuple[float, ...]
-    dwell: float = 10.0
-
-
-_PLAN_FIELDS = {
-    "trip_id": str,
-    "edges": list,
-    "depart": (int, float),
-    "mode": str,
-}
-_DET_FIELDS = {
-    "id": str,
-    "edge_id": str,
-    "lane": int,
-    "position": (int, float),
-    "window": (int, float),
-}
-_LINE_FIELDS = {
-    "id": str,
-    "stop_sequence": list,
-    "route": list,
-    "departures": list,
-    "dwell": (int, float),
-}
+    dwell: float = DEFAULT_BUS_DWELL
 
 
 def load_route_plans(path, net: Optional[RoadNetwork] = None) -> list[RoutePlan]:
     """Read a route file; with a network given, also verify every edge
     exists and consecutive edges are connected."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or set(doc) - {"routes"}:
-        raise NetworkFormatError("top level: expected an object with 'routes'")
-    plans = []
-    for i, rec in enumerate(doc.get("routes", [])):
+    plans = read_records(path, "routes", RoutePlan)
+    for i, plan in enumerate(plans):
         where = f"routes[{i}]"
-        rec = check_record(rec, _PLAN_FIELDS, where, {"mode"})
-        edges = rec["edges"]
-        if not edges or not all(isinstance(e, str) for e in edges):
+        if not plan.edges:
             raise NetworkFormatError(f"{where}: 'edges' must be a non-empty string array")
-        mode = rec.get("mode", "car")
-        if mode not in VEHICLE_MODES:
-            raise NetworkFormatError(f"{where}: unknown mode '{mode}'")
-        plan = RoutePlan(
-            trip_id=rec["trip_id"],
-            edges=tuple(edges),
-            depart=float(rec["depart"]),
-            mode=mode,
-        )
+        if plan.mode not in VEHICLE_MODES:
+            raise NetworkFormatError(f"{where}: unknown mode '{plan.mode}'")
         if net is not None:
             _check_route_edges(plan, net, where)
-        plans.append(plan)
     return plans
 
 
@@ -109,31 +76,14 @@ def _check_route_edges(plan: RoutePlan, net: RoadNetwork, where: str) -> None:
 
 
 def save_route_plans(plans: list[RoutePlan], path) -> None:
-    rows = [
-        {"trip_id": p.trip_id, "edges": list(p.edges), "depart": p.depart, "mode": p.mode}
-        for p in sorted(plans, key=lambda p: (p.depart, p.trip_id))
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"routes": rows}, fh, indent=1)
-        fh.write("\n")
+    write_records(sorted(plans, key=lambda p: (p.depart, p.trip_id)), path, "routes")
 
 
 def load_detectors(path, net: Optional[RoadNetwork] = None) -> list[Detector]:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or set(doc) - {"detectors"}:
-        raise NetworkFormatError("top level: expected an object with 'detectors'")
-    dets = []
+    dets = read_records(path, "detectors", Detector)
     seen = set()
-    for i, rec in enumerate(doc.get("detectors", [])):
+    for i, det in enumerate(dets):
         where = f"detectors[{i}]"
-        rec = check_record(rec, _DET_FIELDS, where, {"window"})
-        det = Detector(
-            id=rec["id"],
-            edge_id=rec["edge_id"],
-            lane=rec["lane"],
-            position=float(rec["position"]),
-            window=float(rec.get("window", 900.0)),
-        )
         if det.window <= 0:
             raise NetworkFormatError(f"{where}: window must be > 0")
         if det.id in seen:
@@ -147,84 +97,28 @@ def load_detectors(path, net: Optional[RoadNetwork] = None) -> list[Detector]:
                 raise NetworkFormatError(f"{where}: lane {det.lane} outside edge '{edge.id}'")
             if not 0 <= det.position <= edge.length:
                 raise NetworkFormatError(f"{where}: position outside edge '{edge.id}'")
-        dets.append(det)
     return dets
 
 
 def save_detectors(dets: list[Detector], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "detectors": [
-                    {
-                        "id": d.id,
-                        "edge_id": d.edge_id,
-                        "lane": d.lane,
-                        "position": d.position,
-                        "window": d.window,
-                    }
-                    for d in dets
-                ]
-            },
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
+    write_records(dets, path, "detectors")
 
 
 def load_bus_lines(path, net: Optional[RoadNetwork] = None) -> list[BusLine]:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or set(doc) - {"bus_lines"}:
-        raise NetworkFormatError("top level: expected an object with 'bus_lines'")
-    lines = []
-    for i, rec in enumerate(doc.get("bus_lines", [])):
-        where = f"bus_lines[{i}]"
-        rec = check_record(rec, _LINE_FIELDS, where, {"dwell"})
-        for key in ("stop_sequence", "route"):
-            if not all(isinstance(x, str) for x in rec[key]):
-                raise NetworkFormatError(f"{where}: '{key}' must be a string array")
-        if not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in rec["departures"]
-        ):
-            raise NetworkFormatError(f"{where}: 'departures' must be numbers")
-        line = BusLine(
-            id=rec["id"],
-            stop_sequence=tuple(rec["stop_sequence"]),
-            route=tuple(rec["route"]),
-            departures=tuple(float(x) for x in rec["departures"]),
-            dwell=float(rec.get("dwell", 10.0)),
-        )
-        if net is not None:
+    lines = read_records(path, "bus_lines", BusLine)
+    if net is not None:
+        for i, line in enumerate(lines):
             for eid in line.route:
                 if eid not in net.edges:
-                    raise NetworkFormatError(f"{where}: unknown edge '{eid}'")
+                    raise NetworkFormatError(f"bus_lines[{i}]: unknown edge '{eid}'")
             for sid in line.stop_sequence:
                 if sid not in net.bus_stops:
-                    raise NetworkFormatError(f"{where}: unknown bus stop '{sid}'")
-        lines.append(line)
+                    raise NetworkFormatError(f"bus_lines[{i}]: unknown bus stop '{sid}'")
     return lines
 
 
 def save_bus_lines(lines: list[BusLine], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "bus_lines": [
-                    {
-                        "id": l.id,
-                        "stop_sequence": list(l.stop_sequence),
-                        "route": list(l.route),
-                        "departures": list(l.departures),
-                        "dwell": l.dwell,
-                    }
-                    for l in lines
-                ]
-            },
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
+    write_records(lines, path, "bus_lines")
 
 
 def write_detector_csv(

@@ -6,14 +6,20 @@ parking areas, and building polygons. Networks are immutable after
 construction and safe for concurrent read access. Car routing goes through
 `CarRoutes`, one cached shortest-path tree per source with bus lanes barred.
 Network, route, detector, bus-line, trip and statistics files are all parsed
-by `read_json`, which names the line and column of a syntax error.
+by `read_json`, which names the line and column of a syntax error, and their
+records are read and written by one codec, `record_from` and `record_to`,
+which takes each record's fields, types and defaults from its dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import heapq
+import itertools
 import json
 import math
+import typing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -82,10 +88,6 @@ class TlsProgram:
     junction_id: str
     logic: str
     phases: tuple[TlsPhase, ...]
-
-    @property
-    def cycle_time(self) -> float:
-        return sum(p.duration for p in self.phases)
 
 
 @dataclass(frozen=True)
@@ -219,252 +221,131 @@ def free_flow_time(edge: Edge) -> float:
 
 
 # ---------------------------------------------------------------------------
-# File format: one JSON document with top-level arrays.
+# Record codec: every JSON input format is arrays of frozen dataclass records.
 # ---------------------------------------------------------------------------
 
-_JUNCTION_FIELDS = {"id": str, "x": (int, float), "y": (int, float), "kind": str}
-_EDGE_FIELDS = {
-    "id": str,
-    "from": str,
-    "to": str,
-    "length": (int, float),
-    "lane_count": int,
-    "speed_limit": (int, float),
-    "category": str,
-    "bus_only": bool,
-}
-_PHASE_FIELDS = {
-    "duration": (int, float),
-    "min_duration": (int, float),
-    "max_duration": (int, float),
-    "state": str,
-}
-_TLS_FIELDS = {"junction_id": str, "logic": str, "phases": list}
-_STOP_FIELDS = {"id": str, "edge_id": str, "position": (int, float), "name": str}
-_PARKING_FIELDS = {
-    "id": str,
-    "edge_id": str,
-    "capacity": int,
-    "initial_occupancy": int,
-}
-_BUILDING_FIELDS = {"id": str, "vertices": list}
-
-_OPTIONAL = {
-    "kind",
-    "lane_count",
-    "speed_limit",
-    "category",
-    "bus_only",
-    "name",
-    "initial_occupancy",
-    "min_duration",
-    "max_duration",
+# the classes of JSON value each scalar field type takes: a bool is no number
+_JSON_CLASSES = {
+    str: frozenset({str}),
+    int: frozenset({int}),
+    float: frozenset({int, float}),
+    bool: frozenset({bool}),
 }
 
 
-def check_record(
-    rec, fields: dict, where: str, optional=frozenset(), error=NetworkFormatError
-) -> dict:
-    """Check one JSON object against a field-to-type schema.
+class _WrongType(Exception):
+    """A value that does not have its declared type; args[0] is its index
+    path below the field, such as '[3]' or '[1][0]'."""
 
-    Unknown fields and missing non-optional fields are rejected, null is
-    never accepted, and a bool passes only where the schema asks for one.
-    Failures raise `error`, naming the record by `where`.
+
+def _decoder(tp) -> Callable:
+    """`dec(value, where, key, error)` for one declared type: returns the
+    value as stored in the record, raises `_WrongType` on a type mismatch.
+    `where` and `key` locate a record nested in a tuple."""
+    ok = _JSON_CLASSES.get(tp)
+    if ok is not None:
+        def scalar(value, where, key, error):
+            if value.__class__ in ok:
+                return tp(value)
+            raise _WrongType("")
+        return scalar
+    if dataclasses.is_dataclass(tp):
+        return lambda value, where, key, error: record_from(tp, value, f"{where}.{key}", error)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is not tuple or not args:
+        raise TypeError(f"no JSON form for {tp!r}")
+    variadic = args[-1] is Ellipsis  # tuple[X, ...]; else one type per item
+    items = [_decoder(a) for a in (args[:1] if variadic else args)]
+
+    def sequence(value, where, key, error):
+        if value.__class__ is not list or not (variadic or len(value) == len(items)):
+            raise _WrongType("")
+        out = []
+        for i, (decode, x) in enumerate(zip(itertools.cycle(items), value)):
+            try:
+                out.append(decode(x, where, f"{key}[{i}]", error))
+            except _WrongType as exc:
+                raise _WrongType(f"[{i}]{exc.args[0]}") from None
+        return tuple(out)
+    return sequence
+
+
+def _encoder(tp) -> Optional[Callable]:
+    """The inverse of `_decoder` where one is needed: a record, or a tuple of
+    records, becomes JSON objects; None where a value is written as it is
+    (`json` writes a tuple as an array)."""
+    if dataclasses.is_dataclass(tp):
+        return record_to
+    args = typing.get_args(tp)
+    if args and dataclasses.is_dataclass(args[0]):
+        return lambda value: [record_to(x) for x in value]
+    return None
+
+
+@functools.cache
+def _schema(cls, rename: tuple) -> tuple:
+    """(JSON keys, per-field (name, key, required, decoder, encoder)) of a
+    record class, derived once from its fields and resolved type hints."""
+    hints = typing.get_type_hints(cls)
+    keys = dict(rename)
+    fields = tuple(
+        (
+            f.name,
+            keys.get(f.name, f.name),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            _decoder(hints[f.name]),
+            _encoder(hints[f.name]),
+        )
+        for f in dataclasses.fields(cls)
+    )
+    return frozenset(key for _, key, _, _, _ in fields), fields
+
+
+def record_from(cls, rec, where: str, error=NetworkFormatError, rename=None):
+    """Build a `cls` record from one JSON object.
+
+    Field names, types and defaults are those of the dataclass, with JSON
+    keys renamed by `rename` (field name to key). A field with a default is
+    optional; a float field takes any JSON number; a tuple field takes a JSON
+    array, of records when its items are records. Unknown and missing fields
+    are rejected, null is never accepted, and a bool passes only for a bool
+    field. Failures raise `error`, naming the record by `where`.
     """
+    keys, fields = _schema(cls, tuple(rename.items()) if rename else ())
     if not isinstance(rec, dict):
         raise error(f"{where}: expected an object, got {type(rec).__name__}")
     for key in rec:
-        if key not in fields:
+        if key not in keys:
             raise error(f"{where}: unknown field '{key}'")
-    for key, types in fields.items():
+    values = {}
+    for name, key, required, decode, _ in fields:
         if key not in rec:
-            if key in optional:
-                continue
-            raise error(f"{where}: missing field '{key}'")
-        value = rec[key]
-        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            raise error(f"{where}: field '{key}' has wrong type")
-    return rec
+            if required:
+                raise error(f"{where}: missing field '{key}'")
+            continue
+        try:
+            values[name] = decode(rec[key], where, key, error)
+        except _WrongType as exc:
+            raise error(f"{where}: field '{key}{exc.args[0]}' has wrong type") from None
+    return cls(**values)
 
 
-def _parse_enum(value: str, allowed: tuple, where: str, fieldname: str) -> str:
-    if value not in allowed:
-        raise NetworkFormatError(
-            f"{where}: field '{fieldname}' must be one of {allowed}, got '{value}'"
-        )
-    return value
+def record_to(obj, rename=None) -> dict:
+    """The JSON object of a record: the inverse of `record_from`."""
+    _, fields = _schema(type(obj), tuple(rename.items()) if rename else ())
+    out = {}
+    for name, key, _, _, encode in fields:
+        value = getattr(obj, name)
+        out[key] = value if encode is None else encode(value)
+    return out
 
 
-def network_from_dict(doc: dict) -> RoadNetwork:
-    if not isinstance(doc, dict):
-        raise NetworkFormatError("top level: expected a JSON object")
-    known = {"junctions", "edges", "tls", "bus_stops", "parking", "buildings"}
-    for key in doc:
-        if key not in known:
-            raise NetworkFormatError(f"top level: unknown field '{key}'")
-
-    junctions = []
-    for i, rec in enumerate(doc.get("junctions", [])):
-        where = f"junctions[{i}]"
-        rec = check_record(rec, _JUNCTION_FIELDS, where, _OPTIONAL)
-        junctions.append(
-            Junction(
-                id=rec["id"],
-                x=float(rec["x"]),
-                y=float(rec["y"]),
-                kind=_parse_enum(rec.get("kind", "plain"), JUNCTION_KINDS, where, "kind"),
-            )
-        )
-
-    edges = []
-    for i, rec in enumerate(doc.get("edges", [])):
-        where = f"edges[{i}]"
-        rec = check_record(rec, _EDGE_FIELDS, where, _OPTIONAL)
-        edges.append(
-            Edge(
-                id=rec["id"],
-                from_junction=rec["from"],
-                to_junction=rec["to"],
-                length=float(rec["length"]),
-                lane_count=rec.get("lane_count", 1),
-                speed_limit=float(rec.get("speed_limit", 13.89)),
-                category=_parse_enum(
-                    rec.get("category", "normal"), EDGE_CATEGORIES, where, "category"
-                ),
-                bus_only=rec.get("bus_only", False),
-            )
-        )
-
-    programs = []
-    for i, rec in enumerate(doc.get("tls", [])):
-        where = f"tls[{i}]"
-        rec = check_record(rec, _TLS_FIELDS, where, _OPTIONAL)
-        phases = []
-        for k, ph in enumerate(rec["phases"]):
-            ph = check_record(ph, _PHASE_FIELDS, f"{where}.phases[{k}]", _OPTIONAL)
-            duration = float(ph["duration"])
-            phases.append(
-                TlsPhase(
-                    duration=duration,
-                    min_duration=float(ph.get("min_duration", duration)),
-                    max_duration=float(ph.get("max_duration", duration)),
-                    state=ph["state"],
-                )
-            )
-        programs.append(
-            TlsProgram(
-                junction_id=rec["junction_id"],
-                logic=_parse_enum(rec["logic"], TLS_LOGICS, where, "logic"),
-                phases=tuple(phases),
-            )
-        )
-
-    stops = []
-    for i, rec in enumerate(doc.get("bus_stops", [])):
-        where = f"bus_stops[{i}]"
-        rec = check_record(rec, _STOP_FIELDS, where, _OPTIONAL)
-        stops.append(
-            BusStop(
-                id=rec["id"],
-                edge_id=rec["edge_id"],
-                position=float(rec["position"]),
-                name=rec.get("name", ""),
-            )
-        )
-
-    parking = []
-    for i, rec in enumerate(doc.get("parking", [])):
-        where = f"parking[{i}]"
-        rec = check_record(rec, _PARKING_FIELDS, where, _OPTIONAL)
-        parking.append(
-            ParkingArea(
-                id=rec["id"],
-                edge_id=rec["edge_id"],
-                capacity=rec["capacity"],
-                initial_occupancy=rec.get("initial_occupancy", 0),
-            )
-        )
-
-    buildings = []
-    for i, rec in enumerate(doc.get("buildings", [])):
-        where = f"buildings[{i}]"
-        rec = check_record(rec, _BUILDING_FIELDS, where, _OPTIONAL)
-        verts = []
-        for k, pt in enumerate(rec["vertices"]):
-            if (
-                not isinstance(pt, (list, tuple))
-                or len(pt) != 2
-                or not all(isinstance(c, (int, float)) for c in pt)
-            ):
-                raise NetworkFormatError(f"{where}.vertices[{k}]: expected [x, y]")
-            verts.append((float(pt[0]), float(pt[1])))
-        if verts and verts[0] != verts[-1]:
-            verts.append(verts[0])  # normalize to a closed ring
-        buildings.append(BuildingPoly(id=rec["id"], vertices=tuple(verts)))
-
-    return RoadNetwork(
-        junctions=junctions,
-        edges=edges,
-        tls_programs=programs,
-        bus_stops=stops,
-        parking_areas=parking,
-        buildings=buildings,
-    )
-
-
-def network_to_dict(net: RoadNetwork) -> dict:
-    return {
-        "junctions": [
-            {"id": j.id, "x": j.x, "y": j.y, "kind": j.kind}
-            for j in net.junctions.values()
-        ],
-        "edges": [
-            {
-                "id": e.id,
-                "from": e.from_junction,
-                "to": e.to_junction,
-                "length": e.length,
-                "lane_count": e.lane_count,
-                "speed_limit": e.speed_limit,
-                "category": e.category,
-                "bus_only": e.bus_only,
-            }
-            for e in net.edges.values()
-        ],
-        "tls": [
-            {
-                "junction_id": p.junction_id,
-                "logic": p.logic,
-                "phases": [
-                    {
-                        "duration": ph.duration,
-                        "min_duration": ph.min_duration,
-                        "max_duration": ph.max_duration,
-                        "state": ph.state,
-                    }
-                    for ph in p.phases
-                ],
-            }
-            for p in net.tls_programs.values()
-        ],
-        "bus_stops": [
-            {"id": s.id, "edge_id": s.edge_id, "position": s.position, "name": s.name}
-            for s in net.bus_stops.values()
-        ],
-        "parking": [
-            {
-                "id": p.id,
-                "edge_id": p.edge_id,
-                "capacity": p.capacity,
-                "initial_occupancy": p.initial_occupancy,
-            }
-            for p in net.parking_areas.values()
-        ],
-        "buildings": [
-            {"id": b.id, "vertices": [[x, y] for x, y in b.vertices]}
-            for b in net.buildings.values()
-        ],
-    }
+def records_from(doc: dict, key: str, cls, error=NetworkFormatError, rename=None) -> list:
+    """Decode `doc[key]`, an array of `cls` records (absent means empty)."""
+    recs = doc.get(key, [])
+    if not isinstance(recs, list):
+        raise error(f"{key}: expected an array, got {type(recs).__name__}")
+    return [record_from(cls, rec, f"{key}[{i}]", error, rename) for i, rec in enumerate(recs)]
 
 
 def read_json(path, error=NetworkFormatError):
@@ -479,15 +360,104 @@ def read_json(path, error=NetworkFormatError):
             ) from exc
 
 
+def write_json(doc, path) -> None:
+    """Write `doc` as indented JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def read_records(path, key: str, cls, error=NetworkFormatError) -> list:
+    """Read a file holding one object with one array, `key`, of `cls` records."""
+    doc = read_json(path, error)
+    if not isinstance(doc, dict) or set(doc) - {key}:
+        raise error(f"top level: expected an object with '{key}'")
+    return records_from(doc, key, cls, error)
+
+
+def write_records(records, path, key: str) -> None:
+    """Write the file `read_records` reads."""
+    write_json({key: [record_to(r) for r in records]}, path)
+
+
+# ---------------------------------------------------------------------------
+# Network file: one JSON document with one array per record kind.
+# ---------------------------------------------------------------------------
+
+_EDGE_KEYS = {"from_junction": "from", "to_junction": "to"}
+
+
+def _check_enum(items: list, section: str, field: str, allowed: tuple) -> None:
+    for i, item in enumerate(items):
+        value = getattr(item, field)
+        if value not in allowed:
+            raise NetworkFormatError(
+                f"{section}[{i}]: field '{field}' must be one of {allowed}, got '{value}'"
+            )
+
+
+def _phase_bounds_default_to_duration(program):
+    """A phase's `min_duration` and `max_duration` default to its `duration`."""
+    if isinstance(program, dict) and isinstance(program.get("phases"), list):
+        program = dict(program, phases=[
+            {"min_duration": ph["duration"], "max_duration": ph["duration"], **ph}
+            if isinstance(ph, dict) and "duration" in ph else ph
+            for ph in program["phases"]
+        ])
+    return program
+
+
+def _closed_ring(poly: BuildingPoly) -> BuildingPoly:
+    verts = poly.vertices
+    if verts and verts[0] != verts[-1]:
+        return dataclasses.replace(poly, vertices=verts + verts[:1])
+    return poly
+
+
+def network_from_dict(doc: dict) -> RoadNetwork:
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("top level: expected a JSON object")
+    known = {"junctions", "edges", "tls", "bus_stops", "parking", "buildings"}
+    for key in doc:
+        if key not in known:
+            raise NetworkFormatError(f"top level: unknown field '{key}'")
+    if isinstance(doc.get("tls"), list):
+        doc = dict(doc, tls=[_phase_bounds_default_to_duration(p) for p in doc["tls"]])
+
+    junctions = records_from(doc, "junctions", Junction)
+    edges = records_from(doc, "edges", Edge, rename=_EDGE_KEYS)
+    programs = records_from(doc, "tls", TlsProgram)
+    _check_enum(junctions, "junctions", "kind", JUNCTION_KINDS)
+    _check_enum(edges, "edges", "category", EDGE_CATEGORIES)
+    _check_enum(programs, "tls", "logic", TLS_LOGICS)
+    return RoadNetwork(
+        junctions=junctions,
+        edges=edges,
+        tls_programs=programs,
+        bus_stops=records_from(doc, "bus_stops", BusStop),
+        parking_areas=records_from(doc, "parking", ParkingArea),
+        buildings=[_closed_ring(b) for b in records_from(doc, "buildings", BuildingPoly)],
+    )
+
+
+def network_to_dict(net: RoadNetwork) -> dict:
+    return {
+        "junctions": [record_to(j) for j in net.junctions.values()],
+        "edges": [record_to(e, _EDGE_KEYS) for e in net.edges.values()],
+        "tls": [record_to(p) for p in net.tls_programs.values()],
+        "bus_stops": [record_to(s) for s in net.bus_stops.values()],
+        "parking": [record_to(p) for p in net.parking_areas.values()],
+        "buildings": [record_to(b) for b in net.buildings.values()],
+    }
+
+
 def load_network(path) -> RoadNetwork:
     """Load and cross-link a network file, raising on schema violations."""
     return network_from_dict(read_json(path))
 
 
 def save_network(net: RoadNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=1)
-        fh.write("\n")
+    write_json(network_to_dict(net), path)
 
 
 # ---------------------------------------------------------------------------

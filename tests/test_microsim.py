@@ -342,6 +342,31 @@ def test_bus_dwells_at_each_stop():
         assert r.travel_time >= ff + 30.0  # three dwells on top of driving
 
 
+def test_bus_stop_behind_the_previous_one_takes_a_later_pass_over_its_edge():
+    # b lies behind a on e0: on one pass the bus would jump back from a to b
+    net = chain_net([300.0], bus_stops=[BusStop("a", "e0", 150.0), BusStop("b", "e0", 50.0)])
+    line = BusLine("L", ("a", "b"), ("e0",), (0.0,))
+    with pytest.raises(ValueError, match="'b' is not on the route in order"):
+        Simulation(net, [], cfg(), bus_lines=[line])
+    # on a loop that passes e0 twice, b is served on the second pass
+    loop = RoadNetwork(
+        [Junction("j0", 0.0, 0.0), Junction("j1", 300.0, 0.0)],
+        [Edge("e0", "j0", "j1", 300.0), Edge("back", "j1", "j0", 300.0)],
+        bus_stops=[BusStop("a", "e0", 150.0), BusStop("b", "e0", 50.0)],
+    )
+    line = BusLine("L", ("a", "b"), ("e0", "back", "e0"), (0.0,))
+    dwells = set()
+
+    def probe(sim, now):
+        veh = sim.vehicles.get("L#0")
+        if veh is not None and veh.dwell_until > now:
+            dwells.add((veh.idx, veh.pos))
+
+    out = Simulation(loop, [], cfg(end=900.0), bus_lines=[line]).run(probe=probe)
+    assert out.vehicles["L#0"].arrived
+    assert dwells == {(0, 150.0), (2, 50.0)}
+
+
 # -- load response -----------------------------------------------------------
 
 
@@ -491,6 +516,9 @@ def test_null_optional_fields_rejected(tmp_path):
         {"id": "d1", "edge_id": "e0", "lane": 0, "position": 40.0, "window": None}
     ]}))
     with pytest.raises(NetworkFormatError, match=r"detectors\[0\]"):
+        load_detectors(path)
+    path.write_text(json.dumps({"detectors": None}))
+    with pytest.raises(NetworkFormatError, match="detectors: expected an array"):
         load_detectors(path)
     path = tmp_path / "lines.json"
     path.write_text(json.dumps({"bus_lines": [

@@ -1,13 +1,35 @@
 """Network model: schema, validation, connections, routing."""
 
+import dataclasses
 import json
 import math
 import random
+import typing
 
 import pytest
 
 from trafcal import fixtures
 from trafcal import netmodel
+from trafcal.demandgen import (
+    CityGate,
+    DemandConfig,
+    DistrictStats,
+    School,
+    Trip,
+    WorkHours,
+    load_statistics,
+    read_trips,
+)
+from trafcal.microsim.simio import (
+    BusLine,
+    Detector,
+    RoutePlan,
+    load_bus_lines,
+    load_detectors,
+    load_route_plans,
+    save_bus_lines,
+    save_detectors,
+)
 from trafcal.netmodel import (
     BuildingPoly,
     BusStop,
@@ -132,10 +154,137 @@ def test_missing_field_rejected():
 
 
 def test_bool_is_not_a_number():
-    doc = network_to_dict(tiny_net())
-    doc["edges"][0]["length"] = True
-    with pytest.raises(NetworkFormatError):
-        network_from_dict(doc)
+    bool_length = network_to_dict(tiny_net())
+    bool_length["edges"][0]["length"] = True
+    bool_vertex = network_to_dict(tiny_net())
+    bool_vertex["buildings"] = [{"id": "b", "vertices": [[True, 0], [1, 0], [1, 1]]}]
+    for doc, field in ((bool_length, "length"), (bool_vertex, r"vertices\[0\]\[0\]")):
+        with pytest.raises(NetworkFormatError, match=f"field '{field}' has wrong type"):
+            network_from_dict(doc)
+
+
+def _network_records(path):
+    net = load_network(path)
+    return [
+        *net.junctions.values(), *net.edges.values(), *net.tls_programs.values(),
+        *net.bus_stops.values(), *net.parking_areas.values(), *net.buildings.values(),
+    ]
+
+
+def _statistics_records(path):
+    districts, gates, schools, config = load_statistics(path)
+    return [*districts, *gates, *schools, config]
+
+
+# loader, a file whose records hold only their required keys, the records
+# built from those keys (every other field is the dataclass default), and
+# for the fixture files: the saver and the twin scenario's records
+REQUIRED_ONLY = {
+    "network": (
+        _network_records,
+        {
+            "junctions": [{"id": "a", "x": 0, "y": 1.5}],
+            "edges": [{"id": "e", "from": "a", "to": "a", "length": 5}],
+            "tls": [{"junction_id": "a", "logic": "static",
+                     "phases": [{"duration": 30, "state": "G"}]}],
+            "bus_stops": [{"id": "s", "edge_id": "e", "position": 1}],
+            "parking": [{"id": "p", "edge_id": "e", "capacity": 3}],
+            "buildings": [{"id": "b", "vertices": [[0, 0], [1, 0], [1, 1], [0, 0]]}],
+        },
+        [
+            Junction(id="a", x=0.0, y=1.5),
+            Edge(id="e", from_junction="a", to_junction="a", length=5.0),
+            # a phase's duration bounds default to its duration
+            TlsProgram(junction_id="a", logic="static", phases=(TlsPhase(30.0, 30.0, 30.0, "G"),)),
+            BusStop(id="s", edge_id="e", position=1.0),
+            ParkingArea(id="p", edge_id="e", capacity=3),
+            BuildingPoly(id="b", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))),
+        ],
+        None,
+    ),
+    "routes": (
+        load_route_plans,
+        {"routes": [{"trip_id": "t", "edges": ["e"], "depart": 3}]},
+        [RoutePlan(trip_id="t", edges=("e",), depart=3.0)],
+        None,
+    ),
+    "detectors": (
+        load_detectors,
+        {"detectors": [{"id": "d", "edge_id": "e", "lane": 0, "position": 2}]},
+        [Detector(id="d", edge_id="e", lane=0, position=2.0)],
+        (save_detectors, "detectors"),
+    ),
+    "bus_lines": (
+        load_bus_lines,
+        {"bus_lines": [{"id": "L", "stop_sequence": ["s"], "route": ["e"], "departures": [0, 60]}]},
+        [BusLine(id="L", stop_sequence=("s",), route=("e",), departures=(0.0, 60.0))],
+        (save_bus_lines, "bus_lines"),
+    ),
+    "trips": (
+        lambda path: read_trips(path).trips,
+        {"trips": [{"id": "t", "depart": 5, "from_edge": "e", "to_edge": "f", "purpose": "work"}]},
+        [Trip(id="t", depart=5.0, from_edge="e", to_edge="f", purpose="work")],
+        None,
+    ),
+    "statistics": (
+        _statistics_records,
+        {
+            "districts": [{"id": "d", "edge_ids": ["e"], "inhabitants": 1, "households": 1,
+                           "workers": 0, "work_positions": 0, "unemployed": 0,
+                           "vehicles": 0, "age_brackets": [1]}],
+            "gates": [{"id": "g", "in_edge": "e", "out_edge": "f",
+                       "incoming_share": 1, "outgoing_share": 1}],
+            "schools": [{"id": "s", "edge_id": "e", "age_min": 6, "age_max": 9,
+                         "capacity": 3, "opening_h": 8, "closing_h": 16}],
+            "config": {"car_rate": 1, "car_preference_rate": 0.5, "incoming_total": 0,
+                       "outgoing_total": 0,
+                       "work_hours": [{"opening_h": 8, "closing_h": 17, "worker_share": 1}]},
+        },
+        [
+            DistrictStats(id="d", edge_ids=("e",), inhabitants=1, households=1, workers=0,
+                          work_positions=0, unemployed=0, vehicles=0, age_brackets=(1,)),
+            CityGate(id="g", in_edge="e", out_edge="f", incoming_share=1.0, outgoing_share=1.0),
+            School(id="s", edge_id="e", age_min=6, age_max=9, capacity=3,
+                   opening_h=8.0, closing_h=16.0),
+            DemandConfig(car_rate=1.0, car_preference_rate=0.5, incoming_total=0,
+                         outgoing_total=0, work_hours=(WorkHours(8.0, 17.0, 1.0),)),
+        ],
+        None,
+    ),
+}
+
+
+def _assert_floats(value, tp):
+    """Every value declared float is a float: in scalar fields, in the items
+    of tuples such as vertices, and in nested records such as phases."""
+    if tp is float:
+        assert type(value) is float, value
+    elif dataclasses.is_dataclass(tp):
+        for name, field_tp in typing.get_type_hints(tp).items():
+            _assert_floats(getattr(value, name), field_tp)
+    elif typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        for i, item in enumerate(value):
+            _assert_floats(item, args[0] if args[-1] is Ellipsis else args[i])
+
+
+@pytest.mark.parametrize("loader", sorted(REQUIRED_ONLY))
+def test_required_keys_load_with_dataclass_defaults(loader, tmp_path):
+    load, doc, expected, fixture = REQUIRED_ONLY[loader]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    records = load(path)
+    assert records == expected
+    # numbers land in float fields as floats, whatever their JSON form
+    for rec in records:
+        _assert_floats(rec, type(rec))
+    if fixture is not None:
+        save, attr = fixture
+        scenario = fixtures.twin_scenario(7)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(getattr(scenario, attr), first)  # as `fixture make` writes it
+        save(load(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_save_is_deterministic(tmp_path):
