@@ -8,7 +8,6 @@ probability with the smallest error (ties go to the smaller value).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +19,7 @@ from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation
 from trafcal.microsim.engine import SimOutput
 
 WINDOWS_PER_DAY = 96
+SWEEP_BEST_HEADER = ("best_p", "best_nrmse")
 
 
 class ZeroMeanError(ValueError):
@@ -181,39 +181,20 @@ def sweep_rerouting_probability(
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "nrmse"])
-        for e in result.entries:
-            w.writerow([f"{e.p:.4f}", f"{e.nrmse:.6f}"])
+    netmodel.write_csv(path, ("p", "nrmse"), (
+        (f"{e.p:.4f}", f"{e.nrmse:.6f}") for e in result.entries
+    ))
 
 
 def write_sweep_best(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["best_p", "best_nrmse"])
-        w.writerow([f"{result.best_p:.4f}", f"{result.best_nrmse:.6f}"])
+    netmodel.write_csv(path, SWEEP_BEST_HEADER, [(f"{result.best_p:.4f}", f"{result.best_nrmse:.6f}")])
 
 
 def read_sweep_best(path) -> tuple[float, float]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["best_p", "best_nrmse"]:
-            raise ValueError(f"{path}: bad header {header}")
-        row = next(r, None)
-        if row is None or len(row) != 2:
-            raise ValueError(f"{path}: missing summary row")
-        return float(row[0]), float(row[1])
-
-
-def read_sweep_csv(path) -> list[SweepEntry]:
-    entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["p", "nrmse"]:
-            raise ValueError(f"{path}: bad header {header}")
-        for row in r:
-            entries.append(SweepEntry(float(row[0]), float(row[1])))
-    return entries
+    """The (best p, best NRMSE) row `write_sweep_best` wrote."""
+    rows = list(netmodel.read_csv(
+        path, SWEEP_BEST_HEADER, ValueError, lambda row: (float(row[0]), float(row[1]))
+    ))
+    if len(rows) != 1:
+        raise ValueError(f"{path}: expected one summary row, found {len(rows)}")
+    return rows[0]

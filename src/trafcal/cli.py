@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import json
 import os
 import sys
 
@@ -39,13 +38,18 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-_SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig))
-_SWEEP_KEYS = ("p_min", "p_max", "step")
-_EQ_KEYS = ("max_iter", "tol", "window", "beta", "alpha", "max_alternatives")
-_PATH_KEYS = (
-    "network", "statistics", "trips", "routes", "detectors", "bus_lines",
-    "measurements", "output_dir",
-)
+# the keys each object section of a project config may hold; a flag of the
+# same name overlays a key of `sim`, `sweep` or `equilibrium`
+_SECTION_KEYS = {
+    "paths": (
+        "network", "statistics", "trips", "routes", "detectors", "bus_lines",
+        "measurements", "output_dir",
+    ),
+    "sim": tuple(f.name for f in dataclasses.fields(SimConfig)),
+    "demand": tuple(f.name for f in dataclasses.fields(demandgen.DemandConfig)),
+    "sweep": tuple(f.name for f in dataclasses.fields(calibrate.GridSpec)),
+    "equilibrium": ("max_iter", "tol", "window", "beta", "alpha", "max_alternatives"),
+}
 
 
 class UsageError(Exception):
@@ -64,36 +68,38 @@ class ProjectConfig:
 
 
 def load_project(path) -> ProjectConfig:
+    """Read a project config: `seed` and `workers` are ints, `paths` maps
+    known path keys to strings, and each section maps its own keys."""
     doc = netmodel.read_json(path, UsageError)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: project config must be an object")
-    known = {"seed", "workers", "paths", "sim", "demand", "sweep", "equilibrium"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {"seed", "workers", *_SECTION_KEYS}
     if unknown:
         raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-    cfg = ProjectConfig(
-        seed=int(doc.get("seed", 0)),
-        workers=int(doc.get("workers", 1)),
-        paths=dict(doc.get("paths", {})),
-        sim=dict(doc.get("sim", {})),
-        demand=dict(doc.get("demand", {})),
-        sweep=dict(doc.get("sweep", {})),
-        equilibrium=dict(doc.get("equilibrium", {})),
-    )
-    for key in cfg.paths:
-        if key not in _PATH_KEYS:
-            raise UsageError(f"{path}: unknown path key '{key}'")
-    for sub, keys in (("sim", _SIM_KEYS), ("sweep", _SWEEP_KEYS), ("equilibrium", _EQ_KEYS)):
-        bad = set(getattr(cfg, sub)) - set(keys)
+    scalars = {key: doc[key] for key in ("seed", "workers") if key in doc}
+    for key, value in scalars.items():
+        if type(value) is not int:
+            raise UsageError(f"{path}: '{key}' must be an integer")
+    sections = {key: doc.get(key, {}) for key in _SECTION_KEYS}
+    for key, section in sections.items():
+        if not isinstance(section, dict):
+            raise UsageError(f"{path}: '{key}' must be an object")
+        bad = set(section) - set(_SECTION_KEYS[key])
         if bad:
-            raise UsageError(f"{path}: unknown {sub} keys {sorted(bad)}")
+            raise UsageError(f"{path}: unknown {key} keys {sorted(bad)}")
+    for key, value in sections["paths"].items():
+        if not isinstance(value, str):
+            raise UsageError(f"{path}: 'paths.{key}' must be a string")
     # relative paths are taken relative to the config file's directory
     base = os.path.dirname(os.path.abspath(path))
-    cfg.paths = {
-        k: v if os.path.isabs(v) else os.path.join(base, v)
-        for k, v in cfg.paths.items()
-    }
-    return cfg
+    return ProjectConfig(
+        **scalars,
+        paths={
+            k: v if os.path.isabs(v) else os.path.join(base, v)
+            for k, v in sections.pop("paths").items()
+        },
+        **sections,
+    )
 
 
 class _Ctx:
@@ -123,17 +129,17 @@ class _Ctx:
         os.makedirs(self.output_dir, exist_ok=True)
         return os.path.normpath(os.path.join(self.output_dir, name))
 
-    def _overlay(self, section: dict, keys) -> dict:
-        """A config section with every one of `keys` given as a flag laid over it."""
-        merged = dict(section)
-        for key in keys:
+    def _overlay(self, section: str) -> dict:
+        """A config section with every one of its keys given as a flag laid over it."""
+        merged = dict(getattr(self.cfg, section))
+        for key in _SECTION_KEYS[section]:
             flag = getattr(self.args, key, None)
             if flag is not None:
                 merged[key] = flag
         return merged
 
     def sim_config(self) -> SimConfig:
-        merged = self._overlay(self.cfg.sim, _SIM_KEYS)
+        merged = self._overlay("sim")
         try:
             merged["seed"] = int(merged.get("seed", self.seed))
             return SimConfig(**merged)
@@ -142,12 +148,12 @@ class _Ctx:
 
     def sweep_grid(self) -> calibrate.GridSpec:
         try:
-            return calibrate.GridSpec(**self._overlay(self.cfg.sweep, _SWEEP_KEYS))
+            return calibrate.GridSpec(**self._overlay("sweep"))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad sweep grid: {exc}") from exc
 
     def equilibrium_params(self) -> dict:
-        return self._overlay(self.cfg.equilibrium, _EQ_KEYS)
+        return self._overlay("equilibrium")
 
 
 def _load_net(ctx: _Ctx, flag_value) -> netmodel.RoadNetwork:
@@ -157,6 +163,17 @@ def _load_net(ctx: _Ctx, flag_value) -> netmodel.RoadNetwork:
 def _load_optional_lines(ctx: _Ctx, flag_value):
     path = ctx.path("bus_lines", flag_value, required=False)
     return load_bus_lines(path) if path else []
+
+
+def _calibration_inputs(ctx: _Ctx) -> tuple:
+    """The scenario and the measured series that `calib sweep` and
+    `report validate` score it against."""
+    net = _load_net(ctx, ctx.args.network)
+    plans = load_route_plans(ctx.path("routes", ctx.args.routes), net)
+    detectors = load_detectors(ctx.path("detectors", ctx.args.detectors), net)
+    lines = _load_optional_lines(ctx, ctx.args.bus_lines)
+    records = dataio.read_measurements_csv(ctx.path("measurements", ctx.args.measurements))
+    return net, plans, detectors, lines, dataio.ingest(records).series
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +231,7 @@ def cmd_sim_run(ctx: _Ctx) -> int:
             ctx.out_path("detector_counts.csv"),
         )
     write_running_csv(out.running, ctx.out_path("running.csv"))
-    with open(ctx.out_path("sim_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(out.totals, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    netmodel.write_json(dict(sorted(out.totals.items())), ctx.out_path("sim_summary.json"))
     ctx.log(f"outputs in {ctx.output_dir}")
     print(
         f"arrived {int(out.totals['arrived'])}/{int(out.totals['departed'])}"
@@ -248,14 +263,7 @@ def cmd_dua_iterate(ctx: _Ctx) -> int:
 
 
 def cmd_calib_sweep(ctx: _Ctx) -> int:
-    net = _load_net(ctx, ctx.args.network)
-    plans = load_route_plans(ctx.path("routes", ctx.args.routes), net)
-    detectors = load_detectors(ctx.path("detectors", ctx.args.detectors), net)
-    lines = _load_optional_lines(ctx, ctx.args.bus_lines)
-    records = dataio.read_measurements_csv(
-        ctx.path("measurements", ctx.args.measurements)
-    )
-    real = dataio.ingest(records).series
+    net, plans, detectors, lines, real = _calibration_inputs(ctx)
     grid = ctx.sweep_grid()
     config = ctx.sim_config()
     ctx.log(
@@ -309,26 +317,18 @@ def cmd_data_ingest(ctx: _Ctx) -> int:
     result = dataio.ingest(records, filt)
     series_path = ctx.out_path("real_series.csv")
     dataio.series_to_csv(result.series, 0.0, series_path)
-    with open(ctx.out_path("ingest_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"days_used": result.days_used}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    days_used = dict(sorted(result.days_used.items()))
+    netmodel.write_json({"days_used": days_used}, ctx.out_path("ingest_summary.json"))
     ctx.log(f"{len(records)} records -> {len(result.series)} series ({series_path})")
     print(
         f"{len(result.series)} detectors, days used "
-        + ", ".join(f"{k}={v}" for k, v in sorted(result.days_used.items()))
+        + ", ".join(f"{k}={v}" for k, v in days_used.items())
     )
     return EXIT_OK
 
 
 def cmd_report_validate(ctx: _Ctx) -> int:
-    net = _load_net(ctx, ctx.args.network)
-    plans = load_route_plans(ctx.path("routes", ctx.args.routes), net)
-    detectors = load_detectors(ctx.path("detectors", ctx.args.detectors), net)
-    lines = _load_optional_lines(ctx, ctx.args.bus_lines)
-    records = dataio.read_measurements_csv(
-        ctx.path("measurements", ctx.args.measurements)
-    )
-    real = dataio.ingest(records).series
+    net, plans, detectors, lines, real = _calibration_inputs(ctx)
 
     p = ctx.args.p
     if p is None:
@@ -420,9 +420,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
         "sweep": dict(ctx.cfg.sweep) or {"p_min": 0.0, "p_max": 1.0, "step": 0.05},
         "equilibrium": eq_params,
     }
-    with open(out("project.json"), "w", encoding="utf-8") as fh:
-        json.dump(project, fh, indent=1)
-        fh.write("\n")
+    netmodel.write_json(project, out("project.json"))
     print(f"fixtures written to {ctx.output_dir} (true p = {scenario.true_p})")
     return EXIT_OK
 

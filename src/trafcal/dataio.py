@@ -9,24 +9,26 @@ detectors from best to worst reproduced.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import datetime
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from trafcal import netmodel
 from trafcal.calibrate import (
     WINDOWS_PER_DAY,
     DetectorSeries,
     aggregate_series,
     nrmse,
 )
+from trafcal.microsim.simio import DETECTOR_CSV_HEADER, write_detector_csv
 
 WEEKDAY_NAMES = {
     "Mon": 0, "Tue": 1, "Wed": 2, "Thu": 3, "Fri": 4, "Sat": 5, "Sun": 6,
 }
 WINDOW_S = 900
+MEASUREMENT_CSV_HEADER = ("detector_id", "date", "window_start_s", "count")
 
 
 class MeasurementFormatError(ValueError):
@@ -117,47 +119,34 @@ class ValidationReport:
 
 
 def read_measurements_csv(path) -> list[RawMeasurement]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["detector_id", "date", "window_start_s", "count"]:
-            raise MeasurementFormatError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(r, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MeasurementFormatError(f"{path}: line {lineno}: expected 4 columns")
-            det, date_s, start_s, count_s = row
-            try:
-                date = datetime.date.fromisoformat(date_s)
-            except ValueError as exc:
-                raise MeasurementFormatError(f"{path}: line {lineno}: {exc}") from exc
-            try:
-                start = int(start_s)
-                count = int(count_s)
-            except ValueError as exc:
-                raise MeasurementFormatError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(_check_measurement(RawMeasurement(det, date, start, count), f"{path}: line {lineno}"))
-    return records
+    return list(
+        netmodel.read_csv(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError, _measurement_row)
+    )
 
 
-def _check_measurement(rec: RawMeasurement, where: str) -> RawMeasurement:
+def _measurement_row(row: list[str]) -> RawMeasurement:
+    det, date_s, start_s, count_s = row
+    return _check_measurement(
+        RawMeasurement(det, datetime.date.fromisoformat(date_s), int(start_s), int(count_s))
+    )
+
+
+def _check_measurement(rec: RawMeasurement) -> RawMeasurement:
     if rec.window_start % WINDOW_S != 0 or not 0 <= rec.window_start < 86400:
         raise MeasurementFormatError(
-            f"{where}: window_start {rec.window_start} not a quarter-hour of the day"
+            f"record for '{rec.detector_id}': window_start {rec.window_start}"
+            " not a quarter-hour of the day"
         )
     if rec.count < 0:
-        raise MeasurementFormatError(f"{where}: negative count")
+        raise MeasurementFormatError(f"record for '{rec.detector_id}': negative count")
     return rec
 
 
 def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["detector_id", "date", "window_start_s", "count"])
-        for rec in sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start)):
-            w.writerow([rec.detector_id, rec.date.isoformat(), rec.window_start, rec.count])
+    netmodel.write_csv(path, MEASUREMENT_CSV_HEADER, (
+        (rec.detector_id, rec.date.isoformat(), rec.window_start, rec.count)
+        for rec in sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +165,7 @@ def ingest(records: Sequence[RawMeasurement], filt: IngestionFilter = IngestionF
     by_day: dict[tuple[str, datetime.date], dict[int, int]] = {}
     dupes: set[tuple[str, datetime.date]] = set()
     for rec in records:
-        _check_measurement(rec, f"record for '{rec.detector_id}'")
+        _check_measurement(rec)
         if not filt.admits(rec.date):
             continue
         key = (rec.detector_id, rec.date)
@@ -275,88 +264,40 @@ def validate(
 
 
 def write_report(report: ValidationReport, json_path, per_window_path, per_detector_path) -> None:
-    doc = {
-        "scenario_nrmse": report.scenario_nrmse,
-        "per_window": [
-            {
-                "window": ws.window,
-                "absolute_error": ws.absolute_error,
-                "window_nrmse": ws.window_nrmse,
-            }
-            for ws in report.per_window
-        ],
-        "per_detector": [
-            {"detector_id": d.detector_id, "nrmse": d.nrmse}
-            for d in report.per_detector
-        ],
-        "best_detector": report.best_detector,
-        "worst_detector": report.worst_detector,
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    with open(per_window_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window", "abs_error", "nrmse"])
-        for ws in report.per_window:
-            w.writerow([
-                ws.window,
-                f"{ws.absolute_error:.6f}",
-                "" if ws.window_nrmse is None else f"{ws.window_nrmse:.6f}",
-            ])
-    with open(per_detector_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["detector_id", "nrmse"])
-        for d in report.per_detector:
-            w.writerow([d.detector_id, "" if d.nrmse is None else f"{d.nrmse:.6f}"])
+    netmodel.write_json(dataclasses.asdict(report), json_path)
+    netmodel.write_csv(per_window_path, ("window", "abs_error", "nrmse"), (
+        (ws.window, f"{ws.absolute_error:.6f}", _score_cell(ws.window_nrmse))
+        for ws in report.per_window
+    ))
+    netmodel.write_csv(per_detector_path, ("detector_id", "nrmse"), (
+        (d.detector_id, _score_cell(d.nrmse)) for d in report.per_detector
+    ))
 
 
-def read_report(json_path) -> ValidationReport:
-    with open(json_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return ValidationReport(
-        scenario_nrmse=doc["scenario_nrmse"],
-        per_window=[
-            WindowStat(d["window"], d["absolute_error"], d["window_nrmse"])
-            for d in doc["per_window"]
-        ],
-        per_detector=[
-            DetectorScore(d["detector_id"], d["nrmse"]) for d in doc["per_detector"]
-        ],
-        best_detector=doc["best_detector"],
-        worst_detector=doc["worst_detector"],
-    )
+def _score_cell(score: Optional[float]) -> str:
+    """A score to six decimals; blank for a window or detector without traffic."""
+    return "" if score is None else f"{score:.6f}"
 
 
 def series_to_csv(series: Sequence[DetectorSeries], begin: float, path) -> None:
     """Detector series in the simulator's detector CSV shape (means may be
     fractional)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["detector_id", "window_start_s", "count"])
-        for s in sorted(series, key=lambda s: s.detector_id):
-            for i, x in enumerate(s.counts):
-                value = int(x) if float(x).is_integer() else x
-                w.writerow([s.detector_id, int(begin + i * WINDOW_S), value])
+    windows = {s.detector_id: WINDOW_S for s in series}
+    write_detector_csv({s.detector_id: s.counts for s in series}, windows, begin, path)
 
 
 def series_from_csv(path, origin: str) -> list[DetectorSeries]:
     """Read a detector CSV (integer or mean counts) into series."""
     acc: dict[str, dict[int, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["detector_id", "window_start_s", "count"]:
-            raise MeasurementFormatError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(r, start=2):
-            if len(row) != 3:
-                raise MeasurementFormatError(f"{path}: line {lineno}: expected 3 columns")
-            det, start, value = row[0], int(row[1]), float(row[2])
-            if start in acc.setdefault(det, {}):
-                raise MeasurementFormatError(
-                    f"{path}: line {lineno}: duplicate window {start} for '{det}'"
-                )
-            acc[det][start] = value
+    rows = netmodel.read_csv(
+        path, DETECTOR_CSV_HEADER, MeasurementFormatError,
+        lambda row: (row[0], int(row[1]), float(row[2])),
+    )
+    for det, start, value in rows:
+        windows = acc.setdefault(det, {})
+        if start in windows:
+            raise MeasurementFormatError(f"{path}: duplicate window {start} for '{det}'")
+        windows[start] = value
     series = []
     for det in sorted(acc):
         windows = acc[det]
@@ -371,3 +312,4 @@ def series_from_csv(path, origin: str) -> list[DetectorSeries]:
             )
         series.append(DetectorSeries(det, tuple(windows[s] for s in starts), origin))
     return series
+

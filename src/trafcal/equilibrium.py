@@ -8,7 +8,6 @@ pairwise towards cheaper alternatives, until average travel times settle.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import random
@@ -258,8 +257,7 @@ def dua_iterate(
 
 
 def write_metrics_csv(metrics: list[IterationMetrics], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "avg_speed", "time_loss", "avg_travel_time"])
-        for m in metrics:
-            w.writerow([m.iteration, f"{m.avg_speed:.6f}", f"{m.time_loss:.6f}", f"{m.avg_travel_time:.6f}"])
+    netmodel.write_csv(path, ("iteration", "avg_speed", "time_loss", "avg_travel_time"), (
+        (m.iteration, f"{m.avg_speed:.6f}", f"{m.time_loss:.6f}", f"{m.avg_travel_time:.6f}")
+        for m in metrics
+    ))

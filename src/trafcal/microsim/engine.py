@@ -58,6 +58,12 @@ class SimConfig:
             raise ValueError("rerouting_probability must be in [0, 1]")
         if self.rerouting_period <= 0:
             raise ValueError("rerouting_period must be > 0")
+        if self.time_to_teleport <= 0:
+            raise ValueError("time_to_teleport must be > 0")
+        if self.ignore_junction_blocker < 0:
+            raise ValueError("ignore_junction_blocker must be >= 0")
+        if not 0.0 <= self.speed_smoothing <= 1.0:
+            raise ValueError("speed_smoothing must be in [0, 1]")
 
 
 @dataclass(frozen=True)

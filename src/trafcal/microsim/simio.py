@@ -3,20 +3,20 @@
 Route plans, detector definitions and bus lines are JSON files holding one
 array of `RoutePlan`, `Detector` or `BusLine` records, read and written by
 the `netmodel` record codec; detector windows and the running-vehicle
-series are CSV. All writers emit rows in a fixed order so equal runs
-produce byte-identical files.
+series are CSV tables written by `netmodel.write_csv`. All writers emit
+rows in a fixed order so equal runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
-from trafcal.netmodel import NetworkFormatError, RoadNetwork, read_records, write_records
+from trafcal.netmodel import NetworkFormatError, RoadNetwork, read_records, write_csv, write_records
 
 VEHICLE_MODES = ("car", "bus")
 DEFAULT_BUS_DWELL = 10.0
+DETECTOR_CSV_HEADER = ("detector_id", "window_start_s", "count")
 
 
 @dataclass(frozen=True)
@@ -122,41 +122,17 @@ def save_bus_lines(lines: list[BusLine], path) -> None:
 
 
 def write_detector_csv(
-    counts: dict[str, list[int]], windows: dict[str, float], begin: float, path
+    counts: dict[str, list[float]], windows: dict[str, float], begin: float, path
 ) -> None:
-    """Aggregated counts, one row per detector and window, fully zero-filled."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["detector_id", "window_start_s", "count"])
-        for det_id in sorted(counts):
-            step = windows[det_id]
-            for i, n in enumerate(counts[det_id]):
-                w.writerow([det_id, int(begin + i * step), n])
-
-
-def read_detector_csv(path) -> dict[str, dict[int, int]]:
-    out: dict[str, dict[int, int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["detector_id", "window_start_s", "count"]:
-            raise NetworkFormatError(f"{path}: bad header {header}")
-        for i, row in enumerate(r, start=2):
-            if len(row) != 3:
-                raise NetworkFormatError(f"{path}: line {i}: expected 3 columns")
-            det, start, count = row[0], int(row[1]), int(row[2])
-            if count < 0:
-                raise NetworkFormatError(f"{path}: line {i}: negative count")
-            if start in out.setdefault(det, {}):
-                raise NetworkFormatError(f"{path}: line {i}: duplicate window {start} for '{det}'")
-            out[det][start] = count
-    return out
+    """Counts per detector and window, one row each, fully zero-filled; a
+    count is written as an int when it is integral (a mean may not be)."""
+    write_csv(path, DETECTOR_CSV_HEADER, (
+        (det_id, int(begin + i * windows[det_id]), int(n) if float(n).is_integer() else n)
+        for det_id in sorted(counts)
+        for i, n in enumerate(counts[det_id])
+    ))
 
 
 def write_running_csv(running: list[int], path) -> None:
     """Vehicles in the network sampled once per minute."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["minute", "count"])
-        for minute, n in enumerate(running):
-            w.writerow([minute, n])
+    write_csv(path, ("minute", "count"), enumerate(running))

@@ -9,10 +9,14 @@ Network, route, detector, bus-line, trip and statistics files are all parsed
 by `read_json`, which names the line and column of a syntax error, and their
 records are read and written by one codec, `record_from` and `record_to`,
 which takes each record's fields, types and defaults from its dataclass.
+Every JSON output goes through `write_json`, and every CSV table is written
+by `write_csv` and read back by `read_csv`, which owns the header, column
+count and blank-line rules of them all.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import heapq
@@ -365,6 +369,40 @@ def write_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def read_csv(path, header: tuple, error, parse):
+    """Yield `parse(row)` for each data row of the CSV table at `path`.
+
+    The first line must be exactly `header`; blank lines are skipped and
+    every other row must have one cell per header column. A wrong header or
+    column count, or a `ValueError` from `parse`, is raised as `error`
+    naming the file and the line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        first = next(rows, None)
+        if first != list(header):
+            raise error(f"{path}: bad header {first}")
+        width = len(header)
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise error(f"{path}: line {lineno}: expected {width} columns")
+            try:
+                value = parse(row)
+            except ValueError as exc:
+                raise error(f"{path}: line {lineno}: {exc}") from exc
+            yield value
+
+
+def write_csv(path, header: tuple, rows) -> None:
+    """Write the table `read_csv` reads: `header`, then each of `rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_records(path, key: str, cls, error=NetworkFormatError) -> list:

@@ -17,7 +17,6 @@ from trafcal.calibrate import (
     aggregate_series,
     nrmse,
     read_sweep_best,
-    read_sweep_csv,
     sim_series,
     sweep_rerouting_probability,
     write_sweep_best,
@@ -225,19 +224,19 @@ def test_sweep_csv_round_trip(tmp_path):
     write_sweep_csv(res, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "p,nrmse"
-    assert lines[1] == "0.0000,0.250000"
-    back = read_sweep_csv(path)
-    assert back == [SweepEntry(0.0, 0.25), SweepEntry(0.05, 0.125)]
+    assert lines[1:] == ["0.0000,0.250000", "0.0500,0.125000"]
 
     best = tmp_path / "best.csv"
     write_sweep_best(res, best)
+    assert best.read_text().splitlines() == ["best_p,best_nrmse", "0.0500,0.125000"]
     assert read_sweep_best(best) == (0.05, 0.125)
 
 
 def test_sweep_csv_bad_header(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("probability,value\n0.1,0.2\n")
-    with pytest.raises(ValueError):
-        read_sweep_csv(path)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad header"):
+        read_sweep_best(path)
+    path.write_text("best_p,best_nrmse\n")
+    with pytest.raises(ValueError, match="expected one summary row, found 0"):
         read_sweep_best(path)

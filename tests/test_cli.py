@@ -137,9 +137,24 @@ def test_bad_config_file_exits_two(tmp_path, capsys):
     cfg.write_text("{not json")
     assert run(["net", "validate", "--config", cfg]) == 2
     assert "project.json: line 1 column 2" in capsys.readouterr().err
+    # wrong types and unknown section keys name the file and the key
+    for doc, key in (
+        ({"seed": "abc"}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"workers": 2.0}, "'workers'"),
+        ({"paths": []}, "'paths'"),
+        ({"paths": {"network": 5}}, "'paths.network'"),
+        ({"paths": {"nets": "a.json"}}, "['nets']"),
+        ({"sim": "ab"}, "'sim'"),
+        ({"demand": {"bogus": 1}}, "unknown demand keys ['bogus']"),
+    ):
+        cfg.write_text(json.dumps(doc) + "\n")
+        assert run(["net", "validate", "--config", cfg]) == 2, doc
+        err = capsys.readouterr().err
+        assert "project.json" in err and key in err, (doc, err)
 
 
-def test_bad_sim_settings_exit_two_before_any_output(tmp_path, capsys):
+def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
     # fixture make reads the same sim section as sim run and rejects it
     # the same way, before it writes a single file
     cfg = tmp_path / "project.json"
@@ -148,6 +163,10 @@ def test_bad_sim_settings_exit_two_before_any_output(tmp_path, capsys):
     assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 2
     assert "bad simulation settings" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+    # a flag out of its range is rejected the same way
+    assert run(["sim", "run", "--network", ws / "net.json", "--routes", ws / "routes.json",
+                "--time-to-teleport", "-5", "--output-dir", out]) == 2
+    assert "time_to_teleport must be > 0" in capsys.readouterr().err
 
 
 # -- net validate --------------------------------------------------------------
@@ -202,10 +221,14 @@ def test_sim_run_outputs(ws, tmp_path, capsys):
     summary = json.loads((tmp_path / "sim_summary.json").read_text())
     assert summary["arrived"] == 12
     assert summary["collisions"] == 0
+    assert list(summary) == sorted(summary)
     counts = (tmp_path / "detector_counts.csv").read_text().splitlines()
     assert counts[0] == "detector_id,window_start_s,count"
     assert len(counts) == 1 + 96
-    assert (tmp_path / "running.csv").exists()
+    # one vehicle is on the road from minute 1 to minute 12
+    running = (tmp_path / "running.csv").read_text().splitlines()
+    assert running[:4] == ["minute,count", "0,0", "1,1", "2,1"]
+    assert running[13:16] == ["12,1", "13,0", "14,0"]
 
 
 def test_sim_run_is_idempotent_and_leaves_inputs_alone(ws, tmp_path):
@@ -260,8 +283,8 @@ def test_report_validate_explicit_p(ws, tmp_path, capsys):
               "--p", "0.0", "--output-dir", tmp_path])
     assert rc == 0
     assert "scenario_nrmse 0.000000" in capsys.readouterr().out
-    report = dataio.read_report(tmp_path / "report.json")
-    assert report.scenario_nrmse == 0.0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["scenario_nrmse"] == 0.0
     assert (tmp_path / "per_window.csv").exists()
     assert (tmp_path / "per_detector.csv").exists()
 

@@ -1,13 +1,16 @@
 """Measurement ingestion and validation reports."""
 
+import dataclasses
 import datetime
+import json
 import math
 import random
+import re
 
 import pytest
 
 from trafcal import dataio
-from trafcal.calibrate import WINDOWS_PER_DAY, DetectorSeries, nrmse
+from trafcal.calibrate import WINDOWS_PER_DAY, DetectorSeries, nrmse, read_sweep_best
 from trafcal.dataio import (
     WINDOW_S,
     DetectorMismatchError,
@@ -17,7 +20,6 @@ from trafcal.dataio import (
     RawMeasurement,
     ingest,
     read_measurements_csv,
-    read_report,
     series_from_csv,
     series_to_csv,
     validate,
@@ -325,7 +327,11 @@ def test_report_round_trip(tmp_path):
     win_path = tmp_path / "per_window.csv"
     det_path = tmp_path / "per_detector.csv"
     write_report(report, json_path, win_path, det_path)
-    assert read_report(json_path) == report
+    doc = json.loads(json_path.read_text())
+    assert list(doc) == [
+        "scenario_nrmse", "per_window", "per_detector", "best_detector", "worst_detector",
+    ]
+    assert doc == dataclasses.asdict(report)
 
     win_lines = win_path.read_text().splitlines()
     assert win_lines[0] == "window,abs_error,nrmse"
@@ -336,15 +342,31 @@ def test_report_round_trip(tmp_path):
 
 
 def test_report_serializes_missing_scores_as_blank(tmp_path):
-    real = [flat("d_dead", 0.0), flat("d_live", 3.0)]
-    sim = [flat("d_dead", 0.0, "simulated"), flat("d_live", 4.0, "simulated")]
+    # window 0 and d_dead carry no real traffic, so they have no score
+    real = [flat("d_dead", 0.0), series("d_live", [0.0] + [3.0] * (WINDOWS_PER_DAY - 1))]
+    sim = [
+        flat("d_dead", 0.0, "simulated"),
+        series("d_live", [1.0] + [4.0] * (WINDOWS_PER_DAY - 1), "simulated"),
+    ]
     report = validate(real, sim)
     json_path = tmp_path / "report.json"
     win_path = tmp_path / "per_window.csv"
     det_path = tmp_path / "per_detector.csv"
     write_report(report, json_path, win_path, det_path)
-    assert read_report(json_path) == report
-    assert "d_dead," in det_path.read_text().splitlines()[-1]
+    doc = json.loads(json_path.read_text())
+    assert doc["per_window"][0] == {"window": 0, "absolute_error": 1.0, "window_nrmse": None}
+    assert doc["per_detector"][-1] == {"detector_id": "d_dead", "nrmse": None}
+    # six decimals, a blank cell for a missing score
+    assert win_path.read_text().splitlines()[:3] == [
+        "window,abs_error,nrmse",
+        "0,1.000000,",
+        "1,1.000000,0.471405",  # sqrt(0.5) / 1.5
+    ]
+    assert det_path.read_text().splitlines() == [
+        "detector_id,nrmse",
+        "d_live,0.336842",
+        "d_dead,",
+    ]
 
 
 # -- series files --------------------------------------------------------------
@@ -386,3 +408,55 @@ def test_series_from_csv_rejects_broken_files(tmp_path):
     path.write_text(header + "\n".join(gappy) + "\n")
     with pytest.raises(MeasurementFormatError):  # off the quarter-hour grid
         series_from_csv(path, origin="real")
+
+
+# -- one CSV reader ------------------------------------------------------------
+
+# reader, its error, header, valid data rows, and a row with a non-numeric cell
+CSV_READERS = {
+    "measurements": (
+        read_measurements_csv, MeasurementFormatError,
+        "detector_id,date,window_start_s,count",
+        ["d1,2023-09-05,0,3", "d1,2023-09-05,900,4"],
+        "d1,2023-09-05,x,3",
+    ),
+    "sweep_best": (
+        read_sweep_best, ValueError,
+        "best_p,best_nrmse",
+        ["0.0500,0.125000"],
+        "0.0500,x",
+    ),
+    "detector_series": (
+        lambda path: series_from_csv(path, origin="real"), MeasurementFormatError,
+        "detector_id,window_start_s,count",
+        [f"d1,{w * WINDOW_S},{w % 3}" for w in range(WINDOWS_PER_DAY)],
+        "d1,x,1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+def test_csv_readers_share_one_set_of_rules(tmp_path, name):
+    read, error, header, rows, bad_cell = CSV_READERS[name]
+    path = tmp_path / f"{name}.csv"
+
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    plain = read(path)
+
+    path.write_text("\n" + header + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error, match="bad header"):
+        read(path)
+    path.write_text(header.replace("_", "-") + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error, match="bad header"):
+        read(path)
+
+    path.write_text(header + "\n" + rows[0] + ",7\n" + "\n".join(rows[1:]) + "\n")
+    with pytest.raises(error, match=re.escape(f"{path}: line 2: expected ")):
+        read(path)
+
+    path.write_text(header + "\n\n" + "\n\n".join(rows) + "\n\n")
+    assert read(path) == plain
+
+    path.write_text(header + "\n\n" + bad_cell + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error, match=re.escape(f"{path}: line 3: ")):
+        read(path)

@@ -409,6 +409,16 @@ def test_config_validation():
         SimConfig(begin=100.0, end=100.0)
     with pytest.raises(ValueError):
         SimConfig(rerouting_probability=1.5)
+    for field, value in (
+        ("time_to_teleport", 0.0), ("time_to_teleport", -5.0),
+        ("ignore_junction_blocker", -1.0),
+        ("speed_smoothing", -0.1), ("speed_smoothing", 2.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+    # the ends of each range stay valid
+    SimConfig(ignore_junction_blocker=0.0, speed_smoothing=0.0)
+    SimConfig(speed_smoothing=1.0)
 
 
 # -- file round trips --------------------------------------------------------
@@ -530,18 +540,17 @@ def test_null_optional_fields_rejected(tmp_path):
 
 
 def test_detector_csv_round_trip(tmp_path):
-    from trafcal.microsim.simio import read_detector_csv, write_detector_csv
+    from trafcal.dataio import series_from_csv
+    from trafcal.microsim.simio import write_detector_csv
 
-    counts = {"d2": [0, 3, 1], "d1": [5, 0, 0]}
+    counts = {"d2": [w % 4 for w in range(96)], "d1": [5] + [0] * 95}
     windows = {"d1": 900.0, "d2": 900.0}
     path = tmp_path / "counts.csv"
     write_detector_csv(counts, windows, 0.0, path)
-    back = read_detector_csv(path)
-    assert back == {
-        "d1": {0: 5, 900: 0, 1800: 0},
-        "d2": {0: 0, 900: 3, 1800: 1},
-    }
-    # header goes first, detectors are sorted
+    back = series_from_csv(path, origin="simulated")
+    assert [(s.detector_id, s.counts) for s in back] == [
+        (det, tuple(float(n) for n in counts[det])) for det in ("d1", "d2")
+    ]
+    # header goes first, detectors are sorted, counts are ints
     lines = path.read_text().splitlines()
-    assert lines[0] == "detector_id,window_start_s,count"
-    assert lines[1].startswith("d1,")
+    assert lines[:3] == ["detector_id,window_start_s,count", "d1,0,5", "d1,900,0"]
