@@ -127,8 +127,8 @@ def sim_series(out: SimOutput, origin: str = "simulated") -> list[DetectorSeries
 
 
 def _evaluate_point(args) -> tuple[float, float]:
-    (p, net, plans, detectors, bus_lines, base, seed, real_total) = args
-    cfg = dataclasses.replace(base, rerouting_probability=p, seed=seed)
+    (p, net, plans, detectors, bus_lines, base, real_total) = args
+    cfg = dataclasses.replace(base, rerouting_probability=p)
     try:
         out = Simulation(net, plans, cfg, detectors, bus_lines).run()
     except Exception as exc:
@@ -143,12 +143,12 @@ def sweep_rerouting_probability(
     detectors: list[Detector],
     real: list[DetectorSeries],
     grid: GridSpec = GridSpec(),
-    seed: int = 0,
     base_config: Optional[SimConfig] = None,
     bus_lines: Sequence[BusLine] = (),
     workers: int = 1,
 ) -> SweepResult:
-    """Score every grid probability with the same seed and routes.
+    """Score every grid probability with the same routes and the seed and
+    other settings of `base_config`.
 
     Evaluations are independent simulations, so they can spread over worker
     processes; results are merged and sorted by p before the argmin, which
@@ -167,7 +167,7 @@ def sweep_rerouting_probability(
     base = base_config if base_config is not None else SimConfig()
     real_total = aggregate_series(real)
     tasks = [
-        (p, net, routes, detectors, tuple(bus_lines), base, seed, real_total)
+        (p, net, routes, detectors, tuple(bus_lines), base, real_total)
         for p in grid.points()
     ]
     if workers > 1:

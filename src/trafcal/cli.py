@@ -22,10 +22,10 @@ import sys
 from trafcal import calibrate, dataio, demandgen, equilibrium, fixtures, netmodel
 from trafcal.microsim import (
     SimConfig,
+    Simulation,
     load_bus_lines,
     load_detectors,
     load_route_plans,
-    run_simulation,
     save_bus_lines,
     save_detectors,
     save_route_plans,
@@ -138,18 +138,21 @@ class _Ctx:
                 merged[key] = flag
         return merged
 
+    def decode(self, cls, section: str, values: dict):
+        """`values` as a `cls` record; a value of the wrong type is a usage
+        error naming the config file, the section and the key."""
+        return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
+
     def sim_config(self) -> SimConfig:
-        merged = self._overlay("sim")
         try:
-            merged["seed"] = int(merged.get("seed", self.seed))
-            return SimConfig(**merged)
-        except (TypeError, ValueError) as exc:
+            return self.decode(SimConfig, "sim", {"seed": self.seed, **self._overlay("sim")})
+        except ValueError as exc:
             raise UsageError(f"bad simulation settings: {exc}") from exc
 
     def sweep_grid(self) -> calibrate.GridSpec:
         try:
-            return calibrate.GridSpec(**self._overlay("sweep"))
-        except (TypeError, ValueError) as exc:
+            return self.decode(calibrate.GridSpec, "sweep", self._overlay("sweep"))
+        except ValueError as exc:
             raise UsageError(f"bad sweep grid: {exc}") from exc
 
     def equilibrium_params(self) -> dict:
@@ -196,10 +199,10 @@ def cmd_demand_generate(ctx: _Ctx) -> int:
     stats, gates, schools, config = demandgen.load_statistics(
         ctx.path("statistics", ctx.args.statistics)
     )
-    overrides = dict(ctx.cfg.demand)
-    if ctx.args.seed is not None or "seed" not in overrides:
-        overrides["seed"] = ctx.seed
-    config = dataclasses.replace(config, **overrides)
+    values = {**netmodel.record_to(config), **ctx.cfg.demand}
+    if ctx.args.seed is not None or "seed" not in ctx.cfg.demand:
+        values["seed"] = ctx.seed
+    config = ctx.decode(demandgen.DemandConfig, "demand", values)
     table = demandgen.generate_trips(stats, gates, schools, config, net)
     expanded = demandgen.expand_routes(table, net)
     trips_path = ctx.out_path("trips.json")
@@ -224,7 +227,7 @@ def cmd_sim_run(ctx: _Ctx) -> int:
     ctx.log(
         f"simulating {len(plans)} vehicles, p={config.rerouting_probability}"
     )
-    out = run_simulation(net, plans, config, detectors, lines)
+    out = Simulation(net, plans, config, detectors, lines).run()
     if detectors:
         write_detector_csv(
             out.detector_counts, out.detector_window, out.begin,
@@ -235,7 +238,7 @@ def cmd_sim_run(ctx: _Ctx) -> int:
     ctx.log(f"outputs in {ctx.output_dir}")
     print(
         f"arrived {int(out.totals['arrived'])}/{int(out.totals['departed'])}"
-        f" avg_travel_time {out.avg_travel_time:.1f}s"
+        f" avg_travel_time {out.totals['avg_travel_time']:.1f}s"
     )
     return EXIT_OK
 
@@ -272,8 +275,7 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
     )
     result = calibrate.sweep_rerouting_probability(
         net, plans, detectors, real, grid,
-        seed=config.seed, base_config=config, bus_lines=lines,
-        workers=ctx.workers,
+        base_config=config, bus_lines=lines, workers=ctx.workers,
     )
     calibrate.write_sweep_csv(result, ctx.out_path("sweep.csv"))
     calibrate.write_sweep_best(result, ctx.out_path("sweep_best.csv"))
@@ -338,7 +340,7 @@ def cmd_report_validate(ctx: _Ctx) -> int:
         p = calibrate.read_sweep_best(best_path)[0]
     config = dataclasses.replace(ctx.sim_config(), rerouting_probability=p)
     ctx.log(f"validation run at p={p}")
-    out = run_simulation(net, plans, config, detectors, lines)
+    out = Simulation(net, plans, config, detectors, lines).run()
     report = dataio.validate(real, calibrate.sim_series(out))
     dataio.write_report(
         report,
@@ -388,10 +390,10 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     truth_cfg = dataclasses.replace(
         sim_cfg, rerouting_probability=scenario.true_p
     )
-    truth = run_simulation(
+    truth = Simulation(
         scenario.net, dua.final_plans, truth_cfg,
         scenario.detectors, scenario.bus_lines,
-    )
+    ).run()
     records = []
     for det_id, counts in sorted(truth.detector_counts.items()):
         for date in fixtures.TWIN_DATES:

@@ -22,7 +22,7 @@ from trafcal.calibrate import (
     aggregate_series,
     nrmse,
 )
-from trafcal.microsim.simio import DETECTOR_CSV_HEADER, write_detector_csv
+from trafcal.microsim.simio import write_detector_csv
 
 WEEKDAY_NAMES = {
     "Mon": 0, "Tue": 1, "Wed": 2, "Thu": 3, "Fri": 4, "Sat": 5, "Sun": 6,
@@ -54,10 +54,22 @@ class DetectorMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class RawMeasurement:
+    """One loop count; a window off the day's quarter-hour grid or a
+    negative count raises MeasurementFormatError."""
+
     detector_id: str
     date: datetime.date
     window_start: int  # seconds-of-day, multiple of 900
     count: int
+
+    def __post_init__(self):
+        if self.window_start % WINDOW_S != 0 or not 0 <= self.window_start < 86400:
+            raise MeasurementFormatError(
+                f"record for '{self.detector_id}': window_start {self.window_start}"
+                " not a quarter-hour of the day"
+            )
+        if self.count < 0:
+            raise MeasurementFormatError(f"record for '{self.detector_id}': negative count")
 
 
 @dataclass(frozen=True)
@@ -126,20 +138,7 @@ def read_measurements_csv(path) -> list[RawMeasurement]:
 
 def _measurement_row(row: list[str]) -> RawMeasurement:
     det, date_s, start_s, count_s = row
-    return _check_measurement(
-        RawMeasurement(det, datetime.date.fromisoformat(date_s), int(start_s), int(count_s))
-    )
-
-
-def _check_measurement(rec: RawMeasurement) -> RawMeasurement:
-    if rec.window_start % WINDOW_S != 0 or not 0 <= rec.window_start < 86400:
-        raise MeasurementFormatError(
-            f"record for '{rec.detector_id}': window_start {rec.window_start}"
-            " not a quarter-hour of the day"
-        )
-    if rec.count < 0:
-        raise MeasurementFormatError(f"record for '{rec.detector_id}': negative count")
-    return rec
+    return RawMeasurement(det, datetime.date.fromisoformat(date_s), int(start_s), int(count_s))
 
 
 def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
@@ -165,7 +164,6 @@ def ingest(records: Sequence[RawMeasurement], filt: IngestionFilter = IngestionF
     by_day: dict[tuple[str, datetime.date], dict[int, int]] = {}
     dupes: set[tuple[str, datetime.date]] = set()
     for rec in records:
-        _check_measurement(rec)
         if not filt.admits(rec.date):
             continue
         key = (rec.detector_id, rec.date)
@@ -284,32 +282,3 @@ def series_to_csv(series: Sequence[DetectorSeries], begin: float, path) -> None:
     fractional)."""
     windows = {s.detector_id: WINDOW_S for s in series}
     write_detector_csv({s.detector_id: s.counts for s in series}, windows, begin, path)
-
-
-def series_from_csv(path, origin: str) -> list[DetectorSeries]:
-    """Read a detector CSV (integer or mean counts) into series."""
-    acc: dict[str, dict[int, float]] = {}
-    rows = netmodel.read_csv(
-        path, DETECTOR_CSV_HEADER, MeasurementFormatError,
-        lambda row: (row[0], int(row[1]), float(row[2])),
-    )
-    for det, start, value in rows:
-        windows = acc.setdefault(det, {})
-        if start in windows:
-            raise MeasurementFormatError(f"{path}: duplicate window {start} for '{det}'")
-        windows[start] = value
-    series = []
-    for det in sorted(acc):
-        windows = acc[det]
-        if len(windows) != WINDOWS_PER_DAY:
-            raise MeasurementFormatError(
-                f"{path}: detector '{det}' has {len(windows)} windows, expected {WINDOWS_PER_DAY}"
-            )
-        starts = sorted(windows)
-        if any(b - a != WINDOW_S for a, b in zip(starts, starts[1:])):
-            raise MeasurementFormatError(
-                f"{path}: detector '{det}': window starts not on a {WINDOW_S} s grid"
-            )
-        series.append(DetectorSeries(det, tuple(windows[s] for s in starts), origin))
-    return series
-

@@ -129,11 +129,8 @@ def _experienced_cost(
     if result.arrived:
         return result.travel_time
     if result.insert_time is None:
-        return netmodel.route_cost(net, list(route))
-    rest = sum(
-        netmodel.free_flow_time(net.edges[eid]) for eid in route[result.edges_done:]
-    )
-    return result.time_in_net + rest
+        return netmodel.route_cost(net, route)
+    return result.time_in_net + netmodel.route_cost(net, route[result.edges_done:])
 
 
 def dua_iterate(
@@ -158,7 +155,7 @@ def dua_iterate(
     expansion = expand_routes(trips, net)
     route_sets: dict[str, RouteSet] = {}
     for plan in expansion.routes:
-        cost = netmodel.route_cost(net, list(plan.edges))
+        cost = netmodel.route_cost(net, plan.edges)
         route_sets[plan.trip_id] = RouteSet(
             trip_id=plan.trip_id,
             alternatives=[Alternative(plan.edges, cost, 1.0)],

@@ -21,7 +21,7 @@ from trafcal.demandgen import (
     TripTable,
     WorkHours,
 )
-from trafcal.microsim import BusLine, Detector, SimConfig
+from trafcal.microsim import BusLine, Detector
 from trafcal.netmodel import (
     BusStop,
     Edge,
@@ -318,7 +318,3 @@ def twin_scenario(seed: int = 7) -> TwinScenario:
         )
     ]
     return TwinScenario(net, districts, gates, schools, config, detectors, bus_lines)
-
-
-def twin_sim_config(seed: int = 7, p: float = TWIN_TRUE_P) -> SimConfig:
-    return SimConfig(rerouting_probability=p, seed=seed)

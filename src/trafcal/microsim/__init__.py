@@ -5,7 +5,6 @@ from trafcal.microsim.engine import (
     SimOutput,
     Simulation,
     VehicleResult,
-    run_simulation,
 )
 from trafcal.microsim.simio import (
     BusLine,
@@ -32,7 +31,6 @@ __all__ = [
     "load_bus_lines",
     "load_detectors",
     "load_route_plans",
-    "run_simulation",
     "save_bus_lines",
     "save_detectors",
     "save_route_plans",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from trafcal import netmodel
@@ -94,15 +94,6 @@ class SimOutput:
     vehicles: dict[str, VehicleResult]
     totals: dict[str, float]
     edge_mean_time: dict[str, float]
-    parking: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def avg_travel_time(self) -> float:
-        return self.totals["avg_travel_time"]
-
-    @property
-    def avg_speed(self) -> float:
-        return self.totals["avg_speed"]
 
 
 class _Vehicle:
@@ -233,9 +224,6 @@ class Simulation:
             e.id: e.speed_limit for e in net.edges.values()
         }
         self._period_speed: dict[str, list[float]] = {}
-
-        self.parking = {p.id: p.initial_occupancy for p in net.parking_areas.values()}
-        self._parking_by_edge = {p.edge_id: p.id for p in net.parking_areas.values()}
 
         self.totals = {
             "loaded": float(len(self.plans)),
@@ -392,19 +380,16 @@ class Simulation:
     # -- per-step phases ----------------------------------------------------
 
     def _step_actuated(self, now: float) -> None:
+        """Tell each actuated controller whether a vehicle is within
+        detection range of the stop line on an approach that has green."""
         for ctrl in self._actuated:
-            active = False
-            for ein in self.net.in_edges[ctrl.program.junction_id]:
-                if ein not in self.active_edges:
-                    continue
-                length = self.net.edges[ein].length
-                for lane in self.lanes[ein]:
-                    if lane and length - lane[0].pos <= tls.DETECTION_RANGE:
-                        active = True
-                        break
-                if active:
-                    break
-            ctrl.step(now, active)
+            conns = self.net.connections(ctrl.program.junction_id)
+            green = {ein for (ein, _), ch in zip(conns, ctrl.state(now)) if ch == "G"}
+            ctrl.step(now, any(
+                self.net.edges[ein].length - lane[0].pos <= tls.DETECTION_RANGE
+                for ein in green & self.active_edges
+                for lane in self.lanes[ein] if lane
+            ))
 
     def _compute_speeds(self, now: float, dt: float) -> None:
         net = self.net
@@ -517,11 +502,6 @@ class Simulation:
             self._exit_edge(veh, now, timed=False)
             del self.vehicles[veh.trip_id]
             self.totals["arrived"] += 1
-            pid = self._parking_by_edge.get(eid)
-            if pid is not None:
-                area = self.net.parking_areas[pid]
-                if self.parking[pid] < area.capacity:
-                    self.parking[pid] += 1
             self._record(veh, arrived=True, end_time=now + dt)
             return True
         nxt = veh.route[veh.idx + 1]
@@ -751,15 +731,4 @@ class Simulation:
             vehicles=dict(self.results),
             totals=dict(self.totals),
             edge_mean_time=edge_mean,
-            parking=dict(self.parking),
         )
-
-
-def run_simulation(
-    net: netmodel.RoadNetwork,
-    plans: list[RoutePlan],
-    config: SimConfig,
-    detectors: list[Detector] = (),
-    bus_lines: list[BusLine] = (),
-) -> SimOutput:
-    return Simulation(net, plans, config, detectors, bus_lines).run()

@@ -16,7 +16,6 @@ from trafcal.netmodel import NetworkFormatError, RoadNetwork, read_records, writ
 
 VEHICLE_MODES = ("car", "bus")
 DEFAULT_BUS_DWELL = 10.0
-DETECTOR_CSV_HEADER = ("detector_id", "window_start_s", "count")
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def write_detector_csv(
 ) -> None:
     """Counts per detector and window, one row each, fully zero-filled; a
     count is written as an int when it is integral (a mean may not be)."""
-    write_csv(path, DETECTOR_CSV_HEADER, (
+    write_csv(path, ("detector_id", "window_start_s", "count"), (
         (det_id, int(begin + i * windows[det_id]), int(n) if float(n).is_integer() else n)
         for det_id in sorted(counts)
         for i, n in enumerate(counts[det_id])

@@ -1,8 +1,8 @@
 """Traffic-light controllers.
 
 Static programs are a pure function of simulation time. Actuated programs
-hold green while traffic keeps arriving and skip ahead once the approach
-runs dry, bounded by per-phase min and max durations.
+hold green while traffic keeps arriving on the approaches that have it and
+skip ahead once those run dry, bounded by per-phase min and max durations.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ class StaticTls:
             if t < bound:
                 return self.program.phases[i].state
         return self.program.phases[-1].state
-
-    def step(self, now: float, approach_active: bool) -> None:
-        pass
-
-    def idle_advance(self, now: float) -> None:
-        pass
 
 
 class ActuatedTls:

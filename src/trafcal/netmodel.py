@@ -45,15 +45,6 @@ class DanglingReferenceError(NetworkFormatError):
         self.ref = ref
 
 
-class NoPathError(Exception):
-    """Raised when no route exists between the requested edges."""
-
-    def __init__(self, from_edge: str, to_edge: str):
-        super().__init__(f"no path from edge '{from_edge}' to edge '{to_edge}'")
-        self.from_edge = from_edge
-        self.to_edge = to_edge
-
-
 @dataclass(frozen=True)
 class Junction:
     id: str
@@ -608,42 +599,18 @@ def _reachability_violations(net: RoadNetwork) -> list[Violation]:
 WeightFn = Callable[[Edge], float]
 
 
-def shortest_path(
-    net: RoadNetwork,
-    from_edge: str,
-    to_edge: str,
-    weight: Optional[WeightFn] = None,
-) -> list[str]:
-    """Minimum-cost edge sequence from from_edge to to_edge (both included).
-
-    Costs accumulate the weight of every edge on the route, default weight
-    being the free-flow travel time length/speed_limit. Edges with infinite
-    weight are skipped. Ties resolve deterministically by edge id ordering.
-    Raises NoPathError when the destination cannot be reached.
-    """
-    dist, pred = _dijkstra(net, from_edge, weight, target=to_edge)
-    if to_edge not in dist:
-        raise NoPathError(from_edge, to_edge)
-    return _reconstruct(pred, from_edge, to_edge)
-
-
 def shortest_paths_from(
     net: RoadNetwork, from_edge: str, weight: Optional[WeightFn] = None
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """Single-source variant: costs and predecessor map for all reachable edges."""
-    return _dijkstra(net, from_edge, weight, target=None)
+    """Costs and predecessor map of every edge reachable from from_edge.
 
-
-def _dijkstra(
-    net: RoadNetwork,
-    from_edge: str,
-    weight: Optional[WeightFn],
-    target: Optional[str],
-) -> tuple[dict[str, float], dict[str, str]]:
+    A route's cost accumulates the weight of every edge on it, both ends
+    included, the default weight being the free-flow travel time
+    length/speed_limit. Edges with infinite weight are skipped. Ties resolve
+    deterministically by edge id ordering.
+    """
     if from_edge not in net.edges:
         raise KeyError(f"unknown edge '{from_edge}'")
-    if target is not None and target not in net.edges:
-        raise KeyError(f"unknown edge '{target}'")
     if weight is None:
         weight = free_flow_time
 
@@ -668,8 +635,6 @@ def _dijkstra(
         if eid in dist:
             continue
         dist[eid] = d
-        if eid == target:
-            break
         for succ in successors[eid]:
             if succ in dist:
                 continue
@@ -682,14 +647,6 @@ def _dijkstra(
                 pred[succ] = eid
                 heapq.heappush(heap, (nd, succ))
     return dist, pred
-
-
-def _reconstruct(pred: dict[str, str], from_edge: str, to_edge: str) -> list[str]:
-    route = [to_edge]
-    while route[-1] != from_edge:
-        route.append(pred[route[-1]])
-    route.reverse()
-    return route
 
 
 class CarRoutes:
@@ -715,14 +672,16 @@ class CarRoutes:
         dist, pred = self._tree(src)
         if dst not in dist:
             return None
-        return _reconstruct(pred, src, dst)
+        route = [dst]
+        while route[-1] != src:
+            route.append(pred[route[-1]])
+        route.reverse()
+        return route
 
     def cost(self, src: str, dst: str) -> Optional[float]:
         """Cost of that route, None when unreachable."""
         return self._tree(src)[0].get(dst)
 
 
-def route_cost(net: RoadNetwork, route: list[str], weight: Optional[WeightFn] = None) -> float:
-    if weight is None:
-        weight = free_flow_time
+def route_cost(net: RoadNetwork, route: Iterable[str], weight: WeightFn = free_flow_time) -> float:
     return sum(weight(net.edges[eid]) for eid in route)

@@ -1,8 +1,8 @@
 """Shared test set-up.
 
 Some tests run the `trafcal` executable. When the package is not installed
-(a plain checkout run with `PYTHONPATH=src`), put a shim on PATH that runs
-`python -m trafcal` from this checkout's `src`.
+(a plain checkout), put a shim on PATH that runs `python -m trafcal` from
+this checkout's `src`.
 """
 
 import os

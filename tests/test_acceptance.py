@@ -21,16 +21,14 @@ from trafcal.microsim import (
     Detector,
     SimConfig,
     Simulation,
-    run_simulation,
     write_detector_csv,
 )
 from trafcal.netmodel import (
+    CarRoutes,
     Edge,
     Junction,
-    NoPathError,
     RoadNetwork,
     route_cost,
-    shortest_path,
     shortest_paths_from,
 )
 
@@ -116,19 +114,17 @@ def test_routing_matches_bellman_ford():
         want = bellman_ford(net, src, weight_of)
         assert dist == want  # exact: integer-valued costs
 
+        routes = CarRoutes(net, weight)
         reachable = sorted(dist)
         for dst in rng.sample(reachable, min(3, len(reachable))):
-            route = shortest_path(net, src, dst, weight)
+            route = routes.route(src, dst)
             assert route[0] == src and route[-1] == dst
-            assert route_cost(net, route, weight) == want[dst]
+            assert route_cost(net, route, weight) == routes.cost(src, dst) == want[dst]
         missing = [eid for eid in sorted(net.edges) if eid not in dist]
         if missing:
             unreachable_seen += 1
-            try:
-                shortest_path(net, src, missing[0], weight)
-                assert False, "expected no path"
-            except NoPathError:
-                pass
+            assert routes.route(src, missing[0]) is None
+            assert routes.cost(src, missing[0]) is None
     assert unreachable_seen > 0  # the fixture set exercises the failure path
     clock.check()
 
@@ -190,7 +186,7 @@ def grid_detector_run(seed, csv_path):
         Detector("d_mid", "e22_23", 0, 50.0),
         Detector("d_west", "e20_21", 0, 50.0),
     ]
-    out = run_simulation(net, plans, SimConfig(seed=seed), detectors=detectors)
+    out = Simulation(net, plans, SimConfig(seed=seed), detectors=detectors).run()
     write_detector_csv(out.detector_counts, out.detector_window, out.begin, csv_path)
     return out
 
@@ -280,7 +276,7 @@ def test_twin_calibration_recovery():
     clock = Stopwatch(600.0)
     seed = 7
     scenario = fixtures.twin_scenario(seed)
-    config = fixtures.twin_sim_config(seed)  # hidden truth: p = 0.6
+    config = SimConfig(rerouting_probability=scenario.true_p, seed=seed)  # hidden truth
 
     table = demandgen.generate_trips(
         scenario.districts, scenario.gates, scenario.schools,
@@ -298,7 +294,7 @@ def test_twin_calibration_recovery():
     result = calibrate.sweep_rerouting_probability(
         scenario.net, dua.final_plans, scenario.detectors, real,
         grid=calibrate.GridSpec(0.0, 1.0, 0.05),
-        seed=seed, base_config=config, bus_lines=scenario.bus_lines,
+        base_config=config, bus_lines=scenario.bus_lines,
         workers=4,
     )
     assert abs(result.best_p - scenario.true_p) <= 0.1

@@ -142,7 +142,7 @@ def tiny_sweep_inputs():
 def test_single_point_sweep():
     net, plans, dets, real, cfg = tiny_sweep_inputs()
     res = sweep_rerouting_probability(
-        net, plans, dets, real, grid=GridSpec(0.5, 0.5, 0.1), seed=5, base_config=cfg
+        net, plans, dets, real, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
     )
     assert len(res.entries) == 1
     assert res.best_p == 0.5
@@ -154,7 +154,7 @@ def test_sweep_scores_truth_seed_at_zero():
     # point reproduces it bit for bit
     net, plans, dets, real, cfg = tiny_sweep_inputs()
     res = sweep_rerouting_probability(
-        net, plans, dets, real, grid=GridSpec(0.0, 1.0, 0.5), seed=5, base_config=cfg
+        net, plans, dets, real, grid=GridSpec(0.0, 1.0, 0.5), base_config=cfg
     )
     assert [e.p for e in res.entries] == [0.0, 0.5, 1.0]
     assert res.entries[0].nrmse == 0.0
@@ -188,9 +188,9 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     monkeypatch.setattr(calibrate, "Simulation", Capturing)
     monkeypatch.setattr(equilibrium, "Simulation", Capturing)
     sweep_rerouting_probability(
-        net, plans, dets, real, grid=GridSpec(0.7, 0.7, 0.1), seed=4, base_config=base
+        net, plans, dets, real, grid=GridSpec(0.7, 0.7, 0.1), base_config=base
     )
-    assert seen == [dataclasses.replace(base, rerouting_probability=0.7, seed=4)]
+    assert seen == [dataclasses.replace(base, rerouting_probability=0.7)]
 
     seen.clear()
     trips = fixtures.two_route_trips(n=10, begin=10.0)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from trafcal import cli, dataio
+from trafcal import cli, dataio, demandgen, fixtures
 from trafcal.demandgen import (
     AGE_BRACKETS,
     DemandConfig,
@@ -21,8 +21,8 @@ from trafcal.microsim import (
     Detector,
     RoutePlan,
     SimConfig,
+    Simulation,
     load_route_plans,
-    run_simulation,
     save_detectors,
     save_route_plans,
 )
@@ -84,7 +84,7 @@ def ws(tmp_path_factory):
     save_detectors(detectors, root / "detectors.json")
 
     # ground truth with the same defaults the CLI resolves to (seed 0, p 0)
-    out = run_simulation(net, plans, SimConfig(), detectors)
+    out = Simulation(net, plans, SimConfig(), detectors).run()
     records = [
         dataio.RawMeasurement(det_id, TUESDAY, i * 900, count)
         for det_id, counts in sorted(out.detector_counts.items())
@@ -129,7 +129,7 @@ def test_missing_input_file_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_config_file_exits_two(tmp_path, capsys):
+def test_bad_config_file_exits_two(ws, tmp_path, capsys):
     cfg = tmp_path / "project.json"
     cfg.write_text('{"surprise": 1}\n')
     assert run(["net", "validate", "--config", cfg]) == 2
@@ -152,6 +152,25 @@ def test_bad_config_file_exits_two(tmp_path, capsys):
         assert run(["net", "validate", "--config", cfg]) == 2, doc
         err = capsys.readouterr().err
         assert "project.json" in err and key in err, (doc, err)
+    # a section that becomes a dataclass is type-checked by the stage that
+    # decodes it, and a bool is no number
+    inputs = {
+        "demand": ["demand", "generate", "--statistics", ws / "statistics.json"],
+        "sim": ["sim", "run", "--routes", ws / "routes.json"],
+        "sweep": ["calib", "sweep", "--routes", ws / "routes.json",
+                  "--detectors", ws / "detectors.json",
+                  "--measurements", ws / "measurements.csv"],
+    }
+    for section, key, value in (
+        ("demand", "car_rate", "x"),
+        ("sim", "rerouting_probability", True),
+        ("sweep", "step", "0.1"),
+    ):
+        cfg.write_text(json.dumps({section: {key: value}}) + "\n")
+        argv = [*inputs[section], "--network", ws / "net.json", "--output-dir", tmp_path / "out"]
+        assert run([*argv, "--config", cfg]) == 2, section
+        err = capsys.readouterr().err
+        assert "project.json" in err and f"field '{key}' has wrong type" in err, (section, err)
 
 
 def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
@@ -229,6 +248,28 @@ def test_sim_run_outputs(ws, tmp_path, capsys):
     running = (tmp_path / "running.csv").read_text().splitlines()
     assert running[:4] == ["minute,count", "0,0", "1,1", "2,1"]
     assert running[13:16] == ["12,1", "13,0", "14,0"]
+
+
+def test_sim_run_actuated_grid(tmp_path, capsys):
+    # the same routed rush trips on the grid with static and with actuated
+    # signals: actuation cuts an empty green short, so trips lose less time
+    routes = tmp_path / "routes.json"
+    summaries = {}
+    for logic in ("static", "actuated"):
+        net = fixtures.grid_network(logic=logic)
+        if logic == "static":
+            trips = fixtures.rush_trips(net, 500, seed=1)
+            save_route_plans(demandgen.expand_routes(trips, net).routes, routes)
+        save_network(net, tmp_path / f"{logic}.net.json")
+        out = tmp_path / logic
+        assert run(["sim", "run", "--network", tmp_path / f"{logic}.net.json",
+                    "--routes", routes, "--seed", "1", "--output-dir", out]) == 0
+        assert "arrived 500/500" in capsys.readouterr().out
+        summaries[logic] = json.loads((out / "sim_summary.json").read_text())
+    for summary in summaries.values():
+        assert summary["loaded"] == summary["arrived"] == 500
+        assert summary["collisions"] == 0
+    assert summaries["actuated"]["avg_time_loss"] < summaries["static"]["avg_time_loss"]
 
 
 def test_sim_run_is_idempotent_and_leaves_inputs_alone(ws, tmp_path):
@@ -339,9 +380,11 @@ def test_data_ingest(ws, tmp_path, capsys):
     assert "det_mid=1" in capsys.readouterr().out
     summary = json.loads((tmp_path / "ingest_summary.json").read_text())
     assert summary == {"days_used": {"det_mid": 1}}
-    series = dataio.series_from_csv(tmp_path / "real_series.csv", origin="real")
-    assert [s.detector_id for s in series] == ["det_mid"]
-    assert sum(series[0].counts) == 12  # every fixture vehicle crossed once
+    lines = (tmp_path / "real_series.csv").read_text().splitlines()
+    assert lines[0] == "detector_id,window_start_s,count"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["det_mid", str(w * 900)] for w in range(96)]
+    assert sum(int(row[2]) for row in rows) == 12  # every fixture vehicle crossed once
 
 
 def test_data_ingest_filter_flags(ws, tmp_path, capsys):

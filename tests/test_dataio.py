@@ -20,7 +20,6 @@ from trafcal.dataio import (
     RawMeasurement,
     ingest,
     read_measurements_csv,
-    series_from_csv,
     series_to_csv,
     validate,
     write_measurements_csv,
@@ -380,34 +379,17 @@ def test_series_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "series.csv"
     series_to_csv(original, begin=21600.0, path=path)
-    back = series_from_csv(path, origin="real")
-    assert [s.detector_id for s in back] == ["d1", "d2"]
-    for got, want in zip(back, sorted(original, key=lambda s: s.detector_id)):
-        assert got.origin == "real"
-        assert all(abs(g - w) < 1e-12 for g, w in zip(got.counts, want.counts))
-    # integer means are written without a decimal point
-    first_count = path.read_text().splitlines()[1].split(",")[2]
-    assert "." not in first_count
-
-
-def test_series_from_csv_rejects_broken_files(tmp_path):
-    path = tmp_path / "series.csv"
-    path.write_text("detector,window,count\n")
-    with pytest.raises(MeasurementFormatError):
-        series_from_csv(path, origin="real")
-
-    header = "detector_id,window_start_s,count\n"
-    rows = [f"d1,{w * WINDOW_S},1" for w in range(WINDOWS_PER_DAY)]
-    path.write_text(header + "\n".join(rows + ["d1,0,1"]) + "\n")
-    with pytest.raises(MeasurementFormatError):  # duplicate window
-        series_from_csv(path, origin="real")
-    path.write_text(header + "\n".join(rows[:-1]) + "\n")
-    with pytest.raises(MeasurementFormatError):  # one window short
-        series_from_csv(path, origin="real")
-    gappy = [f"d1,{w * WINDOW_S + (900 if w == 50 else 0)},1" for w in range(WINDOWS_PER_DAY)]
-    path.write_text(header + "\n".join(gappy) + "\n")
-    with pytest.raises(MeasurementFormatError):  # off the quarter-hour grid
-        series_from_csv(path, origin="real")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "detector_id,window_start_s,count"
+    # detectors sorted, one row per window from `begin`; integer means are
+    # written without a decimal point, fractional ones in full
+    d1, d2 = sorted(original, key=lambda s: s.detector_id)
+    assert lines[1:] == [
+        f"d1,{21600 + w * WINDOW_S},{int(c)}" for w, c in enumerate(d1.counts)
+    ] + [
+        f"d2,{21600 + w * WINDOW_S},{c!r}" for w, c in enumerate(d2.counts)
+    ]
+    assert [float(line.split(",")[2]) for line in lines[1:]] == list(d1.counts + d2.counts)
 
 
 # -- one CSV reader ------------------------------------------------------------
@@ -425,12 +407,6 @@ CSV_READERS = {
         "best_p,best_nrmse",
         ["0.0500,0.125000"],
         "0.0500,x",
-    ),
-    "detector_series": (
-        lambda path: series_from_csv(path, origin="real"), MeasurementFormatError,
-        "detector_id,window_start_s,count",
-        [f"d1,{w * WINDOW_S},{w % 3}" for w in range(WINDOWS_PER_DAY)],
-        "d1,x,1",
     ),
 }
 

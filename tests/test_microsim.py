@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trafcal.microsim import SimConfig, Simulation, run_simulation
+from trafcal.microsim import SimConfig, Simulation
 from trafcal.microsim.carfollow import VehicleType
 from trafcal.microsim.simio import BusLine, Detector, RoutePlan
 from trafcal.netmodel import (
@@ -124,6 +124,52 @@ def test_red_light_stops_before_line():
     assert speeds[-1] < 0.1
 
 
+def actuated_junction_net():
+    """Two 15 m approaches meet at actuated signal b: phase 0 gives a_b
+    green and c_b red, phase 2 the reverse (5 s min, 60 s max green)."""
+    junctions = [
+        Junction("a", 0.0, 15.0, kind="dead_end"),
+        Junction("c", -15.0, 0.0, kind="dead_end"),
+        Junction("b", 0.0, 0.0, kind="traffic_light"),
+        Junction("d", 100.0, 0.0, kind="dead_end"),
+    ]
+    edges = [
+        Edge("a_b", "a", "b", 15.0),
+        Edge("c_b", "c", "b", 15.0),
+        Edge("b_d", "b", "d", 100.0),
+    ]
+    prog = TlsProgram("b", "actuated", (
+        TlsPhase(42.0, 5.0, 60.0, "Gr"),
+        TlsPhase(3.0, 3.0, 3.0, "yr"),
+        TlsPhase(42.0, 5.0, 60.0, "rG"),
+        TlsPhase(3.0, 3.0, 3.0, "ry"),
+    ))
+    return RoadNetwork(junctions, edges, tls_programs=[prog])
+
+
+def test_actuated_green_extends_only_for_green_approaches():
+    net = actuated_junction_net()
+
+    def first_green_end(plans):
+        ends = []
+
+        def probe(sim, now):
+            if not ends and sim.controllers["b"].index != 0:
+                ends.append(now)
+
+        out = Simulation(net, plans, cfg(end=300.0), vehicle_types={"car": QUIET}).run(probe=probe)
+        assert out.totals["arrived"] == len(plans)
+        return ends[0]
+
+    # a car waiting at red within detection range of the line does not hold
+    # the empty green of a_b: it gaps out at its 5 s minimum, by which time
+    # the 3 s gap has passed, not at the 60 s maximum
+    assert first_green_end([RoutePlan("red", ("c_b", "b_d"), 0.0)]) == 5.0
+    # a stream on the green approach holds it to the maximum
+    stream = [RoutePlan(f"g{i:02d}", ("a_b", "b_d"), 2.0 * i) for i in range(40)]
+    assert first_green_end(stream) == 60.0
+
+
 def test_platoon_keeps_nonnegative_gaps():
     net = chain_net([300.0, 300.0])
     plans = [RoutePlan(f"v{i}", ("e0", "e1"), 2.0 * i) for i in range(5)]
@@ -194,7 +240,7 @@ def grid_run(seed):
     trips = fixtures.rush_trips(net, n=500, seed=1)
     plans = demandgen.expand_routes(trips, net).routes
     dets = [Detector("d", "e22_23", 0, 50.0)]
-    return run_simulation(net, plans, cfg(end=86400.0, seed=seed), detectors=dets)
+    return Simulation(net, plans, cfg(end=86400.0, seed=seed), detectors=dets).run()
 
 
 def test_same_seed_bit_identical():
@@ -540,17 +586,16 @@ def test_null_optional_fields_rejected(tmp_path):
 
 
 def test_detector_csv_round_trip(tmp_path):
-    from trafcal.dataio import series_from_csv
     from trafcal.microsim.simio import write_detector_csv
 
     counts = {"d2": [w % 4 for w in range(96)], "d1": [5] + [0] * 95}
     windows = {"d1": 900.0, "d2": 900.0}
     path = tmp_path / "counts.csv"
-    write_detector_csv(counts, windows, 0.0, path)
-    back = series_from_csv(path, origin="simulated")
-    assert [(s.detector_id, s.counts) for s in back] == [
-        (det, tuple(float(n) for n in counts[det])) for det in ("d1", "d2")
-    ]
-    # header goes first, detectors are sorted, counts are ints
+    write_detector_csv(counts, windows, 6 * 3600.0, path)
+    # header goes first, detectors are sorted, every window has a row
+    # starting at `begin`, and counts are ints
     lines = path.read_text().splitlines()
-    assert lines[:3] == ["detector_id,window_start_s,count", "d1,0,5", "d1,900,0"]
+    assert lines == ["detector_id,window_start_s,count"] + [
+        f"{det},{21600 + w * 900},{counts[det][w]}" for det in ("d1", "d2") for w in range(96)
+    ]
+    assert lines[1:3] == ["d1,21600,5", "d1,22500,0"]

@@ -38,7 +38,6 @@ from trafcal.netmodel import (
     Edge,
     Junction,
     NetworkFormatError,
-    NoPathError,
     ParkingArea,
     RoadNetwork,
     TlsPhase,
@@ -49,7 +48,6 @@ from trafcal.netmodel import (
     network_to_dict,
     route_cost,
     save_network,
-    shortest_path,
     shortest_paths_from,
     validate_network,
 )
@@ -383,25 +381,25 @@ def test_unreachable_edge_detected():
 
 def test_shortest_path_includes_both_endpoints():
     net = tiny_net()
-    route = shortest_path(net, "ab", "bc")
+    route = CarRoutes(net).route("ab", "bc")
     assert route == ["ab", "bc"]
     assert route_cost(net, route) == pytest.approx(free_flow_time(net.edges["ab"]) * 2)
 
 
-def test_no_path_raises():
+def test_no_path_gives_none():
     # both edges run a->b and b has no outgoing edge, so neither can ever
     # be reached from the other
     junctions = [Junction("a", 0, 0, kind="dead_end"), Junction("b", 1, 0, kind="dead_end")]
     edges = [Edge("ab", "a", "b", 1.0), Edge("xb", "a", "b", 1.0)]
     net = RoadNetwork(junctions, edges)
-    with pytest.raises(NoPathError):
-        shortest_path(net, "ab", "xb")
+    routes = CarRoutes(net)
+    assert routes.route("ab", "xb") is None and routes.cost("ab", "xb") is None
 
 
 def test_negative_weight_rejected():
     net = tiny_net()
     with pytest.raises(ValueError):
-        shortest_path(net, "ab", "bc", weight=lambda e: -1.0)
+        shortest_paths_from(net, "ab", weight=lambda e: -1.0)
 
 
 def test_infinite_weight_edges_are_impassable():
@@ -419,13 +417,14 @@ def test_infinite_weight_edges_are_impassable():
     ]
     net = RoadNetwork(junctions, edges)
     weight = lambda e: math.inf if e.bus_only else e.length
-    route = shortest_path(net, "ab", "cd", weight=weight)
-    assert route == ["ab", "bc_slow", "cd"]
+    dist, _ = shortest_paths_from(net, "ab", weight=weight)
+    assert "bc_bus" not in dist and dist["cd"] == 3.0
+    assert CarRoutes(net, lambda e: e.length).route("ab", "cd") == ["ab", "bc_slow", "cd"]
 
 
 def test_grid_corner_to_corner_route_is_connected():
     net = fixtures.grid_network()
-    route = shortest_path(net, "e00_01", "e34_44")
+    route = CarRoutes(net).route("e00_01", "e34_44")
     for a, b in zip(route, route[1:]):
         assert b in net.successors[a]
     # 200 m blocks at 13.89 m/s: straightest route costs 8 edges
@@ -479,7 +478,7 @@ def test_dijkstra_matches_bellman_ford_on_random_graphs():
         # spot-check one reconstructed route end to end
         if len(dist) > 1:
             target = sorted(dist)[-1]
-            route = shortest_path(net, source, target, weight=weight)
+            route = CarRoutes(net, weight).route(source, target)
             assert route[0] == source and route[-1] == target
             assert route_cost(net, route, weight=weight) == dist[target]
             for a, b in zip(route, route[1:]):
@@ -515,16 +514,17 @@ def test_car_routes_match_shortest_path_with_bus_lanes_barred(monkeypatch):
         sources_searched.clear()
         sources = rng.sample(car_edges, min(3, len(car_edges)))
         for src in sources:
+            oracle = bellman_ford(net, src, barred)
             for dst in rng.sample(sorted(net.edges), min(6, len(net.edges))):
                 got = routes.route(src, dst)
-                try:
-                    want = shortest_path(net, src, dst, weight=barred)
-                except NoPathError:
+                if dst not in oracle:
                     unreachable_seen += 1
                     assert got is None and routes.cost(src, dst) is None
                     continue
-                assert got == want
+                assert got[0] == src and got[-1] == dst
+                for a, b in zip(got, got[1:]):
+                    assert b in net.successors[a]
                 assert not any(net.edges[eid].bus_only for eid in got)
-                assert routes.cost(src, dst) == route_cost(net, got, weight=cost)
+                assert routes.cost(src, dst) == route_cost(net, got, weight=cost) == oracle[dst]
         assert sorted(sources_searched) == sorted(sources)
     assert unreachable_seen > 0
