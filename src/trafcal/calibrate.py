@@ -36,7 +36,6 @@ class DetectorSeries:
 
     detector_id: str
     counts: tuple[float, ...]
-    origin: str  # "real" or "simulated"
 
     def __post_init__(self):
         if len(self.counts) != WINDOWS_PER_DAY:
@@ -44,8 +43,6 @@ class DetectorSeries:
                 f"detector '{self.detector_id}': expected {WINDOWS_PER_DAY} "
                 f"windows, got {len(self.counts)}"
             )
-        if self.origin not in ("real", "simulated"):
-            raise ValueError(f"unknown origin '{self.origin}'")
         for x in self.counts:
             if not math.isfinite(x) or x < 0:
                 raise ValueError(
@@ -118,10 +115,10 @@ def aggregate_series(series: Sequence[DetectorSeries]) -> list[float]:
     return out
 
 
-def sim_series(out: SimOutput, origin: str = "simulated") -> list[DetectorSeries]:
+def sim_series(out: SimOutput) -> list[DetectorSeries]:
     """Detector series from a simulation run, in detector-id order."""
     return [
-        DetectorSeries(det_id, tuple(float(x) for x in out.detector_counts[det_id]), origin)
+        DetectorSeries(det_id, tuple(float(x) for x in out.detector_counts[det_id]))
         for det_id in sorted(out.detector_counts)
     ]
 

@@ -38,17 +38,26 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+# each settings section of a project config: the record it becomes and the
+# label of the error its range check raises
+_SECTIONS = {
+    "sim": (SimConfig, "simulation settings"),
+    "demand": (demandgen.DemandConfig, "demand settings"),
+    "sweep": (calibrate.GridSpec, "sweep grid"),
+    "equilibrium": (equilibrium.DuaConfig, "assignment settings"),
+}
+
 # the keys each object section of a project config may hold; a flag of the
-# same name overlays a key of `sim`, `sweep` or `equilibrium`
+# same name overlays a key of a settings section
 _SECTION_KEYS = {
     "paths": (
         "network", "statistics", "trips", "routes", "detectors", "bus_lines",
         "measurements", "output_dir",
     ),
-    "sim": tuple(f.name for f in dataclasses.fields(SimConfig)),
-    "demand": tuple(f.name for f in dataclasses.fields(demandgen.DemandConfig)),
-    "sweep": tuple(f.name for f in dataclasses.fields(calibrate.GridSpec)),
-    "equilibrium": ("max_iter", "tol", "window", "beta", "alpha", "max_alternatives"),
+    **{
+        section: tuple(f.name for f in dataclasses.fields(cls))
+        for section, (cls, _) in _SECTIONS.items()
+    },
 }
 
 
@@ -129,34 +138,25 @@ class _Ctx:
         os.makedirs(self.output_dir, exist_ok=True)
         return os.path.normpath(os.path.join(self.output_dir, name))
 
-    def _overlay(self, section: str) -> dict:
-        """A config section with every one of its keys given as a flag laid over it."""
-        merged = dict(getattr(self.cfg, section))
-        for key in _SECTION_KEYS[section]:
+    def settings(self, section: str, base=None):
+        """The record of a settings section. Each later source wins: the
+        record's defaults, `base`, the run seed (for a record with a seed),
+        the config section, then the flags named like its keys. A value of
+        the wrong type or out of its range is a usage error."""
+        cls, label = _SECTIONS[section]
+        keys = _SECTION_KEYS[section]
+        values = netmodel.record_to(base) if base is not None else {}
+        if "seed" in keys:
+            values["seed"] = self.seed
+        values.update(getattr(self.cfg, section))
+        for key in keys:
             flag = getattr(self.args, key, None)
             if flag is not None:
-                merged[key] = flag
-        return merged
-
-    def decode(self, cls, section: str, values: dict):
-        """`values` as a `cls` record; a value of the wrong type is a usage
-        error naming the config file, the section and the key."""
-        return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
-
-    def sim_config(self) -> SimConfig:
+                values[key] = flag
         try:
-            return self.decode(SimConfig, "sim", {"seed": self.seed, **self._overlay("sim")})
+            return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
         except ValueError as exc:
-            raise UsageError(f"bad simulation settings: {exc}") from exc
-
-    def sweep_grid(self) -> calibrate.GridSpec:
-        try:
-            return self.decode(calibrate.GridSpec, "sweep", self._overlay("sweep"))
-        except ValueError as exc:
-            raise UsageError(f"bad sweep grid: {exc}") from exc
-
-    def equilibrium_params(self) -> dict:
-        return self._overlay("equilibrium")
+            raise UsageError(f"bad {label}: {exc}") from exc
 
 
 def _load_net(ctx: _Ctx, flag_value) -> netmodel.RoadNetwork:
@@ -199,10 +199,7 @@ def cmd_demand_generate(ctx: _Ctx) -> int:
     stats, gates, schools, config = demandgen.load_statistics(
         ctx.path("statistics", ctx.args.statistics)
     )
-    values = {**netmodel.record_to(config), **ctx.cfg.demand}
-    if ctx.args.seed is not None or "seed" not in ctx.cfg.demand:
-        values["seed"] = ctx.seed
-    config = ctx.decode(demandgen.DemandConfig, "demand", values)
+    config = ctx.settings("demand", base=config)
     table = demandgen.generate_trips(stats, gates, schools, config, net)
     expanded = demandgen.expand_routes(table, net)
     trips_path = ctx.out_path("trips.json")
@@ -223,7 +220,7 @@ def cmd_sim_run(ctx: _Ctx) -> int:
     det_path = ctx.path("detectors", ctx.args.detectors, required=False)
     detectors = load_detectors(det_path, net) if det_path else []
     lines = _load_optional_lines(ctx, ctx.args.bus_lines)
-    config = ctx.sim_config()
+    config = ctx.settings("sim")
     ctx.log(
         f"simulating {len(plans)} vehicles, p={config.rerouting_probability}"
     )
@@ -244,12 +241,12 @@ def cmd_sim_run(ctx: _Ctx) -> int:
 
 
 def cmd_dua_iterate(ctx: _Ctx) -> int:
+    config = ctx.settings("sim")
+    params = ctx.settings("equilibrium")
     net = _load_net(ctx, ctx.args.network)
     table = demandgen.read_trips(ctx.path("trips", ctx.args.trips))
-    config = ctx.sim_config()
-    params = ctx.equilibrium_params()
-    ctx.log(f"assignment over {len(table)} trips, params {params}")
-    result = equilibrium.dua_iterate(net, table, config, **params)
+    ctx.log(f"assignment over {len(table)} trips, {params}")
+    result = equilibrium.dua_iterate(net, table, config, params)
     routes_path = ctx.out_path("dua_routes.json")
     save_route_plans(result.final_plans, routes_path)
     equilibrium.write_metrics_csv(result.metrics, ctx.out_path("dua_metrics.csv"))
@@ -267,8 +264,8 @@ def cmd_dua_iterate(ctx: _Ctx) -> int:
 
 def cmd_calib_sweep(ctx: _Ctx) -> int:
     net, plans, detectors, lines, real = _calibration_inputs(ctx)
-    grid = ctx.sweep_grid()
-    config = ctx.sim_config()
+    grid = ctx.settings("sweep")
+    config = ctx.settings("sim")
     ctx.log(
         f"sweeping p over [{grid.p_min}, {grid.p_max}] step {grid.step}"
         f" with {ctx.workers} workers"
@@ -338,7 +335,7 @@ def cmd_report_validate(ctx: _Ctx) -> int:
         if not os.path.exists(best_path):
             raise UsageError("--p not given and no sweep_best.csv in output dir")
         p = calibrate.read_sweep_best(best_path)[0]
-    config = dataclasses.replace(ctx.sim_config(), rerouting_probability=p)
+    config = dataclasses.replace(ctx.settings("sim"), rerouting_probability=p)
     ctx.log(f"validation run at p={p}")
     out = Simulation(net, plans, config, detectors, lines).run()
     report = dataio.validate(real, calibrate.sim_series(out))
@@ -357,8 +354,12 @@ def cmd_report_validate(ctx: _Ctx) -> int:
 
 
 def cmd_fixture_make(ctx: _Ctx) -> int:
+    # the truth runs at the run seed, and so do the stages that read the
+    # written project: its `sim` section carries no seed of its own
     seed = ctx.seed
-    sim_cfg = dataclasses.replace(ctx.sim_config(), seed=seed)
+    sim_cfg = dataclasses.replace(ctx.settings("sim"), seed=seed)
+    dua_params = ctx.settings("equilibrium", base=fixtures.TWIN_DUA)
+    grid = ctx.settings("sweep", base=fixtures.TWIN_GRID)
     scenario = fixtures.twin_scenario(seed)
     out = ctx.out_path  # ensures the directory exists
 
@@ -377,8 +378,6 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     save_bus_lines(scenario.bus_lines, lines_path)
     ctx.log(f"grid and twin inputs in {ctx.output_dir}")
 
-    eq_params = dict(ctx.cfg.equilibrium) or {"max_iter": 6, "tol": 0.05, "window": 3}
-
     # ground truth: the exact pipeline a user will run, ending in one
     # simulation at the hidden true rerouting probability
     table = demandgen.generate_trips(
@@ -386,7 +385,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
         scenario.demand_config, scenario.net,
     )
     ctx.log(f"twin demand: {len(table)} trips")
-    dua = equilibrium.dua_iterate(scenario.net, table, sim_cfg, **eq_params)
+    dua = equilibrium.dua_iterate(scenario.net, table, sim_cfg, dua_params)
     truth_cfg = dataclasses.replace(
         sim_cfg, rerouting_probability=scenario.true_p
     )
@@ -418,9 +417,9 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
             "measurements": "measurements.csv",
             "output_dir": ".",
         },
-        "sim": dict(ctx.cfg.sim),
-        "sweep": dict(ctx.cfg.sweep) or {"p_min": 0.0, "p_max": 1.0, "step": 0.05},
-        "equilibrium": eq_params,
+        "sim": {k: v for k, v in ctx.cfg.sim.items() if k != "seed"},
+        "sweep": netmodel.record_to(grid),
+        "equilibrium": netmodel.record_to(dua_params),
     }
     netmodel.write_json(project, out("project.json"))
     print(f"fixtures written to {ctx.output_dir} (true p = {scenario.true_p})")

@@ -191,9 +191,7 @@ def ingest(records: Sequence[RawMeasurement], filt: IngestionFilter = IngestionF
         if days.get(det, 0) == 0:
             raise NoSurvivingDaysError(det)
         n = days[det]
-        series.append(
-            DetectorSeries(det, tuple(s / n for s in sums[det]), origin="real")
-        )
+        series.append(DetectorSeries(det, tuple(s / n for s in sums[det])))
     return IngestResult(series=series, days_used=days)
 
 

@@ -22,6 +22,35 @@ GAWRON_ALPHA = 0.5
 MAX_ALTERNATIVES = 5
 
 
+@dataclass(frozen=True)
+class DuaConfig:
+    """Settings of one assignment run: at most `max_iter` simulated rounds,
+    converged once the last `window` average travel times agree within
+    `tol`; `beta` and `alpha` drive `gawron_update`, and each vehicle keeps
+    at most `max_alternatives` routes."""
+
+    max_iter: int = 50
+    tol: float = 0.01
+    window: int = 5
+    beta: float = GAWRON_BETA
+    alpha: float = GAWRON_ALPHA
+    max_alternatives: int = MAX_ALTERNATIVES
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.tol < 0:
+            raise ValueError("tol must be >= 0")
+        if self.beta < 0:
+            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must satisfy 0 <= alpha <= 1")
+        if self.max_alternatives < 1:
+            raise ValueError("max_alternatives must be >= 1")
+
+
 @dataclass
 class Alternative:
     route: tuple[str, ...]
@@ -137,12 +166,7 @@ def dua_iterate(
     net: netmodel.RoadNetwork,
     trips: TripTable,
     config: SimConfig,
-    max_iter: int = 50,
-    tol: float = 0.01,
-    window: int = 5,
-    beta: float = GAWRON_BETA,
-    alpha: float = GAWRON_ALPHA,
-    max_alternatives: int = MAX_ALTERNATIVES,
+    params: DuaConfig = DuaConfig(),
 ) -> DuaResult:
     """Simulate, reweigh, and re-choose routes until travel times settle.
 
@@ -172,7 +196,7 @@ def dua_iterate(
     converged = False
     plans: list[RoutePlan] = []
 
-    for iteration in range(max_iter):
+    for iteration in range(params.max_iter):
         plans = [
             RoutePlan(
                 trip_id,
@@ -190,10 +214,10 @@ def dua_iterate(
                 avg_travel_time=out.totals["avg_travel_time"],
             )
         )
-        if convergence_check(metrics, tol, window):
+        if convergence_check(metrics, params.tol, params.window):
             converged = True
             break
-        if iteration == max_iter - 1:
+        if iteration == params.max_iter - 1:
             break
 
         for eid, t in out.edge_mean_time.items():
@@ -207,8 +231,8 @@ def dua_iterate(
             gawron_update(
                 rs,
                 _experienced_cost(result, rs.alternatives[rs.chosen_index].route, net),
-                beta,
-                alpha,
+                params.beta,
+                params.alpha,
             )
 
             src = rs.alternatives[0].route[0]
@@ -225,7 +249,7 @@ def dua_iterate(
                     rs.alternatives.append(
                         Alternative(candidate, routes.cost(src, dst), 1.0 / n)
                     )
-                    while len(rs.alternatives) > max_alternatives:
+                    while len(rs.alternatives) > params.max_alternatives:
                         worst = max(
                             range(len(rs.alternatives)),
                             key=lambda i: (rs.alternatives[i].cost, i),

@@ -12,6 +12,7 @@ import datetime
 import random
 from dataclasses import dataclass
 
+from trafcal.calibrate import GridSpec
 from trafcal.demandgen import (
     CityGate,
     DemandConfig,
@@ -21,6 +22,7 @@ from trafcal.demandgen import (
     TripTable,
     WorkHours,
 )
+from trafcal.equilibrium import DuaConfig
 from trafcal.microsim import BusLine, Detector
 from trafcal.netmodel import (
     BusStop,
@@ -46,6 +48,10 @@ TWIN_DATES = (
     datetime.date(2023, 10, 4),  # Wed
     datetime.date(2023, 10, 5),  # Thu
 )
+# the twin's assignment and sweep settings; a project config section
+# overlays them key by key
+TWIN_DUA = DuaConfig(max_iter=6, tol=0.05, window=3)
+TWIN_GRID = GridSpec(0.0, 1.0, 0.05)
 
 
 # ---------------------------------------------------------------------------

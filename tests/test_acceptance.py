@@ -259,7 +259,7 @@ def test_two_route_equilibrium_quality():
     # the fixture's stochastic noise sits around 6%, so the settled band
     # is wider than the library default
     result = equilibrium.dua_iterate(
-        net, trips, SimConfig(seed=0), max_iter=50, tol=0.1, window=5
+        net, trips, SimConfig(seed=0), equilibrium.DuaConfig(max_iter=50, tol=0.1, window=5)
     )
     assert result.converged
     assert len(result.metrics) <= 50
@@ -282,18 +282,16 @@ def test_twin_calibration_recovery():
         scenario.districts, scenario.gates, scenario.schools,
         scenario.demand_config, scenario.net,
     )
-    dua = equilibrium.dua_iterate(
-        scenario.net, table, config, max_iter=6, tol=0.05, window=3
-    )
+    dua = equilibrium.dua_iterate(scenario.net, table, config, fixtures.TWIN_DUA)
     truth = Simulation(
         scenario.net, dua.final_plans, config,
         scenario.detectors, scenario.bus_lines,
     ).run()
-    real = calibrate.sim_series(truth, origin="real")
+    real = calibrate.sim_series(truth)
 
     result = calibrate.sweep_rerouting_probability(
         scenario.net, dua.final_plans, scenario.detectors, real,
-        grid=calibrate.GridSpec(0.0, 1.0, 0.05),
+        grid=fixtures.TWIN_GRID,
         base_config=config, bus_lines=scenario.bus_lines,
         workers=4,
     )
@@ -354,20 +352,14 @@ def test_validation_report_oracle():
     clock = Stopwatch(5.0)
     rng = random.Random(1005)
     real = [
-        DetectorSeries(
-            f"L{i}", tuple(rng.uniform(4.0, 40.0) for _ in range(WINDOWS_PER_DAY)), "real"
-        )
+        DetectorSeries(f"L{i}", tuple(rng.uniform(4.0, 40.0) for _ in range(WINDOWS_PER_DAY)))
         for i in range(6)
     ]
     sim = [
-        DetectorSeries(
-            s.detector_id,
-            tuple(c * (1.0 + 0.02 * i) for c in s.counts),
-            "simulated",
-        )
+        DetectorSeries(s.detector_id, tuple(c * (1.0 + 0.02 * i) for c in s.counts))
         for i, s in enumerate(real)
     ]
-    sim[3] = DetectorSeries("L3", tuple(0.5 * c for c in real[3].counts), "simulated")
+    sim[3] = DetectorSeries("L3", tuple(0.5 * c for c in real[3].counts))
 
     report = dataio.validate(real, sim)
     want = sorted((nrmse(r.counts, s.counts), r.detector_id) for r, s in zip(real, sim))

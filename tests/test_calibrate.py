@@ -73,18 +73,16 @@ def counts(*pairs):
 
 
 def test_detector_series_validated():
-    DetectorSeries("d", counts((0, 1)), "real")
+    DetectorSeries("d", counts((0, 1)))
     with pytest.raises(ValueError):
-        DetectorSeries("d", (1.0, 2.0), "real")  # not 96 windows
+        DetectorSeries("d", (1.0, 2.0))  # not 96 windows
     with pytest.raises(ValueError):
-        DetectorSeries("d", counts((0, -1)), "real")
-    with pytest.raises(ValueError):
-        DetectorSeries("d", counts(), "guessed")
+        DetectorSeries("d", counts((0, -1)))
 
 
 def test_aggregate_series_sums_windows():
-    a = DetectorSeries("a", counts((0, 1), (5, 2)), "real")
-    b = DetectorSeries("b", counts((0, 3), (95, 4)), "real")
+    a = DetectorSeries("a", counts((0, 1), (5, 2)))
+    b = DetectorSeries("b", counts((0, 3), (95, 4)))
     agg = aggregate_series([a, b])
     assert agg[0] == 4.0 and agg[5] == 2.0 and agg[95] == 4.0
     assert sum(agg) == 10.0
@@ -99,7 +97,6 @@ def test_sim_series_orders_by_detector():
     out = Simulation(net, plans, SimConfig(end=86400.0), detectors=dets).run()
     series = sim_series(out)
     assert [s.detector_id for s in series] == ["a", "z"]
-    assert all(s.origin == "simulated" for s in series)
     assert sum(series[0].counts) == 1.0
 
 
@@ -135,7 +132,7 @@ def tiny_sweep_inputs():
     dets = [Detector("d", "e_out", 0, 50.0)]
     cfg = SimConfig(end=86400.0, seed=5)
     truth = Simulation(net, plans, cfg, detectors=dets).run()
-    real = sim_series(truth, origin="real")
+    real = sim_series(truth)
     return net, plans, dets, real, cfg
 
 
@@ -176,7 +173,7 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     net = fixtures.two_route_network()
     plans = [RoutePlan(f"v{i:03d}", ("e_in", "e_dn", "e_out"), 10.0 + i) for i in range(10)]
     dets = [Detector("d", "e_out", 0, 50.0)]
-    real = sim_series(Simulation(net, plans, base, detectors=dets).run(), origin="real")
+    real = sim_series(Simulation(net, plans, base, detectors=dets).run())
 
     seen = []
 
@@ -194,13 +191,13 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
 
     seen.clear()
     trips = fixtures.two_route_trips(n=10, begin=10.0)
-    equilibrium.dua_iterate(net, trips, base, max_iter=1)
+    equilibrium.dua_iterate(net, trips, base, equilibrium.DuaConfig(max_iter=1))
     assert seen == [dataclasses.replace(base, rerouting_probability=0.0)]
 
 
 def test_sweep_checks_detector_ids():
     net, plans, dets, real, cfg = tiny_sweep_inputs()
-    stray = [DetectorSeries("other", counts((0, 1)), "real")]
+    stray = [DetectorSeries("other", counts((0, 1)))]
     with pytest.raises(ValueError):
         sweep_rerouting_probability(
             net, plans, dets, stray, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from trafcal import cli, dataio, demandgen, fixtures
+from trafcal import cli, dataio, demandgen, equilibrium, fixtures, netmodel
 from trafcal.demandgen import (
     AGE_BRACKETS,
     DemandConfig,
@@ -102,6 +102,13 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def write_one_trip(path):
+    """A trips file for the `ws` network: one trip along the chain."""
+    demandgen.write_trips(
+        demandgen.TripTable([demandgen.Trip("t0", 60.0, "e0", "e2", "work")]), path
+    )
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -154,17 +161,21 @@ def test_bad_config_file_exits_two(ws, tmp_path, capsys):
         assert "project.json" in err and key in err, (doc, err)
     # a section that becomes a dataclass is type-checked by the stage that
     # decodes it, and a bool is no number
+    write_one_trip(tmp_path / "trips.json")
     inputs = {
         "demand": ["demand", "generate", "--statistics", ws / "statistics.json"],
         "sim": ["sim", "run", "--routes", ws / "routes.json"],
         "sweep": ["calib", "sweep", "--routes", ws / "routes.json",
                   "--detectors", ws / "detectors.json",
                   "--measurements", ws / "measurements.csv"],
+        "equilibrium": ["dua", "iterate", "--trips", tmp_path / "trips.json"],
     }
     for section, key, value in (
         ("demand", "car_rate", "x"),
         ("sim", "rerouting_probability", True),
         ("sweep", "step", "0.1"),
+        ("equilibrium", "max_iter", "x"),
+        ("equilibrium", "max_iter", True),
     ):
         cfg.write_text(json.dumps({section: {key: value}}) + "\n")
         argv = [*inputs[section], "--network", ws / "net.json", "--output-dir", tmp_path / "out"]
@@ -174,18 +185,55 @@ def test_bad_config_file_exits_two(ws, tmp_path, capsys):
 
 
 def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
-    # fixture make reads the same sim section as sim run and rejects it
+    # fixture make reads the same sections as the stages and rejects them
     # the same way, before it writes a single file
     cfg = tmp_path / "project.json"
-    cfg.write_text('{"sim": {"step_length": 0}}\n')
     out = tmp_path / "out"
-    assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 2
-    assert "bad simulation settings" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    for doc, message in (
+        ({"sim": {"step_length": 0}}, "bad simulation settings"),
+        ({"sweep": {"step": 0}}, "bad sweep grid"),
+        ({"equilibrium": {"max_iter": 0}}, "bad assignment settings"),
+        ({"equilibrium": {"window": 0}}, "bad assignment settings"),
+        ({"equilibrium": {"alpha": 7.0}}, "bad assignment settings"),
+        ({"equilibrium": {"max_iter": "x"}}, "field 'max_iter' has wrong type"),
+    ):
+        cfg.write_text(json.dumps(doc) + "\n")
+        assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 2, doc
+        assert message in capsys.readouterr().err, doc
+        assert not out.exists() or not any(out.iterdir()), doc
     # a flag out of its range is rejected the same way
     assert run(["sim", "run", "--network", ws / "net.json", "--routes", ws / "routes.json",
                 "--time-to-teleport", "-5", "--output-dir", out]) == 2
     assert "time_to_teleport must be > 0" in capsys.readouterr().err
+    write_one_trip(tmp_path / "trips.json")
+    assert run(["dua", "iterate", "--network", ws / "net.json", "--trips", tmp_path / "trips.json",
+                "--window", "0", "--output-dir", out]) == 2
+    assert "bad assignment settings: window must be >= 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
+    # a partial section overlays the twin's settings key by key, and the
+    # written project reruns them at the seed the truth ran at
+    seen = []
+
+    def capture(net, trips, config, params):
+        seen.append((config.seed, params))
+        return equilibrium.DuaResult({}, [], False, [])
+
+    monkeypatch.setattr(equilibrium, "dua_iterate", capture)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"sim": {"seed": 3}, "equilibrium": {"max_iter": 2}}\n')
+    out = tmp_path / "out"
+    assert run(["fixture", "make", "--config", cfg, "--seed", "7", "--output-dir", out]) == 0
+    params = equilibrium.DuaConfig(max_iter=2, tol=0.05, window=3)
+    assert seen == [(7, params)]
+    project = json.loads((out / "project.json").read_text())
+    assert project["equilibrium"] == netmodel.record_to(params)
+    assert project["sweep"] == netmodel.record_to(fixtures.TWIN_GRID)
+    assert project["seed"] == 7 and "seed" not in project["sim"]
+    later = cli.build_parser().parse_args(["sim", "run", "--config", str(out / "project.json")])
+    assert cli._Ctx(later).settings("sim").seed == 7
 
 
 # -- net validate --------------------------------------------------------------

@@ -38,12 +38,12 @@ def full_day(det, date, base=0, bump=None):
     ]
 
 
-def series(det, counts, origin="real"):
-    return DetectorSeries(det, tuple(counts), origin=origin)
+def series(det, counts):
+    return DetectorSeries(det, tuple(counts))
 
 
-def flat(det, value, origin="real"):
-    return series(det, [value] * WINDOWS_PER_DAY, origin)
+def flat(det, value):
+    return series(det, [value] * WINDOWS_PER_DAY)
 
 
 # September 2023: the 5th is a Tuesday.
@@ -94,7 +94,6 @@ def test_ingest_averages_admitted_days():
     assert result.days_used == {"d1": 2}
     (s,) = result.series
     assert s.detector_id == "d1"
-    assert s.origin == "real"
     # mean of base 0 and base 2 is base 1
     assert s.counts == tuple(1 + (w % 7) for w in range(WINDOWS_PER_DAY))
 
@@ -258,8 +257,8 @@ def test_validate_ranks_detectors_by_error():
     sim = []
     for i, s in enumerate(real):
         scale = 1.0 + 0.03 * i
-        sim.append(series(s.detector_id, [scale * c for c in s.counts], "simulated"))
-    sim[2] = series("d2", [0.5 * c for c in real[2].counts], "simulated")  # injected outlier
+        sim.append(series(s.detector_id, [scale * c for c in s.counts]))
+    sim[2] = series("d2", [0.5 * c for c in real[2].counts])  # injected outlier
 
     report = validate(real, sim)
     want = sorted(
@@ -275,7 +274,7 @@ def test_validate_ranks_detectors_by_error():
 
 def test_validate_per_window_stats():
     real = [flat("d1", 4.0), flat("d2", 6.0)]
-    sim = [flat("d1", 5.0, "simulated"), flat("d2", 6.0, "simulated")]
+    sim = [flat("d1", 5.0), flat("d2", 6.0)]
     report = validate(real, sim)
     for ws in report.per_window:
         assert abs(ws.absolute_error - 1.0) < 1e-12
@@ -287,7 +286,7 @@ def test_validate_flags_silent_windows_and_detectors():
     counts = [0.0] * WINDOWS_PER_DAY
     counts[10] = 8.0
     real = [series("d_live", counts), flat("d_dead", 0.0)]
-    sim = [series("d_live", counts, "simulated"), flat("d_dead", 0.0, "simulated")]
+    sim = [series("d_live", counts), flat("d_dead", 0.0)]
     report = validate(real, sim)
     assert report.per_window[10].window_nrmse == 0.0
     assert report.per_window[0].window_nrmse is None
@@ -301,7 +300,7 @@ def test_validate_flags_silent_windows_and_detectors():
 
 def test_validate_requires_matching_detectors():
     with pytest.raises(DetectorMismatchError) as exc:
-        validate([flat("d1", 1.0)], [flat("d2", 1.0, "simulated")])
+        validate([flat("d1", 1.0)], [flat("d2", 1.0)])
     assert exc.value.missing == ["d1"]
     assert exc.value.extra == ["d2"]
     with pytest.raises(ValueError):
@@ -318,7 +317,7 @@ def test_report_round_trip(tmp_path):
         for i in range(3)
     ]
     sim = [
-        series(s.detector_id, [c + rng.uniform(0.0, 2.0) for c in s.counts], "simulated")
+        series(s.detector_id, [c + rng.uniform(0.0, 2.0) for c in s.counts])
         for s in real
     ]
     report = validate(real, sim)
@@ -344,8 +343,8 @@ def test_report_serializes_missing_scores_as_blank(tmp_path):
     # window 0 and d_dead carry no real traffic, so they have no score
     real = [flat("d_dead", 0.0), series("d_live", [0.0] + [3.0] * (WINDOWS_PER_DAY - 1))]
     sim = [
-        flat("d_dead", 0.0, "simulated"),
-        series("d_live", [1.0] + [4.0] * (WINDOWS_PER_DAY - 1), "simulated"),
+        flat("d_dead", 0.0),
+        series("d_live", [1.0] + [4.0] * (WINDOWS_PER_DAY - 1)),
     ]
     report = validate(real, sim)
     json_path = tmp_path / "report.json"

@@ -8,6 +8,7 @@ import pytest
 from trafcal import equilibrium, fixtures
 from trafcal.equilibrium import (
     Alternative,
+    DuaConfig,
     IterationMetrics,
     RouteSet,
     convergence_check,
@@ -145,6 +146,27 @@ def test_convergence_empty_rejected():
         convergence_check([], 0.1, 3)
 
 
+# -- assignment settings -----------------------------------------------------
+
+
+def test_dua_config_ranges():
+    assert DuaConfig() == DuaConfig(50, 0.01, 5, equilibrium.GAWRON_BETA,
+                                    equilibrium.GAWRON_ALPHA, equilibrium.MAX_ALTERNATIVES)
+    DuaConfig(max_iter=1, tol=0.0, window=1, beta=0.0, alpha=0.0, max_alternatives=1)
+    DuaConfig(alpha=1.0)
+    for bad, message in (
+        ({"max_iter": 0}, "max_iter"),
+        ({"window": 0}, "window"),
+        ({"tol": -0.01}, "tol"),
+        ({"beta": -1.0}, "beta"),
+        ({"alpha": -0.1}, "alpha"),
+        ({"alpha": 7.0}, "alpha"),
+        ({"max_alternatives": 0}, "max_alternatives"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DuaConfig(**bad)
+
+
 # -- experienced cost fallbacks ----------------------------------------------
 
 
@@ -188,7 +210,7 @@ def two_route_result(seed):
     net = fixtures.two_route_network()
     trips = fixtures.two_route_trips(n=200, interval=1.0)
     cfg = SimConfig(end=3600.0, step_length=1.0, seed=seed)
-    return dua_iterate(net, trips, cfg, max_iter=50, tol=0.1, window=5)
+    return dua_iterate(net, trips, cfg, DuaConfig(max_iter=50, tol=0.1, window=5))
 
 
 def test_two_route_assignment_balances():
