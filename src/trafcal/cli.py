@@ -361,6 +361,11 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     dua_params = ctx.settings("equilibrium", base=fixtures.TWIN_DUA)
     grid = ctx.settings("sweep", base=fixtures.TWIN_GRID)
     scenario = fixtures.twin_scenario(seed)
+    # the truth's demand, at the run seed like its simulation; the written
+    # statistics carry it on to `demand generate`
+    demand = dataclasses.replace(
+        ctx.settings("demand", base=scenario.demand_config), seed=seed
+    )
     out = ctx.out_path  # ensures the directory exists
 
     grid_path = out("grid.net.json")
@@ -369,8 +374,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     netmodel.save_network(scenario.net, net_path)
     stats_path = out("statistics.json")
     demandgen.save_statistics(
-        scenario.districts, scenario.gates, scenario.schools,
-        scenario.demand_config, stats_path,
+        scenario.districts, scenario.gates, scenario.schools, demand, stats_path,
     )
     det_path = out("detectors.json")
     save_detectors(scenario.detectors, det_path)
@@ -381,8 +385,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     # ground truth: the exact pipeline a user will run, ending in one
     # simulation at the hidden true rerouting probability
     table = demandgen.generate_trips(
-        scenario.districts, scenario.gates, scenario.schools,
-        scenario.demand_config, scenario.net,
+        scenario.districts, scenario.gates, scenario.schools, demand, scenario.net,
     )
     ctx.log(f"twin demand: {len(table)} trips")
     dua = equilibrium.dua_iterate(scenario.net, table, sim_cfg, dua_params)

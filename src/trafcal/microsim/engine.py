@@ -14,10 +14,30 @@ through one, so detectors, distance and edge times count every way alike.
 Bus stops are resolved once per trip, before the run. All randomness comes
 from named substreams of the run seed, and every container is walked in a
 sorted order, so equal seeds give byte-equal outputs.
+
+Loop layout. The active edges are kept sorted as they change, and one copy
+of that order serves both per-vehicle passes of a step, since the speed
+pass moves no vehicle. Both passes are flat loops over locals: an edge is
+read through one attribute tuple, a vehicle's type through its
+precomputed Krauss constants. The speed pass inlines the Krauss step of
+`carfollow.next_speed` with the same operations in the same order (a test
+holds it to that function), and a front vehicle's look across the
+junction: its next edge and signalised turn are cached on the vehicle
+whenever its route or edge changes, the signal state is read once per
+junction and step, and the room on the next edge is found as
+`_best_entry_lane` finds it. (Keeping that room for the rest of the pass
+was measured and dropped: fewer than one front in ten shares a next edge
+with an earlier one, and the lookups cost more than they saved.) The move
+pass lists the vehicles that have stood still long enough for an override
+or a teleport, so those phases look at nothing else. Crossing, overrides,
+teleports and insertion are cold paths: they use the one definition of
+`_crossing_state`, `_best_entry_lane`, `_exit_edge` and `_enter_edge`.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 import random
 from collections import deque
@@ -25,7 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from trafcal import netmodel
-from trafcal.microsim import carfollow, tls
+from trafcal.microsim import tls
 from trafcal.microsim.carfollow import BUS, CAR, VehicleType
 from trafcal.microsim.simio import DEFAULT_BUS_DWELL, BusLine, Detector, RoutePlan
 
@@ -96,12 +116,29 @@ class SimOutput:
     edge_mean_time: dict[str, float]
 
 
+def _kinematics(vtype: VehicleType, dt: float) -> tuple:
+    """The constants of one Krauss step of `vtype` over `dt`, each computed
+    as `carfollow.next_speed` computes it: (accel * dt, max speed,
+    -decel * tau, (decel * tau)^2, 2 * decel, sigma * accel * dt, min gap,
+    length)."""
+    bt = vtype.decel * vtype.tau
+    return (
+        vtype.accel * dt, vtype.max_speed, -bt, bt * bt, 2.0 * vtype.decel,
+        vtype.sigma * vtype.accel * dt, vtype.min_gap, vtype.length,
+    )
+
+
+def _in_sorted(items: list, item) -> bool:
+    at = bisect.bisect_left(items, item)
+    return at < len(items) and items[at] == item
+
+
 class _Vehicle:
     __slots__ = (
         "trip_id", "vtype", "route", "idx", "lane", "pos", "speed",
         "next_speed", "moved", "insert_time", "depart", "distance",
         "ff_done", "stopped_since", "teleports", "equipped",
-        "stops", "dwell", "dwell_until", "edge_entered",
+        "stops", "dwell", "dwell_until", "edge_entered", "kin", "ahead",
     )
 
     def __init__(self, plan: RoutePlan, vtype: VehicleType, equipped: bool):
@@ -113,7 +150,7 @@ class _Vehicle:
         self.pos = 0.0
         self.speed = 0.0
         self.next_speed = 0.0
-        self.moved = -1
+        self.moved = -1  # the step in which it last reached its stop line
         self.insert_time = 0.0
         self.depart = plan.depart
         self.distance = 0.0
@@ -125,6 +162,8 @@ class _Vehicle:
         self.dwell = DEFAULT_BUS_DWELL
         self.dwell_until = -math.inf
         self.edge_entered = 0.0
+        self.kin: tuple = ()  # _kinematics of its type
+        self.ahead: Optional[tuple] = None  # see Simulation._look_ahead
 
 
 class Simulation:
@@ -182,7 +221,7 @@ class Simulation:
         self.lanes: dict[str, list[deque]] = {
             e.id: [deque() for _ in range(e.lane_count)] for e in net.edges.values()
         }
-        self.active_edges: set[str] = set()
+        self.active_edges: list[str] = []  # edges with a vehicle, sorted
         self.vehicles: dict[str, _Vehicle] = {}
         self.results: dict[str, VehicleResult] = {}
 
@@ -194,13 +233,20 @@ class Simulation:
             c for c in self.controllers.values() if isinstance(c, tls.ActuatedTls)
         ]
         self._tls_cache: dict[str, str] = {}
-        # (in_edge, out_edge) -> (junction id, index into the state string)
-        self._conn_index: dict[tuple[str, str], tuple[str, int]] = {}
-        for jid in net.tls_programs:
-            for i, conn in enumerate(net.connections(jid)):
-                self._conn_index[conn] = (jid, i)
-
         self.detectors = list(detectors)
+        detected = {det.edge_id for det in self.detectors}
+        # edge id -> (length, speed limit, lanes, signalised turns, whether
+        # it has detectors), where a signalised turn maps an out edge to
+        # (junction id, index into the state string); the per-vehicle loops
+        # read an edge through these
+        self._edge_info: dict[str, tuple[float, float, list[deque], dict, bool]] = {
+            e.id: (e.length, e.speed_limit, self.lanes[e.id], {}, e.id in detected)
+            for e in net.edges.values()
+        }
+        for jid in net.tls_programs:
+            for i, (ein, eout) in enumerate(net.connections(jid)):
+                self._edge_info[ein][3][eout] = (jid, i)
+
         self._lane_detectors: dict[tuple[str, int], list[Detector]] = {}
         for det in self.detectors:
             self._lane_detectors.setdefault((det.edge_id, det.lane), []).append(det)
@@ -265,7 +311,7 @@ class Simulation:
     # -- access helpers -----------------------------------------------------
 
     def _crossing_state(self, ein: str, eout: str, now: float) -> str:
-        key = self._conn_index.get((ein, eout))
+        key = self._edge_info[ein][3].get(eout)
         if key is None:
             return "G"
         jid, i = key
@@ -278,8 +324,8 @@ class Simulation:
     def _best_entry_lane(self, edge_id: str) -> tuple[int, float, Optional[_Vehicle]]:
         """Lane with the most room at the edge start: (lane, rear space, last vehicle)."""
         best_li, best_space, best_last = 0, -math.inf, None
-        length = self.net.edges[edge_id].length
-        for li, lane in enumerate(self.lanes[edge_id]):
+        length, _, lanes, _, _ = self._edge_info[edge_id]
+        for li, lane in enumerate(lanes):
             if lane:
                 last = lane[-1]
                 space = last.pos - last.vtype.length
@@ -290,9 +336,21 @@ class Simulation:
                 best_li, best_space, best_last = li, space, last
         return best_li, best_space, best_last
 
+    def _look_ahead(self, veh: _Vehicle) -> None:
+        """Set what the vehicle meets at the end of its edge, for the speed
+        pass: (next edge, its signalised turn or None), or None on the last
+        edge of its route. Whatever changes `route` or `idx` calls this."""
+        j = veh.idx + 1
+        if j >= len(veh.route):
+            veh.ahead = None
+        else:
+            nxt = veh.route[j]
+            veh.ahead = (nxt, self._edge_info[veh.route[veh.idx]][3].get(nxt))
+
     def _deactivate_if_empty(self, eid: str) -> None:
         if not any(self.lanes[eid]):
-            self.active_edges.discard(eid)
+            order = self.active_edges
+            del order[bisect.bisect_left(order, eid)]
 
     # -- main loop ----------------------------------------------------------
 
@@ -336,16 +394,18 @@ class Simulation:
             self._tls_cache = {}
             if self._actuated:
                 self._step_actuated(now)
-            self._compute_speeds(now, dt)
-            self._move(now, dt, k)
-            self._blocker_overrides(now)
-            self._teleports(now)
+            # the speed pass moves no vehicle, so both passes walk one order
+            edges = self.active_edges[:]
+            self._compute_speeds(edges, now, dt)
+            stalled = self._move(edges, now, dt, k)
+            self._blocker_overrides(now, stalled)
+            self._teleports(now, stalled)
 
             while pending_i < len(plans) and plans[pending_i].depart <= now:
                 waiting.append(plans[pending_i])
                 pending_i += 1
             if waiting:
-                waiting = [p for p in waiting if not self._try_insert(p, now)]
+                waiting = self._insert_waiting(waiting, now)
 
             if now >= next_reroute:
                 self._flush_speed_estimates()
@@ -387,99 +447,164 @@ class Simulation:
             green = {ein for (ein, _), ch in zip(conns, ctrl.state(now)) if ch == "G"}
             ctrl.step(now, any(
                 self.net.edges[ein].length - lane[0].pos <= tls.DETECTION_RANGE
-                for ein in green & self.active_edges
+                for ein in green
                 for lane in self.lanes[ein] if lane
             ))
 
-    def _compute_speeds(self, now: float, dt: float) -> None:
-        net = self.net
+    def _compute_speeds(self, edges: list[str], now: float, dt: float) -> None:
+        """Give every vehicle on `edges` its speed for this step: the Krauss
+        step of `carfollow.next_speed`, inlined with the same operations in
+        the same order. A lane's front vehicle follows the last vehicle of
+        the lane it would enter next, or stops at a line without green."""
         noise = self._noise.random
-        for eid in sorted(self.active_edges):
-            edge = net.edges[eid]
-            v_lim = edge.speed_limit
-            for lane in self.lanes[eid]:
-                leader: Optional[_Vehicle] = None
+        sqrt = math.sqrt
+        info = self._edge_info
+        tls_cache = self._tls_cache
+        controllers = self.controllers
+        inf = math.inf
+        for eid in edges:
+            length, v_lim, lanes, _, _ = info[eid]
+            for lane in lanes:
+                lead_rear = None
+                lead_speed = 0.0
                 for veh in lane:
+                    pos = veh.pos
+                    accel_dt, max_speed, neg_bt, bt2, two_decel, slow_dt, min_gap, vlen = veh.kin
                     if veh.dwell_until > now:
                         veh.next_speed = 0.0
-                        leader = veh
+                        lead_rear = pos - vlen
+                        lead_speed = veh.speed
                         continue
-                    vt = veh.vtype
-                    if leader is not None:
-                        gap = leader.pos - leader.vtype.length - veh.pos - vt.min_gap
-                        lead_speed = leader.speed
+                    speed = veh.speed
+                    v = speed + accel_dt
+                    v_max = v_lim if v_lim < max_speed else max_speed
+                    if v > v_max:
+                        v = v_max
+                    if lead_rear is not None:
+                        gap = lead_rear - pos - min_gap
                     else:
-                        gap, lead_speed = self._front_gap(veh, edge, now)
-                    v_max = v_lim if v_lim < vt.max_speed else vt.max_speed
-                    v = carfollow.next_speed(
-                        veh.speed, v_max, gap, lead_speed, vt, dt, noise()
-                    )
+                        # the front vehicle looks across the junction
+                        ahead = veh.ahead
+                        if ahead is None:
+                            gap = None  # arrival: free run off the end
+                        else:
+                            nxt, turn = ahead
+                            if turn is None:
+                                green = True
+                            else:
+                                jid, ci = turn
+                                state = tls_cache.get(jid)
+                                if state is None:
+                                    state = tls_cache[jid] = controllers[jid].state(now)
+                                green = ci < len(state) and state[ci] == "G"
+                            if not green:
+                                gap = length - pos  # red or amber: the line is a wall
+                                lead_speed = 0.0
+                            else:
+                                # the room and last vehicle _best_entry_lane finds
+                                n_length, _, n_lanes, _, _ = info[nxt]
+                                space = -inf
+                                last = None
+                                for n_lane in n_lanes:
+                                    if n_lane:
+                                        n_last = n_lane[-1]
+                                        n_space = n_last.pos - n_last.kin[7]
+                                    else:
+                                        n_last = None
+                                        n_space = n_length
+                                    if n_space > space:
+                                        space, last = n_space, n_last
+                                if last is None:
+                                    gap = None
+                                else:
+                                    gap = length - pos + space - min_gap
+                                    lead_speed = last.speed
+                    if gap is not None:
+                        if gap <= 0:
+                            vs = 0.0
+                        else:
+                            vs = neg_bt + sqrt(bt2 + lead_speed * lead_speed + two_decel * gap)
+                            if vs <= 0.0:
+                                vs = 0.0
+                        if vs < v:
+                            v = vs
+                    v = v - slow_dt * noise()
+                    if v < 0.0:
+                        v = 0.0
                     # a pending stop on this edge caps how far the step reaches
-                    if veh.stops and veh.stops[0][0] == veh.idx:
-                        reach = veh.stops[0][1] - veh.pos
+                    stops = veh.stops
+                    if stops and stops[0][0] == veh.idx:
+                        reach = stops[0][1] - pos
                         if reach >= 0 and v * dt > reach:
                             v = reach / dt
                     veh.next_speed = v
-                    leader = veh
+                    lead_rear = pos - vlen
+                    lead_speed = speed
 
-    def _front_gap(self, veh: _Vehicle, edge, now: float) -> tuple[float, float]:
-        """Gap and leader speed for a lane's front vehicle, looking across
-        the junction into the lane it would enter next."""
-        remain = edge.length - veh.pos
-        if veh.idx + 1 >= len(veh.route):
-            return math.inf, 0.0  # arrival: free run off the end
-        nxt = veh.route[veh.idx + 1]
-        if self._crossing_state(edge.id, nxt, now) != "G":
-            return remain, 0.0  # red or amber: the stop line is a wall
-        _, space, last = self._best_entry_lane(nxt)
-        if last is None:
-            return math.inf, 0.0
-        return remain + space - veh.vtype.min_gap, last.speed
+    def _move(self, edges: list[str], now: float, dt: float, k: int) -> list[_Vehicle]:
+        """Advance every vehicle on `edges` by its new speed. Only a lane's
+        front vehicle can leave it; one that cannot holds at the line.
 
-    def _move(self, now: float, dt: float, k: int) -> None:
-        net = self.net
-        for eid in sorted(self.active_edges):
-            edge = net.edges[eid]
-            length = edge.length
-            for li, lane in enumerate(self.lanes[eid]):
-                prev_rear = math.inf
-                i = 0
-                while i < len(lane):
-                    veh = lane[i]
+        Returns every vehicle in the network that has stood still for at
+        least the shorter of the junction-blocker and teleport thresholds,
+        whether it stayed on its edge or crept over the stop line; the two
+        phases after this one look at no other vehicle."""
+        info = self._edge_info
+        cfg = self.config
+        waited = min(cfg.ignore_junction_blocker, cfg.time_to_teleport)
+        stop_speed = STOP_SPEED
+        inf = math.inf
+        vehicles = self.vehicles
+        stalled = []
+        for eid in edges:
+            length, _, lanes, _, detected = info[eid]
+            for li, lane in enumerate(lanes):
+                if not lane:
+                    continue
+                prev_rear = inf
+                front = True  # every vehicle walked so far left the lane
+                for veh in tuple(lane):
                     if veh.moved == k:
-                        prev_rear = veh.pos - veh.vtype.length
-                        i += 1
-                        continue
-                    veh.moved = k
+                        break  # the rest entered this step from other edges
                     v = veh.next_speed
-                    new_pos = veh.pos + v * dt
+                    pos = veh.pos
+                    new_pos = pos + v * dt
                     if new_pos > length:
-                        if i == 0 and self._cross(
-                            veh, eid, new_pos - length, v, now, dt
-                        ):
-                            continue  # left this lane; deque index stays put
+                        veh.moved = k
+                        if front and self._cross(veh, eid, new_pos - length, v, now, dt):
+                            # it keeps its waiting clock when it creeps over
+                            since = veh.stopped_since
+                            if (
+                                since is not None and now - since >= waited
+                                and veh.trip_id in vehicles
+                            ):
+                                stalled.append(veh)
+                            continue
                         new_pos = length
                         v = 0.0
+                    front = False
                     if new_pos > prev_rear:  # should be unreachable
                         self.totals["collisions"] += 1
                         new_pos = prev_rear
                         v = 0.0
-                    if new_pos > veh.pos:
-                        self._detector_sweep(eid, li, veh.pos, new_pos, now)
-                        new_pos = self._bus_stop_check(veh, new_pos, now)
-                    veh.distance += new_pos - veh.pos
+                    if new_pos > pos:
+                        if detected:
+                            self._detector_sweep(eid, li, pos, new_pos, now)
+                        if veh.stops:
+                            new_pos = self._bus_stop_check(veh, new_pos, now)
+                    veh.distance += new_pos - pos
                     veh.pos = new_pos
                     veh.speed = v
-                    self._after_move(veh, now)
-                    prev_rear = veh.pos - veh.vtype.length
-                    i += 1
-
-    def _after_move(self, veh: _Vehicle, now: float) -> None:
-        if veh.speed < STOP_SPEED:
-            if veh.stopped_since is None:
-                veh.stopped_since = now
-        else:
-            veh.stopped_since = None
+                    if v < stop_speed:
+                        since = veh.stopped_since
+                        if since is None:
+                            since = veh.stopped_since = now
+                        if now - since >= waited:
+                            stalled.append(veh)
+                    else:
+                        veh.stopped_since = None
+                    prev_rear = new_pos - veh.kin[7]
+        return stalled
 
     def _bus_stop_check(self, veh: _Vehicle, new_pos: float, now: float) -> float:
         """Begin a dwell when the step reaches the next scheduled stop."""
@@ -552,19 +677,25 @@ class Simulation:
         if not driven:
             veh.stops = [s for s in veh.stops if s >= (j, pos)]
         veh.idx = j
+        self._look_ahead(veh)
         veh.lane = li
         veh.speed = speed
         veh.edge_entered = now
         self.lanes[eid][li].append(veh)
-        self.active_edges.add(eid)
+        if not _in_sorted(self.active_edges, eid):
+            bisect.insort(self.active_edges, eid)
         veh.pos = self._bus_stop_check(veh, pos, now)
         if driven:
             self._detector_sweep(eid, li, -1.0, veh.pos, now)
             veh.distance += veh.pos
         if stopped_since is not None:
             veh.stopped_since = stopped_since
-        elif driven:
-            self._after_move(veh, now)
+        elif driven:  # the waiting clock, as after any move
+            if speed < STOP_SPEED:
+                if veh.stopped_since is None:
+                    veh.stopped_since = now
+            else:
+                veh.stopped_since = None
 
     def _flush_speed_estimates(self) -> None:
         """Fold the period's observed edge speeds into the running estimate."""
@@ -587,43 +718,66 @@ class Simulation:
                 )
                 self.counts[det.id][w] += 1
 
-    def _blocker_overrides(self, now: float) -> None:
-        cfg = self.config
-        for eid in sorted(self.active_edges):
-            edge = self.net.edges[eid]
-            for lane in self.lanes[eid]:
-                if not lane:
-                    continue
-                veh = lane[0]
-                if (
-                    veh.stopped_since is None
-                    or now - veh.stopped_since < cfg.ignore_junction_blocker
-                    # a follower blocked by the next edge parks up to one
-                    # min_gap short of the line in addition to AT_LINE
-                    or edge.length - veh.pos > veh.vtype.min_gap + AT_LINE
-                    or veh.idx + 1 >= len(veh.route)
-                    or veh.dwell_until > now
-                ):
-                    continue
-                nxt = veh.route[veh.idx + 1]
-                if self._crossing_state(eid, nxt, now) != "G":
-                    continue
-                li_new, space, _ = self._best_entry_lane(nxt)
-                if space <= OVERRIDE_MIN_SPACE:
-                    continue
-                self._exit_edge(veh, now)
-                self._enter_edge(
-                    veh, veh.idx + 1, li_new, 0.0, 0.0, now, driven=True,
-                    stopped_since=now,
-                )
+    def _blocker_overrides(self, now: float, stalled: list[_Vehicle]) -> None:
+        """Push a lane's front vehicle that has waited at the line for
+        `ignore_junction_blocker` seconds into the next edge if it has any
+        room at all. Lanes are taken in the order of the edges active when
+        the phase begins, then of lane index. Only a lane whose front is in
+        `stalled`, or one an override fills from empty, can have such a
+        front."""
+        ignore = self.config.ignore_junction_blocker
+        lanes = self.lanes
+        fronts = set()
+        for veh in stalled:
+            eid = veh.route[veh.idx]
+            if lanes[eid][veh.lane][0] is veh:
+                fronts.add((eid, veh.lane))
+        if not fronts:
+            return
+        todo = sorted(fronts)  # a sorted list is a heap
+        active = self.active_edges[:]  # as the phase begins
+        while todo:
+            eid, li = heapq.heappop(todo)
+            veh = lanes[eid][li][0]
+            if (
+                veh.stopped_since is None
+                or now - veh.stopped_since < ignore
+                # a follower blocked by the next edge parks up to one
+                # min_gap short of the line in addition to AT_LINE
+                or self._edge_info[eid][0] - veh.pos > veh.vtype.min_gap + AT_LINE
+                or veh.idx + 1 >= len(veh.route)
+                or veh.dwell_until > now
+            ):
+                continue
+            nxt = veh.route[veh.idx + 1]
+            if self._crossing_state(eid, nxt, now) != "G":
+                continue
+            li_new, space, _ = self._best_entry_lane(nxt)
+            if space <= OVERRIDE_MIN_SPACE:
+                continue
+            self._exit_edge(veh, now)
+            self._enter_edge(
+                veh, veh.idx + 1, li_new, 0.0, 0.0, now, driven=True,
+                stopped_since=now,
+            )
+            # a vehicle that fills an empty lane fronts it: the walk still
+            # reaches that lane if it comes later and its edge was active
+            if (
+                lanes[nxt][li_new][0] is veh
+                and (nxt, li_new) > (eid, li)
+                and _in_sorted(active, nxt)
+            ):
+                heapq.heappush(todo, (nxt, li_new))
 
-    def _teleports(self, now: float) -> None:
+    def _teleports(self, now: float, stalled: list[_Vehicle]) -> None:
         """Relocate vehicles stuck past the threshold to the first edge on
         their remaining route with room; no vehicle is ever dropped, one
         that cannot be placed keeps waiting in place."""
+        if not stalled:
+            return
         cfg = self.config
         stuck = [
-            v for v in self.vehicles.values()
+            v for v in stalled
             if v.stopped_since is not None
             and now - v.stopped_since >= cfg.time_to_teleport
             and v.dwell_until <= now
@@ -651,22 +805,35 @@ class Simulation:
                 stopped_since=now,
             )
 
-    def _try_insert(self, plan: RoutePlan, now: float) -> bool:
-        eid = plan.edges[0]
-        if eid not in self.net.edges:
-            raise KeyError(f"trip '{plan.trip_id}': unknown edge '{eid}'")
-        vtype = self.vehicle_types.get(plan.mode, CAR)
-        li, space, _ = self._best_entry_lane(eid)
-        if space < vtype.min_gap:
-            return False
-        veh = _Vehicle(plan, vtype, self._equipped.get(plan.trip_id, False))
-        stops, veh.dwell = self._bus_stops.get(plan.trip_id, ((), DEFAULT_BUS_DWELL))
-        veh.stops = list(stops)
-        veh.insert_time = now
-        self._enter_edge(veh, 0, li, 0.0, 0.0, now, driven=False)
-        self.vehicles[plan.trip_id] = veh
-        self.totals["departed"] += 1
-        return True
+    def _insert_waiting(self, waiting: list[RoutePlan], now: float) -> list[RoutePlan]:
+        """Insert each waiting plan, in order, whose first edge has room;
+        return the plans still waiting. Only an insertion on an edge changes
+        it during the round, so an edge's entry lane is looked up once and
+        again only after an insertion there: a plan for a full edge is
+        passed over without any lookup."""
+        entry: dict[str, tuple] = {}  # edge -> _best_entry_lane, this round
+        left = []
+        for plan in waiting:
+            eid = plan.edges[0]
+            ent = entry.get(eid)
+            if ent is None:
+                if eid not in self.net.edges:
+                    raise KeyError(f"trip '{plan.trip_id}': unknown edge '{eid}'")
+                ent = entry[eid] = self._best_entry_lane(eid)
+            vtype = self.vehicle_types.get(plan.mode, CAR)
+            if ent[1] < vtype.min_gap:
+                left.append(plan)
+                continue
+            del entry[eid]
+            veh = _Vehicle(plan, vtype, self._equipped.get(plan.trip_id, False))
+            veh.kin = _kinematics(vtype, self.config.step_length)
+            stops, veh.dwell = self._bus_stops.get(plan.trip_id, ((), DEFAULT_BUS_DWELL))
+            veh.stops = list(stops)
+            veh.insert_time = now
+            self._enter_edge(veh, 0, ent[0], 0.0, 0.0, now, driven=False)
+            self.vehicles[plan.trip_id] = veh
+            self.totals["departed"] += 1
+        return left
 
     def _reroute(self, now: float) -> None:
         est = self._est_speed
@@ -682,6 +849,7 @@ class Simulation:
             new_tail = routes.route(veh.route[veh.idx], veh.route[-1])
             if new_tail is not None and new_tail != veh.route[veh.idx:]:
                 veh.route = veh.route[: veh.idx] + new_tail
+                self._look_ahead(veh)
 
     # -- results ------------------------------------------------------------
 

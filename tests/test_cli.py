@@ -236,6 +236,31 @@ def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
     assert cli._Ctx(later).settings("sim").seed == 7
 
 
+def test_fixture_make_generates_the_demand_section(tmp_path, monkeypatch):
+    # a `demand` section overlays the twin's demand for the truth, and the
+    # written statistics carry it on to `demand generate`
+    seen = []
+
+    def capture(net, trips, config, params):
+        seen.append(len(trips))
+        return equilibrium.DuaResult({}, [], False, [])
+
+    monkeypatch.setattr(equilibrium, "dua_iterate", capture)
+    configs = {}
+    for name, doc in (("plain", {}), ("no_cars", {"demand": {"car_rate": 0.0, "seed": 3}})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc) + "\n")
+        out = tmp_path / name
+        assert run(["fixture", "make", "--config", cfg, "--seed", "7", "--output-dir", out]) == 0
+        configs[name] = json.loads((out / "statistics.json").read_text())["config"]
+    twin = fixtures.twin_scenario(7).demand_config
+    assert configs["plain"] == netmodel.record_to(twin)
+    # the section's `seed` is ignored: the truth's demand runs at the run
+    # seed, as `demand generate` will
+    assert configs["no_cars"] == {**netmodel.record_to(twin), "car_rate": 0.0}
+    assert seen[1] < seen[0]
+
+
 # -- net validate --------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from trafcal.microsim import SimConfig, Simulation
 from trafcal.microsim.carfollow import VehicleType
+from trafcal.microsim.engine import STOP_SPEED
 from trafcal.microsim.simio import BusLine, Detector, RoutePlan
 from trafcal.netmodel import (
     BusStop,
@@ -260,6 +261,202 @@ def test_different_seed_differs():
         or a.detector_counts != b.detector_counts
         or a.totals != b.totals
     )
+
+
+def busy_grid(logic, lanes, n, spread, seed, vehicle_types=None, **config):
+    """A 4x4 grid with `n` random trips departing within `spread` seconds
+    (every tenth one a bus), a bus line over two stops and a 5-minute loop
+    on every 7th edge."""
+    import random
+
+    from trafcal import demandgen, fixtures
+
+    stops = (BusStop("s1", "e01_02", 100.0), BusStop("s2", "e02_03", 60.0))
+    net = fixtures.grid_network(n=4, lane_count=lanes, logic=logic, bus_stops=stops)
+    rng = random.Random(seed)
+    pool = sorted(net.edges)
+    trips = demandgen.TripTable([
+        demandgen.Trip(f"t{i:04d}", rng.uniform(0.0, spread), rng.choice(pool),
+                       rng.choice(pool), "free_time")
+        for i in range(n)
+    ])
+    plans = [
+        RoutePlan(p.trip_id, p.edges, p.depart, "bus") if i % 10 == 0 else p
+        for i, p in enumerate(demandgen.expand_routes(trips, net).routes)
+    ]
+    line = BusLine(
+        "L", ("s1", "s2"), ("e00_01", "e01_02", "e02_03"),
+        tuple(60.0 * i for i in range(10)), dwell=30.0,
+    )
+    dets = [Detector(f"d{i}", eid, 0, 100.0, window=300.0) for i, eid in enumerate(pool[::7])]
+    return Simulation(
+        net, plans, cfg(end=3600.0, seed=seed, **config), dets, [line], vehicle_types,
+    )
+
+
+def output_digest(out):
+    import dataclasses
+    import hashlib
+    import json
+
+    doc = json.dumps(dataclasses.asdict(out), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+# SHA-256 of every SimOutput field, frozen from the engine before its hot
+# loop was inlined; any change to the order of floating-point operations
+# or random draws moves them. Keyed by (logic, lanes, trips, spread, seed,
+# rerouting probability, time_to_teleport, ignore_junction_blocker).
+PINNED_OUTPUTS = {
+    ("actuated", 2, 2500, 900.0, 5, 0.5, 60.0, 15.0):
+        "4fb13515fb80256213918d12a77960f47cfe18d9f5d344313f197f97097820fe",
+    ("static", 1, 600, 900.0, 5, 0.5, 60.0, 15.0):
+        "029cb6d2b36b7c9aeb55187bc046149104793ca90d41023d96e57f64c7ddac91",
+    ("static", 2, 900, 600.0, 5, 0.5, 60.0, 15.0):
+        "ffeb9de3bdeb4ccbaf45825716167f2274b9bf8189a4690ed412250f4166c546",
+    ("static", 1, 1200, 600.0, 5, 0.5, 60.0, 0.0):
+        "97d96ff2c7b28064b29a4fbcab526ef8ab6ce4458267408351086114393cf092",
+    # a vehicle creeps over a stop line in the step its teleport clock
+    # runs out, and is teleported from the edge it crept onto
+    ("static", 1, 900, 600.0, 1, 0.0, 30.0, 1000.0):
+        "bc8ceae20774d816805af3c98f0e7a770fc797bcd989b45295f295a822a69ebe",
+}
+
+
+def test_engine_outputs_are_pinned():
+    fired = dict.fromkeys(
+        ("detector", "dwell", "route_changed", "teleport", "override", "actuated",
+         "creep_at_teleport"), 0
+    )
+    digests = {}
+    for key in PINNED_OUTPUTS:
+        logic, lanes, n, spread, seed, p, teleport, ignore = key
+        sim = busy_grid(
+            logic, lanes, n, spread, seed=seed, rerouting_probability=p,
+            rerouting_period=60.0, time_to_teleport=teleport,
+            ignore_junction_blocker=ignore,
+        )
+        reroute, overrides, cross = sim._reroute, sim._blocker_overrides, sim._cross
+
+        def counted_reroute(now, *args):
+            before = {tid: veh.route for tid, veh in sim.vehicles.items()}
+            reroute(now, *args)
+            fired["route_changed"] += sum(
+                sim.vehicles[tid].route is not route for tid, route in before.items()
+            )
+
+        def counted_overrides(now, *args):
+            before = sum(veh.idx for veh in sim.vehicles.values())
+            overrides(now, *args)
+            fired["override"] += sum(veh.idx for veh in sim.vehicles.values()) - before
+
+        def counted_cross(veh, eid, overshoot, v, now, *args):
+            crossed = cross(veh, eid, overshoot, v, now, *args)
+            fired["creep_at_teleport"] += (
+                crossed and v < STOP_SPEED and veh.trip_id in sim.vehicles
+                and now - veh.stopped_since >= teleport
+            )
+            return crossed
+
+        sim._reroute, sim._blocker_overrides = counted_reroute, counted_overrides
+        sim._cross = counted_cross
+        for ctrl in sim._actuated:
+            def counted_step(now, approach_active, step=ctrl.step):
+                fired["actuated"] += bool(approach_active)
+                step(now, approach_active)
+
+            ctrl.step = counted_step
+
+        def probe(sim, now):
+            fired["dwell"] += any(v.dwell_until > now for v in sim.vehicles.values())
+
+        out = sim.run(probe=probe)
+        assert out.totals["collisions"] == 0
+        fired["detector"] += sum(map(sum, out.detector_counts.values()))
+        fired["teleport"] += out.totals["teleports"]
+        digests[key] = output_digest(out)
+    assert all(fired.values()), fired
+    assert digests == PINNED_OUTPUTS
+
+
+def test_override_chains_are_pinned():
+    # on edges shorter than min_gap + AT_LINE a vehicle pushed into an
+    # empty lane by a junction-blocker override can be pushed on again in
+    # the same step, when that lane comes later in the walk; digest frozen
+    # like PINNED_OUTPUTS
+    import random
+
+    from trafcal import demandgen, fixtures
+
+    net = fixtures.grid_network(n=4, spacing=3.0, lane_count=2)
+    rng = random.Random(2)
+    pool = sorted(net.edges)
+    trips = demandgen.TripTable([
+        demandgen.Trip(f"t{i:04d}", rng.uniform(0.0, 300.0), rng.choice(pool),
+                       rng.choice(pool), "free_time")
+        for i in range(300)
+    ])
+    plans = demandgen.expand_routes(trips, net).routes
+    sim = Simulation(
+        net, plans, cfg(end=1200.0, seed=2, ignore_junction_blocker=0.0, time_to_teleport=20.0)
+    )
+    overrides = sim._blocker_overrides
+    chained = 0
+
+    def counted_overrides(now, *args):
+        nonlocal chained
+        before = {tid: veh.idx for tid, veh in sim.vehicles.items()}
+        overrides(now, *args)
+        chained += sum(veh.idx - before[tid] >= 2 for tid, veh in sim.vehicles.items())
+
+    sim._blocker_overrides = counted_overrides
+    out = sim.run()
+    assert chained > 0
+    # vehicles longer than their 3 m edges overlap; the engine counts that
+    assert output_digest(out) == (
+        "00fe84b45357efe4f587b8027f4c3c3571061accbd5cc03bd43715544eeac648"
+    )
+
+
+def test_followers_move_as_the_car_following_model_says():
+    # with sigma = 0 the engine's inlined speed step must give exactly what
+    # carfollow.next_speed gives for each follower's previous state
+    from trafcal.microsim import carfollow
+
+    types = {
+        "car": VehicleType(sigma=0.0),
+        "bus": VehicleType(id="bus", accel=1.2, decel=4.0, sigma=0.0, length=12.0,
+                           max_speed=25.0),
+    }
+    sim = busy_grid("static", 1, 800, 600.0, seed=3, vehicle_types=types)
+    prev = {}
+    checked = 0
+
+    def probe(sim, now):
+        nonlocal prev, checked
+        for trip_id, (idx, li, args) in prev.items():
+            veh = sim.vehicles.get(trip_id)
+            if veh is None or veh.idx != idx or veh.lane != li:
+                continue  # arrived, crossed, overridden or teleported
+            if veh.pos >= sim.net.edges[veh.route[idx]].length:
+                continue  # held at the stop line after its leader left
+            assert veh.speed == carfollow.next_speed(*args, 1.0, 0.0), (trip_id, now)
+            checked += 1
+        prev = {}
+        for eid in sim.active_edges:
+            v_lim = sim.net.edges[eid].speed_limit
+            for li, lane in enumerate(sim.lanes[eid]):
+                for lead, veh in zip(lane, list(lane)[1:]):
+                    vt = veh.vtype
+                    if veh.dwell_until > now or (veh.stops and veh.stops[0][0] == veh.idx):
+                        continue  # held by a dwell, or capped by the next stop
+                    gap = lead.pos - lead.vtype.length - veh.pos - vt.min_gap
+                    args = (veh.speed, min(v_lim, vt.max_speed), gap, lead.speed, vt)
+                    prev[veh.trip_id] = (veh.idx, li, args)
+
+    out = sim.run(probe=probe)
+    assert out.totals["collisions"] == 0
+    assert checked > 10_000
 
 
 # -- recovery: teleports and junction blockers -------------------------------
