@@ -13,7 +13,7 @@ import dataclasses
 import datetime
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from trafcal import netmodel
 from trafcal.calibrate import (
@@ -52,24 +52,34 @@ class DetectorMismatchError(ValueError):
         self.extra = extra
 
 
-@dataclass(frozen=True)
-class RawMeasurement:
-    """One loop count; a window off the day's quarter-hour grid or a
-    negative count raises MeasurementFormatError."""
-
+class _Measurement(NamedTuple):
     detector_id: str
     date: datetime.date
     window_start: int  # seconds-of-day, multiple of 900
     count: int
 
-    def __post_init__(self):
-        if self.window_start % WINDOW_S != 0 or not 0 <= self.window_start < 86400:
+
+class RawMeasurement(_Measurement):
+    """One loop count, an immutable tuple that unpacks as
+    `(detector_id, date, window_start, count)`. A window off the day's
+    quarter-hour grid or a negative count raises MeasurementFormatError."""
+
+    __slots__ = ()
+
+    def __new__(cls, detector_id: str, date: datetime.date, window_start: int, count: int):
+        if window_start % WINDOW_S != 0 or not 0 <= window_start < 86400:
             raise MeasurementFormatError(
-                f"record for '{self.detector_id}': window_start {self.window_start}"
+                f"record for '{detector_id}': window_start {window_start}"
                 " not a quarter-hour of the day"
             )
-        if self.count < 0:
-            raise MeasurementFormatError(f"record for '{self.detector_id}': negative count")
+        if count < 0:
+            raise MeasurementFormatError(f"record for '{detector_id}': negative count")
+        return tuple.__new__(cls, (detector_id, date, window_start, count))
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`; route it through the check too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -130,15 +140,35 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+class _ParseOnce(dict):
+    """Cell text -> `parse(text)`, parsing each distinct text once."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
 def read_measurements_csv(path) -> list[RawMeasurement]:
-    return list(
-        netmodel.read_csv(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError, _measurement_row)
-    )
+    """Every record of a measurement file, each checked by RawMeasurement.
 
+    A detector id, date or number repeats on many rows, so each distinct
+    cell text is parsed once and its value shared by every row holding it.
+    """
+    names = _ParseOnce(str)
+    dates = _ParseOnce(datetime.date.fromisoformat)
+    ints = _ParseOnce(int)
 
-def _measurement_row(row: list[str]) -> RawMeasurement:
-    det, date_s, start_s, count_s = row
-    return RawMeasurement(det, datetime.date.fromisoformat(date_s), int(start_s), int(count_s))
+    def parse(row: list[str]) -> RawMeasurement:
+        det, date_s, start_s, count_s = row
+        return RawMeasurement(names[det], dates[date_s], ints[start_s], ints[count_s])
+
+    return list(netmodel.read_csv(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError, parse))
 
 
 def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
@@ -153,46 +183,54 @@ def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def ingest(records: Sequence[RawMeasurement], filt: IngestionFilter = IngestionFilter()) -> IngestResult:
+def ingest(records: Iterable[RawMeasurement], filt: IngestionFilter = IngestionFilter()) -> IngestResult:
     """Average admitted days into one 96-window series per detector.
 
-    A day only counts for a detector when every one of the 96 windows is
-    present exactly once; partial or duplicated days are treated like any
-    other faulty day and skipped. The result is independent of the order
-    of the input records.
+    One pass over `records`, which may be any iterable. A day only counts
+    for a detector when every one of the 96 windows is present exactly
+    once; partial or duplicated days are treated like any other faulty day
+    and skipped. The result is independent of the order of the input
+    records.
     """
+    detectors: set[str] = set()
+    admitted: dict[datetime.date, bool] = {}
     by_day: dict[tuple[str, datetime.date], dict[int, int]] = {}
     dupes: set[tuple[str, datetime.date]] = set()
-    for rec in records:
-        if not filt.admits(rec.date):
-            continue
-        key = (rec.detector_id, rec.date)
-        windows = by_day.setdefault(key, {})
-        if rec.window_start in windows:
-            dupes.add(key)
-        windows[rec.window_start] = rec.count
+    last_det = last_date = None
+    windows = None  # the window map of (last_det, last_date); None on a dropped day
+    for det, date, start, count in records:
+        if det != last_det or date != last_date:
+            last_det, last_date = det, date
+            detectors.add(det)
+            keep = admitted.get(date)
+            if keep is None:
+                keep = admitted[date] = filt.admits(date)
+            windows = by_day.setdefault((det, date), {}) if keep else None
+        if windows is not None:
+            if start in windows:
+                dupes.add((det, date))
+            windows[start] = count
 
     sums: dict[str, list[int]] = {}
     days: dict[str, int] = {}
-    for (det, date) in sorted(by_day, key=lambda k: (k[0], k[1])):
-        if (det, date) in dupes:
-            continue
-        windows = by_day[(det, date)]
-        if len(windows) != WINDOWS_PER_DAY:
+    for det, date in sorted(by_day):
+        windows = by_day[det, date]
+        if (det, date) in dupes or len(windows) != WINDOWS_PER_DAY:
             continue
         acc = sums.setdefault(det, [0] * WINDOWS_PER_DAY)
         for start, count in windows.items():
             acc[start // WINDOW_S] += count
         days[det] = days.get(det, 0) + 1
 
-    detectors = sorted({rec.detector_id for rec in records})
     series = []
-    for det in detectors:
-        if days.get(det, 0) == 0:
+    days_used = {}
+    for det in sorted(detectors):
+        n = days.get(det, 0)
+        if n == 0:
             raise NoSurvivingDaysError(det)
-        n = days[det]
+        days_used[det] = n
         series.append(DetectorSeries(det, tuple(s / n for s in sums[det])))
-    return IngestResult(series=series, days_used=days)
+    return IngestResult(series=series, days_used=days_used)
 
 
 # ---------------------------------------------------------------------------

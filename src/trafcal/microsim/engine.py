@@ -583,7 +583,10 @@ class Simulation:
                         new_pos = length
                         v = 0.0
                     front = False
-                    if new_pos > prev_rear:  # should be unreachable
+                    # reached on an edge shorter than a vehicle plus its gap:
+                    # held at the line, a vehicle can end past the rear of
+                    # the one ahead (the 3 m edges of the override-chain test)
+                    if new_pos > prev_rear:
                         self.totals["collisions"] += 1
                         new_pos = prev_rear
                         v = 0.0

@@ -473,6 +473,29 @@ def test_data_ingest_filter_flags(ws, tmp_path, capsys):
                 "--date-from", "2023-09-01", "--date-to", "2023-09-30"]) == 0
 
 
+@pytest.mark.parametrize("bad_cells, message", [
+    ("0,-1", "record for 'd1': negative count"),
+    ("450,1", "record for 'd1': window_start 450 not a quarter-hour of the day"),
+])
+@pytest.mark.parametrize("bad_day, flags", [
+    ("2023-09-09", []),  # a Saturday, outside the default Tue/Wed/Thu
+    ("2023-09-06", ["--exclude-dates", "2023-09-06"]),  # an excluded Wednesday
+])
+def test_data_ingest_checks_rows_on_dropped_days(tmp_path, capsys, bad_cells, message,
+                                                 bad_day, flags):
+    # the filter would drop the bad row's day, yet the row must still fail
+    rows = [f"d1,{TUESDAY},{w * 900},3" for w in range(96)]
+    rows.insert(40, f"d1,{bad_day},{bad_cells}")
+    path = tmp_path / "loops.csv"
+    path.write_text("detector_id,date,window_start_s,count\n" + "\n".join(rows) + "\n")
+    rc = run(["data", "ingest", "--measurements", path, *flags,
+              "--output-dir", tmp_path / "out"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: MeasurementFormatError: {path}: line 42: {message}\n"
+    )
+
+
 # -- installed entry point -----------------------------------------------------
 
 

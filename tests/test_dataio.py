@@ -202,6 +202,32 @@ def test_ingest_is_order_independent():
         assert again.series == base.series
 
 
+def test_ingest_takes_a_one_shot_iterable():
+    records = (
+        full_day("d2", WED, base=4)
+        + full_day("d1", TUE, base=1)
+        + full_day("d1", SAT, base=9)
+        + full_day("d2", TUE, base=6)
+        + full_day("d1", THU, base=2)[1:]
+    )
+    assert ingest(r for r in records) == ingest(records)
+    no_wed = IngestionFilter(exclude_dates=frozenset({WED}))
+    assert ingest(iter(records), no_wed) == ingest(records, no_wed)
+    assert ingest(iter(records), no_wed) != ingest(records)
+
+
+def test_measurement_record_is_a_named_tuple():
+    rec = RawMeasurement("d1", TUE, 900, 7)
+    det, date, start, count = rec
+    assert (det, date, start, count) == ("d1", TUE, 900, 7)
+    assert (rec.detector_id, rec.date, rec.window_start, rec.count) == ("d1", TUE, 900, 7)
+    assert RawMeasurement._fields == ("detector_id", "date", "window_start", "count")
+    with pytest.raises(AttributeError):
+        rec.count = 8
+    with pytest.raises(MeasurementFormatError, match="negative count"):
+        rec._replace(count=-1)
+
+
 # -- measurement files ---------------------------------------------------------
 
 
@@ -212,6 +238,28 @@ def test_measurements_csv_round_trip(tmp_path):
     back = read_measurements_csv(path)
     assert back == sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start))
     assert path.read_text().splitlines()[0] == "detector_id,date,window_start_s,count"
+
+
+def test_measurements_csv_keeps_duplicated_windows_in_file_order(tmp_path):
+    # the sort key leaves out the count, so two counts of one window keep
+    # their order; a plain tuple sort would put 4 before 9
+    path = tmp_path / "loops.csv"
+    path.write_text(
+        "detector_id,date,window_start_s,count\n"
+        "d1,2023-09-05,900,9\n"
+        "d1,2023-09-05,0,3\n"
+        "d1,2023-09-05,900,4\n"
+    )
+    again = tmp_path / "again.csv"
+    write_measurements_csv(read_measurements_csv(path), again)
+    assert again.read_bytes() == (
+        b"detector_id,date,window_start_s,count\r\n"
+        b"d1,2023-09-05,0,3\r\n"
+        b"d1,2023-09-05,900,9\r\n"
+        b"d1,2023-09-05,900,4\r\n"
+    )
+    write_measurements_csv(read_measurements_csv(again), path)
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_measurements_csv_rejects_bad_input(tmp_path):
