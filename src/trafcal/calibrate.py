@@ -9,9 +9,13 @@ probability with the smallest error (ties go to the smaller value).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 from trafcal import netmodel
@@ -20,6 +24,9 @@ from trafcal.microsim.engine import SimOutput
 
 WINDOWS_PER_DAY = 96
 SWEEP_BEST_HEADER = ("best_p", "best_nrmse")
+# p is written with 4 decimals, so a finer grid would write distinct
+# points as the same number
+MIN_GRID_STEP = 0.0001
 
 
 class ZeroMeanError(ValueError):
@@ -57,8 +64,19 @@ class GridSpec:
     step: float = 0.01
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be > 0")
+        # every point must read back from sweep_best.csv as the p it was
+        if self.step < MIN_GRID_STEP:
+            raise ValueError(
+                f"step must be >= {MIN_GRID_STEP}, got {self.step}:"
+                " sweep.csv and sweep_best.csv write p with 4 decimals"
+            )
+        for key in ("p_min", "step"):
+            value = getattr(self, key)
+            if abs(value / MIN_GRID_STEP - round(value / MIN_GRID_STEP)) > 1e-6:
+                raise ValueError(
+                    f"{key} must be a multiple of {MIN_GRID_STEP}, got {value}:"
+                    " sweep.csv and sweep_best.csv write p with 4 decimals"
+                )
         if not 0.0 <= self.p_min <= self.p_max <= 1.0:
             raise ValueError("grid bounds must satisfy 0 <= p_min <= p_max <= 1")
 
@@ -85,6 +103,7 @@ class SweepResult:
     entries: list[SweepEntry]
     best_p: float
     best_nrmse: float
+    best_series: list[DetectorSeries]  # the simulated series of the best point's run
 
 
 def nrmse(real: Sequence[float], sim: Sequence[float]) -> float:
@@ -123,15 +142,27 @@ def sim_series(out: SimOutput) -> list[DetectorSeries]:
     ]
 
 
-def _evaluate_point(args) -> tuple[float, float]:
-    (p, net, plans, detectors, bus_lines, base, real_total) = args
+def _evaluate_point(p, net, plans, detectors, bus_lines, base, real_total):
     cfg = dataclasses.replace(base, rerouting_probability=p)
     try:
         out = Simulation(net, plans, cfg, detectors, bus_lines).run()
     except Exception as exc:
         raise RuntimeError(f"simulation failed at p={p}: {exc}") from exc
-    sim_total = aggregate_series(sim_series(out))
-    return p, nrmse(real_total, sim_total)
+    series = sim_series(out)
+    return p, nrmse(real_total, aggregate_series(series)), series
+
+
+# the inputs every point of a sweep shares, set once in each worker process
+_worker_inputs: tuple = ()
+
+
+def _init_worker(inputs: tuple) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _evaluate_in_worker(p: float):
+    return _evaluate_point(p, *_worker_inputs)
 
 
 def sweep_rerouting_probability(
@@ -148,8 +179,9 @@ def sweep_rerouting_probability(
     other settings of `base_config`.
 
     Evaluations are independent simulations, so they can spread over worker
-    processes; results are merged and sorted by p before the argmin, which
-    keeps the outcome identical however many workers ran.
+    processes, which receive the shared inputs once and then only each p;
+    results are sorted by p before the argmin, which keeps the outcome
+    identical however many workers ran.
     """
     if not detectors:
         raise ValueError("sweep needs at least one detector")
@@ -162,19 +194,46 @@ def sweep_rerouting_probability(
             f"real series and detectors disagree (missing {missing}, extra {extra})"
         )
     base = base_config if base_config is not None else SimConfig()
-    real_total = aggregate_series(real)
-    tasks = [
-        (p, net, routes, detectors, tuple(bus_lines), base, real_total)
-        for p in grid.points()
-    ]
+    inputs = (net, routes, detectors, tuple(bus_lines), base, aggregate_series(real))
+    points = grid.points()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(_evaluate_point, tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(inputs,)
+        ) as pool:
+            scored = list(pool.map(_evaluate_in_worker, points))
     else:
-        scored = [_evaluate_point(t) for t in tasks]
-    entries = [SweepEntry(p, e) for p, e in sorted(scored)]
-    best = min(entries, key=lambda e: (e.nrmse, e.p))
-    return SweepResult(entries=entries, best_p=best.p, best_nrmse=best.nrmse)
+        scored = [_evaluate_point(p, *inputs) for p in points]
+    scored.sort(key=lambda point: point[:2])
+    best_p, best_nrmse, best_series = min(scored, key=lambda point: (point[1], point[0]))
+    return SweepResult(
+        entries=[SweepEntry(p, e) for p, e, _ in scored],
+        best_p=best_p, best_nrmse=best_nrmse, best_series=best_series,
+    )
+
+
+def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> str:
+    """SHA-256 that names one simulation run: the bytes of each input file
+    in order (None, an input not given, hashes as a fixed marker), every
+    field of `config`, the Python version and the source of this package.
+    Runs with equal keys give equal outputs."""
+    h = hashlib.sha256()
+
+    def part(label: str, data: bytes) -> None:
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+
+    for path in input_paths:
+        if path is None:
+            part("absent", b"")
+        else:
+            with open(path, "rb") as fh:
+                part("file", fh.read())
+    part("config", json.dumps(netmodel.record_to(config), sort_keys=True).encode())
+    part("python", sys.version.encode())
+    package = Path(__file__).resolve().parent
+    for source in sorted(package.rglob("*.py")):
+        part(source.relative_to(package).as_posix(), source.read_bytes())
+    return h.hexdigest()
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
@@ -195,3 +254,32 @@ def read_sweep_best(path) -> tuple[float, float]:
     if len(rows) != 1:
         raise ValueError(f"{path}: expected one summary row, found {len(rows)}")
     return rows[0]
+
+
+def write_best_series(result: SweepResult, inputs: str, path) -> None:
+    """The best point's simulated counts, under `inputs`, the
+    `simulation_key` of the run that made them."""
+    netmodel.write_json({
+        "inputs": inputs,
+        "p": result.best_p,
+        "counts": {s.detector_id: [int(x) for x in s.counts] for s in result.best_series},
+    }, path)
+
+
+def read_best_series(path) -> tuple[str, list[DetectorSeries]]:
+    """The (inputs, series) `write_best_series` wrote; a file of any other
+    shape is a ValueError."""
+    doc = netmodel.read_json(path, ValueError)
+    if not isinstance(doc, dict) or set(doc) != {"inputs", "p", "counts"}:
+        raise ValueError(f"{path}: expected an object with 'inputs', 'p' and 'counts'")
+    inputs, p, counts = doc["inputs"], doc["p"], doc["counts"]
+    if not isinstance(inputs, str) or type(p) is not float or not isinstance(counts, dict):
+        raise ValueError(f"{path}: 'inputs' must be a string, 'p' a float, 'counts' an object")
+    for det_id, values in counts.items():
+        if not isinstance(values, list) or any(type(x) is not int for x in values):
+            raise ValueError(f"{path}: counts of '{det_id}' must be an array of integers")
+    series = [
+        DetectorSeries(det_id, tuple(float(x) for x in values))
+        for det_id, values in sorted(counts.items())
+    ]
+    return inputs, series

@@ -18,6 +18,7 @@ import dataclasses
 import datetime
 import os
 import sys
+from typing import Optional
 
 from trafcal import calibrate, dataio, demandgen, equilibrium, fixtures, netmodel
 from trafcal.microsim import (
@@ -37,6 +38,9 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+# the best sweep point's simulated counts, kept for `report validate`
+SWEPT_SERIES = "sweep_best_series.json"
 
 # each settings section of a project config: the record it becomes and the
 # label of the error its range check raises
@@ -163,20 +167,44 @@ def _load_net(ctx: _Ctx, flag_value) -> netmodel.RoadNetwork:
     return netmodel.load_network(ctx.path("network", flag_value))
 
 
-def _load_optional_lines(ctx: _Ctx, flag_value):
-    path = ctx.path("bus_lines", flag_value, required=False)
-    return load_bus_lines(path) if path else []
-
-
 def _calibration_inputs(ctx: _Ctx) -> tuple:
     """The scenario and the measured series that `calib sweep` and
-    `report validate` score it against."""
-    net = _load_net(ctx, ctx.args.network)
-    plans = load_route_plans(ctx.path("routes", ctx.args.routes), net)
-    detectors = load_detectors(ctx.path("detectors", ctx.args.detectors), net)
-    lines = _load_optional_lines(ctx, ctx.args.bus_lines)
+    `report validate` score it against, after the paths of the scenario's
+    files (network, routes, detectors, bus lines or None)."""
+    paths = (
+        ctx.path("network", ctx.args.network),
+        ctx.path("routes", ctx.args.routes),
+        ctx.path("detectors", ctx.args.detectors),
+        ctx.path("bus_lines", ctx.args.bus_lines, required=False),
+    )
+    net = netmodel.load_network(paths[0])
+    plans = load_route_plans(paths[1], net)
+    detectors = load_detectors(paths[2], net)
+    lines = load_bus_lines(paths[3]) if paths[3] else []
     records = dataio.read_measurements_csv(ctx.path("measurements", ctx.args.measurements))
-    return net, plans, detectors, lines, dataio.ingest(records).series
+    return paths, net, plans, detectors, lines, dataio.ingest(records).series
+
+
+def _swept_series(ctx: _Ctx, key: str, detectors) -> Optional[list]:
+    """The series `calib sweep` kept for the run `key` names, or None,
+    with the reason logged, when there is none to reuse."""
+    path = os.path.normpath(os.path.join(ctx.output_dir, SWEPT_SERIES))
+    if not os.path.exists(path):
+        ctx.log(f"no {SWEPT_SERIES}: simulating")
+        return None
+    try:
+        inputs, series = calibrate.read_best_series(path)
+    except (OSError, ValueError) as exc:
+        ctx.log(f"unreadable {SWEPT_SERIES} ({exc}): simulating")
+        return None
+    if inputs != key:
+        ctx.log(f"{SWEPT_SERIES} is from other inputs: simulating")
+        return None
+    if [s.detector_id for s in series] != sorted(d.id for d in detectors):
+        ctx.log(f"{SWEPT_SERIES} names other detectors: simulating")
+        return None
+    ctx.log(f"reusing the swept counts in {path}")
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +247,8 @@ def cmd_sim_run(ctx: _Ctx) -> int:
     plans = load_route_plans(ctx.path("routes", ctx.args.routes), net)
     det_path = ctx.path("detectors", ctx.args.detectors, required=False)
     detectors = load_detectors(det_path, net) if det_path else []
-    lines = _load_optional_lines(ctx, ctx.args.bus_lines)
+    lines_path = ctx.path("bus_lines", ctx.args.bus_lines, required=False)
+    lines = load_bus_lines(lines_path) if lines_path else []
     config = ctx.settings("sim")
     ctx.log(
         f"simulating {len(plans)} vehicles, p={config.rerouting_probability}"
@@ -263,7 +292,7 @@ def cmd_dua_iterate(ctx: _Ctx) -> int:
 
 
 def cmd_calib_sweep(ctx: _Ctx) -> int:
-    net, plans, detectors, lines, real = _calibration_inputs(ctx)
+    paths, net, plans, detectors, lines, real = _calibration_inputs(ctx)
     grid = ctx.settings("sweep")
     config = ctx.settings("sim")
     ctx.log(
@@ -276,6 +305,10 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
     )
     calibrate.write_sweep_csv(result, ctx.out_path("sweep.csv"))
     calibrate.write_sweep_best(result, ctx.out_path("sweep_best.csv"))
+    best = dataclasses.replace(config, rerouting_probability=result.best_p)
+    calibrate.write_best_series(
+        result, calibrate.simulation_key(paths, best), ctx.out_path(SWEPT_SERIES)
+    )
     ctx.log(f"swept {len(result.entries)} points -> {ctx.out_path('sweep.csv')}")
     print(f"best_p {result.best_p:.2f} best_nrmse {result.best_nrmse:.6f}")
     return EXIT_OK
@@ -327,7 +360,7 @@ def cmd_data_ingest(ctx: _Ctx) -> int:
 
 
 def cmd_report_validate(ctx: _Ctx) -> int:
-    net, plans, detectors, lines, real = _calibration_inputs(ctx)
+    paths, net, plans, detectors, lines, real = _calibration_inputs(ctx)
 
     p = ctx.args.p
     if p is None:
@@ -337,8 +370,10 @@ def cmd_report_validate(ctx: _Ctx) -> int:
         p = calibrate.read_sweep_best(best_path)[0]
     config = dataclasses.replace(ctx.settings("sim"), rerouting_probability=p)
     ctx.log(f"validation run at p={p}")
-    out = Simulation(net, plans, config, detectors, lines).run()
-    report = dataio.validate(real, calibrate.sim_series(out))
+    series = _swept_series(ctx, calibrate.simulation_key(paths, config), detectors)
+    if series is None:
+        series = calibrate.sim_series(Simulation(net, plans, config, detectors, lines).run())
+    report = dataio.validate(real, series)
     dataio.write_report(
         report,
         ctx.out_path("report.json"),

@@ -141,7 +141,8 @@ class ValidationReport:
 
 
 class _ParseOnce(dict):
-    """Cell text -> `parse(text)`, parsing each distinct text once."""
+    """Key -> `parse(key)`, computed once for each distinct key: a cell
+    text parsed on read, or a date formatted on write."""
 
     __slots__ = ("parse",)
 
@@ -172,8 +173,9 @@ def read_measurements_csv(path) -> list[RawMeasurement]:
 
 
 def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
+    iso = _ParseOnce(lambda date: date.isoformat())
     netmodel.write_csv(path, MEASUREMENT_CSV_HEADER, (
-        (rec.detector_id, rec.date.isoformat(), rec.window_start, rec.count)
+        (rec.detector_id, iso[rec.date], rec.window_start, rec.count)
         for rec in sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start))
     ))
 

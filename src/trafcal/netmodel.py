@@ -376,15 +376,17 @@ def read_csv(path, header: tuple, error, parse):
         if first != list(header):
             raise error(f"{path}: bad header {first}")
         width = len(header)
-        for lineno, row in enumerate(rows, start=2):
+        # an error names the physical line the row ends on, which differs
+        # from the row count after a quoted cell that spans lines
+        for row in rows:
             if len(row) != width:
                 if not row:
                     continue
-                raise error(f"{path}: line {lineno}: expected {width} columns")
+                raise error(f"{path}: line {rows.line_num}: expected {width} columns")
             try:
                 value = parse(row)
             except ValueError as exc:
-                raise error(f"{path}: line {lineno}: {exc}") from exc
+                raise error(f"{path}: line {rows.line_num}: {exc}") from exc
             yield value
 
 

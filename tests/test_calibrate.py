@@ -16,9 +16,12 @@ from trafcal.calibrate import (
     ZeroMeanError,
     aggregate_series,
     nrmse,
+    read_best_series,
     read_sweep_best,
     sim_series,
+    simulation_key,
     sweep_rerouting_probability,
+    write_best_series,
     write_sweep_best,
     write_sweep_csv,
 )
@@ -121,6 +124,21 @@ def test_grid_coarse_and_degenerate():
         GridSpec(p_min=0.8, p_max=0.2)
 
 
+def test_grid_finer_than_the_written_decimals_is_rejected():
+    # sweep.csv writes p with 4 decimals, so 5e-05, 0.0001 and 0.00015
+    # would all be written as 0.0001
+    with pytest.raises(ValueError, match="step must be >= 0.0001.*4 decimals"):
+        GridSpec(0.0, 0.001, 0.00005)
+    # 5e-05 and 0.00015 would both be written as 0.0001
+    with pytest.raises(ValueError, match="p_min must be a multiple of 0.0001.*4 decimals"):
+        GridSpec(0.00005, 0.001, 0.0001)
+    with pytest.raises(ValueError, match="step must be a multiple of 0.0001.*4 decimals"):
+        GridSpec(0.0, 0.001, 0.00015)
+    assert len(GridSpec(0.0, 0.001, 0.0001).points()) == 11
+    for grid in (GridSpec(), GridSpec(0.0, 0.9, 0.3), GridSpec(0.0001, 1.0, 0.0333)):
+        assert [float(f"{p:.4f}") for p in grid.points()] == grid.points()
+
+
 # -- the sweep ---------------------------------------------------------------
 
 
@@ -156,6 +174,7 @@ def test_sweep_scores_truth_seed_at_zero():
     assert [e.p for e in res.entries] == [0.0, 0.5, 1.0]
     assert res.entries[0].nrmse == 0.0
     assert res.best_p == 0.0
+    assert res.best_series == real  # the best point's run is the truth's
 
 
 def test_sweep_and_dua_keep_every_base_field(monkeypatch):
@@ -216,6 +235,7 @@ def test_sweep_csv_round_trip(tmp_path):
         entries=[SweepEntry(0.0, 0.25), SweepEntry(0.05, 0.125)],
         best_p=0.05,
         best_nrmse=0.125,
+        best_series=[],
     )
     path = tmp_path / "sweep.csv"
     write_sweep_csv(res, path)
@@ -237,3 +257,45 @@ def test_sweep_csv_bad_header(tmp_path):
     path.write_text("best_p,best_nrmse\n")
     with pytest.raises(ValueError, match="expected one summary row, found 0"):
         read_sweep_best(path)
+
+
+def test_best_series_round_trip(tmp_path):
+    series = [DetectorSeries("b", counts((3, 2))), DetectorSeries("a", counts((0, 1)))]
+    res = SweepResult([SweepEntry(0.25, 0.5)], 0.25, 0.5, series)
+    path = tmp_path / "best.json"
+    write_best_series(res, "k" * 64, path)
+    assert read_best_series(path) == ("k" * 64, sorted(series, key=lambda s: s.detector_id))
+    path.write_text('{"inputs": "k", "p": 1, "counts": {}}')
+    with pytest.raises(ValueError, match="'p' a float"):
+        read_best_series(path)
+
+
+def test_simulation_key_covers_files_and_every_setting(tmp_path):
+    net, routes = tmp_path / "net.json", tmp_path / "routes.json"
+    net.write_text('{"edges": []}')
+    routes.write_text("{}")
+    cfg = SimConfig(seed=3, rerouting_probability=0.3)
+    key = simulation_key((net, routes, None), cfg)
+    assert key == simulation_key((net, routes, None), SimConfig(seed=3, rerouting_probability=0.3))
+    others = [
+        simulation_key((net, routes), cfg),
+        simulation_key((routes, net, None), cfg),
+        simulation_key((net, routes, routes), cfg),
+        simulation_key((net, routes, None), dataclasses.replace(cfg, seed=4)),
+        simulation_key((net, routes, None), dataclasses.replace(cfg, rerouting_probability=0.3 + 1e-12)),
+        simulation_key((net, routes, None), dataclasses.replace(cfg, end=86399.0)),
+    ]
+    routes.write_text("{} ")
+    others.append(simulation_key((net, routes, None), cfg))
+    assert len({key, *others}) == len(others) + 1
+
+
+def test_simulation_key_covers_the_package_source(tmp_path, monkeypatch):
+    pkg = tmp_path / "pkg"
+    (pkg / "microsim").mkdir(parents=True)
+    engine = pkg / "microsim" / "engine.py"
+    engine.write_text("STEP = 1\n")
+    monkeypatch.setattr(calibrate, "__file__", str(pkg / "calibrate.py"))
+    key = simulation_key((), SimConfig())
+    engine.write_text("STEP = 2\n")
+    assert simulation_key((), SimConfig()) != key

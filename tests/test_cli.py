@@ -3,6 +3,7 @@
 import datetime
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from trafcal.microsim import (
     SimConfig,
     Simulation,
     load_route_plans,
+    save_bus_lines,
     save_detectors,
     save_route_plans,
 )
@@ -412,6 +414,162 @@ def test_report_validate_picks_up_swept_best(ws, tmp_path, capsys):
     assert run(["report", "validate", *common]) == 0  # p comes from sweep_best.csv
     assert "p=0.0" in capsys.readouterr().err
     assert (tmp_path / "report.json").exists()
+
+
+def test_calib_sweep_rejects_a_grid_finer_than_its_output(ws, tmp_path, capsys):
+    # p is written with 4 decimals: 5e-05, 0.0001 and 0.00015 would all read 0.0001
+    cfg = tmp_path / "project.json"
+    cfg.write_text(json.dumps({"sweep": {"p_max": 0.001, "step": 0.00005}}) + "\n")
+    rc = run(["calib", "sweep", "--config", cfg, "--network", ws / "net.json",
+              "--routes", ws / "routes.json", "--detectors", ws / "detectors.json",
+              "--measurements", ws / "measurements.csv", "--output-dir", tmp_path / "out"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad sweep grid: step must be >= 0.0001" in err and "4 decimals" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_calib_sweep_output_does_not_depend_on_workers(ws, tmp_path):
+    common = ["--network", ws / "net.json", "--routes", ws / "routes.json",
+              "--detectors", ws / "detectors.json",
+              "--measurements", ws / "measurements.csv",
+              "--p-min", "0", "--p-max", "1", "--grid-step", "0.25"]
+    for workers in (1, 2):
+        assert run(["calib", "sweep", *common, "--workers", workers,
+                    "--output-dir", tmp_path / f"w{workers}"]) == 0
+    for name in ("sweep.csv", "sweep_best.csv", cli.SWEPT_SERIES):
+        assert digest(tmp_path / "w1" / name) == digest(tmp_path / "w2" / name), name
+
+
+# -- reuse of the swept counts ---------------------------------------------------
+
+REPORT_FILES = ("report.json", "per_window.csv", "per_detector.csv")
+
+
+@pytest.fixture
+def swept(ws, tmp_path):
+    """A copy of the `ws` scenario with an empty bus-lines file, swept over
+    p = 0, 0.5, 1; returns the flags both calibration stages take."""
+    for name in ("net.json", "routes.json", "detectors.json", "measurements.csv"):
+        shutil.copy(ws / name, tmp_path / name)
+    save_bus_lines([], tmp_path / "bus_lines.json")
+    common = ["--network", tmp_path / "net.json", "--routes", tmp_path / "routes.json",
+              "--detectors", tmp_path / "detectors.json",
+              "--bus-lines", tmp_path / "bus_lines.json",
+              "--measurements", tmp_path / "measurements.csv",
+              "--output-dir", tmp_path / "out"]
+    assert run(["calib", "sweep", *common, "--p-min", "0", "--p-max", "1",
+                "--grid-step", "0.5"]) == 0
+    return common
+
+
+@pytest.fixture
+def sim_runs(monkeypatch):
+    """Counts `Simulation.run` calls in this process."""
+    calls = []
+    run_ = Simulation.run
+
+    def counted(sim, probe=None):
+        calls.append(sim.config)
+        return run_(sim, probe)
+
+    monkeypatch.setattr(Simulation, "run", counted)
+    return calls
+
+
+def validate_report(common, *flags):
+    """`report validate` with `flags`; returns the bytes of its outputs."""
+    assert run(["report", "validate", *common, *flags]) == 0
+    out = common[-1]
+    return {name: (out / name).read_bytes() for name in REPORT_FILES}
+
+
+def fresh_report(common, *flags):
+    """The same report with nothing kept to reuse."""
+    kept = common[-1] / cli.SWEPT_SERIES
+    saved = kept.read_bytes()
+    kept.unlink()
+    try:
+        return validate_report(common, *flags)
+    finally:
+        kept.write_bytes(saved)
+
+
+def test_report_validate_reuses_the_swept_counts(swept, monkeypatch, capsys):
+    def no_run(sim, probe=None):
+        raise AssertionError("report validate simulated a run the sweep made")
+
+    kept = json.loads((swept[-1] / cli.SWEPT_SERIES).read_text())
+    assert set(kept) == {"inputs", "p", "counts"}
+    assert kept["p"] == 0.0 and set(kept["counts"]) == {"det_mid"}
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "run", no_run)
+        reused = validate_report(swept)
+        # an explicit --p equal to the swept best names the same run
+        assert validate_report(swept, "--p", "0") == reused
+    assert "reusing the swept counts" in capsys.readouterr().err
+    assert fresh_report(swept) == reused
+    assert f"no {cli.SWEPT_SERIES}: simulating" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["net.json", "routes.json", "detectors.json", "bus_lines.json"])
+def test_report_validate_simulates_when_an_input_file_changed(swept, sim_runs, capsys, name):
+    path = swept[-1].parent / name
+    path.write_text(path.read_text() + "\n")  # same records, other bytes
+    report = validate_report(swept)
+    assert len(sim_runs) == 1
+    assert "is from other inputs: simulating" in capsys.readouterr().err
+    assert fresh_report(swept) == report
+
+
+def test_report_validate_simulates_for_changed_routes(swept, sim_runs):
+    routes = swept[-1].parent / "routes.json"
+    plans = load_route_plans(routes)
+    save_route_plans(plans[:6], routes)
+    report = validate_report(swept)
+    assert len(sim_runs) == 1
+    assert json.loads(report["report.json"])["scenario_nrmse"] > 0
+    assert fresh_report(swept) == report
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "1"],
+    ["--time-to-teleport", "200"],
+    ["--p", "0.5"],
+])
+def test_report_validate_simulates_another_run(swept, sim_runs, capsys, flags):
+    report = validate_report(swept, *flags)
+    assert len(sim_runs) == 1
+    assert "is from other inputs: simulating" in capsys.readouterr().err
+    assert fresh_report(swept, *flags) == report
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[]",
+    '{"inputs": "x", "p": 0.0}',
+    '{"inputs": 1, "p": 0.0, "counts": {}}',
+    '{"inputs": "x", "p": 0.0, "counts": {"det_mid": [1, 2]}}',
+    '{"inputs": "x", "p": 0.0, "counts": {"det_mid": "many"}}',
+])
+def test_report_validate_simulates_past_a_corrupt_file(swept, sim_runs, capsys, text):
+    want = fresh_report(swept)
+    sim_runs.clear()
+    (swept[-1] / cli.SWEPT_SERIES).write_text(text)
+    assert validate_report(swept) == want
+    assert len(sim_runs) == 1
+    assert f"unreadable {cli.SWEPT_SERIES}" in capsys.readouterr().err
+
+
+def test_report_validate_simulates_for_other_detectors(swept, sim_runs, capsys):
+    path = swept[-1] / cli.SWEPT_SERIES
+    kept = json.loads(path.read_text())
+    kept["counts"]["elsewhere"] = kept["counts"]["det_mid"]
+    netmodel.write_json(kept, path)
+    report = validate_report(swept)
+    assert len(sim_runs) == 1
+    assert "names other detectors: simulating" in capsys.readouterr().err
+    assert fresh_report(swept) == report
 
 
 # -- project config ------------------------------------------------------------

@@ -458,6 +458,21 @@ CSV_READERS = {
 }
 
 
+def test_csv_errors_name_the_physical_line(tmp_path):
+    # the quoted id spans lines 2-3, so the bad count sits on line 4
+    path = tmp_path / "loops.csv"
+    path.write_text(
+        "detector_id,date,window_start_s,count\n"
+        '"d\n1",2023-09-05,0,3\n'
+        "d1,2023-09-05,900,-1\n"
+    )
+    with pytest.raises(
+        MeasurementFormatError,
+        match=re.escape(f"{path}: line 4: record for 'd1': negative count"),
+    ):
+        read_measurements_csv(path)
+
+
 @pytest.mark.parametrize("name", sorted(CSV_READERS))
 def test_csv_readers_share_one_set_of_rules(tmp_path, name):
     read, error, header, rows, bad_cell = CSV_READERS[name]
