@@ -18,7 +18,7 @@ import dataclasses
 import datetime
 import os
 import sys
-from typing import Optional
+import typing
 
 from trafcal import calibrate, dataio, demandgen, equilibrium, fixtures, netmodel
 from trafcal.microsim import (
@@ -43,25 +43,13 @@ EXIT_RUNTIME = 3
 SWEPT_SERIES = "sweep_best_series.json"
 
 # each settings section of a project config: the record it becomes and the
-# label of the error its range check raises
+# label of the error its range check raises; `_SECTION_KEYS`, after the
+# subcommand table, lists the keys of every object section
 _SECTIONS = {
     "sim": (SimConfig, "simulation settings"),
     "demand": (demandgen.DemandConfig, "demand settings"),
     "sweep": (calibrate.GridSpec, "sweep grid"),
     "equilibrium": (equilibrium.DuaConfig, "assignment settings"),
-}
-
-# the keys each object section of a project config may hold; a flag of the
-# same name overlays a key of a settings section
-_SECTION_KEYS = {
-    "paths": (
-        "network", "statistics", "trips", "routes", "detectors", "bus_lines",
-        "measurements", "output_dir",
-    ),
-    **{
-        section: tuple(f.name for f in dataclasses.fields(cls))
-        for section, (cls, _) in _SECTIONS.items()
-    },
 }
 
 
@@ -130,8 +118,8 @@ class _Ctx:
     def log(self, msg: str) -> None:
         print(f"[seed {self.seed}] {msg}", file=sys.stderr)
 
-    def path(self, key: str, flag_value, required: bool = True):
-        value = flag_value or self.cfg.paths.get(key)
+    def path(self, key: str, required: bool = True):
+        value = getattr(self.args, key) or self.cfg.paths.get(key)
         if value is None and required:
             raise UsageError(
                 f"missing --{key.replace('_', '-')} (not given and not in config)"
@@ -163,29 +151,24 @@ class _Ctx:
             raise UsageError(f"bad {label}: {exc}") from exc
 
 
-def _load_net(ctx: _Ctx, flag_value) -> netmodel.RoadNetwork:
-    return netmodel.load_network(ctx.path("network", flag_value))
-
-
-def _calibration_inputs(ctx: _Ctx) -> tuple:
-    """The scenario and the measured series that `calib sweep` and
-    `report validate` score it against, after the paths of the scenario's
-    files (network, routes, detectors, bus lines or None)."""
+def _scenario(ctx: _Ctx, detectors_required: bool) -> tuple:
+    """The paths of the scenario's files (network, routes, detectors or
+    None, bus lines or None), then the network, plans, detectors and bus
+    lines they hold."""
     paths = (
-        ctx.path("network", ctx.args.network),
-        ctx.path("routes", ctx.args.routes),
-        ctx.path("detectors", ctx.args.detectors),
-        ctx.path("bus_lines", ctx.args.bus_lines, required=False),
+        ctx.path("network"),
+        ctx.path("routes"),
+        ctx.path("detectors", detectors_required),
+        ctx.path("bus_lines", required=False),
     )
     net = netmodel.load_network(paths[0])
     plans = load_route_plans(paths[1], net)
-    detectors = load_detectors(paths[2], net)
+    detectors = load_detectors(paths[2], net) if paths[2] else []
     lines = load_bus_lines(paths[3]) if paths[3] else []
-    records = dataio.read_measurements_csv(ctx.path("measurements", ctx.args.measurements))
-    return paths, net, plans, detectors, lines, dataio.ingest(records).series
+    return paths, net, plans, detectors, lines
 
 
-def _swept_series(ctx: _Ctx, key: str, detectors) -> Optional[list]:
+def _swept_series(ctx: _Ctx, key: str, detectors) -> typing.Optional[list]:
     """The series `calib sweep` kept for the run `key` names, or None,
     with the reason logged, when there is none to reuse."""
     path = os.path.normpath(os.path.join(ctx.output_dir, SWEPT_SERIES))
@@ -213,7 +196,7 @@ def _swept_series(ctx: _Ctx, key: str, detectors) -> Optional[list]:
 
 
 def cmd_net_validate(ctx: _Ctx) -> int:
-    net = _load_net(ctx, ctx.args.network)
+    net = netmodel.load_network(ctx.path("network"))
     violations = netmodel.validate_network(net)
     ctx.log(f"checked {len(net.edges)} edges, {len(net.junctions)} junctions")
     print(f"{len(violations)} violations")
@@ -223,11 +206,10 @@ def cmd_net_validate(ctx: _Ctx) -> int:
 
 
 def cmd_demand_generate(ctx: _Ctx) -> int:
-    net = _load_net(ctx, ctx.args.network)
-    stats, gates, schools, config = demandgen.load_statistics(
-        ctx.path("statistics", ctx.args.statistics)
-    )
+    # the statistics file's `config` is the base the demand settings overlay
+    stats, gates, schools, config = demandgen.load_statistics(ctx.path("statistics"))
     config = ctx.settings("demand", base=config)
+    net = netmodel.load_network(ctx.path("network"))
     table = demandgen.generate_trips(stats, gates, schools, config, net)
     expanded = demandgen.expand_routes(table, net)
     trips_path = ctx.out_path("trips.json")
@@ -243,16 +225,9 @@ def cmd_demand_generate(ctx: _Ctx) -> int:
 
 
 def cmd_sim_run(ctx: _Ctx) -> int:
-    net = _load_net(ctx, ctx.args.network)
-    plans = load_route_plans(ctx.path("routes", ctx.args.routes), net)
-    det_path = ctx.path("detectors", ctx.args.detectors, required=False)
-    detectors = load_detectors(det_path, net) if det_path else []
-    lines_path = ctx.path("bus_lines", ctx.args.bus_lines, required=False)
-    lines = load_bus_lines(lines_path) if lines_path else []
     config = ctx.settings("sim")
-    ctx.log(
-        f"simulating {len(plans)} vehicles, p={config.rerouting_probability}"
-    )
+    _, net, plans, detectors, lines = _scenario(ctx, detectors_required=False)
+    ctx.log(f"simulating {len(plans)} vehicles, p={config.rerouting_probability}")
     out = Simulation(net, plans, config, detectors, lines).run()
     if detectors:
         write_detector_csv(
@@ -272,8 +247,8 @@ def cmd_sim_run(ctx: _Ctx) -> int:
 def cmd_dua_iterate(ctx: _Ctx) -> int:
     config = ctx.settings("sim")
     params = ctx.settings("equilibrium")
-    net = _load_net(ctx, ctx.args.network)
-    table = demandgen.read_trips(ctx.path("trips", ctx.args.trips))
+    net = netmodel.load_network(ctx.path("network"))
+    table = demandgen.read_trips(ctx.path("trips"))
     ctx.log(f"assignment over {len(table)} trips, {params}")
     result = equilibrium.dua_iterate(net, table, config, params)
     routes_path = ctx.out_path("dua_routes.json")
@@ -292,9 +267,10 @@ def cmd_dua_iterate(ctx: _Ctx) -> int:
 
 
 def cmd_calib_sweep(ctx: _Ctx) -> int:
-    paths, net, plans, detectors, lines, real = _calibration_inputs(ctx)
     grid = ctx.settings("sweep")
     config = ctx.settings("sim")
+    paths, net, plans, detectors, lines = _scenario(ctx, detectors_required=True)
+    real = dataio.ingest(dataio.read_measurements_csv(ctx.path("measurements"))).series
     ctx.log(
         f"sweeping p over [{grid.p_min}, {grid.p_max}] step {grid.step}"
         f" with {ctx.workers} workers"
@@ -342,10 +318,8 @@ def _ingestion_filter(args: argparse.Namespace) -> dataio.IngestionFilter:
 
 
 def cmd_data_ingest(ctx: _Ctx) -> int:
-    records = dataio.read_measurements_csv(
-        ctx.path("measurements", ctx.args.measurements)
-    )
     filt = _ingestion_filter(ctx.args)
+    records = dataio.read_measurements_csv(ctx.path("measurements"))
     result = dataio.ingest(records, filt)
     series_path = ctx.out_path("real_series.csv")
     dataio.series_to_csv(result.series, 0.0, series_path)
@@ -360,15 +334,16 @@ def cmd_data_ingest(ctx: _Ctx) -> int:
 
 
 def cmd_report_validate(ctx: _Ctx) -> int:
-    paths, net, plans, detectors, lines, real = _calibration_inputs(ctx)
-
+    config = ctx.settings("sim")
     p = ctx.args.p
     if p is None:
         best_path = os.path.join(ctx.output_dir, "sweep_best.csv")
         if not os.path.exists(best_path):
             raise UsageError("--p not given and no sweep_best.csv in output dir")
         p = calibrate.read_sweep_best(best_path)[0]
-    config = dataclasses.replace(ctx.settings("sim"), rerouting_probability=p)
+    config = dataclasses.replace(config, rerouting_probability=p)
+    paths, net, plans, detectors, lines = _scenario(ctx, detectors_required=True)
+    real = dataio.ingest(dataio.read_measurements_csv(ctx.path("measurements"))).series
     ctx.log(f"validation run at p={p}")
     series = _swept_series(ctx, calibrate.simulation_key(paths, config), detectors)
     if series is None:
@@ -469,24 +444,81 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="project config JSON")
-    sub.add_argument("--seed", type=int, help="override the run seed")
-    sub.add_argument("--output-dir", help="directory for output files")
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand: its handler and help, the path keys it reads, the
+    settings sections whose flags it takes, and its own (flag, type, help)."""
+
+    handler: typing.Callable[[_Ctx], int]
+    help: str
+    paths: tuple = ()
+    sections: tuple = ()
+    flags: tuple = ()
 
 
-def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--begin", type=float)
-    sub.add_argument("--end", type=float)
-    sub.add_argument("--step-length", dest="step_length", type=float)
-    sub.add_argument("--time-to-teleport", dest="time_to_teleport", type=float)
-    sub.add_argument(
-        "--ignore-junction-blocker", dest="ignore_junction_blocker", type=float
-    )
-    sub.add_argument(
-        "--rerouting-probability", dest="rerouting_probability", type=float
-    )
-    sub.add_argument("--rerouting-period", dest="rerouting_period", type=float)
+_SCENARIO = ("network", "routes", "detectors", "bus_lines")
+
+# each group of subcommands and its help
+_GROUPS = {
+    "net": "network tools", "demand": "demand generation", "sim": "simulation",
+    "dua": "user equilibrium", "calib": "calibration", "data": "measurement data",
+    "report": "validation reports", "fixture": "bundled scenarios",
+}
+
+_COMMANDS = {
+    ("net", "validate"): _Command(cmd_net_validate, "check a network file", ("network",)),
+    ("demand", "generate"): _Command(
+        cmd_demand_generate, "trips and free-flow routes", ("network", "statistics"),
+    ),
+    ("sim", "run"): _Command(cmd_sim_run, "run one simulation", _SCENARIO, ("sim",)),
+    ("dua", "iterate"): _Command(
+        cmd_dua_iterate, "iterate assignment to equilibrium",
+        ("network", "trips"), ("sim", "equilibrium"),
+    ),
+    ("calib", "sweep"): _Command(
+        cmd_calib_sweep, "grid sweep of the rerouting probability",
+        (*_SCENARIO, "measurements"), ("sim", "sweep"), (("--workers", int, None),),
+    ),
+    ("data", "ingest"): _Command(
+        cmd_data_ingest, "average raw counts into daily series", ("measurements",),
+        flags=(
+            ("--include-weekdays", None, "comma list, e.g. Tue,Wed,Thu"),
+            ("--exclude-dates", None, "comma list of ISO dates"),
+            ("--date-from", None, None), ("--date-to", None, None),
+        ),
+    ),
+    ("report", "validate"): _Command(
+        cmd_report_validate, "score a simulation against data",
+        (*_SCENARIO, "measurements"), ("sim",),
+        (("--p", float, "rerouting probability to validate"),),
+    ),
+    ("fixture", "make"): _Command(cmd_fixture_make, "write the grid and twin fixtures"),
+}
+
+# the keys of each settings section that a flag overlays; each flag is named
+# like its key, but `--grid-step` sets the sweep's `step`
+_SECTION_FLAGS = {
+    "sim": ("begin", "end", "step_length", "time_to_teleport", "ignore_junction_blocker",
+            "rerouting_probability", "rerouting_period"),
+    "equilibrium": ("max_iter", "tol", "window"),
+    "sweep": ("p_min", "p_max", "step"),
+}
+
+# the keys each object section of a project config may hold
+_SECTION_KEYS = {
+    "paths": (*dict.fromkeys(k for c in _COMMANDS.values() for k in c.paths), "output_dir"),
+    **{
+        section: tuple(f.name for f in dataclasses.fields(cls))
+        for section, (cls, _) in _SECTIONS.items()
+    },
+}
+
+
+def _add_section_flags(sub: argparse.ArgumentParser, section: str) -> None:
+    types = typing.get_type_hints(_SECTIONS[section][0])
+    for key in _SECTION_FLAGS[section]:
+        flag = "--grid-step" if key == "step" else "--" + key.replace("_", "-")
+        sub.add_argument(flag, dest=key, type=types[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,99 +527,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="microscopic traffic simulation and scenario calibration",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    net = top.add_parser("net", help="network tools").add_subparsers(
-        dest="action", required=True
-    )
-    p = net.add_parser("validate", help="check a network file")
-    _add_common(p)
-    p.add_argument("--network")
-    p.set_defaults(handler=cmd_net_validate)
-
-    demand = top.add_parser("demand", help="demand generation").add_subparsers(
-        dest="action", required=True
-    )
-    p = demand.add_parser("generate", help="trips and free-flow routes")
-    _add_common(p)
-    p.add_argument("--network")
-    p.add_argument("--statistics")
-    p.set_defaults(handler=cmd_demand_generate)
-
-    sim = top.add_parser("sim", help="simulation").add_subparsers(
-        dest="action", required=True
-    )
-    p = sim.add_parser("run", help="run one simulation")
-    _add_common(p)
-    _add_sim_flags(p)
-    p.add_argument("--network")
-    p.add_argument("--routes")
-    p.add_argument("--detectors")
-    p.add_argument("--bus-lines", dest="bus_lines")
-    p.set_defaults(handler=cmd_sim_run)
-
-    dua = top.add_parser("dua", help="user equilibrium").add_subparsers(
-        dest="action", required=True
-    )
-    p = dua.add_parser("iterate", help="iterate assignment to equilibrium")
-    _add_common(p)
-    _add_sim_flags(p)
-    p.add_argument("--network")
-    p.add_argument("--trips")
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--window", type=int)
-    p.set_defaults(handler=cmd_dua_iterate)
-
-    calib = top.add_parser("calib", help="calibration").add_subparsers(
-        dest="action", required=True
-    )
-    p = calib.add_parser("sweep", help="grid sweep of the rerouting probability")
-    _add_common(p)
-    _add_sim_flags(p)
-    p.add_argument("--network")
-    p.add_argument("--routes")
-    p.add_argument("--detectors")
-    p.add_argument("--bus-lines", dest="bus_lines")
-    p.add_argument("--measurements")
-    p.add_argument("--p-min", dest="p_min", type=float)
-    p.add_argument("--p-max", dest="p_max", type=float)
-    p.add_argument("--grid-step", dest="step", type=float)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(handler=cmd_calib_sweep)
-
-    data = top.add_parser("data", help="measurement data").add_subparsers(
-        dest="action", required=True
-    )
-    p = data.add_parser("ingest", help="average raw counts into daily series")
-    _add_common(p)
-    p.add_argument("--measurements")
-    p.add_argument("--include-weekdays", help="comma list, e.g. Tue,Wed,Thu")
-    p.add_argument("--exclude-dates", help="comma list of ISO dates")
-    p.add_argument("--date-from", dest="date_from")
-    p.add_argument("--date-to", dest="date_to")
-    p.set_defaults(handler=cmd_data_ingest)
-
-    report = top.add_parser("report", help="validation reports").add_subparsers(
-        dest="action", required=True
-    )
-    p = report.add_parser("validate", help="score a simulation against data")
-    _add_common(p)
-    _add_sim_flags(p)
-    p.add_argument("--network")
-    p.add_argument("--routes")
-    p.add_argument("--detectors")
-    p.add_argument("--bus-lines", dest="bus_lines")
-    p.add_argument("--measurements")
-    p.add_argument("--p", type=float, help="rerouting probability to validate")
-    p.set_defaults(handler=cmd_report_validate)
-
-    fixture = top.add_parser("fixture", help="bundled scenarios").add_subparsers(
-        dest="action", required=True
-    )
-    p = fixture.add_parser("make", help="write the grid and twin fixtures")
-    _add_common(p)
-    p.set_defaults(handler=cmd_fixture_make)
-
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="action", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for (group, action), command in _COMMANDS.items():
+        sub = groups[group].add_parser(action, help=command.help)
+        sub.set_defaults(handler=command.handler)
+        sub.add_argument("--config", help="project config JSON")
+        sub.add_argument("--seed", type=int, help="override the run seed")
+        sub.add_argument("--output-dir", help="directory for output files")
+        # the path flags follow the first section's flags, where `--help`
+        # has always listed them
+        for section in command.sections[:1]:
+            _add_section_flags(sub, section)
+        for key in command.paths:
+            sub.add_argument("--" + key.replace("_", "-"))
+        for section in command.sections[1:]:
+            _add_section_flags(sub, section)
+        for flag, type_, text in command.flags:
+            sub.add_argument(flag, type=type_, help=text)
     return parser
 
 

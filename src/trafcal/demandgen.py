@@ -92,6 +92,20 @@ class DemandConfig:
     free_time_rate: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.work_hours:
+            raise DemandError("at least one work_hours entry is required")
+        share_sum = sum(w.worker_share for w in self.work_hours)
+        if abs(share_sum - 1.0) > 1e-9:
+            raise DemandError(f"work_hours shares sum to {share_sum}, expected 1")
+        for bound in ("car_rate", "car_preference_rate", "free_time_rate"):
+            if not 0.0 <= getattr(self, bound) <= 1.0:
+                raise DemandError(f"{bound} must be in [0, 1]")
+        if self.incoming_total < 0 or self.outgoing_total < 0:
+            raise DemandError("gate totals must be >= 0")
+        if self.departure_jitter_sd < 0:
+            raise DemandError("departure_jitter_sd must be >= 0")
+
 
 @dataclass(frozen=True)
 class Trip:
@@ -173,19 +187,6 @@ def validate_inputs(
             raise DemandError(f"school '{s.id}': unknown edge '{s.edge_id}'")
         if s.capacity < 0:
             raise DemandError(f"school '{s.id}': capacity must be >= 0")
-    if not config.work_hours:
-        raise DemandError("config: at least one work_hours entry is required")
-    share_sum = sum(w.worker_share for w in config.work_hours)
-    if abs(share_sum - 1.0) > 1e-9:
-        raise DemandError(f"config: work_hours shares sum to {share_sum}, expected 1")
-    for bound in ("car_rate", "car_preference_rate", "free_time_rate"):
-        v = getattr(config, bound)
-        if not 0.0 <= v <= 1.0:
-            raise DemandError(f"config: {bound} must be in [0, 1]")
-    if config.incoming_total < 0 or config.outgoing_total < 0:
-        raise DemandError("config: gate totals must be >= 0")
-    if config.departure_jitter_sd < 0:
-        raise DemandError("config: departure_jitter_sd must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,19 @@ class DuaResult:
     final_plans: list[RoutePlan] = field(default_factory=list)
 
 
+def _normalise(alternatives: list[Alternative]) -> None:
+    """Scale the probabilities to sum to 1, or spread them evenly when
+    they sum to 0."""
+    total = math.fsum(a.probability for a in alternatives)
+    if total > 0:
+        for a in alternatives:
+            a.probability /= total
+    else:
+        even = 1.0 / len(alternatives)
+        for a in alternatives:
+            a.probability = even
+
+
 def gawron_update(
     rs: RouteSet,
     experienced_cost: float,
@@ -123,14 +136,7 @@ def gawron_update(
         p_r_new = min(max(p_r_new, 0.0), pair)
         chosen.probability = p_r_new
         other.probability = pair - p_r_new
-    total = math.fsum(a.probability for a in rs.alternatives)
-    if total > 0:
-        for a in rs.alternatives:
-            a.probability /= total
-    else:
-        even = 1.0 / len(rs.alternatives)
-        for a in rs.alternatives:
-            a.probability = even
+    _normalise(rs.alternatives)
     return rs
 
 
@@ -254,15 +260,8 @@ def dua_iterate(
                             range(len(rs.alternatives)),
                             key=lambda i: (rs.alternatives[i].cost, i),
                         )
-                        dropped = rs.alternatives.pop(worst)
-                        remain = math.fsum(a.probability for a in rs.alternatives)
-                        if remain > 0:
-                            for a in rs.alternatives:
-                                a.probability /= remain
-                        else:
-                            even = 1.0 / len(rs.alternatives)
-                            for a in rs.alternatives:
-                                a.probability = even
+                        rs.alternatives.pop(worst)
+                        _normalise(rs.alternatives)
 
             weights = [a.probability for a in rs.alternatives]
             rs.chosen_index = choice_rng.choices(

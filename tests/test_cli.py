@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, produced files, config handling."""
 
+import argparse
 import datetime
 import hashlib
 import json
@@ -198,6 +199,7 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
         ({"equilibrium": {"window": 0}}, "bad assignment settings"),
         ({"equilibrium": {"alpha": 7.0}}, "bad assignment settings"),
         ({"equilibrium": {"max_iter": "x"}}, "field 'max_iter' has wrong type"),
+        ({"demand": {"car_rate": 1.5}}, "bad demand settings"),
     ):
         cfg.write_text(json.dumps(doc) + "\n")
         assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 2, doc
@@ -212,6 +214,68 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
                 "--window", "0", "--output-dir", out]) == 2
     assert "bad assignment settings: window must be >= 1" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
+    # each stage decodes its settings before it opens an input file, so a
+    # bad setting is named even when an input does not exist
+    missing = tmp_path / "missing.json"
+    scenario = ["--network", missing, "--routes", missing, "--detectors", missing]
+    for argv, message in (
+        (["sim", "run", *scenario, "--end", "-1"], "end must be after begin"),
+        (["calib", "sweep", *scenario, "--measurements", missing, "--grid-step", "0.00005"],
+         "step must be >= 0.0001"),
+        (["report", "validate", *scenario, "--measurements", missing, "--p", "0.5",
+          "--rerouting-period", "0"], "rerouting_period must be > 0"),
+        (["dua", "iterate", "--network", missing, "--trips", missing, "--tol", "-1"],
+         "tol must be >= 0"),
+        (["data", "ingest", "--measurements", missing, "--include-weekdays", "Funday"],
+         "unknown weekday 'Funday'"),
+    ):
+        assert run([*argv, "--output-dir", tmp_path / "out"]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    # `demand generate` reads its statistics first: their `config` is the
+    # base of its settings; the network comes after the settings
+    cfg = tmp_path / "project.json"
+    cfg.write_text(json.dumps({"demand": {"car_rate": 1.5}}) + "\n")
+    assert run(["demand", "generate", "--network", missing, "--statistics", ws / "statistics.json",
+                "--config", cfg, "--output-dir", tmp_path / "out"]) == 2
+    assert "bad demand settings: car_rate must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_surface():
+    # every subcommand's flags, in `--help` order
+    common = ["-h", "--help", "--config", "--seed", "--output-dir"]
+    sim = ["--begin", "--end", "--step-length", "--time-to-teleport",
+           "--ignore-junction-blocker", "--rerouting-probability", "--rerouting-period"]
+    scenario = ["--network", "--routes", "--detectors", "--bus-lines"]
+    expected = {
+        ("net", "validate"): [*common, "--network"],
+        ("demand", "generate"): [*common, "--network", "--statistics"],
+        ("sim", "run"): [*common, *sim, *scenario],
+        ("dua", "iterate"): [*common, *sim, "--network", "--trips", "--max-iter", "--tol",
+                             "--window"],
+        ("calib", "sweep"): [*common, *sim, *scenario, "--measurements", "--p-min", "--p-max",
+                             "--grid-step", "--workers"],
+        ("data", "ingest"): [*common, "--measurements", "--include-weekdays", "--exclude-dates",
+                             "--date-from", "--date-to"],
+        ("report", "validate"): [*common, *sim, *scenario, "--measurements", "--p"],
+        ("fixture", "make"): common,
+    }
+
+    def choices(parser):
+        return next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+
+    seen = {
+        (group, action): [s for a in sub._actions for s in a.option_strings]
+        for group, groups in choices(cli.build_parser()).items()
+        for action, sub in choices(groups).items()
+    }
+    assert seen == expected
+    assert list(seen) == list(expected)
 
 
 def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
