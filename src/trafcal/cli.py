@@ -130,11 +130,12 @@ class _Ctx:
         os.makedirs(self.output_dir, exist_ok=True)
         return os.path.normpath(os.path.join(self.output_dir, name))
 
-    def settings(self, section: str, base=None):
+    def settings(self, section: str, base=None, **overrides):
         """The record of a settings section. Each later source wins: the
         record's defaults, `base`, the run seed (for a record with a seed),
-        the config section, then the flags named like its keys. A value of
-        the wrong type or out of its range is a usage error."""
+        the config section, the flags named like its keys, then the
+        `overrides` that are not None. A value of the wrong type or out of
+        its range is a usage error."""
         cls, label = _SECTIONS[section]
         keys = _SECTION_KEYS[section]
         values = netmodel.record_to(base) if base is not None else {}
@@ -145,6 +146,7 @@ class _Ctx:
             flag = getattr(self.args, key, None)
             if flag is not None:
                 values[key] = flag
+        values.update((k, v) for k, v in overrides.items() if v is not None)
         try:
             return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
         except ValueError as exc:
@@ -334,14 +336,14 @@ def cmd_data_ingest(ctx: _Ctx) -> int:
 
 
 def cmd_report_validate(ctx: _Ctx) -> int:
-    config = ctx.settings("sim")
     p = ctx.args.p
+    config = ctx.settings("sim", rerouting_probability=p)
     if p is None:
         best_path = os.path.join(ctx.output_dir, "sweep_best.csv")
         if not os.path.exists(best_path):
             raise UsageError("--p not given and no sweep_best.csv in output dir")
         p = calibrate.read_sweep_best(best_path)[0]
-    config = dataclasses.replace(config, rerouting_probability=p)
+        config = dataclasses.replace(config, rerouting_probability=p)
     paths, net, plans, detectors, lines = _scenario(ctx, detectors_required=True)
     real = dataio.ingest(dataio.read_measurements_csv(ctx.path("measurements"))).series
     ctx.log(f"validation run at p={p}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -52,29 +53,51 @@ class DetectorMismatchError(ValueError):
         self.extra = extra
 
 
-class _Measurement(NamedTuple):
+class _MeasurementFields(NamedTuple):
     detector_id: str
     date: datetime.date
     window_start: int  # seconds-of-day, multiple of 900
     count: int
 
 
-class RawMeasurement(_Measurement):
-    """One loop count, an immutable tuple that unpacks as
+# One loop count as `(detector_id, date, window_start, count)`: a
+# RawMeasurement, or the plain tuple `read_measurements_csv` returns.
+Measurement = tuple[str, datetime.date, int, int]
+
+
+class _BadValue(ValueError):
+    """A window or count no record may hold; the caller names the record."""
+
+
+def _window_start(value: int) -> int:
+    """`value` when it is a quarter-hour of the day, in seconds."""
+    if value % WINDOW_S != 0 or not 0 <= value < 86400:
+        raise _BadValue(f"window_start {value} not a quarter-hour of the day")
+    return value
+
+
+def _count(value: int) -> int:
+    if value < 0:
+        raise _BadValue("negative count")
+    return value
+
+
+def _record_error(detector_id: str, exc: _BadValue) -> MeasurementFormatError:
+    return MeasurementFormatError(f"record for '{detector_id}': {exc}")
+
+
+class RawMeasurement(_MeasurementFields):
+    """One loop count built by hand, an immutable tuple that unpacks as
     `(detector_id, date, window_start, count)`. A window off the day's
     quarter-hour grid or a negative count raises MeasurementFormatError."""
 
     __slots__ = ()
 
     def __new__(cls, detector_id: str, date: datetime.date, window_start: int, count: int):
-        if window_start % WINDOW_S != 0 or not 0 <= window_start < 86400:
-            raise MeasurementFormatError(
-                f"record for '{detector_id}': window_start {window_start}"
-                " not a quarter-hour of the day"
-            )
-        if count < 0:
-            raise MeasurementFormatError(f"record for '{detector_id}': negative count")
-        return tuple.__new__(cls, (detector_id, date, window_start, count))
+        try:
+            return tuple.__new__(cls, (detector_id, date, _window_start(window_start), _count(count)))
+        except _BadValue as exc:
+            raise _record_error(detector_id, exc) from None
 
     @classmethod
     def _make(cls, iterable):
@@ -155,28 +178,38 @@ class _ParseOnce(dict):
         return value
 
 
-def read_measurements_csv(path) -> list[RawMeasurement]:
-    """Every record of a measurement file, each checked by RawMeasurement.
+def read_measurements_csv(path) -> list[Measurement]:
+    """Every record of a measurement file, as plain `Measurement` tuples in
+    RawMeasurement's field order, checked like a RawMeasurement.
 
-    A detector id, date or number repeats on many rows, so each distinct
-    cell text is parsed once and its value shared by every row holding it.
+    A detector id, date, window or count repeats on many rows, so each
+    distinct cell text is parsed and checked once and its value shared by
+    every row holding it; a bad value is never kept, so each row holding
+    one fails. Plain tuples of such values are records the garbage
+    collector stops tracking, which a tuple subclass never is.
     """
     names = _ParseOnce(str)
     dates = _ParseOnce(datetime.date.fromisoformat)
-    ints = _ParseOnce(int)
+    windows = _ParseOnce(lambda text: _window_start(int(text)))
+    counts = _ParseOnce(lambda text: _count(int(text)))
 
-    def parse(row: list[str]) -> RawMeasurement:
+    def parse(row: list[str]) -> Measurement:
         det, date_s, start_s, count_s = row
-        return RawMeasurement(names[det], dates[date_s], ints[start_s], ints[count_s])
+        try:
+            return (names[det], dates[date_s], windows[start_s], counts[count_s])
+        except _BadValue as exc:
+            raise _record_error(det, exc) from None
 
     return list(netmodel.read_csv(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError, parse))
 
 
-def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
+def write_measurements_csv(records: Iterable[Measurement], path) -> None:
+    """Write `records`, sorted by detector, date and window; records that
+    share all three keep their order."""
     iso = _ParseOnce(lambda date: date.isoformat())
     netmodel.write_csv(path, MEASUREMENT_CSV_HEADER, (
-        (rec.detector_id, iso[rec.date], rec.window_start, rec.count)
-        for rec in sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start))
+        (det, iso[date], start, count)
+        for det, date, start, count in sorted(records, key=operator.itemgetter(0, 1, 2))
     ))
 
 
@@ -185,13 +218,14 @@ def write_measurements_csv(records: Sequence[RawMeasurement], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def ingest(records: Iterable[RawMeasurement], filt: IngestionFilter = IngestionFilter()) -> IngestResult:
+def ingest(records: Iterable[Measurement], filt: IngestionFilter = IngestionFilter()) -> IngestResult:
     """Average admitted days into one 96-window series per detector.
 
-    One pass over `records`, which may be any iterable. A day only counts
-    for a detector when every one of the 96 windows is present exactly
-    once; partial or duplicated days are treated like any other faulty day
-    and skipped. The result is independent of the order of the input
+    One pass over `records`, which may be any iterable of checked
+    `Measurement` tuples, read from a file or built as RawMeasurement. A
+    day only counts for a detector when every one of the 96 windows is
+    present exactly once; partial or duplicated days are treated like any
+    other faulty day and skipped. The result is independent of the order of the input
     records.
     """
     detectors: set[str] = set()

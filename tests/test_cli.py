@@ -227,6 +227,8 @@ def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
          "step must be >= 0.0001"),
         (["report", "validate", *scenario, "--measurements", missing, "--p", "0.5",
           "--rerouting-period", "0"], "rerouting_period must be > 0"),
+        (["report", "validate", *scenario, "--measurements", missing, "--p", "1.5"],
+         "bad simulation settings: rerouting_probability must be in [0, 1]"),
         (["dua", "iterate", "--network", missing, "--trips", missing, "--tol", "-1"],
          "tol must be >= 0"),
         (["data", "ingest", "--measurements", missing, "--include-weekdays", "Funday"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime
+import gc
 import json
 import math
 import random
@@ -276,6 +277,50 @@ def test_measurements_csv_rejects_bad_input(tmp_path):
     path.write_text("detector_id,date,window_start_s,count\nd1,2023-09-05,0,-3\n")
     with pytest.raises(MeasurementFormatError):
         read_measurements_csv(path)
+
+
+def test_read_measurements_are_plain_untracked_tuples(tmp_path):
+    records = sorted(
+        full_day("d2", WED, base=5) + full_day("d1", TUE, base=0) + full_day("d1", SAT, base=9),
+        key=lambda r: (r.detector_id, r.date, r.window_start),
+    )
+    path = tmp_path / "loops.csv"
+    write_measurements_csv(records, path)
+    back = read_measurements_csv(path)
+    assert all(type(rec) is tuple for rec in back)
+    gc.collect()
+    assert not any(gc.is_tracked(rec) for rec in back)
+    assert back == records
+    assert ingest(back) == ingest(records)
+
+
+def read_rows(path, *rows):
+    path.write_text("detector_id,date,window_start_s,count\n" + "".join(r + "\n" for r in rows))
+    return read_measurements_csv(path)
+
+
+def test_each_bad_row_fails_though_cells_are_checked_once(tmp_path):
+    # a cell text is checked once and its value shared, yet the error names
+    # the row that holds a bad value: its file, line and detector
+    path = tmp_path / "loops.csv"
+    with pytest.raises(MeasurementFormatError, match=re.escape(
+        f"{path}: line 4: record for 'd2': window_start 450 not a quarter-hour of the day"
+    )):
+        read_rows(path, "d1,2023-09-05,0,3", "d1,2023-09-05,900,3", "d2,2023-09-05,450,3")
+    with pytest.raises(MeasurementFormatError, match=re.escape(
+        f"{path}: line 3: record for 'd1': negative count"
+    )):
+        read_rows(path, "d1,2023-09-05,0,3", "d1,2023-09-05,900,-2", "d2,2023-09-05,0,-2")
+    # Saturday is a day `ingest` drops; its bad row fails on read all the same
+    with pytest.raises(MeasurementFormatError, match=re.escape(
+        f"{path}: line 2: record for 'd1': negative count"
+    )):
+        read_rows(path, "d1,2023-09-09,0,-1", "d1,2023-09-05,0,3")
+
+
+def test_equal_numbers_read_the_same_from_other_texts(tmp_path):
+    back = read_rows(tmp_path / "loops.csv", "d1,2023-09-05,0900,3", "d1,2023-09-05,900,03")
+    assert back == [("d1", TUE, 900, 3), ("d1", TUE, 900, 3)]
 
 
 # -- validation ----------------------------------------------------------------
