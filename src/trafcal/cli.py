@@ -400,7 +400,11 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
         scenario.districts, scenario.gates, scenario.schools, demand, scenario.net,
     )
     ctx.log(f"twin demand: {len(table)} trips")
-    dua = equilibrium.dua_iterate(scenario.net, table, sim_cfg, dua_params)
+    # only the routes are read, so the cap round that cannot change them
+    # is not simulated
+    dua = equilibrium.dua_iterate(
+        scenario.net, table, sim_cfg, dua_params, simulate_final=False
+    )
     truth_cfg = dataclasses.replace(
         sim_cfg, rerouting_probability=scenario.true_p
     )

@@ -173,6 +173,8 @@ def dua_iterate(
     trips: TripTable,
     config: SimConfig,
     params: DuaConfig = DuaConfig(),
+    *,
+    simulate_final: bool = True,
 ) -> DuaResult:
     """Simulate, reweigh, and re-choose routes until travel times settle.
 
@@ -181,6 +183,12 @@ def dua_iterate(
     experienced costs into the route sets, derives one new candidate route
     per vehicle from smoothed edge travel times, and samples next choices
     from the updated probabilities.
+
+    The round at the `max_iter` cap ends the loop whatever its simulation
+    shows, so `final_plans` are that round's plans as built before it
+    runs. With `simulate_final=False` the cap round is not simulated: the
+    plans are the same, `metrics` lack its row, and `converged` stays
+    False. A run that converges before its cap is unaffected.
     """
     expansion = expand_routes(trips, net)
     route_sets: dict[str, RouteSet] = {}
@@ -211,6 +219,8 @@ def dua_iterate(
             )
             for trip_id, rs in sorted(route_sets.items())
         ]
+        if not simulate_final and iteration == params.max_iter - 1:
+            break
         out = Simulation(net, plans, sim_cfg).run()
         metrics.append(
             IterationMetrics(

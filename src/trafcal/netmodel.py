@@ -31,6 +31,9 @@ JUNCTION_KINDS = ("plain", "traffic_light", "dead_end")
 EDGE_CATEGORIES = ("normal", "tunnel", "under_building", "under_bridge")
 TLS_LOGICS = ("static", "actuated")
 TLS_STATE_CHARS = frozenset("Gry")
+# a car's length plus its standstill gap (`microsim.carfollow.CAR`): on a
+# shorter edge the engine cannot keep vehicles apart and counts collisions
+MIN_EDGE_LENGTH = 7.5
 
 
 class NetworkFormatError(ValueError):
@@ -513,6 +516,8 @@ def validate_network(net: RoadNetwork) -> list[Violation]:
     for e in net.edges.values():
         if not e.length > 0:
             out.append(Violation("NONPOSITIVE_LENGTH", e.id, f"edge length {e.length} must be > 0"))
+        elif e.length < MIN_EDGE_LENGTH:
+            out.append(Violation("SHORT_EDGE", e.id, f"edge length {e.length} is below {MIN_EDGE_LENGTH}"))
         if e.lane_count < 1:
             out.append(Violation("BAD_LANE_COUNT", e.id, f"lane_count {e.lane_count} must be >= 1"))
         if not e.speed_limit > 0:

@@ -30,3 +30,19 @@ def trafcal_on_path(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
         yield
+
+
+@pytest.fixture
+def sim_runs(monkeypatch):
+    """Counts `Simulation.run` calls in this process: one config each."""
+    from trafcal.microsim import Simulation
+
+    calls = []
+    run_ = Simulation.run
+
+    def counted(sim, probe=None):
+        calls.append(sim.config)
+        return run_(sim, probe)
+
+    monkeypatch.setattr(Simulation, "run", counted)
+    return calls

@@ -285,8 +285,8 @@ def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
     # written project reruns them at the seed the truth ran at
     seen = []
 
-    def capture(net, trips, config, params):
-        seen.append((config.seed, params))
+    def capture(net, trips, config, params, *, simulate_final=True):
+        seen.append((config.seed, params, simulate_final))
         return equilibrium.DuaResult({}, [], False, [])
 
     monkeypatch.setattr(equilibrium, "dua_iterate", capture)
@@ -295,7 +295,7 @@ def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run(["fixture", "make", "--config", cfg, "--seed", "7", "--output-dir", out]) == 0
     params = equilibrium.DuaConfig(max_iter=2, tol=0.05, window=3)
-    assert seen == [(7, params)]
+    assert seen == [(7, params, False)]
     project = json.loads((out / "project.json").read_text())
     assert project["equilibrium"] == netmodel.record_to(params)
     assert project["sweep"] == netmodel.record_to(fixtures.TWIN_GRID)
@@ -309,7 +309,8 @@ def test_fixture_make_generates_the_demand_section(tmp_path, monkeypatch):
     # written statistics carry it on to `demand generate`
     seen = []
 
-    def capture(net, trips, config, params):
+    def capture(net, trips, config, params, *, simulate_final=True):
+        assert simulate_final is False
         seen.append(len(trips))
         return equilibrium.DuaResult({}, [], False, [])
 
@@ -327,6 +328,29 @@ def test_fixture_make_generates_the_demand_section(tmp_path, monkeypatch):
     # seed, as `demand generate` will
     assert configs["no_cars"] == {**netmodel.record_to(twin), "car_rate": 0.0}
     assert seen[1] < seen[0]
+
+
+def test_fixture_make_skips_the_capped_rounds_simulation(tmp_path, monkeypatch, sim_runs):
+    # the bench's assignment stops at its cap of 2 rounds; the truth is
+    # built from the same routes when the cap round is also simulated
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"equilibrium": {"max_iter": 2, "window": 2}}\n')
+
+    def make(name):
+        sim_runs.clear()
+        out = tmp_path / name
+        assert run(["fixture", "make", "--config", cfg, "--seed", "5", "--output-dir", out]) == 0
+        return len(sim_runs), (out / "measurements.csv").read_bytes()
+
+    skipped = make("skipped")
+    dua_iterate = equilibrium.dua_iterate
+    monkeypatch.setattr(
+        equilibrium, "dua_iterate",
+        lambda *args, simulate_final: dua_iterate(*args, simulate_final=True),
+    )
+    full = make("full")
+    assert (skipped[0], full[0]) == (2, 3)
+    assert skipped[1] == full[1]
 
 
 # -- net validate --------------------------------------------------------------
@@ -527,20 +551,6 @@ def swept(ws, tmp_path):
     assert run(["calib", "sweep", *common, "--p-min", "0", "--p-max", "1",
                 "--grid-step", "0.5"]) == 0
     return common
-
-
-@pytest.fixture
-def sim_runs(monkeypatch):
-    """Counts `Simulation.run` calls in this process."""
-    calls = []
-    run_ = Simulation.run
-
-    def counted(sim, probe=None):
-        calls.append(sim.config)
-        return run_(sim, probe)
-
-    monkeypatch.setattr(Simulation, "run", counted)
-    return calls
 
 
 def validate_report(common, *flags):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from trafcal import equilibrium, fixtures
+from trafcal.demandgen import expand_routes
 from trafcal.equilibrium import (
     Alternative,
     DuaConfig,
@@ -206,11 +207,12 @@ def test_experienced_cost_paths():
 # -- the assignment loop -----------------------------------------------------
 
 
-def two_route_result(seed):
+def two_route_result(seed, max_iter=50, **kw):
     net = fixtures.two_route_network()
     trips = fixtures.two_route_trips(n=200, interval=1.0)
     cfg = SimConfig(end=3600.0, step_length=1.0, seed=seed)
-    return dua_iterate(net, trips, cfg, DuaConfig(max_iter=50, tol=0.1, window=5))
+    params = DuaConfig(max_iter=max_iter, tol=0.1, window=5)
+    return dua_iterate(net, trips, cfg, params, **kw)
 
 
 def test_two_route_assignment_balances():
@@ -234,6 +236,37 @@ def test_assignment_deterministic():
     assert [p.edges for p in a.final_plans] == [p.edges for p in b.final_plans]
     c = two_route_result(seed=4)
     assert a.metrics != c.metrics
+
+
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_capped_run_can_skip_its_final_simulation(sim_runs, max_iter):
+    # the cap round ends the loop whatever it shows, so skipping its
+    # simulation leaves the routes as they are and drops only its row
+    full = two_route_result(0, max_iter)
+    assert len(sim_runs) == max_iter and not full.converged
+    sim_runs.clear()
+    short = two_route_result(0, max_iter, simulate_final=False)
+    assert len(sim_runs) == max_iter - 1
+    assert short.final_plans == full.final_plans
+    assert short.route_sets == full.route_sets
+    assert short.metrics == full.metrics[:-1]
+    assert not short.converged
+    if max_iter == 1:
+        free_flow = expand_routes(
+            fixtures.two_route_trips(n=200, interval=1.0),
+            fixtures.two_route_network(),
+        ).routes
+        assert short.final_plans == sorted(free_flow, key=lambda p: p.trip_id)
+
+
+def test_converging_run_ignores_simulate_final(sim_runs):
+    full = two_route_result(0)
+    full_runs = len(sim_runs)
+    sim_runs.clear()
+    short = two_route_result(0, simulate_final=False)
+    assert full.converged and len(full.metrics) < 50
+    assert short == full
+    assert len(sim_runs) == full_runs == len(full.metrics)
 
 
 # -- metrics file ------------------------------------------------------------

@@ -20,6 +20,7 @@ from trafcal.demandgen import (
     load_statistics,
     read_trips,
 )
+from trafcal.microsim.carfollow import CAR
 from trafcal.microsim.simio import (
     BusLine,
     Detector,
@@ -298,6 +299,17 @@ def test_save_is_deterministic(tmp_path):
 
 def test_grid_fixture_is_clean():
     assert validate_network(fixtures.grid_network()) == []
+
+
+def test_edges_shorter_than_a_standing_car_are_reported():
+    # the engine counts collisions on edges that cannot hold one car and
+    # its gap; netmodel keeps its own copy of that length
+    assert netmodel.MIN_EDGE_LENGTH == CAR.length + CAR.min_gap
+    fine = fixtures.grid_network(n=4, spacing=3.0, lane_count=2)
+    violations = validate_network(fine)
+    assert {v.code for v in violations} == {"SHORT_EDGE"}
+    assert sorted(v.subject_id for v in violations) == sorted(fine.edges)
+    assert validate_network(fixtures.twin_scenario(7).net) == []
 
 
 def test_structural_violations_are_reported():
