@@ -316,7 +316,10 @@ def _ingestion_filter(args: argparse.Namespace) -> dataio.IngestionFilter:
         if not (args.date_from and args.date_to):
             raise UsageError("--date-from and --date-to must be given together")
         kwargs["date_range"] = (_parse_date(args.date_from), _parse_date(args.date_to))
-    return dataio.IngestionFilter(**kwargs)
+    try:
+        return dataio.IngestionFilter(**kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad ingestion filter: {exc}") from exc
 
 
 def cmd_data_ingest(ctx: _Ctx) -> int:

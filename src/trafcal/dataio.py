@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -205,11 +206,21 @@ def read_measurements_csv(path) -> list[Measurement]:
 
 def write_measurements_csv(records: Iterable[Measurement], path) -> None:
     """Write `records`, sorted by detector, date and window; records that
-    share all three keep their order."""
+    share all three keep their order.
+
+    A list or tuple already in whole-tuple order, as the fixture, the
+    reader and the loop generator produce it, is in that order too, so it
+    is written as it comes after one pass of comparisons: no sort key per
+    record and no copy. Any other input is sorted.
+    """
+    if not (
+        isinstance(records, (list, tuple))
+        and all(map(operator.le, records, itertools.islice(records, 1, None)))
+    ):
+        records = sorted(records, key=operator.itemgetter(0, 1, 2))
     iso = _ParseOnce(lambda date: date.isoformat())
     netmodel.write_csv(path, MEASUREMENT_CSV_HEADER, (
-        (det, iso[date], start, count)
-        for det, date, start, count in sorted(records, key=operator.itemgetter(0, 1, 2))
+        (det, iso[date], start, count) for det, date, start, count in records
     ))
 
 

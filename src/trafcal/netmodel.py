@@ -544,6 +544,14 @@ def validate_network(net: RoadNetwork) -> list[Violation]:
                 )
             if not set(ph.state) <= TLS_STATE_CHARS:
                 out.append(Violation("PHASE_STATE_CHARS", prog.junction_id, f"phase {k} state has characters outside G/r/y"))
+            if not ph.duration > 0:
+                out.append(
+                    Violation(
+                        "NONPOSITIVE_PHASE_DURATION",
+                        prog.junction_id,
+                        f"phase {k} duration {ph.duration} must be > 0",
+                    )
+                )
             if not (ph.min_duration <= ph.duration <= ph.max_duration):
                 out.append(
                     Violation(

@@ -233,6 +233,8 @@ def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
          "tol must be >= 0"),
         (["data", "ingest", "--measurements", missing, "--include-weekdays", "Funday"],
          "unknown weekday 'Funday'"),
+        (["data", "ingest", "--measurements", missing, "--date-from", "2023-09-10",
+          "--date-to", "2023-09-01"], "bad ingestion filter: date_range start must not be after its end"),
     ):
         assert run([*argv, "--output-dir", tmp_path / "out"]) == 2, argv
         assert message in capsys.readouterr().err, argv

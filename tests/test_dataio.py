@@ -5,12 +5,14 @@ import datetime
 import gc
 import json
 import math
+import operator
 import random
 import re
+import tracemalloc
 
 import pytest
 
-from trafcal import dataio
+from trafcal import dataio, netmodel
 from trafcal.calibrate import WINDOWS_PER_DAY, DetectorSeries, nrmse, read_sweep_best
 from trafcal.dataio import (
     WINDOW_S,
@@ -261,6 +263,61 @@ def test_measurements_csv_keeps_duplicated_windows_in_file_order(tmp_path):
     )
     write_measurements_csv(read_measurements_csv(again), path)
     assert path.read_bytes() == again.read_bytes()
+
+
+def reference_measurements_csv(records, path):
+    """The writer as it was before it skipped the sort of ordered input:
+    every record sorted by a stable (detector, date, window) key."""
+    netmodel.write_csv(path, dataio.MEASUREMENT_CSV_HEADER, (
+        (det, date.isoformat(), start, count)
+        for det, date, start, count in sorted(records, key=operator.itemgetter(0, 1, 2))
+    ))
+
+
+def test_measurements_csv_sorts_unordered_and_generator_input(tmp_path):
+    rng = random.Random(14)
+    records = full_day("d2", WED, base=5) + full_day("d1", TUE) + full_day("d1", SAT, base=9)
+    # duplicated windows whose counts fall: whole-tuple order would swap them
+    records += [RawMeasurement("d1", TUE, 900, 50), RawMeasurement("d1", TUE, 900, 2)]
+    rng.shuffle(records)
+    expected = tmp_path / "expected.csv"
+    reference_measurements_csv(records, expected)
+    before = list(records)
+    for name, given in (("list", records), ("tuple", tuple(records)), ("gen", iter(records))):
+        path = tmp_path / f"{name}.csv"
+        write_measurements_csv(given, path)
+        assert path.read_bytes() == expected.read_bytes(), name
+    assert records == before  # the caller's list is not sorted in place
+    ordered = read_measurements_csv(expected)
+    for name, given in (("ordered", ordered), ("ordered gen", iter(ordered))):
+        path = tmp_path / "again.csv"
+        write_measurements_csv(given, path)
+        assert path.read_bytes() == expected.read_bytes(), name
+
+
+def test_measurements_csv_of_no_records_is_the_header(tmp_path):
+    path = tmp_path / "loops.csv"
+    for given in ([], (), iter(())):
+        write_measurements_csv(given, path)
+        assert path.read_bytes() == b"detector_id,date,window_start_s,count\r\n"
+
+
+def test_measurements_csv_writes_ordered_records_without_a_key_per_record(tmp_path):
+    # 99,840 ordered records: one sort key each, plus a sorted copy of the
+    # list, would take about 7 MB
+    dates = [TUE + datetime.timedelta(days=i) for i in range(52)]
+    records = [rec for d in range(20) for date in dates for rec in full_day(f"d{d:02d}", date)]
+    path = tmp_path / "loops.csv"
+    tracemalloc.start()
+    try:
+        write_measurements_csv(records, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    reference = tmp_path / "reference.csv"
+    reference_measurements_csv(records, reference)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_measurements_csv_rejects_bad_input(tmp_path):

@@ -354,6 +354,15 @@ def test_tls_violations():
     empty = RoadNetwork(junctions, edges, [TlsProgram("b", "static", ())])
     assert "EMPTY_PROGRAM" in {v.code for v in validate_network(empty)}
 
+    # phases that last no time are in bounds, yet the program cannot advance
+    for logic in ("static", "actuated"):
+        phases = (TlsPhase(0.0, 0.0, 0.0, "Gr"), TlsPhase(0.0, 0.0, 0.0, "rG"))
+        stalled = RoadNetwork(junctions, edges, [TlsProgram("b", logic, phases)])
+        assert [(v.code, v.subject_id, v.message) for v in validate_network(stalled)] == [
+            ("NONPOSITIVE_PHASE_DURATION", "b", f"phase {k} duration 0.0 must be > 0")
+            for k in (0, 1)
+        ]
+
 
 def test_orphan_tls_flagged():
     net = tiny_net(tls_programs=[TlsProgram("b", "static", (TlsPhase(5, 5, 5, "GG"),))])
