@@ -9,8 +9,10 @@ detectors from best to worst reproduced.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime
+import io
 import itertools
 import math
 import operator
@@ -71,13 +73,18 @@ class _BadValue(ValueError):
 
 
 def _window_start(value: int) -> int:
-    """`value` when it is a quarter-hour of the day, in seconds."""
+    """`value` when it is an `int` quarter-hour of the day, in seconds."""
+    if type(value) is not int:
+        raise _BadValue(f"window_start {value!r} is not an int")
     if value % WINDOW_S != 0 or not 0 <= value < 86400:
         raise _BadValue(f"window_start {value} not a quarter-hour of the day")
     return value
 
 
 def _count(value: int) -> int:
+    """`value` when it is an `int` that is not negative."""
+    if type(value) is not int:
+        raise _BadValue(f"count {value!r} is not an int")
     if value < 0:
         raise _BadValue("negative count")
     return value
@@ -89,8 +96,10 @@ def _record_error(detector_id: str, exc: _BadValue) -> MeasurementFormatError:
 
 class RawMeasurement(_MeasurementFields):
     """One loop count built by hand, an immutable tuple that unpacks as
-    `(detector_id, date, window_start, count)`. A window off the day's
-    quarter-hour grid or a negative count raises MeasurementFormatError."""
+    `(detector_id, date, window_start, count)`. A window or count that is
+    not an `int` (a float, NaN or bool), a window off the day's
+    quarter-hour grid, or a negative count raises MeasurementFormatError,
+    so every record written can be read back."""
 
     __slots__ = ()
 
@@ -165,8 +174,7 @@ class ValidationReport:
 
 
 class _ParseOnce(dict):
-    """Key -> `parse(key)`, computed once for each distinct key: a cell
-    text parsed on read, or a date formatted on write."""
+    """Cell text -> `parse(text)`, computed once for each distinct text."""
 
     __slots__ = ("parse",)
 
@@ -212,16 +220,36 @@ def write_measurements_csv(records: Iterable[Measurement], path) -> None:
     reader and the loop generator produce it, is in that order too, so it
     is written as it comes after one pass of comparisons: no sort key per
     record and no copy. Any other input is sorted.
+
+    The text is made a detector-day at a time: `csv.writer` formats the
+    `detector_id,date,` prefix once per run of records sharing both, and
+    so quotes an id exactly as it quotes any cell, and each row is that
+    prefix and its window and count. Rows stream to the file one by one.
     """
     if not (
         isinstance(records, (list, tuple))
         and all(map(operator.le, records, itertools.islice(records, 1, None)))
     ):
         records = sorted(records, key=operator.itemgetter(0, 1, 2))
-    iso = _ParseOnce(lambda date: date.isoformat())
-    netmodel.write_csv(path, MEASUREMENT_CSV_HEADER, (
-        (det, iso[date], start, count) for det, date, start, count in records
-    ))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_measurement_lines(records))
+
+
+def _measurement_lines(records: Iterable[Measurement]):
+    """The lines of a measurement file holding the ordered `records`."""
+    buf = io.StringIO()
+    cells = csv.writer(buf)
+    cells.writerow(MEASUREMENT_CSV_HEADER)
+    yield buf.getvalue()
+    prefix = last_det = last_date = None
+    for det, date, start, count in records:
+        if date != last_date or det != last_det:
+            last_det, last_date = det, date
+            buf.seek(0)
+            buf.truncate()
+            cells.writerow((det, date.isoformat(), ""))
+            prefix = buf.getvalue()[:-2]  # without the "\r\n" line end
+        yield f"{prefix}{start},{count}\r\n"
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,15 @@ class Simulation:
             e.id: (e.length, e.speed_limit, self.lanes[e.id], {}, e.id in detected)
             for e in net.edges.values()
         }
-        for jid in net.tls_programs:
-            for i, (ein, eout) in enumerate(net.connections(jid)):
+        for jid, prog in net.tls_programs.items():
+            conns = net.connections(jid)
+            for k, ph in enumerate(prog.phases):
+                if len(ph.state) != len(conns):
+                    raise ValueError(
+                        f"junction '{jid}': phase {k} state length"
+                        f" {len(ph.state)} != connection count {len(conns)}"
+                    )
+            for i, (ein, eout) in enumerate(conns):
                 self._edge_info[ein][3][eout] = (jid, i)
 
         self._lane_detectors: dict[tuple[str, int], list[Detector]] = {}
@@ -319,7 +326,7 @@ class Simulation:
         if state is None:
             state = self.controllers[jid].state(now)
             self._tls_cache[jid] = state
-        return state[i] if i < len(state) else "r"
+        return state[i]
 
     def _best_entry_lane(self, edge_id: str) -> tuple[int, float, Optional[_Vehicle]]:
         """Lane with the most room at the edge start: (lane, rear space, last vehicle)."""
@@ -496,7 +503,7 @@ class Simulation:
                                 state = tls_cache.get(jid)
                                 if state is None:
                                     state = tls_cache[jid] = controllers[jid].state(now)
-                                green = ci < len(state) and state[ci] == "G"
+                                green = state[ci] == "G"
                             if not green:
                                 gap = length - pos  # red or amber: the line is a wall
                                 lead_speed = 0.0

@@ -46,3 +46,29 @@ def sim_runs(monkeypatch):
 
     monkeypatch.setattr(Simulation, "run", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def twin_with_phase_states():
+    """`make(size)`: the seed-7 twin network with each signal phase state
+    cut or padded to `size` characters."""
+    import dataclasses
+
+    from trafcal import fixtures
+    from trafcal.netmodel import RoadNetwork
+
+    twin = fixtures.twin_scenario(7).net
+
+    def make(size):
+        programs = [
+            dataclasses.replace(prog, phases=tuple(
+                dataclasses.replace(ph, state=(ph.state * size)[:size]) for ph in prog.phases
+            ))
+            for prog in twin.tls_programs.values()
+        ]
+        return RoadNetwork(
+            twin.junctions.values(), twin.edges.values(), programs,
+            twin.bus_stops.values(), twin.parking_areas.values(), twin.buildings.values(),
+        )
+
+    return make

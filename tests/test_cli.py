@@ -439,6 +439,21 @@ def test_sim_run_actuated_grid(tmp_path, capsys):
     assert summaries["actuated"]["avg_time_loss"] < summaries["static"]["avg_time_loss"]
 
 
+def test_sim_run_refuses_phase_states_of_the_wrong_length(tmp_path, capsys, twin_with_phase_states):
+    # the twin network with every phase state cut to one character: `net
+    # validate` reports PHASE_ARITY, and the engine does not simulate it
+    net = twin_with_phase_states(1)
+    save_network(net, tmp_path / "net.json")
+    save_route_plans([RoutePlan("v0", ("e00_01",), 0.0)], tmp_path / "routes.json")
+    assert run(["net", "validate", "--network", tmp_path / "net.json"]) != 0
+    assert "PHASE_ARITY" in capsys.readouterr().out
+    assert run(["sim", "run", "--network", tmp_path / "net.json",
+                "--routes", tmp_path / "routes.json", "--output-dir", tmp_path / "out"]) == 3
+    jid = next(iter(net.tls_programs))
+    assert f"junction '{jid}': phase 0 state length 1 != connection count" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sim_summary.json").exists()
+
+
 def test_sim_run_is_idempotent_and_leaves_inputs_alone(ws, tmp_path):
     inputs = sorted(ws.glob("*.json")) + [ws / "measurements.csv"]
     before = {p.name: digest(p) for p in inputs}

@@ -219,6 +219,23 @@ def test_ingest_takes_a_one_shot_iterable():
     assert ingest(iter(records), no_wed) != ingest(records)
 
 
+@pytest.mark.parametrize("window, count, message", [
+    (900.0, 3, "window_start 900.0 is not an int"),
+    (False, 3, "window_start False is not an int"),
+    (900, 3.5, "count 3.5 is not an int"),
+    (900, math.nan, "count nan is not an int"),
+    (900, 3.0, "count 3.0 is not an int"),
+    (900, True, "count True is not an int"),
+])
+def test_measurement_record_holds_only_int_windows_and_counts(window, count, message):
+    # the writer would write 900.0, 3.5, nan or True, which the reader
+    # refuses, so no record holds them
+    with pytest.raises(MeasurementFormatError, match=re.escape(f"record for 'd7': {message}")):
+        RawMeasurement("d7", TUE, window, count)
+    with pytest.raises(MeasurementFormatError, match=re.escape(f"record for 'd7': {message}")):
+        RawMeasurement("d7", TUE, 0, 0)._replace(window_start=window, count=count)
+
+
 def test_measurement_record_is_a_named_tuple():
     rec = RawMeasurement("d1", TUE, 900, 7)
     det, date, start, count = rec
@@ -318,6 +335,44 @@ def test_measurements_csv_writes_ordered_records_without_a_key_per_record(tmp_pa
     reference = tmp_path / "reference.csv"
     reference_measurements_csv(records, reference)
     assert path.read_bytes() == reference.read_bytes()
+
+
+QUOTED_IDS = ("a,b", 'say "hi"', "two\nlines", "cr\rid", " padded ", "Zürich-Straße", "")
+
+
+@pytest.mark.parametrize("det", QUOTED_IDS)
+def test_measurements_csv_quotes_detector_ids_like_any_cell(tmp_path, det):
+    records = full_day(det, TUE) + full_day(det, WED, base=3)
+    path, reference = tmp_path / "loops.csv", tmp_path / "reference.csv"
+    write_measurements_csv(records, path)
+    reference_measurements_csv(records, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert read_measurements_csv(path) == records
+
+
+def test_measurements_csv_of_many_detector_days(tmp_path):
+    # the row prefix changes with the date alone (d1 Tue -> d1 Wed), with
+    # the detector alone (d2 -> d3 on the last date), and with both; days
+    # of one record and of many
+    rng = random.Random(15)
+    dates = [TUE + datetime.timedelta(days=i) for i in range(9)]
+    records = [
+        RawMeasurement(det, date, w * WINDOW_S, rng.randrange(200))
+        for det in ("d1", "d2", *QUOTED_IDS, "d10")
+        for date in dates
+        for w in sorted(rng.sample(range(WINDOWS_PER_DAY), rng.choice((1, 2, 96))))
+    ]
+    records += [
+        RawMeasurement("d2", WED, 0, 7), RawMeasurement("d1", SAT, 900, 1),
+        RawMeasurement("d3", dates[-1], 0, 1),
+    ]
+    ordered = sorted(records, key=operator.itemgetter(0, 1, 2))
+    path, reference = tmp_path / "loops.csv", tmp_path / "reference.csv"
+    reference_measurements_csv(records, reference)
+    for given in (records, ordered):
+        write_measurements_csv(given, path)
+        assert path.read_bytes() == reference.read_bytes()
+        assert read_measurements_csv(path) == ordered
 
 
 def test_measurements_csv_rejects_bad_input(tmp_path):

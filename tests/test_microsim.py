@@ -1,9 +1,11 @@
 """Simulation engine: kinematics, signals, detectors, recovery actions."""
 
 import math
+import re
 
 import pytest
 
+from trafcal import fixtures
 from trafcal.microsim import SimConfig, Simulation
 from trafcal.microsim.carfollow import VehicleType
 from trafcal.microsim.engine import STOP_SPEED
@@ -16,6 +18,7 @@ from trafcal.netmodel import (
     TlsPhase,
     TlsProgram,
     free_flow_time,
+    validate_network,
 )
 
 QUIET = VehicleType(sigma=0.0)  # deterministic driver for closed-form checks
@@ -636,6 +639,20 @@ def test_depart_before_begin_rejected():
     net = chain_net([100.0])
     with pytest.raises(ValueError):
         Simulation(net, [RoutePlan("v0", ("e0",), 5.0)], cfg(begin=10.0, end=20.0))
+
+
+def test_phase_states_of_the_wrong_length_are_refused(twin_with_phase_states):
+    # the engine refuses what `net validate` reports as PHASE_ARITY: a turn
+    # past the end of a short state string has no signal to obey
+    twin = fixtures.twin_scenario(7).net
+    plans = [RoutePlan("v0", ("e00_01",), 0.0)]
+    widest = max(len(ph.state) for prog in twin.tls_programs.values() for ph in prog.phases)
+    for size in (1, widest + 1):
+        net = twin_with_phase_states(size)
+        first = next(v for v in validate_network(net) if v.code == "PHASE_ARITY")
+        with pytest.raises(ValueError, match=re.escape(f"junction '{first.subject_id}': {first.message}")):
+            Simulation(net, plans, cfg())
+    Simulation(twin, plans, cfg())
 
 
 def test_unknown_edge_in_plan():
