@@ -96,14 +96,14 @@ class DemandConfig:
         if not self.work_hours:
             raise DemandError("at least one work_hours entry is required")
         share_sum = sum(w.worker_share for w in self.work_hours)
-        if abs(share_sum - 1.0) > 1e-9:
+        if not abs(share_sum - 1.0) <= 1e-9:
             raise DemandError(f"work_hours shares sum to {share_sum}, expected 1")
         for bound in ("car_rate", "car_preference_rate", "free_time_rate"):
             if not 0.0 <= getattr(self, bound) <= 1.0:
                 raise DemandError(f"{bound} must be in [0, 1]")
         if self.incoming_total < 0 or self.outgoing_total < 0:
             raise DemandError("gate totals must be >= 0")
-        if self.departure_jitter_sd < 0:
+        if not self.departure_jitter_sd >= 0:
             raise DemandError("departure_jitter_sd must be >= 0")
 
 
@@ -222,7 +222,7 @@ def largest_remainder(total: int, shares: list[float]) -> list[int]:
 
 
 def _weighted_pick(rng: random.Random, items: list, weights: list[float]):
-    total = sum(weights)
+    total = netmodel.left_sum(weights)
     x = rng.random() * total
     acc = 0.0
     for item, w in zip(items, weights):

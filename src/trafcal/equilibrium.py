@@ -41,9 +41,9 @@ class DuaConfig:
             raise ValueError("max_iter must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must satisfy 0 <= alpha <= 1")

@@ -11,9 +11,11 @@ departures, periodic rerouting, and output sampling. However a vehicle
 reaches an edge (driving over the line, a junction-blocker override, a
 teleport or its insertion) it enters through one helper, and it leaves
 through one, so detectors, distance and edge times count every way alike.
-Bus stops are resolved once per trip, before the run. All randomness comes
-from named substreams of the run seed, and every container is walked in a
-sorted order, so equal seeds give byte-equal outputs.
+Bus stops are resolved once per trip, before the run, and a network with
+a signal program the engine cannot run (`netmodel.engine_violations`) is
+refused before anything is built. All randomness comes from named
+substreams of the run seed, and every container is walked in a sorted
+order, so equal seeds give byte-equal outputs.
 
 Loop layout. The active edges are kept sorted as they change, and one copy
 of that order serves both per-vehicle passes of a step, since the speed
@@ -70,17 +72,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_length <= 0:
+        if not self.step_length > 0:
             raise ValueError("step_length must be > 0")
-        if self.end <= self.begin:
+        if not self.end > self.begin:
             raise ValueError("end must be after begin")
         if not 0.0 <= self.rerouting_probability <= 1.0:
             raise ValueError("rerouting_probability must be in [0, 1]")
-        if self.rerouting_period <= 0:
+        if not self.rerouting_period > 0:
             raise ValueError("rerouting_period must be > 0")
-        if self.time_to_teleport <= 0:
+        if not self.time_to_teleport > 0:
             raise ValueError("time_to_teleport must be > 0")
-        if self.ignore_junction_blocker < 0:
+        if not self.ignore_junction_blocker >= 0:
             raise ValueError("ignore_junction_blocker must be >= 0")
         if not 0.0 <= self.speed_smoothing <= 1.0:
             raise ValueError("speed_smoothing must be in [0, 1]")
@@ -178,6 +180,10 @@ class Simulation:
         bus_lines: list[BusLine] = (),
         vehicle_types: Optional[dict[str, VehicleType]] = None,
     ):
+        refused = netmodel.engine_violations(net)
+        if refused:
+            v = refused[0]
+            raise ValueError(f"junction '{v.subject_id}': {v.message}")
         self.net = net
         self.config = config
         self.vehicle_types = {"car": CAR, "bus": BUS}
@@ -243,15 +249,8 @@ class Simulation:
             e.id: (e.length, e.speed_limit, self.lanes[e.id], {}, e.id in detected)
             for e in net.edges.values()
         }
-        for jid, prog in net.tls_programs.items():
-            conns = net.connections(jid)
-            for k, ph in enumerate(prog.phases):
-                if len(ph.state) != len(conns):
-                    raise ValueError(
-                        f"junction '{jid}': phase {k} state length"
-                        f" {len(ph.state)} != connection count {len(conns)}"
-                    )
-            for i, (ein, eout) in enumerate(conns):
+        for jid in net.tls_programs:
+            for i, (ein, eout) in enumerate(net.connections(jid)):
                 self._edge_info[ein][3][eout] = (jid, i)
 
         self._lane_detectors: dict[tuple[str, int], list[Detector]] = {}
@@ -712,7 +711,7 @@ class Simulation:
         alpha = self.config.speed_smoothing
         for eid in sorted(self._period_speed):
             obs = self._period_speed[eid]
-            mean = sum(obs) / len(obs)
+            mean = netmodel.left_sum(obs) / len(obs)
             self._est_speed[eid] = (1 - alpha) * self._est_speed[eid] + alpha * mean
         self._period_speed.clear()
 
@@ -888,11 +887,11 @@ class Simulation:
 
     def _finish(self) -> SimOutput:
         arrived = [r for r in self.results.values() if r.arrived]
-        total_dist = sum(r.distance for r in arrived)
-        total_time = sum(r.travel_time for r in arrived)
+        total_dist = netmodel.left_sum(r.distance for r in arrived)
+        total_time = netmodel.left_sum(r.travel_time for r in arrived)
         self.totals["avg_travel_time"] = total_time / len(arrived) if arrived else 0.0
         self.totals["avg_time_loss"] = (
-            sum(r.time_loss for r in arrived) / len(arrived) if arrived else 0.0
+            netmodel.left_sum(r.time_loss for r in arrived) / len(arrived) if arrived else 0.0
         )
         self.totals["avg_speed"] = total_dist / total_time if total_time > 0 else 0.0
         edge_mean = {}

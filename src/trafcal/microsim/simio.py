@@ -83,7 +83,7 @@ def load_detectors(path, net: Optional[RoadNetwork] = None) -> list[Detector]:
     seen = set()
     for i, det in enumerate(dets):
         where = f"detectors[{i}]"
-        if det.window <= 0:
+        if not det.window > 0:
             raise NetworkFormatError(f"{where}: window must be > 0")
         if det.id in seen:
             raise NetworkFormatError(f"{where}: duplicate detector id '{det.id}'")

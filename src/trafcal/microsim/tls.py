@@ -84,18 +84,9 @@ class ActuatedTls:
 
 
 def make_controller(program: TlsProgram, start: float = 0.0):
-    """The controller of `program`, which must give every phase some time:
-    a positive duration and, for an actuated green phase, which ends at
-    max_duration at the latest, a positive max_duration. A static cycle
-    of phases that last no time has no length, and an actuated program
-    catching up would cycle through them forever."""
-    actuated = program.logic == "actuated"
-    for k, ph in enumerate(program.phases):
-        if not ph.duration > 0 or (actuated and "G" in ph.state and not ph.max_duration > 0):
-            raise ValueError(
-                f"junction '{program.junction_id}': phase {k} lasts no time"
-                f" (duration {ph.duration}, max_duration {ph.max_duration})"
-            )
-    if actuated:
+    """The controller of `program`, which `netmodel.engine_violations` must
+    have passed: a program of no phases, or of phases that last no time,
+    cannot be cycled through."""
+    if program.logic == "actuated":
         return ActuatedTls(program, start)
     return StaticTls(program)

@@ -1,10 +1,13 @@
 """Road network data model: loading, validation, and shortest-path routing.
 
 The network is a directed graph of edges (road segments) and junctions
-(intersections or dead ends), carrying traffic-light programs, bus stops,
-parking areas, and building polygons. Networks are immutable after
-construction and safe for concurrent read access. Car routing goes through
-`CarRoutes`, one cached shortest-path tree per source with bus lanes barred.
+(intersections or dead ends), carrying traffic-light programs and bus
+stops. Networks are immutable after construction and safe for concurrent
+read access. `validate_network` reports every structural violation as
+data; `engine_violations` keeps those the simulator cannot run, which
+`microsim.Simulation` refuses before it builds anything. Car routing goes
+through `CarRoutes`, one cached shortest-path tree per source with bus
+lanes barred.
 Network, route, detector, bus-line, trip and statistics files are all parsed
 by `read_json`, which names the line and column of a syntax error, and their
 records are read and written by one codec, `record_from` and `record_to`,
@@ -28,9 +31,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 JUNCTION_KINDS = ("plain", "traffic_light", "dead_end")
-EDGE_CATEGORIES = ("normal", "tunnel", "under_building", "under_bridge")
 TLS_LOGICS = ("static", "actuated")
 TLS_STATE_CHARS = frozenset("Gry")
+# the violations the engine cannot run: a program it cannot cycle through
+# (a static cycle of no length; an actuated program catching up over phases
+# that last no time never returns) or a state it cannot read (a turn past
+# the end of a short state, or a character it takes for red)
+ENGINE_CODES = frozenset({
+    "EMPTY_PROGRAM", "PHASE_ARITY", "PHASE_STATE_CHARS",
+    "NONPOSITIVE_PHASE_DURATION", "PHASE_DURATION_BOUNDS",
+})
 # a car's length plus its standstill gap (`microsim.carfollow.CAR`): on a
 # shorter edge the engine cannot keep vehicles apart and counts collisions
 MIN_EDGE_LENGTH = 7.5
@@ -66,7 +76,6 @@ class Edge:
     length: float
     lane_count: int = 1
     speed_limit: float = 13.89
-    category: str = "normal"
     bus_only: bool = False
 
 
@@ -97,22 +106,6 @@ class BusStop:
 
 
 @dataclass(frozen=True)
-class ParkingArea:
-    id: str
-    edge_id: str
-    capacity: int
-    initial_occupancy: int = 0
-
-
-@dataclass(frozen=True)
-class BuildingPoly:
-    """Closed polygon outline; stored and re-emitted, consumed by nothing."""
-
-    id: str
-    vertices: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
 class Violation:
     code: str
     subject_id: str
@@ -134,14 +127,10 @@ class RoadNetwork:
         edges: Iterable[Edge],
         tls_programs: Iterable[TlsProgram] = (),
         bus_stops: Iterable[BusStop] = (),
-        parking_areas: Iterable[ParkingArea] = (),
-        buildings: Iterable[BuildingPoly] = (),
     ):
         self.junctions = _index_by_id(junctions, "junctions")
         self.edges = _index_by_id(edges, "edges")
         self.bus_stops = _index_by_id(bus_stops, "bus_stops")
-        self.parking_areas = _index_by_id(parking_areas, "parking")
-        self.buildings = _index_by_id(buildings, "buildings")
 
         self.tls_programs: dict[str, TlsProgram] = {}
         for prog in tls_programs:
@@ -161,9 +150,6 @@ class RoadNetwork:
         for stop in self.bus_stops.values():
             if stop.edge_id not in self.edges:
                 raise DanglingReferenceError(f"bus_stops['{stop.id}']", stop.edge_id)
-        for park in self.parking_areas.values():
-            if park.edge_id not in self.edges:
-                raise DanglingReferenceError(f"parking['{park.id}']", park.edge_id)
 
         out_edges: dict[str, list[str]] = {jid: [] for jid in self.junctions}
         in_edges: dict[str, list[str]] = {jid: [] for jid in self.junctions}
@@ -441,17 +427,10 @@ def _phase_bounds_default_to_duration(program):
     return program
 
 
-def _closed_ring(poly: BuildingPoly) -> BuildingPoly:
-    verts = poly.vertices
-    if verts and verts[0] != verts[-1]:
-        return dataclasses.replace(poly, vertices=verts + verts[:1])
-    return poly
-
-
 def network_from_dict(doc: dict) -> RoadNetwork:
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level: expected a JSON object")
-    known = {"junctions", "edges", "tls", "bus_stops", "parking", "buildings"}
+    known = {"junctions", "edges", "tls", "bus_stops"}
     for key in doc:
         if key not in known:
             raise NetworkFormatError(f"top level: unknown field '{key}'")
@@ -462,15 +441,12 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     edges = records_from(doc, "edges", Edge, rename=_EDGE_KEYS)
     programs = records_from(doc, "tls", TlsProgram)
     _check_enum(junctions, "junctions", "kind", JUNCTION_KINDS)
-    _check_enum(edges, "edges", "category", EDGE_CATEGORIES)
     _check_enum(programs, "tls", "logic", TLS_LOGICS)
     return RoadNetwork(
         junctions=junctions,
         edges=edges,
         tls_programs=programs,
         bus_stops=records_from(doc, "bus_stops", BusStop),
-        parking_areas=records_from(doc, "parking", ParkingArea),
-        buildings=[_closed_ring(b) for b in records_from(doc, "buildings", BuildingPoly)],
     )
 
 
@@ -480,8 +456,6 @@ def network_to_dict(net: RoadNetwork) -> dict:
         "edges": [record_to(e, _EDGE_KEYS) for e in net.edges.values()],
         "tls": [record_to(p) for p in net.tls_programs.values()],
         "bus_stops": [record_to(s) for s in net.bus_stops.values()],
-        "parking": [record_to(p) for p in net.parking_areas.values()],
-        "buildings": [record_to(b) for b in net.buildings.values()],
     }
 
 
@@ -566,19 +540,15 @@ def validate_network(net: RoadNetwork) -> list[Violation]:
         if not (0 <= stop.position <= edge.length):
             out.append(Violation("STOP_POSITION", stop.id, f"position {stop.position} outside edge '{edge.id}'"))
 
-    for park in net.parking_areas.values():
-        if park.capacity < 0:
-            out.append(Violation("PARKING_CAPACITY", park.id, "capacity must be >= 0"))
-        elif not (0 <= park.initial_occupancy <= park.capacity):
-            out.append(Violation("PARKING_OCCUPANCY", park.id, "initial_occupancy outside [0, capacity]"))
-
-    for b in net.buildings.values():
-        if len(set(b.vertices)) < 3:
-            out.append(Violation("POLYGON_VERTICES", b.id, "polygon needs at least 3 distinct vertices"))
-
     out.extend(_reachability_violations(net))
     out.sort(key=lambda v: (v.code, v.subject_id))
     return out
+
+
+def engine_violations(net: RoadNetwork) -> list[Violation]:
+    """The violations of `validate_network` whose codes are in
+    `ENGINE_CODES`, in its order: what the engine cannot run."""
+    return [v for v in validate_network(net) if v.code in ENGINE_CODES]
 
 
 def _reachability_violations(net: RoadNetwork) -> list[Violation]:
@@ -699,4 +669,14 @@ class CarRoutes:
 
 
 def route_cost(net: RoadNetwork, route: Iterable[str], weight: WeightFn = free_flow_time) -> float:
-    return sum(weight(net.edges[eid]) for eid in route)
+    return left_sum(weight(net.edges[eid]) for eid in route)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Add `values` left to right, as the builtin `sum` does up to Python
+    3.11; from 3.12 `sum` compensates float rounding, so its last bits, and
+    outputs derived from them, would depend on the Python version."""
+    total = 0
+    for x in values:
+        total += x
+    return total

@@ -66,9 +66,6 @@ def twin_with_phase_states():
             ))
             for prog in twin.tls_programs.values()
         ]
-        return RoadNetwork(
-            twin.junctions.values(), twin.edges.values(), programs,
-            twin.bus_stops.values(), twin.parking_areas.values(), twin.buildings.values(),
-        )
+        return RoadNetwork(twin.junctions.values(), twin.edges.values(), programs, twin.bus_stops.values())
 
     return make

@@ -1,9 +1,11 @@
 """Command-line pipeline: exit codes, produced files, config handling."""
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -206,9 +208,17 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
         assert message in capsys.readouterr().err, doc
         assert not out.exists() or not any(out.iterdir()), doc
     # a flag out of its range is rejected the same way
-    assert run(["sim", "run", "--network", ws / "net.json", "--routes", ws / "routes.json",
-                "--time-to-teleport", "-5", "--output-dir", out]) == 2
+    scenario = ["--network", ws / "net.json", "--routes", ws / "routes.json", "--output-dir", out]
+    assert run(["sim", "run", *scenario, "--time-to-teleport", "-5"]) == 2
     assert "time_to_teleport must be > 0" in capsys.readouterr().err
+    # and so is NaN, which a JSON config file can carry: a day with NaN as
+    # its rerouting period would run without a single rerouting round
+    for key, message in (("rerouting_period", "rerouting_period must be > 0"),
+                         ("end", "end must be after begin")):
+        cfg.write_text(json.dumps({"sim": {key: math.nan}}) + "\n")
+        assert "NaN" in cfg.read_text()
+        assert run(["sim", "run", *scenario, "--config", cfg]) == 2, key
+        assert f"bad simulation settings: {message}" in capsys.readouterr().err
     write_one_trip(tmp_path / "trips.json")
     assert run(["dua", "iterate", "--network", ws / "net.json", "--trips", tmp_path / "trips.json",
                 "--window", "0", "--output-dir", out]) == 2
@@ -452,6 +462,75 @@ def test_sim_run_refuses_phase_states_of_the_wrong_length(tmp_path, capsys, twin
     jid = next(iter(net.tls_programs))
     assert f"junction '{jid}': phase 0 state length 1 != connection count" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sim_summary.json").exists()
+
+
+def _retimed(pick, duration, min_duration, max_duration):
+    """A new-phases function: each phase `pick(k, phase)` takes gets these
+    durations."""
+    return lambda phases: tuple(
+        dataclasses.replace(ph, duration=duration, min_duration=min_duration, max_duration=max_duration)
+        if pick(k, ph) else ph
+        for k, ph in enumerate(phases)
+    )
+
+
+def _every(k, ph):
+    return True
+
+
+def _amber(k, ph):
+    return "G" not in ph.state
+
+
+def _green(k, ph):
+    return "G" in ph.state
+
+
+def _lowercase_green(phases):
+    return tuple(dataclasses.replace(ph, state=ph.state.replace("G", "g")) for ph in phases)
+
+
+# logic, the new phases of one junction's program, the code `net validate`
+# gives them and its message, which `sim run` repeats
+@pytest.mark.parametrize("logic, phases, code, message", [
+    pytest.param("static", lambda phases: (), "EMPTY_PROGRAM", "program has no phases",
+                 id="empty-static"),
+    pytest.param("actuated", lambda phases: (), "EMPTY_PROGRAM", "program has no phases",
+                 id="empty-actuated"),
+    pytest.param("static", _lowercase_green,
+                 "PHASE_STATE_CHARS", "phase 0 state has characters outside G/r/y", id="g-for-G"),
+    pytest.param("static", _retimed(lambda k, ph: k == 1, 0.0, 0.0, 0.0),
+                 "NONPOSITIVE_PHASE_DURATION", "phase 1 duration 0.0 must be > 0", id="static-0s-phase"),
+    # a static cycle of 0 s has no length, and an actuated program of 0 s
+    # phases never returns from idle_advance
+    pytest.param("static", _retimed(_every, 0.0, 0.0, 0.0),
+                 "NONPOSITIVE_PHASE_DURATION", "phase 0 duration 0.0 must be > 0", id="static-0s-cycle"),
+    pytest.param("actuated", _retimed(_every, 0.0, 0.0, 0.0),
+                 "NONPOSITIVE_PHASE_DURATION", "phase 0 duration 0.0 must be > 0", id="actuated-0s-phases"),
+    pytest.param("actuated", _retimed(_amber, -1.0, -1.0, -1.0),
+                 "NONPOSITIVE_PHASE_DURATION", "phase 1 duration -1.0 must be > 0",
+                 id="actuated-negative-amber"),
+    # a green phase cut at 0 s holds no time even with a positive duration
+    pytest.param("actuated", _retimed(_green, fixtures.GREEN_S, 0.0, 0.0),
+                 "PHASE_DURATION_BOUNDS", "phase 0 durations must satisfy min <= duration <= max",
+                 id="actuated-green-cut-at-0s"),
+])
+def test_net_validate_and_sim_run_refuse_the_same_programs(tmp_path, capsys, logic, phases, code, message):
+    grid = fixtures.grid_network(logic=logic)
+    jid = min(grid.tls_programs)
+    programs = [
+        dataclasses.replace(prog, phases=phases(prog.phases)) if prog.junction_id == jid else prog
+        for prog in grid.tls_programs.values()
+    ]
+    net = RoadNetwork(grid.junctions.values(), grid.edges.values(), programs)
+    save_network(net, tmp_path / "net.json")
+    save_route_plans([RoutePlan("v0", ("e00_01",), 0.0)], tmp_path / "routes.json")
+    assert run(["net", "validate", "--network", tmp_path / "net.json"]) == 1
+    assert f"{code} {jid}: {message}" in capsys.readouterr().out
+    assert run(["sim", "run", "--network", tmp_path / "net.json",
+                "--routes", tmp_path / "routes.json", "--output-dir", tmp_path / "out"]) == 3
+    assert f"error: ValueError: junction '{jid}': {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sim_run_is_idempotent_and_leaves_inputs_alone(ws, tmp_path):

@@ -144,6 +144,12 @@ def test_validate_catches_bad_inputs():
         validate_inputs(ok, [], [], config(work_hours=(WorkHours(8 * H, 17 * H, 0.7),)), net)
     with pytest.raises(DemandError):
         validate_inputs(ok, [], [], config(car_rate=1.2), net)
+    # NaN passes a check written `x < 0`
+    for value in (-1.0, math.nan):
+        with pytest.raises(DemandError, match="departure_jitter_sd"):
+            config(departure_jitter_sd=value)
+    with pytest.raises(DemandError, match="shares sum to nan"):
+        config(work_hours=(WorkHours(8 * H, 17 * H, math.nan),))
 
 
 # -- generation invariants ---------------------------------------------------

@@ -159,7 +159,9 @@ def test_dua_config_ranges():
         ({"max_iter": 0}, "max_iter"),
         ({"window": 0}, "window"),
         ({"tol": -0.01}, "tol"),
+        ({"tol": math.nan}, "tol"),
         ({"beta": -1.0}, "beta"),
+        ({"beta": math.nan}, "beta"),
         ({"alpha": -0.1}, "alpha"),
         ({"alpha": 7.0}, "alpha"),
         ({"max_alternatives": 0}, "max_alternatives"),

@@ -673,6 +673,10 @@ def test_config_validation():
         ("time_to_teleport", 0.0), ("time_to_teleport", -5.0),
         ("ignore_junction_blocker", -1.0),
         ("speed_smoothing", -0.1), ("speed_smoothing", 2.0),
+        # NaN passes a check written `x <= 0`
+        ("end", math.nan), ("step_length", math.nan), ("time_to_teleport", math.nan),
+        ("rerouting_period", math.nan), ("ignore_junction_blocker", math.nan),
+        ("rerouting_probability", math.nan), ("speed_smoothing", math.nan),
     ):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
@@ -759,6 +763,10 @@ def test_detector_file_round_trip(tmp_path):
     save_detectors([Detector("d1", "e0", 0, 40.0), Detector("d1", "e0", 0, 50.0)], path)
     with pytest.raises(NetworkFormatError):
         load_detectors(path)  # duplicate id
+    for window in (0.0, math.nan):
+        save_detectors([Detector("d1", "e0", 0, 40.0, window=window)], path)
+        with pytest.raises(NetworkFormatError, match=r"detectors\[0\]: window must be > 0"):
+            load_detectors(path)
 
 
 def test_bus_line_round_trip(tmp_path):

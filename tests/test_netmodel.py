@@ -32,18 +32,18 @@ from trafcal.microsim.simio import (
     save_detectors,
 )
 from trafcal.netmodel import (
-    BuildingPoly,
     BusStop,
     CarRoutes,
     DanglingReferenceError,
     Edge,
     Junction,
     NetworkFormatError,
-    ParkingArea,
     RoadNetwork,
     TlsPhase,
     TlsProgram,
+    engine_violations,
     free_flow_time,
+    left_sum,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -118,10 +118,7 @@ def test_connections_are_ordered_pairs():
 
 def test_round_trip_preserves_everything(tmp_path):
     stops = (BusStop("s1", "ab", 50.0, "mid"),)
-    parks = (ParkingArea("p1", "bc", 10, 2),)
-    polys = (BuildingPoly("poly1", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))),)
-    progs = ()
-    net = tiny_net(bus_stops=stops, parking_areas=parks, buildings=polys, tls_programs=progs)
+    net = tiny_net(bus_stops=stops, tls_programs=())
     path = tmp_path / "net.json"
     save_network(net, path)
     again = load_network(path)
@@ -152,21 +149,38 @@ def test_missing_field_rejected():
         network_from_dict(doc)
 
 
-def test_bool_is_not_a_number():
-    bool_length = network_to_dict(tiny_net())
-    bool_length["edges"][0]["length"] = True
-    bool_vertex = network_to_dict(tiny_net())
-    bool_vertex["buildings"] = [{"id": "b", "vertices": [[True, 0], [1, 0], [1, 1]]}]
-    for doc, field in ((bool_length, "length"), (bool_vertex, r"vertices\[0\]\[0\]")):
-        with pytest.raises(NetworkFormatError, match=f"field '{field}' has wrong type"):
+def test_parking_buildings_and_edge_categories_are_refused():
+    # nothing simulates or scores them, so a file that carries them is
+    # refused like any other unknown field
+    for key in ("parking", "buildings"):
+        doc = dict(network_to_dict(tiny_net()), **{key: []})
+        with pytest.raises(NetworkFormatError, match=f"top level: unknown field '{key}'"):
             network_from_dict(doc)
+    doc = network_to_dict(tiny_net())
+    doc["edges"][0]["category"] = "normal"
+    with pytest.raises(NetworkFormatError, match=r"edges\[0\]: unknown field 'category'"):
+        network_from_dict(doc)
+
+
+def test_bool_is_not_a_number(tmp_path):
+    doc = network_to_dict(tiny_net())
+    doc["edges"][0]["length"] = True
+    with pytest.raises(NetworkFormatError, match="field 'length' has wrong type"):
+        network_from_dict(doc)
+    # and not in a nested array either
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"bus_lines": [
+        {"id": "L", "stop_sequence": [], "route": ["ab"], "departures": [True, 60]},
+    ]}))
+    with pytest.raises(NetworkFormatError, match=r"bus_lines\[0\]: field 'departures\[0\]' has wrong type"):
+        load_bus_lines(path)
 
 
 def _network_records(path):
     net = load_network(path)
     return [
         *net.junctions.values(), *net.edges.values(), *net.tls_programs.values(),
-        *net.bus_stops.values(), *net.parking_areas.values(), *net.buildings.values(),
+        *net.bus_stops.values(),
     ]
 
 
@@ -187,8 +201,6 @@ REQUIRED_ONLY = {
             "tls": [{"junction_id": "a", "logic": "static",
                      "phases": [{"duration": 30, "state": "G"}]}],
             "bus_stops": [{"id": "s", "edge_id": "e", "position": 1}],
-            "parking": [{"id": "p", "edge_id": "e", "capacity": 3}],
-            "buildings": [{"id": "b", "vertices": [[0, 0], [1, 0], [1, 1], [0, 0]]}],
         },
         [
             Junction(id="a", x=0.0, y=1.5),
@@ -196,8 +208,6 @@ REQUIRED_ONLY = {
             # a phase's duration bounds default to its duration
             TlsProgram(junction_id="a", logic="static", phases=(TlsPhase(30.0, 30.0, 30.0, "G"),)),
             BusStop(id="s", edge_id="e", position=1.0),
-            ParkingArea(id="p", edge_id="e", capacity=3),
-            BuildingPoly(id="b", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))),
         ],
         None,
     ),
@@ -364,20 +374,28 @@ def test_tls_violations():
         ]
 
 
+def test_engine_violations_are_the_engine_codes_in_order():
+    # a program on a plain junction runs; a state character the engine
+    # cannot read and a phase that lasts no time do not
+    phases = (TlsPhase(5.0, 5.0, 5.0, "Gx"), TlsPhase(0.0, 0.0, 0.0, "GG"))
+    net = tiny_net(tls_programs=[TlsProgram("b", "static", phases)])
+    everything = validate_network(net)
+    assert [v.code for v in everything] == [
+        "NONPOSITIVE_PHASE_DURATION", "ORPHAN_TLS", "PHASE_STATE_CHARS",
+    ]
+    assert engine_violations(net) == [everything[0], everything[2]]
+    assert engine_violations(fixtures.grid_network()) == []
+
+
 def test_orphan_tls_flagged():
     net = tiny_net(tls_programs=[TlsProgram("b", "static", (TlsPhase(5, 5, 5, "GG"),))])
     codes = {v.code for v in validate_network(net)}
     assert "ORPHAN_TLS" in codes
 
 
-def test_stop_parking_polygon_violations():
-    net = tiny_net(
-        bus_stops=[BusStop("s", "ab", 500.0)],
-        parking_areas=[ParkingArea("p", "ab", 5, 9)],
-        buildings=[BuildingPoly("g", ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)))],
-    )
-    codes = {v.code for v in validate_network(net)}
-    assert {"STOP_POSITION", "PARKING_OCCUPANCY", "POLYGON_VERTICES"} <= codes
+def test_stop_position_violation():
+    net = tiny_net(bus_stops=[BusStop("s", "ab", 500.0)])
+    assert [v.code for v in validate_network(net)] == ["STOP_POSITION"]
 
 
 def test_unreachable_edge_detected():
@@ -398,6 +416,14 @@ def test_unreachable_edge_detected():
 
 
 # -- routing -----------------------------------------------------------------
+
+
+def test_left_sum_adds_in_order():
+    # from Python 3.12 the builtin sum compensates float rounding and gives
+    # 1.0 here, so a total taken with it would differ between versions
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.5, 0.25])) == 0.75
+    assert left_sum([]) == 0
 
 
 def test_shortest_path_includes_both_endpoints():
