@@ -64,6 +64,11 @@ class GridSpec:
     step: float = 0.01
 
     def __post_init__(self):
+        # before any arithmetic: round() of an infinity or NaN raises an
+        # error that names no field
+        for key in ("p_min", "p_max", "step"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         # every point must read back from sweep_best.csv as the p it was
         if self.step < MIN_GRID_STEP:
             raise ValueError(
@@ -248,9 +253,9 @@ def write_sweep_best(result: SweepResult, path) -> None:
 
 def read_sweep_best(path) -> tuple[float, float]:
     """The (best p, best NRMSE) row `write_sweep_best` wrote."""
-    rows = list(netmodel.read_csv(
+    rows = netmodel.read_csv(
         path, SWEEP_BEST_HEADER, ValueError, lambda row: (float(row[0]), float(row[1]))
-    ))
+    )
     if len(rows) != 1:
         raise ValueError(f"{path}: expected one summary row, found {len(rows)}")
     return rows[0]

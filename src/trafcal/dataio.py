@@ -173,18 +173,13 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-class _ParseOnce(dict):
-    """Cell text -> `parse(text)`, computed once for each distinct text."""
-
-    __slots__ = ("parse",)
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str):
-        value = self[text] = self.parse(text)
-        return value
+# the conversion of the detector, date, window and count cell texts
+_CELL_PARSERS = (
+    str,
+    datetime.date.fromisoformat,
+    lambda text: _window_start(int(text)),
+    lambda text: _count(int(text)),
+)
 
 
 def read_measurements_csv(path) -> list[Measurement]:
@@ -192,24 +187,38 @@ def read_measurements_csv(path) -> list[Measurement]:
     RawMeasurement's field order, checked like a RawMeasurement.
 
     A detector id, date, window or count repeats on many rows, so each
-    distinct cell text is parsed and checked once and its value shared by
-    every row holding it; a bad value is never kept, so each row holding
-    one fails. Plain tuples of such values are records the garbage
-    collector stops tracking, which a tuple subclass never is.
+    distinct cell text is converted and checked once, into one plain dict
+    per column, and its value shared by every row holding it. A row whose
+    four texts are all known costs four lookups and no Python call. Only a
+    miss leaves the loop: a new text, a blank row or a row of the wrong
+    width. A bad value is never kept, so each row holding one fails. Plain
+    tuples of such values are records the garbage collector stops
+    tracking, which a tuple subclass never is.
     """
-    names = _ParseOnce(str)
-    dates = _ParseOnce(datetime.date.fromisoformat)
-    windows = _ParseOnce(lambda text: _window_start(int(text)))
-    counts = _ParseOnce(lambda text: _count(int(text)))
+    cells = names, dates, windows, counts = {}, {}, {}, {}
+    records = []
+    add = records.append
+    with netmodel.csv_table(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError) as rows:
+        for row in rows:
+            try:
+                det, date_s, start_s, count_s = row
+                add((names[det], dates[date_s], windows[start_s], counts[count_s]))
+            except (KeyError, ValueError):
+                if netmodel.has_cells(row, len(MEASUREMENT_CSV_HEADER)):
+                    add(_learn_cells(row, cells))
+    return records
 
-    def parse(row: list[str]) -> Measurement:
-        det, date_s, start_s, count_s = row
-        try:
-            return (names[det], dates[date_s], windows[start_s], counts[count_s])
-        except _BadValue as exc:
-            raise _record_error(det, exc) from None
 
-    return list(netmodel.read_csv(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError, parse))
+def _learn_cells(row: list[str], cells: tuple[dict, ...]) -> Measurement:
+    """The record of a row holding a text some column has not seen: each
+    new text is converted and checked, and stored only when valid."""
+    for text, known, parse in zip(row, cells, _CELL_PARSERS):
+        if text not in known:
+            try:
+                known[text] = parse(text)
+            except _BadValue as exc:
+                raise _record_error(row[0], exc) from None
+    return tuple(map(dict.__getitem__, cells, row))
 
 
 def write_measurements_csv(records: Iterable[Measurement], path) -> None:

@@ -59,7 +59,12 @@ OVERRIDE_MIN_SPACE = 0.1  # rear space a junction-blocker override still needs
 @dataclass
 class SimConfig:
     """Run parameters; defaults favour whole-day desk runs (drop
-    step_length to 0.1 for fidelity)."""
+    step_length to 0.1 for fidelity).
+
+    `begin`, `end` and `step_length` must be finite. An infinite
+    `time_to_teleport`, `rerouting_period` or `ignore_junction_blocker`
+    means "never": no vehicle is teleported, no rerouting round runs, or no
+    blocked vehicle is let into the junction."""
 
     begin: float = 0.0
     end: float = 86400.0
@@ -76,6 +81,11 @@ class SimConfig:
             raise ValueError("step_length must be > 0")
         if not self.end > self.begin:
             raise ValueError("end must be after begin")
+        # an infinite end overflows the per-minute counts, and an infinite
+        # step ends the day after at most one step
+        for key in ("begin", "end", "step_length"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not 0.0 <= self.rerouting_probability <= 1.0:
             raise ValueError("rerouting_probability must be in [0, 1]")
         if not self.rerouting_period > 0:

@@ -13,12 +13,13 @@ by `read_json`, which names the line and column of a syntax error, and their
 records are read and written by one codec, `record_from` and `record_to`,
 which takes each record's fields, types and defaults from its dataclass.
 Every JSON output goes through `write_json`, and every CSV table is written
-by `write_csv` and read back by `read_csv`, which owns the header, column
-count and blank-line rules of them all.
+by `write_csv` and read back through `csv_table` and `has_cells`, which own
+the header, column count, blank-line and error-line rules of them all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -351,32 +352,42 @@ def write_json(doc, path) -> None:
         fh.write("\n")
 
 
-def read_csv(path, header: tuple, error, parse):
-    """Yield `parse(row)` for each data row of the CSV table at `path`.
+@contextlib.contextmanager
+def csv_table(path, header: tuple, error):
+    """The open `csv.reader` of the CSV table at `path`, past its header.
 
-    The first line must be exactly `header`; blank lines are skipped and
-    every other row must have one cell per header column. A wrong header or
-    column count, or a `ValueError` from `parse`, is raised as `error`
-    naming the file and the line.
+    The first line must be exactly `header`. A `ValueError` raised in the
+    block, a bad row or cell, is raised as `error` naming the file and the
+    physical line the reader stands on, which differs from the row count
+    after a quoted cell that spans lines.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         first = next(rows, None)
         if first != list(header):
             raise error(f"{path}: bad header {first}")
-        width = len(header)
-        # an error names the physical line the row ends on, which differs
-        # from the row count after a quoted cell that spans lines
-        for row in rows:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise error(f"{path}: line {rows.line_num}: expected {width} columns")
-            try:
-                value = parse(row)
-            except ValueError as exc:
-                raise error(f"{path}: line {rows.line_num}: {exc}") from exc
-            yield value
+        try:
+            yield rows
+        except ValueError as exc:
+            raise error(f"{path}: line {rows.line_num}: {exc}") from exc
+
+
+def has_cells(row: list, width: int) -> bool:
+    """Whether a row of a `csv_table` holds data: False for a blank line,
+    which every table skips, and a `ValueError` for any other row without
+    one cell per header column."""
+    if len(row) == width:
+        return True
+    if row:
+        raise ValueError(f"expected {width} columns")
+    return False
+
+
+def read_csv(path, header: tuple, error, parse) -> list:
+    """`parse(row)` of each data row of the `csv_table` at `path`; a
+    `ValueError` from `parse` is raised as `error` naming the line."""
+    with csv_table(path, header, error) as rows:
+        return [parse(row) for row in rows if has_cells(row, len(header))]
 
 
 def write_csv(path, header: tuple, rows) -> None:

@@ -258,6 +258,35 @@ def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_settings_exit_two(tmp_path, capsys):
+    # a NaN or an infinity in a grid or run setting is a usage error naming
+    # its field: rounding an infinite grid step, or sizing the per-minute
+    # counts of an endless day, would raise OverflowError and exit 3
+    missing = tmp_path / "missing.json"
+    scenario = ["--network", missing, "--routes", missing, "--detectors", missing]
+    sweep = ["calib", "sweep", *scenario, "--measurements", missing]
+    cfg = tmp_path / "project.json"
+    for section, key, value, flag in (
+        ("sweep", "step", math.nan, None),
+        ("sweep", "step", math.inf, "--grid-step"),
+        ("sweep", "p_min", math.inf, None),
+        ("sweep", "p_max", -math.inf, "--p-max"),
+        ("sim", "begin", -math.inf, "--begin"),
+        ("sim", "end", math.inf, "--end"),
+        ("sim", "step_length", math.inf, "--step-length"),
+    ):
+        argv = sweep if section == "sweep" else ["sim", "run", *scenario]
+        label = "sweep grid" if section == "sweep" else "simulation settings"
+        message = f"bad {label}: {key} must be finite, got {value}"
+        cfg.write_text(json.dumps({section: {key: value}}) + "\n")
+        assert run([*argv, "--config", cfg, "--output-dir", tmp_path / "out"]) == 2, key
+        assert message in capsys.readouterr().err, key
+        if flag is not None:
+            assert run([*argv, f"{flag}={value}", "--output-dir", tmp_path / "out"]) == 2, flag
+            assert message in capsys.readouterr().err, flag
+    assert not (tmp_path / "out").exists()
+
+
 def test_flag_surface():
     # every subcommand's flags, in `--help` order
     common = ["-h", "--help", "--config", "--seed", "--output-dir"]
@@ -801,6 +830,33 @@ def test_data_ingest_filter_flags(ws, tmp_path, capsys):
     assert "no day of data" in capsys.readouterr().err
     assert run([*base, "--include-weekdays", "Tue",
                 "--date-from", "2023-09-01", "--date-to", "2023-09-30"]) == 0
+
+
+def test_data_ingest_outputs_are_pinned(tmp_path, capsys):
+    # two weeks of three detectors, one with a comma in its id; d1 misses a
+    # window on the 6th and d2 reports one twice on the 12th, so each keeps
+    # 5 of the 6 Tue/Wed/Thu days and the quoted id all 6
+    rows = []
+    for d, det in enumerate(("d1", "d2", '"a,b"')):
+        for day in range(4, 18):
+            date = f"2023-09-{day:02d}"
+            for w in range(96):
+                if (det, day, w) == ("d1", 6, 10):
+                    continue
+                count = (7 * w + 13 * d + 31 * day) % 50 + (w // 24) * 9
+                rows.append(f"{det},{date},{w * 900},{count}")
+                if (det, day, w) == ("d2", 12, 20):
+                    rows.append(f"{det},{date},{w * 900},{count + 5}")
+    path = tmp_path / "loops.csv"
+    path.write_text("detector_id,date,window_start_s,count\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run(["data", "ingest", "--measurements", path, "--output-dir", out]) == 0
+    assert "days used a,b=6, d1=5, d2=5" in capsys.readouterr().out
+    # any change to the reader or to `ingest` must leave these bytes alone
+    assert digest(out / "real_series.csv") == (
+        "245351fad0a0592afb802725a473ca30e0119d889f159a28ed1ff590902e064b")
+    assert digest(out / "ingest_summary.json") == (
+        "cc2f53f0ac2061b4cbe9356ef528604feba73c379772d8b99709fdce6afa9cca")
 
 
 @pytest.mark.parametrize("bad_cells, message", [

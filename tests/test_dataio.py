@@ -377,18 +377,40 @@ def test_measurements_csv_of_many_detector_days(tmp_path):
 
 def test_measurements_csv_rejects_bad_input(tmp_path):
     path = tmp_path / "loops.csv"
-    path.write_text("detector,day,start,n\n")
-    with pytest.raises(MeasurementFormatError):
-        read_measurements_csv(path)
-    path.write_text("detector_id,date,window_start_s,count\nd1,2023-09-05,0\n")
-    with pytest.raises(MeasurementFormatError):
-        read_measurements_csv(path)
-    path.write_text("detector_id,date,window_start_s,count\nd1,05.09.2023,0,1\n")
-    with pytest.raises(MeasurementFormatError):
-        read_measurements_csv(path)
-    path.write_text("detector_id,date,window_start_s,count\nd1,2023-09-05,0,-3\n")
-    with pytest.raises(MeasurementFormatError):
-        read_measurements_csv(path)
+    header = "detector_id,date,window_start_s,count\n"
+    for text, message in (
+        ("detector,day,start,n\n", "bad header ['detector', 'day', 'start', 'n']"),
+        (header + "d1,2023-09-05,0\n", "line 2: expected 4 columns"),
+        (header + "d1,2023-09-05,0,1,2\n", "line 2: expected 4 columns"),
+        (header + "d1,05.09.2023,0,1\n", "line 2: Invalid isoformat string: '05.09.2023'"),
+        (header + "d1,2023-09-05,900.0,1\n",
+         "line 2: invalid literal for int() with base 10: '900.0'"),
+        (header + "d1,2023-09-05,0,-3\n", "line 2: record for 'd1': negative count"),
+    ):
+        path.write_text(text)
+        with pytest.raises(MeasurementFormatError) as caught:
+            read_measurements_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def test_each_distinct_cell_text_is_converted_once(tmp_path, monkeypatch):
+    records = full_day("d1", TUE) + full_day("d1", WED) + full_day("d2", TUE) + full_day("d2", WED)
+    path = tmp_path / "loops.csv"
+    write_measurements_csv(records, path)
+    calls = {"window": [], "count": []}
+
+    def counted(name, check):
+        def call(value):
+            calls[name].append(value)
+            return check(value)
+        return call
+
+    monkeypatch.setattr(dataio, "_window_start", counted("window", dataio._window_start))
+    monkeypatch.setattr(dataio, "_count", counted("count", dataio._count))
+    assert read_measurements_csv(path) == records
+    # 384 rows hold 96 window texts and the 7 count texts 0..6 of `full_day`
+    assert calls == {"window": [w * WINDOW_S for w in range(WINDOWS_PER_DAY)],
+                     "count": list(range(7))}
 
 
 def test_read_measurements_are_plain_untracked_tuples(tmp_path):

@@ -677,12 +677,28 @@ def test_config_validation():
         ("end", math.nan), ("step_length", math.nan), ("time_to_teleport", math.nan),
         ("rerouting_period", math.nan), ("ignore_junction_blocker", math.nan),
         ("rerouting_probability", math.nan), ("speed_smoothing", math.nan),
+        # an infinite end or step would overflow or end the day at once
+        ("begin", -math.inf), ("end", math.inf), ("step_length", math.inf),
     ):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
     # the ends of each range stay valid
     SimConfig(ignore_junction_blocker=0.0, speed_smoothing=0.0)
     SimConfig(speed_smoothing=1.0)
+
+
+def test_infinite_thresholds_mean_never():
+    # a vehicle held at a red light for good: after 300 s the default
+    # teleports it, an infinite threshold never does; no rerouting round
+    # runs and the day still ends
+    plans = [RoutePlan("v0", ("in", "out"), 0.0)]
+    out = Simulation(red_light_net(), plans, cfg()).run()
+    assert out.vehicles["v0"].teleports == 1
+    forever = dict(time_to_teleport=math.inf, ignore_junction_blocker=math.inf,
+                   rerouting_period=math.inf, rerouting_probability=1.0)
+    out = Simulation(red_light_net(), plans, cfg(**forever)).run()
+    assert out.vehicles["v0"].teleports == 0
+    assert out.totals["still_running"] == 1
 
 
 # -- file round trips --------------------------------------------------------
