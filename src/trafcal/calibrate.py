@@ -201,6 +201,8 @@ def sweep_rerouting_probability(
     base = base_config if base_config is not None else SimConfig()
     inputs = (net, routes, detectors, tuple(bus_lines), base, aggregate_series(real))
     points = grid.points()
+    # a fork pool starts all its processes at once, needed or not
+    workers = min(workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(inputs,)

@@ -164,8 +164,8 @@ def _scenario(ctx: _Ctx, detectors_required: bool) -> tuple:
         ctx.path("bus_lines", required=False),
     )
     net = netmodel.load_network(paths[0])
-    plans = load_route_plans(paths[1], net)
-    detectors = load_detectors(paths[2], net) if paths[2] else []
+    plans = load_route_plans(paths[1])
+    detectors = load_detectors(paths[2]) if paths[2] else []
     lines = load_bus_lines(paths[3]) if paths[3] else []
     return paths, net, plans, detectors, lines
 
@@ -294,7 +294,7 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
 
 def _parse_date(text: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(text)
+        return dataio.iso_date(text)
     except ValueError as exc:
         raise UsageError(f"bad date '{text}': {exc}") from exc
 

@@ -16,6 +16,7 @@ import io
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -173,10 +174,22 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> datetime.date:
+    """The date of a `YYYY-MM-DD` text. `datetime.date.fromisoformat`
+    alone also takes `20230905` and `2023-W36-2` from Python 3.11 on, so a
+    file would read differently across the supported versions."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
 # the conversion of the detector, date, window and count cell texts
 _CELL_PARSERS = (
     str,
-    datetime.date.fromisoformat,
+    iso_date,
     lambda text: _window_start(int(text)),
     lambda text: _count(int(text)),
 )

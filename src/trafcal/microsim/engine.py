@@ -11,9 +11,11 @@ departures, periodic rerouting, and output sampling. However a vehicle
 reaches an edge (driving over the line, a junction-blocker override, a
 teleport or its insertion) it enters through one helper, and it leaves
 through one, so detectors, distance and edge times count every way alike.
-Bus stops are resolved once per trip, before the run, and a network with
-a signal program the engine cannot run (`netmodel.engine_violations`) is
-refused before anything is built. All randomness comes from named
+Bus stops are resolved once per trip, before the run. A network with a
+signal program the engine cannot run (`netmodel.engine_violations`) is
+refused before anything is built, and so is the first trip, detector or
+bus line it cannot run (`simio.check_scenario`), so the run itself meets
+only known, connected edges and unique ids. All randomness comes from named
 substreams of the run seed, and every container is walked in a sorted
 order, so equal seeds give byte-equal outputs.
 
@@ -49,7 +51,15 @@ from typing import Optional
 from trafcal import netmodel
 from trafcal.microsim import tls
 from trafcal.microsim.carfollow import BUS, CAR, VehicleType
-from trafcal.microsim.simio import DEFAULT_BUS_DWELL, BusLine, Detector, RoutePlan
+from trafcal.microsim.simio import (
+    DEFAULT_BUS_DWELL,
+    BusLine,
+    Detector,
+    RoutePlan,
+    bus_line_plans,
+    check_scenario,
+    served_stops,
+)
 
 STOP_SPEED = 0.1  # below this a vehicle counts as standing
 AT_LINE = 0.5  # metres from the stop line that still count as "at" it
@@ -194,6 +204,7 @@ class Simulation:
         if refused:
             v = refused[0]
             raise ValueError(f"junction '{v.subject_id}': {v.message}")
+        check_scenario(net, plans, detectors, bus_lines, config.begin)
         self.net = net
         self.config = config
         self.vehicle_types = {"car": CAR, "bus": BUS}
@@ -218,9 +229,6 @@ class Simulation:
         for line in bus_lines:
             all_plans.extend(self._expand_bus_line(line))
         self.plans = sorted(all_plans, key=lambda p: (p.depart, p.trip_id))
-        for plan in self.plans:
-            if plan.depart < config.begin:
-                raise ValueError(f"trip '{plan.trip_id}' departs before the run begins")
 
         # device ownership is drawn once, in departure order, before anything
         # runs; the draw sequence depends only on the seed and the plan list,
@@ -298,30 +306,10 @@ class Simulation:
         }
 
     def _expand_bus_line(self, line: BusLine) -> list[RoutePlan]:
-        net = self.net
-        for eid in line.route:
-            if eid not in net.edges:
-                raise ValueError(f"bus line '{line.id}': unknown edge '{eid}'")
-        stops: list[tuple[int, float]] = []
-        cursor = 0
-        for sid in line.stop_sequence:
-            stop = net.bus_stops.get(sid)
-            if stop is None:
-                raise ValueError(f"bus line '{line.id}': unknown bus stop '{sid}'")
-            if stops and line.route[cursor] == stop.edge_id and stop.position < stops[-1][1]:
-                cursor += 1  # behind the previous stop: a later pass over its edge
-            while cursor < len(line.route) and line.route[cursor] != stop.edge_id:
-                cursor += 1
-            if cursor >= len(line.route):
-                raise ValueError(
-                    f"bus line '{line.id}': stop '{sid}' is not on the route in order"
-                )
-            stops.append((cursor, stop.position))
-        plans = []
-        for i, dep in enumerate(line.departures):
-            trip_id = f"{line.id}#{i}"
-            plans.append(RoutePlan(trip_id, tuple(line.route), float(dep), mode="bus"))
-            self._bus_stops[trip_id] = (tuple(stops), line.dwell)
+        stops = tuple(served_stops(line, self.net))
+        plans = bus_line_plans(line)
+        for plan in plans:
+            self._bus_stops[plan.trip_id] = (stops, line.dwell)
         return plans
 
     # -- access helpers -----------------------------------------------------
@@ -836,8 +824,6 @@ class Simulation:
             eid = plan.edges[0]
             ent = entry.get(eid)
             if ent is None:
-                if eid not in self.net.edges:
-                    raise KeyError(f"trip '{plan.trip_id}': unknown edge '{eid}'")
                 ent = entry[eid] = self._best_entry_lane(eid)
             vtype = self.vehicle_types.get(plan.mode, CAR)
             if ent[1] < vtype.min_gap:

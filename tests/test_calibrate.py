@@ -223,6 +223,42 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     assert seen == [dataclasses.replace(base, rerouting_probability=0.0)]
 
 
+def test_sweep_pool_is_no_wider_than_its_grid(monkeypatch):
+    # a fork pool starts all its processes at once: 16 workers on a
+    # 3-point grid would fork 13 that never get a point
+    net, plans, dets, real, cfg = tiny_sweep_inputs()
+    widths = []
+
+    class RecordingPool:
+        """Runs the points in this process and records the pool's width."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            widths.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            return map(fn, points)
+
+    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(calibrate, "_worker_inputs", ())
+    grid = GridSpec(0.0, 1.0, 0.5)
+    serial = sweep_rerouting_probability(net, plans, dets, real, grid, base_config=cfg)
+    pooled = sweep_rerouting_probability(net, plans, dets, real, grid, base_config=cfg, workers=16)
+    assert widths == [3]
+    assert pooled == serial
+    # one point needs no pool at all
+    sweep_rerouting_probability(
+        net, plans, dets, real, GridSpec(0.5, 0.5, 0.1), base_config=cfg, workers=16
+    )
+    assert widths == [3]
+
+
 def test_sweep_checks_detector_ids():
     net, plans, dets, real, cfg = tiny_sweep_inputs()
     stray = [DetectorSeries("other", counts((0, 1)))]

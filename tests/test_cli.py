@@ -22,6 +22,7 @@ from trafcal.demandgen import (
     save_statistics,
 )
 from trafcal.microsim import (
+    BusLine,
     Detector,
     RoutePlan,
     SimConfig,
@@ -31,6 +32,7 @@ from trafcal.microsim import (
     save_detectors,
     save_route_plans,
 )
+from trafcal.microsim.simio import check_scenario
 from trafcal.netmodel import (
     Edge,
     Junction,
@@ -431,7 +433,8 @@ def test_demand_generate(ws, tmp_path, capsys):
     assert rc == 0
     table = read_trips(tmp_path / "trips.json")
     net = load_network(ws / "net.json")
-    plans = load_route_plans(tmp_path / "routes.json", net)
+    plans = load_route_plans(tmp_path / "routes.json")
+    check_scenario(net, plans)
     assert len(table) > 0
     assert 0 < len(plans) <= len(table)
     assert f"{len(table)} trips, {len(plans)} routed" in capsys.readouterr().out
@@ -491,6 +494,43 @@ def test_sim_run_refuses_phase_states_of_the_wrong_length(tmp_path, capsys, twin
     jid = next(iter(net.tls_programs))
     assert f"junction '{jid}': phase 0 state length 1 != connection count" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sim_summary.json").exists()
+
+
+def sim_run_scenario(ws, tmp_path, plans, lines=None):
+    save_route_plans(plans, tmp_path / "routes.json")
+    args = ["sim", "run", "--network", ws / "net.json", "--routes", tmp_path / "routes.json",
+            "--output-dir", tmp_path / "out"]
+    if lines is not None:
+        save_bus_lines(lines, tmp_path / "bus_lines.json")
+        args += ["--bus-lines", tmp_path / "bus_lines.json"]
+    return run(args)
+
+
+def test_sim_run_refuses_a_repeated_trip_id(ws, tmp_path, capsys):
+    # two trips named `a` would load 2 and arrive 1, losing a vehicle
+    plans = [RoutePlan("a", ("e0", "e1"), 0.0), RoutePlan("a", ("e0", "e1"), 30.0)]
+    assert sim_run_scenario(ws, tmp_path, plans) == 3
+    assert capsys.readouterr().err.endswith("\nerror: ValueError: trip 'a': duplicate trip id\n")
+    assert not (tmp_path / "out" / "sim_summary.json").exists()
+
+
+def test_sim_run_refuses_a_departure_that_is_no_time(ws, tmp_path, capsys):
+    # a NaN departure would keep the trips after it from ever being inserted
+    plans = [RoutePlan("a", ("e0", "e1"), math.nan), RoutePlan("b", ("e0", "e1"), 30.0)]
+    assert sim_run_scenario(ws, tmp_path, plans) == 3
+    assert capsys.readouterr().err.endswith(
+        "\nerror: ValueError: trip 'a': depart must be finite, got nan\n")
+
+
+def test_sim_run_refuses_a_bus_line_listed_twice(ws, tmp_path, capsys):
+    # its buses would share trip ids
+    line = BusLine("L", (), ("e0", "e1", "e2"), (0.0, 600.0))
+    plans = [RoutePlan("a", ("e0", "e1"), 0.0)]
+    assert sim_run_scenario(ws, tmp_path, plans, [line]) == 0
+    capsys.readouterr()
+    assert sim_run_scenario(ws, tmp_path, plans, [line, line]) == 3
+    assert capsys.readouterr().err.endswith(
+        "\nerror: ValueError: bus line 'L': duplicate bus line id\n")
 
 
 def _retimed(pick, duration, min_duration, max_duration):
@@ -586,7 +626,9 @@ def test_dua_iterate(ws, tmp_path, capsys):
     assert rc == 0
     assert "iterations 2" in capsys.readouterr().out
     net = load_network(ws / "net.json")
-    assert load_route_plans(tmp_path / "dua_routes.json", net)
+    plans = load_route_plans(tmp_path / "dua_routes.json")
+    assert plans
+    check_scenario(net, plans)
     metrics = (tmp_path / "dua_metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("iteration,")
     assert len(metrics) == 3
@@ -830,6 +872,21 @@ def test_data_ingest_filter_flags(ws, tmp_path, capsys):
     assert "no day of data" in capsys.readouterr().err
     assert run([*base, "--include-weekdays", "Tue",
                 "--date-from", "2023-09-01", "--date-to", "2023-09-30"]) == 0
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--exclude-dates", "20230905"], "20230905"),
+    (["--exclude-dates", "2023-09-06,2023-W36-2"], "2023-W36-2"),
+    (["--date-from", "2023-W36-2", "--date-to", "2023-09-30"], "2023-W36-2"),
+    (["--date-from", "2023-09-01", "--date-to", "20230930"], "20230930"),
+])
+def test_data_ingest_date_flags_are_yyyy_mm_dd(ws, tmp_path, capsys, flags, bad):
+    # Python 3.11 would read each of these as a date; 3.10 refuses them
+    rc = run(["data", "ingest", "--measurements", ws / "measurements.csv", *flags,
+              "--output-dir", tmp_path])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: bad date '{bad}': Invalid isoformat string: '{bad}'\n")
 
 
 def test_data_ingest_outputs_are_pinned(tmp_path, capsys):

@@ -393,6 +393,18 @@ def test_measurements_csv_rejects_bad_input(tmp_path):
         assert str(caught.value) == f"{path}: {message}"
 
 
+def test_measurement_dates_must_be_yyyy_mm_dd(tmp_path):
+    # from Python 3.11 `date.fromisoformat` also reads the basic and the
+    # week-date form as 2023-09-05; 3.10 refuses both, so the reader does
+    path = tmp_path / "loops.csv"
+    header = "detector_id,date,window_start_s,count\n"
+    for date in ("20230905", "2023-W36-2", "2023-09-5", "2023-09-05T00"):
+        path.write_text(header + "d1,2023-09-05,0,1\n" + f"d1,{date},900,1\n")
+        with pytest.raises(MeasurementFormatError) as caught:
+            read_measurements_csv(path)
+        assert str(caught.value) == f"{path}: line 3: Invalid isoformat string: '{date}'"
+
+
 def test_each_distinct_cell_text_is_converted_once(tmp_path, monkeypatch):
     records = full_day("d1", TUE) + full_day("d1", WED) + full_day("d2", TUE) + full_day("d2", WED)
     path = tmp_path / "loops.csv"

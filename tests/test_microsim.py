@@ -637,7 +637,7 @@ def test_doubling_vehicles_never_reduces_total_time_loss():
 
 def test_depart_before_begin_rejected():
     net = chain_net([100.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trip 'v0': departs at 5.0, before the run begins at 10.0$"):
         Simulation(net, [RoutePlan("v0", ("e0",), 5.0)], cfg(begin=10.0, end=20.0))
 
 
@@ -656,10 +656,47 @@ def test_phase_states_of_the_wrong_length_are_refused(twin_with_phase_states):
 
 
 def test_unknown_edge_in_plan():
+    # refused when built, before any vehicle is inserted
     net = chain_net([100.0])
-    sim = Simulation(net, [RoutePlan("v0", ("nope",), 0.0)], cfg())
-    with pytest.raises(KeyError):
-        sim.run()
+    with pytest.raises(ValueError, match="^trip 'v0': unknown edge 'nope'$"):
+        Simulation(net, [RoutePlan("v0", ("nope",), 0.0)], cfg())
+
+
+def scenario_net():
+    """e0 -> e1, one lane each, a bus stop on e1."""
+    return chain_net([100.0, 100.0], bus_stops=[BusStop("s", "e1", 50.0)])
+
+
+TRIP = RoutePlan("a", ("e0", "e1"), 0.0)
+LINE = BusLine("L", ("s",), ("e0", "e1"), (0.0, 60.0))
+
+
+@pytest.mark.parametrize("plans, lines, message", [
+    # a trip id twice, also after bus-line expansion: vehicles are not conserved
+    ([TRIP, TRIP], [], "trip 'a': duplicate trip id"),
+    ([TRIP, RoutePlan("L#1", ("e0",), 5.0)], [LINE], "bus line 'L': trip 'L#1': duplicate trip id"),
+    ([], [LINE, LINE], "bus line 'L': duplicate bus line id"),
+    # a departure that is no time keeps every later trip waiting
+    ([RoutePlan("a", ("e0",), math.nan)], [], "trip 'a': depart must be finite, got nan"),
+    ([RoutePlan("a", ("e0",), math.inf)], [], "trip 'a': depart must be finite, got inf"),
+    ([], [BusLine("L", (), ("e0",), (0.0, math.nan))],
+     "bus line 'L': trip 'L#1': depart must be finite, got nan"),
+])
+def test_simulation_refuses_trips_it_cannot_count(plans, lines, message):
+    with pytest.raises(ValueError) as err:
+        Simulation(scenario_net(), plans, cfg(), bus_lines=lines)
+    assert str(err.value) == message
+
+
+def test_valid_scenario_records_are_accepted():
+    # the ends of each range: detectors at either end of their edge, trips
+    # and bus departures at the first instant of the run
+    net = scenario_net()
+    dets = [Detector("d0", "e0", 0, 0.0), Detector("d1", "e1", 0, 100.0, window=300.0)]
+    line = BusLine("L", ("s",), ("e0", "e1"), (10.0, 60.0))
+    plans = [RoutePlan("a", ("e0", "e1"), 10.0, mode="bus")]
+    out = Simulation(net, plans, cfg(begin=10.0), dets, [line]).run()
+    assert out.totals["arrived"] == 3
 
 
 def test_config_validation():
@@ -736,67 +773,84 @@ def test_route_plan_validation(tmp_path):
     from trafcal.netmodel import NetworkFormatError
     from trafcal.microsim.simio import load_route_plans
 
+    # the loader parses any well-typed record; the engine refuses the ones
+    # it cannot run on its network
     net = chain_net([100.0, 100.0])
     path = tmp_path / "routes.json"
 
-    def dump(rec):
+    def build(rec):
         path.write_text(json.dumps({"routes": [rec]}))
+        return Simulation(net, load_route_plans(path), cfg())
 
-    dump({"trip_id": "a", "edges": ["e0", "e1"], "depart": 0})
-    assert load_route_plans(path, net)[0].edges == ("e0", "e1")
-    dump({"trip_id": "a", "edges": ["e0", "nope"], "depart": 0})
-    with pytest.raises(NetworkFormatError):
-        load_route_plans(path, net)
-    dump({"trip_id": "a", "edges": ["e1", "e0"], "depart": 0})  # disconnected
-    with pytest.raises(NetworkFormatError):
-        load_route_plans(path, net)
-    dump({"trip_id": "a", "edges": [], "depart": 0})
-    with pytest.raises(NetworkFormatError):
-        load_route_plans(path, net)
-    dump({"trip_id": "a", "edges": ["e0"], "depart": 0, "mode": "tram"})
-    with pytest.raises(NetworkFormatError):
-        load_route_plans(path, net)
-    dump({"trip_id": "a", "edges": ["e0"], "depart": 0, "extra": 1})
-    with pytest.raises(NetworkFormatError):
-        load_route_plans(path, net)
+    assert build({"trip_id": "a", "edges": ["e0", "e1"], "depart": 0}).plans[0].edges == ("e0", "e1")
+    for rec, message in (
+        ({"trip_id": "a", "edges": ["e0", "nope"], "depart": 0}, "unknown edge 'nope'"),
+        ({"trip_id": "a", "edges": ["e1", "e0"], "depart": 0},
+         "edges 'e1' and 'e0' are not connected"),
+        ({"trip_id": "a", "edges": [], "depart": 0}, "empty route"),
+        ({"trip_id": "a", "edges": ["e0"], "depart": 0, "mode": "tram"}, "unknown mode 'tram'"),
+    ):
+        with pytest.raises(ValueError, match=f"^trip 'a': {re.escape(message)}$"):
+            build(rec)
+    path.write_text(json.dumps({"routes": [{"trip_id": "a", "edges": ["e0"], "depart": 0, "extra": 1}]}))
+    with pytest.raises(NetworkFormatError, match=r"routes\[0\]: unknown field 'extra'"):
+        load_route_plans(path)
 
 
 def test_detector_file_round_trip(tmp_path):
-    from trafcal.netmodel import NetworkFormatError
     from trafcal.microsim.simio import load_detectors, save_detectors
 
     net = chain_net([100.0])
+    plans = [RoutePlan("v0", ("e0",), 0.0)]
     dets = [Detector("d1", "e0", 0, 40.0), Detector("d2", "e0", 0, 60.0, window=300.0)]
     path = tmp_path / "dets.json"
     save_detectors(dets, path)
-    assert load_detectors(path, net) == dets
-    save_detectors([Detector("d1", "e0", 3, 40.0)], path)
-    with pytest.raises(NetworkFormatError):
-        load_detectors(path, net)  # lane outside edge
-    save_detectors([Detector("d1", "e0", 0, 140.0)], path)
-    with pytest.raises(NetworkFormatError):
-        load_detectors(path, net)  # position outside edge
-    save_detectors([Detector("d1", "e0", 0, 40.0), Detector("d1", "e0", 0, 50.0)], path)
-    with pytest.raises(NetworkFormatError):
-        load_detectors(path)  # duplicate id
-    for window in (0.0, math.nan):
-        save_detectors([Detector("d1", "e0", 0, 40.0, window=window)], path)
-        with pytest.raises(NetworkFormatError, match=r"detectors\[0\]: window must be > 0"):
-            load_detectors(path)
+    assert load_detectors(path) == dets
+    Simulation(net, plans, cfg(), load_detectors(path))
+    for bad, message in (
+        ([Detector("d1", "nope", 0, 40.0)], "detector 'd1': unknown edge 'nope'"),
+        ([Detector("d1", "e0", 3, 40.0)], "detector 'd1': lane 3 outside edge 'e0'"),
+        ([Detector("d1", "e0", 0, 140.0)], "detector 'd1': position 140.0 outside edge 'e0'"),
+        ([Detector("d1", "e0", 0, 40.0), Detector("d1", "e0", 0, 50.0)],
+         "detector 'd1': duplicate detector id"),
+        ([Detector("d1", "e0", 0, 40.0, window=0.0)],
+         "detector 'd1': window must be finite and > 0, got 0.0"),
+        ([Detector("d1", "e0", 0, 40.0, window=math.nan)],
+         "detector 'd1': window must be finite and > 0, got nan"),
+        # an infinite window has no window starts to write
+        ([Detector("d1", "e0", 0, 40.0, window=math.inf)],
+         "detector 'd1': window must be finite and > 0, got inf"),
+    ):
+        save_detectors(bad, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Simulation(net, plans, cfg(), load_detectors(path))
 
 
 def test_bus_line_round_trip(tmp_path):
-    from trafcal.netmodel import NetworkFormatError
     from trafcal.microsim.simio import load_bus_lines, save_bus_lines
 
     net = chain_net([100.0, 100.0], bus_stops=[BusStop("s", "e1", 50.0)])
     lines = [BusLine("L", ("s",), ("e0", "e1"), (0.0, 3600.0), dwell=12.0)]
     path = tmp_path / "lines.json"
     save_bus_lines(lines, path)
-    assert load_bus_lines(path, net) == lines
-    save_bus_lines([BusLine("L", ("nope",), ("e0",), (0.0,))], path)
-    with pytest.raises(NetworkFormatError):
-        load_bus_lines(path, net)
+    assert load_bus_lines(path) == lines
+    Simulation(net, [], cfg(), bus_lines=load_bus_lines(path))
+    for bad, message in (
+        (BusLine("L", ("nope",), ("e0",), (0.0,)), "unknown bus stop 'nope'"),
+        (BusLine("L", (), ("e0", "nope"), (0.0,)), "unknown edge 'nope'"),
+        (BusLine("L", (), ("e1", "e0"), (0.0,)), "edges 'e1' and 'e0' are not connected"),
+        (BusLine("L", (), (), (0.0,)), "empty route"),
+        # a NaN or negative dwell serves no stop; an infinite one never leaves
+        (BusLine("L", ("s",), ("e0", "e1"), (0.0,), dwell=math.nan),
+         "dwell must be finite and >= 0, got nan"),
+        (BusLine("L", ("s",), ("e0", "e1"), (0.0,), dwell=-5.0),
+         "dwell must be finite and >= 0, got -5.0"),
+        (BusLine("L", ("s",), ("e0", "e1"), (0.0,), dwell=math.inf),
+         "dwell must be finite and >= 0, got inf"),
+    ):
+        save_bus_lines([bad], path)
+        with pytest.raises(ValueError, match=f"^bus line 'L': {re.escape(message)}$"):
+            Simulation(net, [], cfg(), bus_lines=load_bus_lines(path))
 
 
 def test_null_optional_fields_rejected(tmp_path):
