@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from trafcal import netmodel
-from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation
+from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation, check_run
 from trafcal.microsim.engine import SimOutput
 
 WINDOWS_PER_DAY = 96
@@ -186,7 +186,8 @@ def sweep_rerouting_probability(
     Evaluations are independent simulations, so they can spread over worker
     processes, which receive the shared inputs once and then only each p;
     results are sorted by p before the argmin, which keeps the outcome
-    identical however many workers ran.
+    identical however many workers ran. A scenario the engine cannot run
+    (`microsim.check_run`) is refused before any point runs.
     """
     if not detectors:
         raise ValueError("sweep needs at least one detector")
@@ -199,6 +200,8 @@ def sweep_rerouting_probability(
             f"real series and detectors disagree (missing {missing}, extra {extra})"
         )
     base = base_config if base_config is not None else SimConfig()
+    # every point would refuse the same scenario, each in its own worker
+    check_run(net, routes, base, detectors, bus_lines)
     inputs = (net, routes, detectors, tuple(bus_lines), base, aggregate_series(real))
     points = grid.points()
     # a fork pool starts all its processes at once, needed or not

@@ -65,8 +65,60 @@ class _MeasurementFields(NamedTuple):
 
 
 # One loop count as `(detector_id, date, window_start, count)`: a
-# RawMeasurement, or the plain tuple `read_measurements_csv` returns.
+# RawMeasurement, or the plain tuple a `Measurements` table yields.
 Measurement = tuple[str, datetime.date, int, int]
+
+
+class Measurements:
+    """Measurement records as detector-day runs, in row order.
+
+    A run is consecutive rows of one detector and date; `runs` holds one
+    `(detector_id, date, first row)` entry per run, and `windows` and
+    `counts` one `int` per row. The reader shares each distinct value
+    between the rows holding it, so a row costs two list slots, about 20
+    bytes with the lists' spare room, where a tuple per record took 80.
+    Its length is the number of rows, and iterating yields each row as a
+    `Measurement` tuple.
+    """
+
+    __slots__ = ("runs", "windows", "counts")
+
+    def __init__(self):
+        self.runs: list[tuple[str, datetime.date, int]] = []
+        self.windows: list[int] = []
+        self.counts: list[int] = []
+
+    @classmethod
+    def of(cls, records: Iterable[Measurement]) -> "Measurements":
+        """The table of `records`, in their order."""
+        table = cls()
+        add_run, add_window, add_count = table.runs.append, table.windows.append, table.counts.append
+        last_det = last_date = None
+        for det, date, start, count in records:
+            if date != last_date or det != last_det:
+                last_det, last_date = det, date
+                add_run((det, date, len(table.windows)))
+            add_window(start)
+            add_count(count)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def spans(self):
+        """`(detector_id, date, first row, end row)` of each run in turn."""
+        ends = itertools.chain(
+            (first for _, _, first in itertools.islice(self.runs, 1, None)),
+            (len(self.windows),),
+        )
+        for (det, date, first), end in zip(self.runs, ends):
+            yield det, date, first, end
+
+    def __iter__(self):
+        windows, counts = self.windows, self.counts
+        for det, date, first, end in self.spans():
+            for i in range(first, end):
+                yield det, date, windows[i], counts[i]
 
 
 class _BadValue(ValueError):
@@ -195,31 +247,41 @@ _CELL_PARSERS = (
 )
 
 
-def read_measurements_csv(path) -> list[Measurement]:
-    """Every record of a measurement file, as plain `Measurement` tuples in
-    RawMeasurement's field order, checked like a RawMeasurement.
+def read_measurements_csv(path) -> Measurements:
+    """Every record of a measurement file, in file order, as a
+    `Measurements` table, checked like a RawMeasurement.
 
     A detector id, date, window or count repeats on many rows, so each
     distinct cell text is converted and checked once, into one plain dict
-    per column, and its value shared by every row holding it. A row whose
-    four texts are all known costs four lookups and no Python call. Only a
-    miss leaves the loop: a new text, a blank row or a row of the wrong
-    width. A bad value is never kept, so each row holding one fails. Plain
-    tuples of such values are records the garbage collector stops
-    tracking, which a tuple subclass never is.
+    per column, and its value shared by every row holding it. A row of
+    the same detector and date texts as the row before costs two lookups
+    (window and count) and two appends; only a new run looks up its
+    detector and date. Only a miss leaves the loop: a new text, a blank
+    row or a row of the wrong width. A bad value is never kept, so each
+    row holding one fails.
     """
     cells = names, dates, windows, counts = {}, {}, {}, {}
-    records = []
-    add = records.append
+    table = Measurements()
+    add_run, add_window, add_count = table.runs.append, table.windows.append, table.counts.append
+    last_det = last_date = None  # the texts of the current run
     with netmodel.csv_table(path, MEASUREMENT_CSV_HEADER, MeasurementFormatError) as rows:
         for row in rows:
             try:
                 det, date_s, start_s, count_s = row
-                add((names[det], dates[date_s], windows[start_s], counts[count_s]))
+                start, count = windows[start_s], counts[count_s]
+                if date_s != last_date or det != last_det:
+                    add_run((names[det], dates[date_s], len(table.windows)))
+                    last_det, last_date = det, date_s
             except (KeyError, ValueError):
-                if netmodel.has_cells(row, len(MEASUREMENT_CSV_HEADER)):
-                    add(_learn_cells(row, cells))
-    return records
+                if not netmodel.has_cells(row, len(MEASUREMENT_CSV_HEADER)):
+                    continue
+                det, date, start, count = _learn_cells(row, cells)
+                if row[1] != last_date or row[0] != last_det:
+                    add_run((det, date, len(table.windows)))
+                    last_det, last_date = row[0], row[1]
+            add_window(start)
+            add_count(count)
+    return table
 
 
 def _learn_cells(row: list[str], cells: tuple[dict, ...]) -> Measurement:
@@ -238,10 +300,10 @@ def write_measurements_csv(records: Iterable[Measurement], path) -> None:
     """Write `records`, sorted by detector, date and window; records that
     share all three keep their order.
 
-    A list or tuple already in whole-tuple order, as the fixture, the
-    reader and the loop generator produce it, is in that order too, so it
-    is written as it comes after one pass of comparisons: no sort key per
-    record and no copy. Any other input is sorted.
+    A list or tuple already in whole-tuple order, as the fixture and the
+    loop generator produce it, is in that order too, so it is written as
+    it comes after one pass of comparisons: no sort key per record and no
+    copy. Any other input is sorted.
 
     The text is made a detector-day at a time: `csv.writer` formats the
     `detector_id,date,` prefix once per run of records sharing both, and
@@ -282,31 +344,29 @@ def _measurement_lines(records: Iterable[Measurement]):
 def ingest(records: Iterable[Measurement], filt: IngestionFilter = IngestionFilter()) -> IngestResult:
     """Average admitted days into one 96-window series per detector.
 
-    One pass over `records`, which may be any iterable of checked
-    `Measurement` tuples, read from a file or built as RawMeasurement. A
-    day only counts for a detector when every one of the 96 windows is
-    present exactly once; partial or duplicated days are treated like any
-    other faulty day and skipped. The result is independent of the order of the input
-    records.
+    `records` is a `Measurements` table, as `read_measurements_csv`
+    returns it, or any iterable of checked `Measurement` tuples, which is
+    read once into a table. The filter sees each detector-day run once,
+    and an admitted run is folded into its day's window map whole. A day
+    only counts for a detector when every one of the 96 windows is present
+    exactly once: a map that grows by less than the run's length met a
+    window twice, in that run or an earlier one of the day. Partial or
+    duplicated days are treated like any other faulty day and skipped. The
+    result is independent of the order of the input records.
     """
+    table = records if isinstance(records, Measurements) else Measurements.of(records)
     detectors: set[str] = set()
-    admitted: dict[datetime.date, bool] = {}
     by_day: dict[tuple[str, datetime.date], dict[int, int]] = {}
     dupes: set[tuple[str, datetime.date]] = set()
-    last_det = last_date = None
-    windows = None  # the window map of (last_det, last_date); None on a dropped day
-    for det, date, start, count in records:
-        if det != last_det or date != last_date:
-            last_det, last_date = det, date
-            detectors.add(det)
-            keep = admitted.get(date)
-            if keep is None:
-                keep = admitted[date] = filt.admits(date)
-            windows = by_day.setdefault((det, date), {}) if keep else None
-        if windows is not None:
-            if start in windows:
+    starts, counts = table.windows, table.counts
+    for det, date, first, end in table.spans():
+        detectors.add(det)
+        if filt.admits(date):
+            windows = by_day.setdefault((det, date), {})
+            size = len(windows)
+            windows.update(zip(starts[first:end], counts[first:end]))
+            if len(windows) - size < end - first:
                 dupes.add((det, date))
-            windows[start] = count
 
     sums: dict[str, list[int]] = {}
     days: dict[str, int] = {}

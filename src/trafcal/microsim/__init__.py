@@ -5,6 +5,7 @@ from trafcal.microsim.engine import (
     SimOutput,
     Simulation,
     VehicleResult,
+    check_run,
 )
 from trafcal.microsim.simio import (
     BusLine,
@@ -28,6 +29,7 @@ __all__ = [
     "SimOutput",
     "Simulation",
     "VehicleResult",
+    "check_run",
     "load_bus_lines",
     "load_detectors",
     "load_route_plans",

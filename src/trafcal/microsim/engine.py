@@ -188,6 +188,24 @@ class _Vehicle:
         self.ahead: Optional[tuple] = None  # see Simulation._look_ahead
 
 
+def check_run(
+    net: netmodel.RoadNetwork,
+    plans: list[RoutePlan],
+    config: SimConfig,
+    detectors: list[Detector] = (),
+    bus_lines: list[BusLine] = (),
+) -> None:
+    """Raise `ValueError` for the first thing a run of `plans` on `net`
+    under `config` cannot simulate: a junction with a violation of
+    `netmodel.engine_violations`, then the trip, detector or bus line
+    `simio.check_scenario` refuses, each named in the message."""
+    refused = netmodel.engine_violations(net)
+    if refused:
+        v = refused[0]
+        raise ValueError(f"junction '{v.subject_id}': {v.message}")
+    check_scenario(net, plans, detectors, bus_lines, config.begin)
+
+
 class Simulation:
     """One simulation run; build it, then call run() once."""
 
@@ -200,11 +218,7 @@ class Simulation:
         bus_lines: list[BusLine] = (),
         vehicle_types: Optional[dict[str, VehicleType]] = None,
     ):
-        refused = netmodel.engine_violations(net)
-        if refused:
-            v = refused[0]
-            raise ValueError(f"junction '{v.subject_id}': {v.message}")
-        check_scenario(net, plans, detectors, bus_lines, config.begin)
+        check_run(net, plans, config, detectors, bus_lines)
         self.net = net
         self.config = config
         self.vehicle_types = {"car": CAR, "bus": BUS}

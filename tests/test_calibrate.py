@@ -223,10 +223,10 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     assert seen == [dataclasses.replace(base, rerouting_probability=0.0)]
 
 
-def test_sweep_pool_is_no_wider_than_its_grid(monkeypatch):
-    # a fork pool starts all its processes at once: 16 workers on a
-    # 3-point grid would fork 13 that never get a point
-    net, plans, dets, real, cfg = tiny_sweep_inputs()
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """The width of each process pool the sweep builds; the pools run
+    their points in this process."""
     widths = []
 
     class RecordingPool:
@@ -247,16 +247,42 @@ def test_sweep_pool_is_no_wider_than_its_grid(monkeypatch):
 
     monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(calibrate, "_worker_inputs", ())
+    return widths
+
+
+def test_sweep_pool_is_no_wider_than_its_grid(pool_widths):
+    # a fork pool starts all its processes at once: 16 workers on a
+    # 3-point grid would fork 13 that never get a point
+    net, plans, dets, real, cfg = tiny_sweep_inputs()
     grid = GridSpec(0.0, 1.0, 0.5)
     serial = sweep_rerouting_probability(net, plans, dets, real, grid, base_config=cfg)
     pooled = sweep_rerouting_probability(net, plans, dets, real, grid, base_config=cfg, workers=16)
-    assert widths == [3]
+    assert pool_widths == [3]
     assert pooled == serial
     # one point needs no pool at all
     sweep_rerouting_probability(
         net, plans, dets, real, GridSpec(0.5, 0.5, 0.1), base_config=cfg, workers=16
     )
-    assert widths == [3]
+    assert pool_widths == [3]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("trip", "trip 'v000': duplicate trip id"),
+    ("detector", "detector 'd': unknown edge 'nowhere'"),
+])
+def test_sweep_refuses_a_scenario_before_any_pool(pool_widths, bad, message):
+    # each worker would refuse it again, as `simulation failed at p=...`
+    net, plans, dets, real, cfg = tiny_sweep_inputs()
+    if bad == "trip":
+        plans = plans + plans[:1]
+    else:
+        dets = [Detector("d", "nowhere", 0, 50.0)]
+    with pytest.raises(ValueError) as caught:
+        sweep_rerouting_probability(
+            net, plans, dets, real, GridSpec(0.0, 1.0, 0.5), base_config=cfg, workers=16
+        )
+    assert str(caught.value) == message
+    assert pool_widths == []
 
 
 def test_sweep_checks_detector_ids():

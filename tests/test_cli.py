@@ -649,6 +649,20 @@ def test_calib_sweep_single_point(ws, tmp_path, capsys):
     assert best == ["best_p,best_nrmse", "0.0000,0.000000"]
 
 
+def test_calib_sweep_refuses_a_repeated_trip_id_once(ws, tmp_path, capsys):
+    # checked before the pool starts, not in each worker at each point
+    save_route_plans([RoutePlan("a", ("e0", "e1"), 0.0), RoutePlan("a", ("e0", "e1"), 30.0)],
+                     tmp_path / "routes.json")
+    rc = run(["calib", "sweep", "--network", ws / "net.json",
+              "--routes", tmp_path / "routes.json", "--detectors", ws / "detectors.json",
+              "--measurements", ws / "measurements.csv",
+              "--p-min", "0", "--p-max", "1", "--grid-step", "0.5", "--workers", "2",
+              "--output-dir", tmp_path / "out"])
+    assert rc == 3
+    assert capsys.readouterr().err.endswith("\nerror: ValueError: trip 'a': duplicate trip id\n")
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_report_validate_explicit_p(ws, tmp_path, capsys):
     rc = run(["report", "validate", "--network", ws / "net.json",
               "--routes", ws / "routes.json", "--detectors", ws / "detectors.json",

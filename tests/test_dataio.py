@@ -2,7 +2,6 @@
 
 import dataclasses
 import datetime
-import gc
 import json
 import math
 import operator
@@ -189,7 +188,7 @@ def test_ingest_against_brute_force():
             assert abs(s.counts[w] - want) < 1e-12
 
 
-def test_ingest_is_order_independent():
+def test_ingest_is_order_independent(tmp_path):
     rng = random.Random(405)
     records = (
         full_day("d1", TUE, base=3)
@@ -203,6 +202,23 @@ def test_ingest_is_order_independent():
         again = ingest(shuffled)
         assert again.days_used == base.days_used
         assert again.series == base.series
+    # a file whose d1 Tuesday is split over two runs apart, and whose d1
+    # Thursday gives window 47 in both of its runs: the reader's table
+    # keeps those runs, and ingest counts the first day and drops the second
+    tue, thu, wed = full_day("d1", TUE, base=3), full_day("d1", THU, base=8), full_day("d2", WED, base=1)
+    thu_again = thu[47]._replace(count=99)
+    file_order = tue[:48] + thu[:48] + wed + tue[48:] + [thu_again] + thu[48:]
+    table = read_rows(tmp_path / "loops.csv", *(
+        f"{det},{date.isoformat()},{start},{count}" for det, date, start, count in file_order
+    ))
+    assert [(det, date) for det, date, _ in table.runs] == [
+        ("d1", TUE), ("d1", THU), ("d2", WED), ("d1", TUE), ("d1", THU),
+    ]
+    assert list(table) == file_order
+    split = ingest(table)
+    assert split == ingest(sorted(file_order, key=operator.itemgetter(0, 1, 2)))
+    assert split.days_used == {"d1": 1, "d2": 1}
+    assert split.series[0].counts == tuple(r.count for r in tue)
 
 
 def test_ingest_takes_a_one_shot_iterable():
@@ -256,7 +272,7 @@ def test_measurements_csv_round_trip(tmp_path):
     path = tmp_path / "loops.csv"
     write_measurements_csv(records, path)
     back = read_measurements_csv(path)
-    assert back == sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start))
+    assert list(back) == sorted(records, key=lambda r: (r.detector_id, r.date, r.window_start))
     assert path.read_text().splitlines()[0] == "detector_id,date,window_start_s,count"
 
 
@@ -305,7 +321,7 @@ def test_measurements_csv_sorts_unordered_and_generator_input(tmp_path):
         write_measurements_csv(given, path)
         assert path.read_bytes() == expected.read_bytes(), name
     assert records == before  # the caller's list is not sorted in place
-    ordered = read_measurements_csv(expected)
+    ordered = list(read_measurements_csv(expected))
     for name, given in (("ordered", ordered), ("ordered gen", iter(ordered))):
         path = tmp_path / "again.csv"
         write_measurements_csv(given, path)
@@ -347,7 +363,7 @@ def test_measurements_csv_quotes_detector_ids_like_any_cell(tmp_path, det):
     write_measurements_csv(records, path)
     reference_measurements_csv(records, reference)
     assert path.read_bytes() == reference.read_bytes()
-    assert read_measurements_csv(path) == records
+    assert list(read_measurements_csv(path)) == records
 
 
 def test_measurements_csv_of_many_detector_days(tmp_path):
@@ -372,7 +388,7 @@ def test_measurements_csv_of_many_detector_days(tmp_path):
     for given in (records, ordered):
         write_measurements_csv(given, path)
         assert path.read_bytes() == reference.read_bytes()
-        assert read_measurements_csv(path) == ordered
+        assert list(read_measurements_csv(path)) == ordered
 
 
 def test_measurements_csv_rejects_bad_input(tmp_path):
@@ -419,24 +435,31 @@ def test_each_distinct_cell_text_is_converted_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dataio, "_window_start", counted("window", dataio._window_start))
     monkeypatch.setattr(dataio, "_count", counted("count", dataio._count))
-    assert read_measurements_csv(path) == records
+    assert list(read_measurements_csv(path)) == records
     # 384 rows hold 96 window texts and the 7 count texts 0..6 of `full_day`
     assert calls == {"window": [w * WINDOW_S for w in range(WINDOWS_PER_DAY)],
                      "count": list(range(7))}
 
 
-def test_read_measurements_are_plain_untracked_tuples(tmp_path):
-    records = sorted(
-        full_day("d2", WED, base=5) + full_day("d1", TUE, base=0) + full_day("d1", SAT, base=9),
-        key=lambda r: (r.detector_id, r.date, r.window_start),
-    )
+def test_read_measurements_hold_at_most_24_bytes_a_record(tmp_path):
+    # 21,120 rows; a tuple per record took 80 bytes, two list slots take 17
+    rng = random.Random(16)
+    dates = [TUE + datetime.timedelta(days=i) for i in range(11)]
+    records = [
+        RawMeasurement(f"d{d:02d}", date, w * WINDOW_S, rng.randrange(600))
+        for d in range(20) for date in dates for w in range(WINDOWS_PER_DAY)
+    ]
     path = tmp_path / "loops.csv"
     write_measurements_csv(records, path)
-    back = read_measurements_csv(path)
-    assert all(type(rec) is tuple for rec in back)
-    gc.collect()
-    assert not any(gc.is_tracked(rec) for rec in back)
-    assert back == records
+    tracemalloc.start()
+    try:
+        back = read_measurements_csv(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(records) >= 20_000
+    assert held / len(back) <= 24, held / len(back)
+    assert list(back) == records
     assert ingest(back) == ingest(records)
 
 
@@ -466,7 +489,7 @@ def test_each_bad_row_fails_though_cells_are_checked_once(tmp_path):
 
 def test_equal_numbers_read_the_same_from_other_texts(tmp_path):
     back = read_rows(tmp_path / "loops.csv", "d1,2023-09-05,0900,3", "d1,2023-09-05,900,03")
-    assert back == [("d1", TUE, 900, 3), ("d1", TUE, 900, 3)]
+    assert list(back) == [("d1", TUE, 900, 3), ("d1", TUE, 900, 3)]
 
 
 # -- validation ----------------------------------------------------------------
@@ -684,7 +707,7 @@ def test_csv_readers_share_one_set_of_rules(tmp_path, name):
         read(path)
 
     path.write_text(header + "\n\n" + "\n\n".join(rows) + "\n\n")
-    assert read(path) == plain
+    assert list(read(path)) == list(plain)
 
     path.write_text(header + "\n\n" + bad_cell + "\n" + "\n".join(rows) + "\n")
     with pytest.raises(error, match=re.escape(f"{path}: line 3: ")):
