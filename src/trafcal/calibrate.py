@@ -266,30 +266,28 @@ def read_sweep_best(path) -> tuple[float, float]:
     return rows[0]
 
 
+@dataclass(frozen=True)
+class SweptSeries:
+    """The record of `sweep_best_series.json`."""
+
+    inputs: str
+    p: float
+    counts: dict[str, tuple[int, ...]]
+
+
 def write_best_series(result: SweepResult, inputs: str, path) -> None:
     """The best point's simulated counts, under `inputs`, the
     `simulation_key` of the run that made them."""
-    netmodel.write_json({
-        "inputs": inputs,
-        "p": result.best_p,
-        "counts": {s.detector_id: [int(x) for x in s.counts] for s in result.best_series},
-    }, path)
+    counts = {s.detector_id: tuple(int(x) for x in s.counts) for s in result.best_series}
+    netmodel.write_json(netmodel.record_to(SweptSeries(inputs, result.best_p, counts)), path)
 
 
 def read_best_series(path) -> tuple[str, list[DetectorSeries]]:
     """The (inputs, series) `write_best_series` wrote; a file of any other
     shape is a ValueError."""
-    doc = netmodel.read_json(path, ValueError)
-    if not isinstance(doc, dict) or set(doc) != {"inputs", "p", "counts"}:
-        raise ValueError(f"{path}: expected an object with 'inputs', 'p' and 'counts'")
-    inputs, p, counts = doc["inputs"], doc["p"], doc["counts"]
-    if not isinstance(inputs, str) or type(p) is not float or not isinstance(counts, dict):
-        raise ValueError(f"{path}: 'inputs' must be a string, 'p' a float, 'counts' an object")
-    for det_id, values in counts.items():
-        if not isinstance(values, list) or any(type(x) is not int for x in values):
-            raise ValueError(f"{path}: counts of '{det_id}' must be an array of integers")
+    swept = netmodel.read_record(path, SweptSeries, ValueError)
     series = [
         DetectorSeries(det_id, tuple(float(x) for x in values))
-        for det_id, values in sorted(counts.items())
+        for det_id, values in sorted(swept.counts.items())
     ]
-    return inputs, series
+    return swept.inputs, series

@@ -59,48 +59,30 @@ class UsageError(Exception):
 
 @dataclasses.dataclass
 class ProjectConfig:
+    """The record of a project config file."""
+
     seed: int = 0
     workers: int = 1
-    paths: dict = dataclasses.field(default_factory=dict)
-    sim: dict = dataclasses.field(default_factory=dict)
-    demand: dict = dataclasses.field(default_factory=dict)
-    sweep: dict = dataclasses.field(default_factory=dict)
-    equilibrium: dict = dataclasses.field(default_factory=dict)
+    paths: dict[str, str] = dataclasses.field(default_factory=dict)
+    sim: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
+    demand: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
+    sweep: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
+    equilibrium: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
 
 
 def load_project(path) -> ProjectConfig:
-    """Read a project config: `seed` and `workers` are ints, `paths` maps
-    known path keys to strings, and each section maps its own keys."""
-    doc = netmodel.read_json(path, UsageError)
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: project config must be an object")
-    unknown = set(doc) - {"seed", "workers", *_SECTION_KEYS}
-    if unknown:
-        raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-    scalars = {key: doc[key] for key in ("seed", "workers") if key in doc}
-    for key, value in scalars.items():
-        if type(value) is not int:
-            raise UsageError(f"{path}: '{key}' must be an integer")
-    sections = {key: doc.get(key, {}) for key in _SECTION_KEYS}
-    for key, section in sections.items():
-        if not isinstance(section, dict):
-            raise UsageError(f"{path}: '{key}' must be an object")
-        bad = set(section) - set(_SECTION_KEYS[key])
+    """Read a project config: `paths` may hold only known path keys, and
+    each section only its own keys."""
+    cfg = netmodel.read_record(path, ProjectConfig, UsageError)
+    for key, known in _SECTION_KEYS.items():
+        bad = set(getattr(cfg, key)) - set(known)
         if bad:
             raise UsageError(f"{path}: unknown {key} keys {sorted(bad)}")
-    for key, value in sections["paths"].items():
-        if not isinstance(value, str):
-            raise UsageError(f"{path}: 'paths.{key}' must be a string")
     # relative paths are taken relative to the config file's directory
     base = os.path.dirname(os.path.abspath(path))
-    return ProjectConfig(
-        **scalars,
-        paths={
-            k: v if os.path.isabs(v) else os.path.join(base, v)
-            for k, v in sections.pop("paths").items()
-        },
-        **sections,
-    )
+    return dataclasses.replace(cfg, paths={
+        k: v if os.path.isabs(v) else os.path.join(base, v) for k, v in cfg.paths.items()
+    })
 
 
 class _Ctx:
@@ -112,6 +94,8 @@ class _Ctx:
         self.seed = args.seed if args.seed is not None else self.cfg.seed
         workers = getattr(args, "workers", None)
         self.workers = workers if workers is not None else self.cfg.workers
+        if self.workers < 1:
+            raise UsageError(f"workers must be >= 1, got {self.workers}")
         out = args.output_dir or self.cfg.paths.get("output_dir")
         self.output_dir = out or "."
 
@@ -209,10 +193,10 @@ def cmd_net_validate(ctx: _Ctx) -> int:
 
 def cmd_demand_generate(ctx: _Ctx) -> int:
     # the statistics file's `config` is the base the demand settings overlay
-    stats, gates, schools, config = demandgen.load_statistics(ctx.path("statistics"))
-    config = ctx.settings("demand", base=config)
+    stats = demandgen.load_statistics(ctx.path("statistics"))
+    stats = dataclasses.replace(stats, config=ctx.settings("demand", base=stats.config))
     net = netmodel.load_network(ctx.path("network"))
-    table = demandgen.generate_trips(stats, gates, schools, config, net)
+    table = demandgen.generate_trips(stats, net)
     expanded = demandgen.expand_routes(table, net)
     trips_path = ctx.out_path("trips.json")
     routes_path = ctx.out_path("routes.json")
@@ -288,7 +272,7 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
         result, calibrate.simulation_key(paths, best), ctx.out_path(SWEPT_SERIES)
     )
     ctx.log(f"swept {len(result.entries)} points -> {ctx.out_path('sweep.csv')}")
-    print(f"best_p {result.best_p:.2f} best_nrmse {result.best_nrmse:.6f}")
+    print(f"best_p {result.best_p:.4f} best_nrmse {result.best_nrmse:.6f}")
     return EXIT_OK
 
 
@@ -378,9 +362,9 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     scenario = fixtures.twin_scenario(seed)
     # the truth's demand, at the run seed like its simulation; the written
     # statistics carry it on to `demand generate`
-    demand = dataclasses.replace(
-        ctx.settings("demand", base=scenario.demand_config), seed=seed
-    )
+    stats = dataclasses.replace(scenario.statistics, config=dataclasses.replace(
+        ctx.settings("demand", base=scenario.statistics.config), seed=seed
+    ))
     out = ctx.out_path  # ensures the directory exists
 
     grid_path = out("grid.net.json")
@@ -388,9 +372,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     net_path = out("twin_network.json")
     netmodel.save_network(scenario.net, net_path)
     stats_path = out("statistics.json")
-    demandgen.save_statistics(
-        scenario.districts, scenario.gates, scenario.schools, demand, stats_path,
-    )
+    demandgen.save_statistics(stats, stats_path)
     det_path = out("detectors.json")
     save_detectors(scenario.detectors, det_path)
     lines_path = out("bus_lines.json")
@@ -399,9 +381,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
 
     # ground truth: the exact pipeline a user will run, ending in one
     # simulation at the hidden true rerouting probability
-    table = demandgen.generate_trips(
-        scenario.districts, scenario.gates, scenario.schools, demand, scenario.net,
-    )
+    table = demandgen.generate_trips(stats, scenario.net)
     ctx.log(f"twin demand: {len(table)} trips")
     # only the routes are read, so the cap round that cannot change them
     # is not simulated

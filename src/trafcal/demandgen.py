@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import typing
 from dataclasses import dataclass, field
 
 from trafcal import netmodel
@@ -107,13 +108,24 @@ class DemandConfig:
             raise DemandError("departure_jitter_sd must be >= 0")
 
 
+@dataclass(frozen=True, kw_only=True)
+class Statistics:
+    """The demand statistics, the record of a statistics file: districts,
+    city gates and schools, and the `DemandConfig` they are sampled by."""
+
+    districts: tuple[DistrictStats, ...] = ()
+    gates: tuple[CityGate, ...] = ()
+    schools: tuple[School, ...] = ()
+    config: DemandConfig
+
+
 @dataclass(frozen=True)
 class Trip:
     id: str
     depart: float
     from_edge: str
     to_edge: str
-    purpose: str
+    purpose: typing.Literal[TRIP_PURPOSES]
 
 
 @dataclass
@@ -135,13 +147,8 @@ class ExpandResult:
 # ---------------------------------------------------------------------------
 
 
-def validate_inputs(
-    stats: list[DistrictStats],
-    gates: list[CityGate],
-    schools: list[School],
-    config: DemandConfig,
-    net: netmodel.RoadNetwork,
-) -> None:
+def validate_inputs(statistics: Statistics, net: netmodel.RoadNetwork) -> None:
+    stats, gates, config = statistics.districts, statistics.gates, statistics.config
     if not stats:
         raise DemandError("at least one district is required")
     for d in stats:
@@ -178,7 +185,7 @@ def validate_inputs(
             for eid in (g.in_edge, g.out_edge):
                 if eid not in net.edges:
                     raise DemandError(f"gate '{g.id}': unknown edge '{eid}'")
-    for s in schools:
+    for s in statistics.schools:
         if s.age_min > s.age_max:
             raise DemandError(f"school '{s.id}': age_min > age_max")
         if not s.opening_h < s.closing_h:
@@ -237,14 +244,9 @@ def _weighted_pick(rng: random.Random, items: list, weights: list[float]):
 # ---------------------------------------------------------------------------
 
 
-def generate_trips(
-    stats: list[DistrictStats],
-    gates: list[CityGate],
-    schools: list[School],
-    config: DemandConfig,
-    net: netmodel.RoadNetwork,
-) -> TripTable:
-    """Sample the day's car trips from the district statistics.
+def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTable:
+    """Sample the day's car trips from the demand statistics, seeded by
+    their config.
 
     Driving workers per district follow workers * car_rate *
     car_preference_rate with cumulative rounding; each picks a workplace
@@ -254,7 +256,9 @@ def generate_trips(
     legs become drop-off chains via a school. Gate flows are apportioned
     by the gate shares of the car-equivalent external totals.
     """
-    validate_inputs(stats, gates, schools, config, net)
+    validate_inputs(statistics, net)
+    stats, gates, schools = statistics.districts, statistics.gates, statistics.schools
+    config = statistics.config
     rng = random.Random(f"{config.seed}/demandgen")
     routes = netmodel.CarRoutes(net)
     drive_p = config.car_rate * config.car_preference_rate
@@ -424,8 +428,6 @@ def read_trips(path) -> TripTable:
     seen = set()
     for i, trip in enumerate(trips):
         where = f"trips[{i}]"
-        if trip.purpose not in TRIP_PURPOSES:
-            raise DemandError(f"{where}: unknown purpose '{trip.purpose}'")
         if not 0.0 <= trip.depart < DAY_S:
             raise DemandError(f"{where}: depart {trip.depart} outside [0, 86400)")
         if trip.id in seen:
@@ -434,37 +436,11 @@ def read_trips(path) -> TripTable:
     return TripTable(trips)
 
 
-def load_statistics(path) -> tuple[list[DistrictStats], list[CityGate], list[School], DemandConfig]:
-    doc = netmodel.read_json(path, DemandError)
-    if not isinstance(doc, dict):
-        raise DemandError("top level: expected a JSON object")
-    known = {"districts", "gates", "schools", "config"}
-    for key in doc:
-        if key not in known:
-            raise DemandError(f"top level: unknown field '{key}'")
-    if "config" not in doc:
-        raise DemandError("top level: missing 'config'")
-    return (
-        netmodel.records_from(doc, "districts", DistrictStats, DemandError),
-        netmodel.records_from(doc, "gates", CityGate, DemandError),
-        netmodel.records_from(doc, "schools", School, DemandError),
-        netmodel.record_from(DemandConfig, doc["config"], "config", DemandError),
-    )
+def load_statistics(path) -> Statistics:
+    """The `Statistics` record of a statistics file."""
+    return netmodel.read_record(path, Statistics, DemandError)
 
 
-def save_statistics(
-    stats: list[DistrictStats],
-    gates: list[CityGate],
-    schools: list[School],
-    config: DemandConfig,
-    path,
-) -> None:
-    netmodel.write_json(
-        {
-            "districts": [netmodel.record_to(d) for d in stats],
-            "gates": [netmodel.record_to(g) for g in gates],
-            "schools": [netmodel.record_to(s) for s in schools],
-            "config": netmodel.record_to(config),
-        },
-        path,
-    )
+def save_statistics(statistics: Statistics, path) -> None:
+    """Write the file `load_statistics` reads."""
+    netmodel.write_json(netmodel.record_to(statistics), path)

@@ -18,6 +18,7 @@ from trafcal.demandgen import (
     DemandConfig,
     DistrictStats,
     School,
+    Statistics,
     Trip,
     TripTable,
     WorkHours,
@@ -203,10 +204,7 @@ def two_route_trips(n: int = 200, interval: float = 1.0, begin: float = 0.0) -> 
 @dataclass
 class TwinScenario:
     net: RoadNetwork
-    districts: list[DistrictStats]
-    gates: list[CityGate]
-    schools: list[School]
-    demand_config: DemandConfig
+    statistics: Statistics
     detectors: list[Detector]
     bus_lines: list[BusLine]
     true_p: float = TWIN_TRUE_P
@@ -323,4 +321,7 @@ def twin_scenario(seed: int = 7) -> TwinScenario:
             dwell=10.0,
         )
     ]
-    return TwinScenario(net, districts, gates, schools, config, detectors, bus_lines)
+    statistics = Statistics(
+        districts=tuple(districts), gates=tuple(gates), schools=tuple(schools), config=config
+    )
+    return TwinScenario(net, statistics, detectors, bus_lines)

@@ -8,10 +8,12 @@ data; `engine_violations` keeps those the simulator cannot run, which
 `microsim.Simulation` refuses before it builds anything. Car routing goes
 through `CarRoutes`, one cached shortest-path tree per source with bus
 lanes barred.
-Network, route, detector, bus-line, trip and statistics files are all parsed
-by `read_json`, which names the line and column of a syntax error, and their
-records are read and written by one codec, `record_from` and `record_to`,
-which takes each record's fields, types and defaults from its dataclass.
+Every JSON file the program reads is one dataclass record, read by
+`read_record`: it parses the document, refusing a repeated key and naming
+the line and column of a syntax error, and decodes it with `record_from`.
+That codec, and `record_to` its inverse, takes each record's fields, types
+and defaults from its dataclass, and a field's JSON key from its metadata,
+so no file format is checked by hand.
 Every JSON output goes through `write_json`, and every CSV table is written
 by `write_csv` and read back through `csv_table` and `has_cells`, which own
 the header, column count, blank-line and error-line rules of them all.
@@ -31,8 +33,6 @@ import typing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-JUNCTION_KINDS = ("plain", "traffic_light", "dead_end")
-TLS_LOGICS = ("static", "actuated")
 TLS_STATE_CHARS = frozenset("Gry")
 # the violations the engine cannot run: a program it cannot cycle through
 # (a static cycle of no length; an actuated program catching up over phases
@@ -64,7 +64,7 @@ class Junction:
     id: str
     x: float
     y: float
-    kind: str = "plain"
+    kind: typing.Literal["plain", "traffic_light", "dead_end"] = "plain"
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class Edge:
     """Directed road segment between two junctions."""
 
     id: str
-    from_junction: str
-    to_junction: str
+    from_junction: str = dataclasses.field(metadata={"key": "from"})
+    to_junction: str = dataclasses.field(metadata={"key": "to"})
     length: float
     lane_count: int = 1
     speed_limit: float = 13.89
@@ -83,8 +83,9 @@ class Edge:
 @dataclass(frozen=True)
 class TlsPhase:
     duration: float
-    min_duration: float
-    max_duration: float
+    # in a file, the bounds default to the duration
+    min_duration: float = dataclasses.field(metadata={"defaults_to": "duration"})
+    max_duration: float = dataclasses.field(metadata={"defaults_to": "duration"})
     state: str
 
 
@@ -94,7 +95,7 @@ class TlsProgram:
     connection list (one character per controlled connection)."""
 
     junction_id: str
-    logic: str
+    logic: typing.Literal["static", "actuated"]
     phases: tuple[TlsPhase, ...]
 
 
@@ -206,7 +207,7 @@ def free_flow_time(edge: Edge) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Record codec: every JSON input format is arrays of frozen dataclass records.
+# Record codec: every JSON file is one frozen dataclass record.
 # ---------------------------------------------------------------------------
 
 # the classes of JSON value each scalar field type takes: a bool is no number
@@ -218,39 +219,66 @@ _JSON_CLASSES = {
 }
 
 
-class _WrongType(Exception):
-    """A value that does not have its declared type; args[0] is its index
-    path below the field, such as '[3]' or '[1][0]'."""
+def _wrong_type(where: Optional[str], key: str, error) -> Exception:
+    return error(f"{where or 'top level'}: field '{key}' has wrong type")
 
 
 def _decoder(tp) -> Callable:
     """`dec(value, where, key, error)` for one declared type: returns the
-    value as stored in the record, raises `_WrongType` on a type mismatch.
-    `where` and `key` locate a record nested in a tuple."""
+    value as stored in the record, raising `error` when it does not have
+    the type. `where` names the record, None at a document's top level,
+    and `key` the field with the index path below it, such as
+    'departures[0]' or 'counts.d1[2]'."""
+    if tp is typing.Any:
+        return lambda value, where, key, error: value
     ok = _JSON_CLASSES.get(tp)
     if ok is not None:
         def scalar(value, where, key, error):
             if value.__class__ in ok:
                 return tp(value)
-            raise _WrongType("")
+            raise _wrong_type(where, key, error)
         return scalar
     if dataclasses.is_dataclass(tp):
-        return lambda value, where, key, error: record_from(tp, value, f"{where}.{key}", error)
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is not tuple or not args:
+        return lambda value, where, key, error: record_from(
+            tp, value, f"{where}.{key}" if where else key, error
+        )
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Literal:
+        classes = {a.__class__ for a in args}
+
+        def literal(value, where, key, error):
+            if value.__class__ not in classes:
+                raise _wrong_type(where, key, error)
+            if value not in args:
+                raise error(
+                    f"{where or 'top level'}: field '{key}' must be one of {args}, got '{value}'"
+                )
+            return value
+        return literal
+    if origin is dict:
+        decode = _decoder(args[1])
+
+        def mapping(value, where, key, error):
+            if value.__class__ is not dict:
+                raise _wrong_type(where, key, error)
+            return {k: decode(x, where, f"{key}.{k}", error) for k, x in value.items()}
+        return mapping
+    if origin is not tuple or not args:
         raise TypeError(f"no JSON form for {tp!r}")
     variadic = args[-1] is Ellipsis  # tuple[X, ...]; else one type per item
     items = [_decoder(a) for a in (args[:1] if variadic else args)]
+    # the items of a tuple of scalars, such as a route's edges, are checked
+    # in one pass; the item loop then only names the first bad one
+    scalars = _JSON_CLASSES.get(args[0]) if variadic else None
 
     def sequence(value, where, key, error):
         if value.__class__ is not list or not (variadic or len(value) == len(items)):
-            raise _WrongType("")
+            raise _wrong_type(where, key, error)
+        if scalars is not None and {x.__class__ for x in value} <= scalars:
+            return tuple(map(args[0], value))
         out = []
         for i, (decode, x) in enumerate(zip(itertools.cycle(items), value)):
-            try:
-                out.append(decode(x, where, f"{key}[{i}]", error))
-            except _WrongType as exc:
-                raise _WrongType(f"[{i}]{exc.args[0]}") from None
+            out.append(decode(x, where, f"{key}[{i}]", error))
         return tuple(out)
     return sequence
 
@@ -268,81 +296,88 @@ def _encoder(tp) -> Optional[Callable]:
 
 
 @functools.cache
-def _schema(cls, rename: tuple) -> tuple:
-    """(JSON keys, per-field (name, key, required, decoder, encoder)) of a
-    record class, derived once from its fields and resolved type hints."""
+def _schema(cls) -> tuple:
+    """(JSON keys, per-field (name, key, required, defaults_to, decoder,
+    encoder)) of a record class, derived once from its fields, their
+    metadata and resolved type hints."""
     hints = typing.get_type_hints(cls)
-    keys = dict(rename)
     fields = tuple(
         (
             f.name,
-            keys.get(f.name, f.name),
+            f.metadata.get("key", f.name),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            f.metadata.get("defaults_to"),
             _decoder(hints[f.name]),
             _encoder(hints[f.name]),
         )
         for f in dataclasses.fields(cls)
     )
-    return frozenset(key for _, key, _, _, _ in fields), fields
+    return frozenset(key for _, key, _, _, _, _ in fields), fields
 
 
-def record_from(cls, rec, where: str, error=NetworkFormatError, rename=None):
+def record_from(cls, rec, where: Optional[str] = None, error=NetworkFormatError):
     """Build a `cls` record from one JSON object.
 
-    Field names, types and defaults are those of the dataclass, with JSON
-    keys renamed by `rename` (field name to key). A field with a default is
-    optional; a float field takes any JSON number; a tuple field takes a JSON
-    array, of records when its items are records. Unknown and missing fields
-    are rejected, null is never accepted, and a bool passes only for a bool
-    field. Failures raise `error`, naming the record by `where`.
+    Field names, types and defaults are those of the dataclass; a field's
+    `key` metadata is its JSON key, and a field with `defaults_to` metadata
+    takes that earlier field's value when absent. A float field takes any
+    JSON number, a tuple field an array, a dict field an object, a record
+    field an object, a `Literal` field one of its values and an `Any` field
+    anything. Unknown and missing fields are rejected, null is accepted
+    only by `Any`, and a bool only by a bool field. Failures raise `error`,
+    naming the record by `where`, or `top level` without one.
     """
-    keys, fields = _schema(cls, tuple(rename.items()) if rename else ())
+    keys, fields = _schema(cls)
+    label = where or "top level"
     if not isinstance(rec, dict):
-        raise error(f"{where}: expected an object, got {type(rec).__name__}")
+        raise error(f"{label}: expected an object, got {type(rec).__name__}")
     for key in rec:
         if key not in keys:
-            raise error(f"{where}: unknown field '{key}'")
+            raise error(f"{label}: unknown field '{key}'")
     values = {}
-    for name, key, required, decode, _ in fields:
+    for name, key, required, defaults_to, decode, _ in fields:
         if key not in rec:
-            if required:
-                raise error(f"{where}: missing field '{key}'")
+            if defaults_to:
+                values[name] = values[defaults_to]
+            elif required:
+                raise error(f"{label}: missing field '{key}'")
             continue
-        try:
-            values[name] = decode(rec[key], where, key, error)
-        except _WrongType as exc:
-            raise error(f"{where}: field '{key}{exc.args[0]}' has wrong type") from None
+        values[name] = decode(rec[key], where, key, error)
     return cls(**values)
 
 
-def record_to(obj, rename=None) -> dict:
+def record_to(obj) -> dict:
     """The JSON object of a record: the inverse of `record_from`."""
-    _, fields = _schema(type(obj), tuple(rename.items()) if rename else ())
+    _, fields = _schema(type(obj))
     out = {}
-    for name, key, _, _, encode in fields:
+    for name, key, _, _, _, encode in fields:
         value = getattr(obj, name)
         out[key] = value if encode is None else encode(value)
     return out
 
 
-def records_from(doc: dict, key: str, cls, error=NetworkFormatError, rename=None) -> list:
-    """Decode `doc[key]`, an array of `cls` records (absent means empty)."""
-    recs = doc.get(key, [])
-    if not isinstance(recs, list):
-        raise error(f"{key}: expected an array, got {type(recs).__name__}")
-    return [record_from(cls, rec, f"{key}[{i}]", error, rename) for i, rec in enumerate(recs)]
+def read_record(path, cls, error=NetworkFormatError):
+    """The `cls` record that the JSON document at `path` holds, decoded by
+    `record_from`. A syntax error, a key repeated in one object, or a
+    document that does not decode is raised as `error` naming the file."""
+    def refuse(message: str):
+        return error(f"{path}: {message}")
 
+    def unique_keys(pairs: list) -> dict:
+        # `json` keeps the last of a repeated key, which would drop the
+        # first value in silence
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            raise refuse(f"repeated key '{next(k for k in obj if keys.count(k) > 1)}'")
+        return obj
 
-def read_json(path, error=NetworkFormatError):
-    """Parse the JSON document at `path`; a syntax error is raised as
-    `error`, naming its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
-            raise error(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+            raise refuse(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    return record_from(cls, doc, error=refuse)
 
 
 def write_json(doc, path) -> None:
@@ -398,12 +433,18 @@ def write_csv(path, header: tuple, rows) -> None:
         w.writerows(rows)
 
 
+@functools.cache
+def _array_file(key: str, cls) -> type:
+    """The record of a file holding one array, `key`, of `cls` records."""
+    return dataclasses.make_dataclass(
+        "ArrayFile", [(key, tuple[cls, ...], dataclasses.field(default=()))]
+    )
+
+
 def read_records(path, key: str, cls, error=NetworkFormatError) -> list:
-    """Read a file holding one object with one array, `key`, of `cls` records."""
-    doc = read_json(path, error)
-    if not isinstance(doc, dict) or set(doc) - {key}:
-        raise error(f"top level: expected an object with '{key}'")
-    return records_from(doc, key, cls, error)
+    """The `cls` records of a file holding one array, `key`, of them; an
+    absent array is empty."""
+    return list(getattr(read_record(path, _array_file(key, cls), error), key))
 
 
 def write_records(records, path, key: str) -> None:
@@ -415,64 +456,32 @@ def write_records(records, path, key: str) -> None:
 # Network file: one JSON document with one array per record kind.
 # ---------------------------------------------------------------------------
 
-_EDGE_KEYS = {"from_junction": "from", "to_junction": "to"}
 
+@dataclass(frozen=True)
+class NetworkFile:
+    """The records of a network file, before cross-linking."""
 
-def _check_enum(items: list, section: str, field: str, allowed: tuple) -> None:
-    for i, item in enumerate(items):
-        value = getattr(item, field)
-        if value not in allowed:
-            raise NetworkFormatError(
-                f"{section}[{i}]: field '{field}' must be one of {allowed}, got '{value}'"
-            )
+    junctions: tuple[Junction, ...] = ()
+    edges: tuple[Edge, ...] = ()
+    tls: tuple[TlsProgram, ...] = ()
+    bus_stops: tuple[BusStop, ...] = ()
 
-
-def _phase_bounds_default_to_duration(program):
-    """A phase's `min_duration` and `max_duration` default to its `duration`."""
-    if isinstance(program, dict) and isinstance(program.get("phases"), list):
-        program = dict(program, phases=[
-            {"min_duration": ph["duration"], "max_duration": ph["duration"], **ph}
-            if isinstance(ph, dict) and "duration" in ph else ph
-            for ph in program["phases"]
-        ])
-    return program
-
-
-def network_from_dict(doc: dict) -> RoadNetwork:
-    if not isinstance(doc, dict):
-        raise NetworkFormatError("top level: expected a JSON object")
-    known = {"junctions", "edges", "tls", "bus_stops"}
-    for key in doc:
-        if key not in known:
-            raise NetworkFormatError(f"top level: unknown field '{key}'")
-    if isinstance(doc.get("tls"), list):
-        doc = dict(doc, tls=[_phase_bounds_default_to_duration(p) for p in doc["tls"]])
-
-    junctions = records_from(doc, "junctions", Junction)
-    edges = records_from(doc, "edges", Edge, rename=_EDGE_KEYS)
-    programs = records_from(doc, "tls", TlsProgram)
-    _check_enum(junctions, "junctions", "kind", JUNCTION_KINDS)
-    _check_enum(programs, "tls", "logic", TLS_LOGICS)
-    return RoadNetwork(
-        junctions=junctions,
-        edges=edges,
-        tls_programs=programs,
-        bus_stops=records_from(doc, "bus_stops", BusStop),
-    )
+    def network(self) -> RoadNetwork:
+        return RoadNetwork(self.junctions, self.edges, self.tls, self.bus_stops)
 
 
 def network_to_dict(net: RoadNetwork) -> dict:
-    return {
-        "junctions": [record_to(j) for j in net.junctions.values()],
-        "edges": [record_to(e, _EDGE_KEYS) for e in net.edges.values()],
-        "tls": [record_to(p) for p in net.tls_programs.values()],
-        "bus_stops": [record_to(s) for s in net.bus_stops.values()],
-    }
+    return record_to(NetworkFile(
+        tuple(net.junctions.values()),
+        tuple(net.edges.values()),
+        tuple(net.tls_programs.values()),
+        tuple(net.bus_stops.values()),
+    ))
 
 
 def load_network(path) -> RoadNetwork:
     """Load and cross-link a network file, raising on schema violations."""
-    return network_from_dict(read_json(path))
+    return read_record(path, NetworkFile).network()
 
 
 def save_network(net: RoadNetwork, path) -> None:

@@ -278,10 +278,7 @@ def test_twin_calibration_recovery():
     scenario = fixtures.twin_scenario(seed)
     config = SimConfig(rerouting_probability=scenario.true_p, seed=seed)  # hidden truth
 
-    table = demandgen.generate_trips(
-        scenario.districts, scenario.gates, scenario.schools,
-        scenario.demand_config, scenario.net,
-    )
+    table = demandgen.generate_trips(scenario.statistics, scenario.net)
     dua = equilibrium.dua_iterate(scenario.net, table, config, fixtures.TWIN_DUA)
     truth = Simulation(
         scenario.net, dua.final_plans, config,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -336,8 +337,10 @@ def test_best_series_round_trip(tmp_path):
     path = tmp_path / "best.json"
     write_best_series(res, "k" * 64, path)
     assert read_best_series(path) == ("k" * 64, sorted(series, key=lambda s: s.detector_id))
-    path.write_text('{"inputs": "k", "p": 1, "counts": {}}')
-    with pytest.raises(ValueError, match="'p' a float"):
+    path.write_text('{"inputs": "k", "p": 1, "counts": {"a": [1.5]}}')
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}: top level: field 'counts.a[0]' has wrong type"
+    )):
         read_best_series(path)
 
 

@@ -17,6 +17,7 @@ from trafcal.demandgen import (
     AGE_BRACKETS,
     DemandConfig,
     DistrictStats,
+    Statistics,
     WorkHours,
     read_trips,
     save_statistics,
@@ -83,7 +84,7 @@ def ws(tmp_path_factory):
         car_rate=1.0, car_preference_rate=0.5, incoming_total=0,
         outgoing_total=0, work_hours=(WorkHours(8 * H, 17 * H, 1.0),),
     )
-    save_statistics([home, work], [], [], demand, root / "statistics.json")
+    save_statistics(Statistics(districts=(home, work), config=demand), root / "statistics.json")
 
     plans = [RoutePlan(f"t{i:02d}", ("e0", "e1", "e2"), 60.0 * (i + 1)) for i in range(12)]
     save_route_plans(plans, root / "routes.json")
@@ -147,7 +148,7 @@ def test_bad_config_file_exits_two(ws, tmp_path, capsys):
     cfg = tmp_path / "project.json"
     cfg.write_text('{"surprise": 1}\n')
     assert run(["net", "validate", "--config", cfg]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "project.json: top level: unknown field 'surprise'" in capsys.readouterr().err
     cfg.write_text("{not json")
     assert run(["net", "validate", "--config", cfg]) == 2
     assert "project.json: line 1 column 2" in capsys.readouterr().err
@@ -204,6 +205,7 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
         ({"equilibrium": {"alpha": 7.0}}, "bad assignment settings"),
         ({"equilibrium": {"max_iter": "x"}}, "field 'max_iter' has wrong type"),
         ({"demand": {"car_rate": 1.5}}, "bad demand settings"),
+        ({"workers": -5}, "workers must be >= 1, got -5"),
     ):
         cfg.write_text(json.dumps(doc) + "\n")
         assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 2, doc
@@ -213,6 +215,10 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
     scenario = ["--network", ws / "net.json", "--routes", ws / "routes.json", "--output-dir", out]
     assert run(["sim", "run", *scenario, "--time-to-teleport", "-5"]) == 2
     assert "time_to_teleport must be > 0" in capsys.readouterr().err
+    for workers in ("0", "-5"):
+        assert run(["calib", "sweep", *scenario, "--detectors", ws / "detectors.json",
+                    "--measurements", ws / "measurements.csv", "--workers", workers]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
     # and so is NaN, which a JSON config file can carry: a day with NaN as
     # its rerouting period would run without a single rerouting round
     for key, message in (("rerouting_period", "rerouting_period must be > 0"),
@@ -365,7 +371,7 @@ def test_fixture_make_generates_the_demand_section(tmp_path, monkeypatch):
         out = tmp_path / name
         assert run(["fixture", "make", "--config", cfg, "--seed", "7", "--output-dir", out]) == 0
         configs[name] = json.loads((out / "statistics.json").read_text())["config"]
-    twin = fixtures.twin_scenario(7).demand_config
+    twin = fixtures.twin_scenario(7).statistics.config
     assert configs["plain"] == netmodel.record_to(twin)
     # the section's `seed` is ignored: the truth's demand runs at the run
     # seed, as `demand generate` will
@@ -641,7 +647,7 @@ def test_calib_sweep_single_point(ws, tmp_path, capsys):
               "--p-min", "0", "--p-max", "0", "--grid-step", "0.05",
               "--output-dir", tmp_path])
     assert rc == 0
-    assert "best_p 0.00 best_nrmse 0.000000" in capsys.readouterr().out
+    assert "best_p 0.0000 best_nrmse 0.000000" in capsys.readouterr().out
     sweep = (tmp_path / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "p,nrmse"
     assert len(sweep) == 2  # one grid point, one row
@@ -816,6 +822,18 @@ def test_report_validate_simulates_past_a_corrupt_file(swept, sim_runs, capsys, 
     assert validate_report(swept) == want
     assert len(sim_runs) == 1
     assert f"unreadable {cli.SWEPT_SERIES}" in capsys.readouterr().err
+
+
+def test_report_validate_simulates_past_a_repeated_key(swept, sim_runs, capsys):
+    # `json` alone keeps the last of a repeated key, so these counts would
+    # be reused under the other `inputs`
+    want = fresh_report(swept)
+    sim_runs.clear()
+    path = swept[-1] / cli.SWEPT_SERIES
+    path.write_text(path.read_text().replace("{", '{"inputs": "other",', 1))
+    assert validate_report(swept) == want
+    assert len(sim_runs) == 1
+    assert "repeated key 'inputs')" in capsys.readouterr().err
 
 
 def test_report_validate_simulates_for_other_detectors(swept, sim_runs, capsys):

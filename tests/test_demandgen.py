@@ -13,6 +13,7 @@ from trafcal.demandgen import (
     DemandError,
     DistrictStats,
     School,
+    Statistics,
     TripTable,
     WorkHours,
     cumulative_counts,
@@ -123,27 +124,30 @@ def test_largest_remainder_properties():
 def test_validate_catches_bad_inputs():
     net = chain_net()
     ok = [district("a", ["e0"], workers=1, positions=1, inhabitants=1)]
-    validate_inputs(ok, [], [], config(), net)
+    validate_inputs(Statistics(districts=ok, config=config()), net)
 
     with pytest.raises(DemandError):
-        validate_inputs([], [], [], config(), net)
+        validate_inputs(Statistics(districts=[], config=config()), net)
     bad_sum = [district("a", ["e0"], inhabitants=5, age=brackets(b30=3))]
     with pytest.raises(DemandError):
-        validate_inputs(bad_sum, [], [], config(), net)
+        validate_inputs(Statistics(districts=bad_sum, config=config()), net)
     with pytest.raises(DemandError):
-        validate_inputs([district("a", ["nope"], inhabitants=1)], [], [], config(), net)
+        validate_inputs(
+            Statistics(districts=[district("a", ["nope"], inhabitants=1)], config=config()), net
+        )
     with pytest.raises(DemandError):
-        validate_inputs(ok, [], [], config(incoming_total=5), net)  # no gates
+        validate_inputs(Statistics(districts=ok, config=config(incoming_total=5)), net)  # no gates
     half = CityGate("g", "e0", "e3", 0.5, 1.0)
     with pytest.raises(DemandError):
-        validate_inputs(ok, [half], [], config(), net)  # shares not 1
+        validate_inputs(Statistics(districts=ok, gates=[half], config=config()), net)  # shares not 1
     upside_down = School("s", "e1", 9, 6, 10, 8 * H, 16 * H)
     with pytest.raises(DemandError):
-        validate_inputs(ok, [], [upside_down], config(), net)
+        validate_inputs(Statistics(districts=ok, schools=[upside_down], config=config()), net)
     with pytest.raises(DemandError):
-        validate_inputs(ok, [], [], config(work_hours=(WorkHours(8 * H, 17 * H, 0.7),)), net)
+        shift = WorkHours(8 * H, 17 * H, 0.7)
+        validate_inputs(Statistics(districts=ok, config=config(work_hours=(shift,))), net)
     with pytest.raises(DemandError):
-        validate_inputs(ok, [], [], config(car_rate=1.2), net)
+        validate_inputs(Statistics(districts=ok, config=config(car_rate=1.2)), net)
     # NaN passes a check written `x < 0`
     for value in (-1.0, math.nan):
         with pytest.raises(DemandError, match="departure_jitter_sd"):
@@ -175,7 +179,7 @@ def by_purpose(table):
 
 def test_trip_counts_follow_rates():
     net, stats, gates, cfg = small_scenario()
-    table = generate_trips(stats, gates, [], cfg, net)
+    table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     groups = by_purpose(table)
     # 10 workers * car_rate 1.0 * preference 0.5 -> 5 drivers, 2 legs each
     assert len(groups["work"]) == 10
@@ -189,7 +193,7 @@ def test_trip_counts_follow_rates():
 
 def test_trip_table_well_formed():
     net, stats, gates, cfg = small_scenario()
-    table = generate_trips(stats, gates, [], cfg, net)
+    table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     ids = [t.id for t in table.trips]
     assert len(set(ids)) == len(ids)
     for t in table.trips:
@@ -200,7 +204,7 @@ def test_trip_table_well_formed():
 
 def test_work_legs_anchor_to_shift():
     net, stats, gates, cfg = small_scenario()
-    table = generate_trips(stats, gates, [], cfg, net)
+    table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     groups = by_purpose(table)
     outbound = [t for t in groups["work"] if t.from_edge == "e0"]
     returns = [t for t in groups["work"] if t.to_edge == "e0"]
@@ -214,7 +218,7 @@ def test_work_legs_anchor_to_shift():
 
 def test_gate_flows_use_gate_edges():
     net, stats, gates, cfg = small_scenario()
-    table = generate_trips(stats, gates, [], cfg, net)
+    table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     groups = by_purpose(table)
     assert all(t.from_edge == "e0" for t in groups["incoming"])
     assert all(t.to_edge == "e3" for t in groups["outgoing"])
@@ -224,7 +228,7 @@ def test_free_time_window_and_return():
     net = chain_net()
     stats = [district("res", ["e0"], inhabitants=40, age=brackets(b30=40))]
     cfg = config(free_time_rate=0.25)  # 40 idle adults -> 10 errands
-    table = generate_trips(stats, [], [], cfg, net)
+    table = generate_trips(Statistics(districts=stats, config=cfg), net)
     groups = by_purpose(table)
     assert len(groups["free_time"]) == 20
     outs = sorted(t.depart for t in groups["free_time"] if t.from_edge == "e0")
@@ -245,7 +249,7 @@ def test_school_chains_capacity_bounded():
         district("jobs", ["e3"], positions=50),
     ]
     school = School("s", "e1", 6, 9, 3, 8 * H, 16 * H)
-    table = generate_trips(stats, [], [school], config(), net)
+    table = generate_trips(Statistics(districts=stats, schools=[school], config=config()), net)
     groups = by_purpose(table)
     # 3 enrolled of 4 children (capacity), times drive_p 0.5 -> 2 chains
     assert len(groups["school_dropoff"]) == 2
@@ -266,7 +270,7 @@ def test_university_students_commute():
         district("res", ["e0"], inhabitants=5, age=brackets(b18=5)),
     ]
     uni = School("u", "e2", 18, 120, 10, 9 * H, 18 * H)
-    table = generate_trips(stats, [], [uni], config(), net)
+    table = generate_trips(Statistics(districts=stats, schools=[uni], config=config()), net)
     groups = by_purpose(table)
     # 5 enrolled, drive_p 0.5 -> 3 students, out and back
     assert len(groups["university"]) == 6
@@ -278,10 +282,11 @@ def test_university_students_commute():
 
 def test_generation_deterministic():
     net, stats, gates, cfg = small_scenario()
-    a = generate_trips(stats, gates, [], cfg, net)
-    b = generate_trips(stats, gates, [], cfg, net)
+    a = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
+    b = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     assert a.trips == b.trips
-    c = generate_trips(stats, gates, [], config(incoming_total=4, outgoing_total=3, seed=1), net)
+    other_seed = config(incoming_total=4, outgoing_total=3, seed=1)
+    c = generate_trips(Statistics(districts=stats, gates=gates, config=other_seed), net)
     assert a.trips != c.trips
 
 
@@ -295,7 +300,8 @@ def test_expand_routes_connected_paths():
         district("jobs", ["e2", "e3"], positions=50),
     ]
     gates = [CityGate("g", "e0", "e3", 1.0, 1.0)]
-    table = generate_trips(stats, gates, [], config(incoming_total=4, outgoing_total=3), net)
+    cfg = config(incoming_total=4, outgoing_total=3)
+    table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     res = expand_routes(table, net)
     assert not res.no_path
     assert len(res.routes) == len(table)
@@ -325,7 +331,7 @@ def test_expand_routes_flags_unroutable():
 
 def test_trip_file_round_trip(tmp_path):
     net, stats, gates, cfg = small_scenario()
-    table = generate_trips(stats, gates, [], cfg, net)
+    table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     path = tmp_path / "trips.json"
     write_trips(table, path)
     back = read_trips(path)
@@ -363,9 +369,11 @@ def test_statistics_round_trip(tmp_path):
     net, stats, gates, cfg = small_scenario()
     school = School("s", "e1", 6, 9, 3, 8 * H, 16 * H)
     path = tmp_path / "stats.json"
-    save_statistics(stats, gates, [school], cfg, path)
-    s2, g2, sc2, c2 = load_statistics(path)
-    assert s2 == stats and g2 == gates and sc2 == [school] and c2 == cfg
+    statistics = Statistics(
+        districts=tuple(stats), gates=tuple(gates), schools=(school,), config=cfg
+    )
+    save_statistics(statistics, path)
+    assert load_statistics(path) == statistics
     again = tmp_path / "stats2.json"
-    save_statistics(s2, g2, sc2, c2, again)
+    save_statistics(load_statistics(path), again)
     assert path.read_bytes() == again.read_bytes()

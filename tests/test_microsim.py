@@ -866,7 +866,7 @@ def test_null_optional_fields_rejected(tmp_path):
     with pytest.raises(NetworkFormatError, match=r"detectors\[0\]"):
         load_detectors(path)
     path.write_text(json.dumps({"detectors": None}))
-    with pytest.raises(NetworkFormatError, match="detectors: expected an array"):
+    with pytest.raises(NetworkFormatError, match="top level: field 'detectors' has wrong type"):
         load_detectors(path)
     path = tmp_path / "lines.json"
     path.write_text(json.dumps({"bus_lines": [

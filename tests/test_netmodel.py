@@ -4,12 +4,15 @@ import dataclasses
 import json
 import math
 import random
+import re
 import typing
 
 import pytest
 
 from trafcal import fixtures
 from trafcal import netmodel
+from trafcal.calibrate import SweptSeries
+from trafcal.cli import ProjectConfig, UsageError, load_project
 from trafcal.demandgen import (
     CityGate,
     DemandConfig,
@@ -37,6 +40,7 @@ from trafcal.netmodel import (
     DanglingReferenceError,
     Edge,
     Junction,
+    NetworkFile,
     NetworkFormatError,
     RoadNetwork,
     TlsPhase,
@@ -45,8 +49,9 @@ from trafcal.netmodel import (
     free_flow_time,
     left_sum,
     load_network,
-    network_from_dict,
     network_to_dict,
+    read_record,
+    record_from,
     route_cost,
     save_network,
     shortest_paths_from,
@@ -138,7 +143,7 @@ def test_unknown_field_rejected():
     doc = network_to_dict(tiny_net())
     doc["edges"][0]["color"] = "red"
     with pytest.raises(NetworkFormatError) as err:
-        network_from_dict(doc)
+        record_from(NetworkFile, doc).network()
     assert "color" in str(err.value)
 
 
@@ -146,7 +151,7 @@ def test_missing_field_rejected():
     doc = network_to_dict(tiny_net())
     del doc["edges"][0]["length"]
     with pytest.raises(NetworkFormatError):
-        network_from_dict(doc)
+        record_from(NetworkFile, doc).network()
 
 
 def test_parking_buildings_and_edge_categories_are_refused():
@@ -155,18 +160,18 @@ def test_parking_buildings_and_edge_categories_are_refused():
     for key in ("parking", "buildings"):
         doc = dict(network_to_dict(tiny_net()), **{key: []})
         with pytest.raises(NetworkFormatError, match=f"top level: unknown field '{key}'"):
-            network_from_dict(doc)
+            record_from(NetworkFile, doc).network()
     doc = network_to_dict(tiny_net())
     doc["edges"][0]["category"] = "normal"
     with pytest.raises(NetworkFormatError, match=r"edges\[0\]: unknown field 'category'"):
-        network_from_dict(doc)
+        record_from(NetworkFile, doc).network()
 
 
 def test_bool_is_not_a_number(tmp_path):
     doc = network_to_dict(tiny_net())
     doc["edges"][0]["length"] = True
     with pytest.raises(NetworkFormatError, match="field 'length' has wrong type"):
-        network_from_dict(doc)
+        record_from(NetworkFile, doc).network()
     # and not in a nested array either
     path = tmp_path / "lines.json"
     path.write_text(json.dumps({"bus_lines": [
@@ -185,8 +190,8 @@ def _network_records(path):
 
 
 def _statistics_records(path):
-    districts, gates, schools, config = load_statistics(path)
-    return [*districts, *gates, *schools, config]
+    stats = load_statistics(path)
+    return [*stats.districts, *stats.gates, *stats.schools, stats.config]
 
 
 # loader, a file whose records hold only their required keys, the records
@@ -260,6 +265,13 @@ REQUIRED_ONLY = {
         ],
         None,
     ),
+    "project": (lambda path: [load_project(path)], {}, [ProjectConfig()], None),
+    "swept_series": (
+        lambda path: [read_record(path, SweptSeries, ValueError)],
+        {"inputs": "k", "p": 0, "counts": {"d": [1, 2]}},
+        [SweptSeries(inputs="k", p=0.0, counts={"d": (1, 2)})],
+        None,
+    ),
 }
 
 
@@ -294,6 +306,49 @@ def test_required_keys_load_with_dataclass_defaults(loader, tmp_path):
         save(getattr(scenario, attr), first)  # as `fixture make` writes it
         save(load(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(REQUIRED_ONLY))
+def test_unknown_top_level_key_is_refused(kind, tmp_path):
+    load, doc, _, _ = REQUIRED_ONLY[kind]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(dict(doc, surprise=1)))
+    with pytest.raises(
+        (ValueError, UsageError), match=re.escape(f"{path}: top level: unknown field 'surprise'")
+    ):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(REQUIRED_ONLY))
+def test_repeated_key_is_refused(kind, tmp_path):
+    # `json` keeps the last of a repeated key: `{"seed": 1, "seed": 2}`
+    # would run at seed 2, and a second `edges` array would drop the first
+    load, doc, _, _ = REQUIRED_ONLY[kind]
+    doc = doc or {"seed": 0}  # the project config has no required key
+    key, value = next(iter(doc.items()))
+    path = tmp_path / "in.json"
+    path.write_text(f"{{{json.dumps(key)}: {json.dumps(value)}, {json.dumps(doc)[1:]}")
+    with pytest.raises((ValueError, UsageError), match=re.escape(f"{path}: repeated key '{key}'")):
+        load(path)
+
+
+def test_literal_fields_take_only_their_values():
+    doc = network_to_dict(tiny_net())
+    doc["junctions"][1]["kind"] = "roundabout"
+    with pytest.raises(NetworkFormatError, match=re.escape(
+        "junctions[1]: field 'kind' must be one of "
+        "('plain', 'traffic_light', 'dead_end'), got 'roundabout'"
+    )):
+        record_from(NetworkFile, doc).network()
+    doc = network_to_dict(fixtures.grid_network())
+    doc["tls"][0]["logic"] = "adaptive"
+    with pytest.raises(NetworkFormatError, match=re.escape(
+        "tls[0]: field 'logic' must be one of ('static', 'actuated'), got 'adaptive'"
+    )):
+        record_from(NetworkFile, doc).network()
+    doc["tls"][0]["logic"] = 1  # not a string at all
+    with pytest.raises(NetworkFormatError, match=re.escape("tls[0]: field 'logic' has wrong type")):
+        record_from(NetworkFile, doc).network()
 
 
 def test_save_is_deterministic(tmp_path):
