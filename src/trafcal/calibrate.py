@@ -1,9 +1,9 @@
-"""Detector-count calibration: NRMSE objective and rerouting-probability sweep.
+"""Detector-count calibration: NRMSE objective, evaluator and sweep.
 
-The sweep runs one full simulation per candidate probability with a shared
-seed and shared routes, scores each run by the normalized root mean square
-error between aggregated real and simulated detector series, and picks the
-probability with the smallest error (ties go to the smaller value).
+An `Evaluator` runs one simulation per theta, a set of `SimConfig` fields,
+and scores it by the normalized root mean square error between aggregated
+real and simulated detector series. The sweep evaluates every grid
+probability and picks the one with the smallest error (ties to the smaller).
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ class ZeroMeanError(ValueError):
 
 class LengthMismatchError(ValueError):
     """Raised when the two series disagree in length."""
+
+
+class DetectorMismatchError(ValueError):
+    def __init__(self, missing: list[str], extra: list[str]):
+        super().__init__(
+            f"detector sets differ: missing from sim {missing}, unexpected {extra}"
+        )
+        self.missing = missing
+        self.extra = extra
 
 
 @dataclass(frozen=True)
@@ -98,17 +107,18 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SweepEntry:
-    p: float
+class Run:
+    """One simulation's theta (the `SimConfig` fields it set), NRMSE and series."""
+
+    theta: dict[str, float]
     nrmse: float
+    series: list[DetectorSeries]
 
 
 @dataclass
 class SweepResult:
-    entries: list[SweepEntry]
-    best_p: float
-    best_nrmse: float
-    best_series: list[DetectorSeries]  # the simulated series of the best point's run
+    entries: list[Run]  # in grid order
+    best: Run
 
 
 def nrmse(real: Sequence[float], sim: Sequence[float]) -> float:
@@ -147,27 +157,67 @@ def sim_series(out: SimOutput) -> list[DetectorSeries]:
     ]
 
 
-def _evaluate_point(p, net, plans, detectors, bus_lines, base, real_total):
-    cfg = dataclasses.replace(base, rerouting_probability=p)
-    try:
-        out = Simulation(net, plans, cfg, detectors, bus_lines).run()
-    except Exception as exc:
-        raise RuntimeError(f"simulation failed at p={p}: {exc}") from exc
-    series = sim_series(out)
-    return p, nrmse(real_total, aggregate_series(series)), series
+def check_detector_sets(real_ids: set[str], sim_ids: set[str]) -> None:
+    """Refuse to score simulated detectors other than the measured ones, or
+    no detectors at all."""
+    if real_ids != sim_ids:
+        raise DetectorMismatchError(sorted(real_ids - sim_ids), sorted(sim_ids - real_ids))
+    if not real_ids:
+        raise ValueError("scoring needs at least one detector")
 
 
-# the inputs every point of a sweep shares, set once in each worker process
-_worker_inputs: tuple = ()
+@dataclass
+class Evaluator:
+    """Runs and scores simulations of one scenario against the measured
+    series; refuses detectors other than those of `real`, and a scenario the
+    engine cannot run (`microsim.check_run`), before any simulation."""
+
+    net: netmodel.RoadNetwork
+    plans: list[RoutePlan]
+    detectors: list[Detector]
+    real: list[DetectorSeries]
+    base: SimConfig
+    bus_lines: Sequence[BusLine] = ()
+
+    def __post_init__(self):
+        check_detector_sets({s.detector_id for s in self.real}, {d.id for d in self.detectors})
+        check_run(self.net, self.plans, self.base, self.detectors, self.bus_lines)
+        self.real_total = aggregate_series(self.real)
+
+    def evaluate(self, theta: dict[str, float]) -> Run:
+        """Simulate `base` with the `SimConfig` fields in `theta` set."""
+        cfg = dataclasses.replace(self.base, **theta)
+        try:
+            out = Simulation(self.net, self.plans, cfg, self.detectors, self.bus_lines).run()
+        except Exception as exc:
+            raise RuntimeError(f"simulation failed at {theta}: {exc}") from exc
+        series = sim_series(out)
+        return Run(theta, nrmse(self.real_total, aggregate_series(series)), series)
+
+    def evaluate_all(self, thetas: list[dict[str, float]], workers: int) -> list[Run]:
+        """`evaluate` of each theta, in input order, on up to `workers`
+        processes, which receive this evaluator once and then each theta."""
+        # a fork pool starts all its processes at once, needed or not
+        workers = min(workers, len(thetas))
+        if workers <= 1:
+            return [self.evaluate(theta) for theta in thetas]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(self,)
+        ) as pool:
+            return list(pool.map(_evaluate_in_worker, thetas))
 
 
-def _init_worker(inputs: tuple) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
+# the evaluator of the pool a worker process serves, set once in each worker
+_worker_evaluator: Optional[Evaluator] = None
 
 
-def _evaluate_in_worker(p: float):
-    return _evaluate_point(p, *_worker_inputs)
+def _init_worker(evaluator: Evaluator) -> None:
+    global _worker_evaluator
+    _worker_evaluator = evaluator
+
+
+def _evaluate_in_worker(theta: dict[str, float]) -> Run:
+    return _worker_evaluator.evaluate(theta)
 
 
 def sweep_rerouting_probability(
@@ -181,44 +231,13 @@ def sweep_rerouting_probability(
     workers: int = 1,
 ) -> SweepResult:
     """Score every grid probability with the same routes and the seed and
-    other settings of `base_config`.
-
-    Evaluations are independent simulations, so they can spread over worker
-    processes, which receive the shared inputs once and then only each p;
-    results are sorted by p before the argmin, which keeps the outcome
-    identical however many workers ran. A scenario the engine cannot run
-    (`microsim.check_run`) is refused before any point runs.
-    """
-    if not detectors:
-        raise ValueError("sweep needs at least one detector")
-    det_ids = {d.id for d in detectors}
-    real_ids = {s.detector_id for s in real}
-    if det_ids != real_ids:
-        missing = sorted(det_ids - real_ids)
-        extra = sorted(real_ids - det_ids)
-        raise ValueError(
-            f"real series and detectors disagree (missing {missing}, extra {extra})"
-        )
+    other settings of `base_config`, on up to `workers` processes; the
+    outcome is the same however many ran."""
     base = base_config if base_config is not None else SimConfig()
-    # every point would refuse the same scenario, each in its own worker
-    check_run(net, routes, base, detectors, bus_lines)
-    inputs = (net, routes, detectors, tuple(bus_lines), base, aggregate_series(real))
-    points = grid.points()
-    # a fork pool starts all its processes at once, needed or not
-    workers = min(workers, len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(inputs,)
-        ) as pool:
-            scored = list(pool.map(_evaluate_in_worker, points))
-    else:
-        scored = [_evaluate_point(p, *inputs) for p in points]
-    scored.sort(key=lambda point: point[:2])
-    best_p, best_nrmse, best_series = min(scored, key=lambda point: (point[1], point[0]))
-    return SweepResult(
-        entries=[SweepEntry(p, e) for p, e, _ in scored],
-        best_p=best_p, best_nrmse=best_nrmse, best_series=best_series,
-    )
+    thetas = [{"rerouting_probability": p} for p in grid.points()]
+    entries = Evaluator(net, routes, detectors, real, base, bus_lines).evaluate_all(thetas, workers)
+    best = min(entries, key=lambda run: (run.nrmse, run.theta["rerouting_probability"]))
+    return SweepResult(entries, best)
 
 
 def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> str:
@@ -246,14 +265,16 @@ def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> s
     return h.hexdigest()
 
 
+def _csv_row(run: Run) -> tuple[str, str]:
+    return f"{run.theta['rerouting_probability']:.4f}", f"{run.nrmse:.6f}"
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
-    netmodel.write_csv(path, ("p", "nrmse"), (
-        (f"{e.p:.4f}", f"{e.nrmse:.6f}") for e in result.entries
-    ))
+    netmodel.write_csv(path, ("p", "nrmse"), map(_csv_row, result.entries))
 
 
 def write_sweep_best(result: SweepResult, path) -> None:
-    netmodel.write_csv(path, SWEEP_BEST_HEADER, [(f"{result.best_p:.4f}", f"{result.best_nrmse:.6f}")])
+    netmodel.write_csv(path, SWEEP_BEST_HEADER, [_csv_row(result.best)])
 
 
 def read_sweep_best(path) -> tuple[float, float]:
@@ -278,8 +299,9 @@ class SweptSeries:
 def write_best_series(result: SweepResult, inputs: str, path) -> None:
     """The best point's simulated counts, under `inputs`, the
     `simulation_key` of the run that made them."""
-    counts = {s.detector_id: tuple(int(x) for x in s.counts) for s in result.best_series}
-    netmodel.write_json(netmodel.record_to(SweptSeries(inputs, result.best_p, counts)), path)
+    counts = {s.detector_id: tuple(int(x) for x in s.counts) for s in result.best.series}
+    p = result.best.theta["rerouting_probability"]
+    netmodel.write_json(netmodel.record_to(SweptSeries(inputs, p, counts)), path)
 
 
 def read_best_series(path) -> tuple[str, list[DetectorSeries]]:

@@ -133,8 +133,10 @@ class _Ctx:
         values.update((k, v) for k, v in overrides.items() if v is not None)
         try:
             return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
-        except ValueError as exc:
-            raise UsageError(f"bad {label}: {exc}") from exc
+        except UsageError as exc:
+            if not isinstance(exc.__cause__, ValueError):  # a wrong type
+                raise
+            raise UsageError(f"bad {label}: {exc.__cause__}") from exc
 
 
 def _scenario(ctx: _Ctx, detectors_required: bool) -> tuple:
@@ -267,12 +269,12 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
     )
     calibrate.write_sweep_csv(result, ctx.out_path("sweep.csv"))
     calibrate.write_sweep_best(result, ctx.out_path("sweep_best.csv"))
-    best = dataclasses.replace(config, rerouting_probability=result.best_p)
+    best = dataclasses.replace(config, **result.best.theta)
     calibrate.write_best_series(
         result, calibrate.simulation_key(paths, best), ctx.out_path(SWEPT_SERIES)
     )
     ctx.log(f"swept {len(result.entries)} points -> {ctx.out_path('sweep.csv')}")
-    print(f"best_p {result.best_p:.4f} best_nrmse {result.best_nrmse:.6f}")
+    print(f"best_p {best.rerouting_probability:.4f} best_nrmse {result.best.nrmse:.6f}")
     return EXIT_OK
 
 
@@ -336,7 +338,8 @@ def cmd_report_validate(ctx: _Ctx) -> int:
     ctx.log(f"validation run at p={p}")
     series = _swept_series(ctx, calibrate.simulation_key(paths, config), detectors)
     if series is None:
-        series = calibrate.sim_series(Simulation(net, plans, config, detectors, lines).run())
+        evaluator = calibrate.Evaluator(net, plans, detectors, real, config, lines)
+        series = evaluator.evaluate({"rerouting_probability": p}).series
     report = dataio.validate(real, series)
     dataio.write_report(
         report,

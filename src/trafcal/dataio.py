@@ -23,8 +23,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from trafcal import netmodel
 from trafcal.calibrate import (
     WINDOWS_PER_DAY,
+    DetectorMismatchError,
     DetectorSeries,
     aggregate_series,
+    check_detector_sets,
     nrmse,
 )
 from trafcal.microsim.simio import write_detector_csv
@@ -46,15 +48,6 @@ class NoSurvivingDaysError(ValueError):
             f"detector '{detector_id}': no day of data survives the filters"
         )
         self.detector_id = detector_id
-
-
-class DetectorMismatchError(ValueError):
-    def __init__(self, missing: list[str], extra: list[str]):
-        super().__init__(
-            f"detector sets differ: missing from sim {missing}, unexpected {extra}"
-        )
-        self.missing = missing
-        self.extra = extra
 
 
 class _MeasurementFields(NamedTuple):
@@ -403,17 +396,12 @@ def validate(
     Three granularities: one scenario number (error of the aggregated
     series), a per-window slice (absolute error plus error across
     detectors within that window), and a per-detector ranking ascending
-    from best reproduced to worst.
+    from best reproduced to worst. Detector sets that differ are a
+    `DetectorMismatchError`.
     """
     real_by_id = {s.detector_id: s for s in real}
     sim_by_id = {s.detector_id: s for s in sim}
-    if set(real_by_id) != set(sim_by_id):
-        raise DetectorMismatchError(
-            missing=sorted(set(real_by_id) - set(sim_by_id)),
-            extra=sorted(set(sim_by_id) - set(real_by_id)),
-        )
-    if not real_by_id:
-        raise ValueError("validation needs at least one detector")
+    check_detector_sets(set(real_by_id), set(sim_by_id))
     ids = sorted(real_by_id)
 
     real_total = aggregate_series([real_by_id[i] for i in ids])

@@ -60,12 +60,8 @@ TWIN_GRID = GridSpec(0.0, 1.0, 0.05)
 # ---------------------------------------------------------------------------
 
 
-def _jid(r: int, c: int) -> str:
-    return f"n{r}{c}"
-
-
-def _eid(r1: int, c1: int, r2: int, c2: int) -> str:
-    return f"e{r1}{c1}_{r2}{c2}"
+def _jid(r: int, c: int, sep: str) -> str:
+    return f"n{r}{sep}{c}"
 
 
 def grid_network(
@@ -84,13 +80,15 @@ def grid_network(
     """
     if n < 2:
         raise ValueError("grid needs at least 2x2 junctions")
+    # joined without a separator, "n1" "10" and "n11" "0" collide from n = 12
+    sep = "" if n <= 11 else "_"
     junctions = []
     for r in range(n):
         for c in range(n):
             interior = 0 < r < n - 1 and 0 < c < n - 1
             junctions.append(
                 Junction(
-                    id=_jid(r, c),
+                    id=_jid(r, c, sep),
                     x=c * spacing,
                     y=r * spacing,
                     kind="traffic_light" if interior else "plain",
@@ -103,11 +101,12 @@ def grid_network(
                 if r2 >= n or c2 >= n:
                     continue
                 for (fr, fc), (to_r, to_c) in (((r, c), (r2, c2)), ((r2, c2), (r, c))):
+                    frm, to = _jid(fr, fc, sep), _jid(to_r, to_c, sep)
                     edges.append(
                         Edge(
-                            id=_eid(fr, fc, to_r, to_c),
-                            from_junction=_jid(fr, fc),
-                            to_junction=_jid(to_r, to_c),
+                            id=f"e{frm[1:]}_{to[1:]}",
+                            from_junction=frm,
+                            to_junction=to,
                             length=spacing,
                             lane_count=lane_count,
                             speed_limit=speed_limit,

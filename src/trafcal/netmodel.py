@@ -324,8 +324,8 @@ def record_from(cls, rec, where: Optional[str] = None, error=NetworkFormatError)
     JSON number, a tuple field an array, a dict field an object, a record
     field an object, a `Literal` field one of its values and an `Any` field
     anything. Unknown and missing fields are rejected, null is accepted
-    only by `Any`, and a bool only by a bool field. Failures raise `error`,
-    naming the record by `where`, or `top level` without one.
+    only by `Any`, and a bool only by a bool field. Failures, range checks
+    included, raise `error` naming the record by `where` or `top level`.
     """
     keys, fields = _schema(cls)
     label = where or "top level"
@@ -343,7 +343,10 @@ def record_from(cls, rec, where: Optional[str] = None, error=NetworkFormatError)
                 raise error(f"{label}: missing field '{key}'")
             continue
         values[name] = decode(rec[key], where, key, error)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a range check of the record
+        raise error(f"{label}: {exc}") from exc
 
 
 def record_to(obj) -> dict:

@@ -292,7 +292,7 @@ def test_twin_calibration_recovery():
         base_config=config, bus_lines=scenario.bus_lines,
         workers=4,
     )
-    assert abs(result.best_p - scenario.true_p) <= 0.1
+    assert abs(result.best.theta["rerouting_probability"] - scenario.true_p) <= 0.1
     clock.check()
 
 

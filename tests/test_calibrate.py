@@ -9,10 +9,12 @@ import pytest
 
 from trafcal import calibrate, equilibrium, fixtures
 from trafcal.calibrate import (
+    DetectorMismatchError,
     DetectorSeries,
+    Evaluator,
     GridSpec,
     LengthMismatchError,
-    SweepEntry,
+    Run,
     SweepResult,
     ZeroMeanError,
     aggregate_series,
@@ -170,8 +172,8 @@ def test_single_point_sweep():
         net, plans, dets, real, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
     )
     assert len(res.entries) == 1
-    assert res.best_p == 0.5
-    assert res.entries[0].p == 0.5
+    assert res.best.theta == {"rerouting_probability": 0.5}
+    assert res.entries == [res.best]
 
 
 def test_sweep_scores_truth_seed_at_zero():
@@ -181,10 +183,10 @@ def test_sweep_scores_truth_seed_at_zero():
     res = sweep_rerouting_probability(
         net, plans, dets, real, grid=GridSpec(0.0, 1.0, 0.5), base_config=cfg
     )
-    assert [e.p for e in res.entries] == [0.0, 0.5, 1.0]
+    assert [run.theta["rerouting_probability"] for run in res.entries] == [0.0, 0.5, 1.0]
     assert res.entries[0].nrmse == 0.0
-    assert res.best_p == 0.0
-    assert res.best_series == real  # the best point's run is the truth's
+    assert res.best == res.entries[0]
+    assert res.best.series == real  # the best point's run is the truth's
 
 
 def test_sweep_and_dua_keep_every_base_field(monkeypatch):
@@ -219,6 +221,11 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     assert seen == [dataclasses.replace(base, rerouting_probability=0.7)]
 
     seen.clear()
+    theta = {"rerouting_probability": 0.2, "rerouting_period": 60.0}
+    Evaluator(net, plans, dets, real, base).evaluate(theta)
+    assert seen == [dataclasses.replace(base, **theta)]
+
+    seen.clear()
     trips = fixtures.two_route_trips(n=10, begin=10.0)
     equilibrium.dua_iterate(net, trips, base, equilibrium.DuaConfig(max_iter=1))
     assert seen == [dataclasses.replace(base, rerouting_probability=0.0)]
@@ -247,7 +254,7 @@ def pool_widths(monkeypatch):
             return map(fn, points)
 
     monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(calibrate, "_worker_inputs", ())
+    monkeypatch.setattr(calibrate, "_worker_evaluator", None)
     return widths
 
 
@@ -272,7 +279,7 @@ def test_sweep_pool_is_no_wider_than_its_grid(pool_widths):
     ("detector", "detector 'd': unknown edge 'nowhere'"),
 ])
 def test_sweep_refuses_a_scenario_before_any_pool(pool_widths, bad, message):
-    # each worker would refuse it again, as `simulation failed at p=...`
+    # each worker would refuse it again, as `simulation failed at {...}`
     net, plans, dets, real, cfg = tiny_sweep_inputs()
     if bad == "trip":
         plans = plans + plans[:1]
@@ -289,26 +296,46 @@ def test_sweep_refuses_a_scenario_before_any_pool(pool_widths, bad, message):
 def test_sweep_checks_detector_ids():
     net, plans, dets, real, cfg = tiny_sweep_inputs()
     stray = [DetectorSeries("other", counts((0, 1)))]
-    with pytest.raises(ValueError):
+    with pytest.raises(DetectorMismatchError) as caught:
         sweep_rerouting_probability(
             net, plans, dets, stray, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
         )
-    with pytest.raises(ValueError):
+    assert (caught.value.missing, caught.value.extra) == (["other"], ["d"])
+    with pytest.raises(DetectorMismatchError):
         sweep_rerouting_probability(
             net, plans, [], real, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
         )
+    with pytest.raises(ValueError, match="^scoring needs at least one detector$"):
+        sweep_rerouting_probability(
+            net, plans, [], [], grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
+        )
+
+
+def test_evaluators_in_one_process_keep_their_own_inputs(pool_widths):
+    # the worker's evaluator is module state: a pool must run the points of
+    # the evaluator that built it, not those of the last one built
+    net, plans, dets, real, cfg = tiny_sweep_inputs()
+    other_plans = plans[::2]
+    other_real = sim_series(Simulation(net, other_plans, cfg, detectors=dets).run())
+    first = Evaluator(net, plans, dets, real, cfg)
+    second = Evaluator(net, other_plans, dets, other_real, dataclasses.replace(cfg, seed=6))
+    thetas = [{"rerouting_probability": p} for p in (0.0, 0.5, 1.0)]
+    serial = [first.evaluate_all(thetas, 1), second.evaluate_all(thetas, 1)]
+    assert all(a.series != b.series for a, b in zip(*serial))
+    pooled = [first.evaluate_all(thetas, 2), second.evaluate_all(thetas, 2)]
+    assert pooled == serial
+    # and the first again, after the second's pool set the worker global
+    assert first.evaluate_all(thetas, 2) == serial[0]
+    assert pool_widths == [2, 2, 2]
 
 
 # -- files -------------------------------------------------------------------
 
 
 def test_sweep_csv_round_trip(tmp_path):
-    res = SweepResult(
-        entries=[SweepEntry(0.0, 0.25), SweepEntry(0.05, 0.125)],
-        best_p=0.05,
-        best_nrmse=0.125,
-        best_series=[],
-    )
+    entries = [Run({"rerouting_probability": 0.0}, 0.25, []),
+               Run({"rerouting_probability": 0.05}, 0.125, [])]
+    res = SweepResult(entries, best=entries[1])
     path = tmp_path / "sweep.csv"
     write_sweep_csv(res, path)
     lines = path.read_text().splitlines()
@@ -333,7 +360,8 @@ def test_sweep_csv_bad_header(tmp_path):
 
 def test_best_series_round_trip(tmp_path):
     series = [DetectorSeries("b", counts((3, 2))), DetectorSeries("a", counts((0, 1)))]
-    res = SweepResult([SweepEntry(0.25, 0.5)], 0.25, 0.5, series)
+    best = Run({"rerouting_probability": 0.25}, 0.5, series)
+    res = SweepResult([best], best)
     path = tmp_path / "best.json"
     write_best_series(res, "k" * 64, path)
     assert read_best_series(path) == ("k" * 64, sorted(series, key=lambda s: s.detector_id))

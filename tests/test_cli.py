@@ -266,6 +266,17 @@ def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_statistics_range_error_names_the_file(ws, tmp_path, capsys):
+    doc = json.loads((ws / "statistics.json").read_text())
+    doc["config"]["car_rate"] = 1.5
+    path = tmp_path / "statistics.json"
+    path.write_text(json.dumps(doc))
+    assert run(["demand", "generate", "--network", ws / "net.json", "--statistics", path,
+                "--output-dir", tmp_path / "out"]) == 3
+    assert f"{path}: config: car_rate must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_settings_exit_two(tmp_path, capsys):
     # a NaN or an infinity in a grid or run setting is a usage error naming
     # its field: rounding an infinite grid step, or sizing the per-minute
@@ -845,6 +856,14 @@ def test_report_validate_simulates_for_other_detectors(swept, sim_runs, capsys):
     assert len(sim_runs) == 1
     assert "names other detectors: simulating" in capsys.readouterr().err
     assert fresh_report(swept) == report
+
+
+def test_report_validate_checks_detectors_before_simulating(swept, sim_runs, capsys):
+    (swept[-1] / cli.SWEPT_SERIES).unlink()
+    save_detectors([Detector("elsewhere", "e2", 0, 50.0)], swept[-1].parent / "detectors.json")
+    assert run(["report", "validate", *swept]) == 3
+    assert "DetectorMismatchError: detector sets differ" in capsys.readouterr().err
+    assert sim_runs == []
 
 
 # -- project config ------------------------------------------------------------

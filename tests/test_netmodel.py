@@ -118,6 +118,17 @@ def test_connections_are_ordered_pairs():
         assert net.edges[eout].from_junction == "n22"
 
 
+def test_grid_ids_are_unique_at_every_size():
+    # ids joined without a separator would collide from n = 12 ("n1" "10"
+    # and "n11" "0"); up to n = 11 they keep that form
+    for n in range(2, 31):
+        net = fixtures.grid_network(n)
+        assert len(net.junctions) == n * n and len(net.edges) == 4 * n * (n - 1), n
+        assert validate_network(net) == [], n
+        assert ("n110" in net.junctions) == (n == 11), n
+    assert "n12_13" in net.junctions and "e12_13_12_14" in net.edges
+
+
 # -- serialization -----------------------------------------------------------
 
 
