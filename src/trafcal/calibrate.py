@@ -23,6 +23,8 @@ from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation
 from trafcal.microsim.engine import SimOutput
 
 WINDOWS_PER_DAY = 96
+DAY_S = 86400.0  # the span of a scored run
+WINDOW_S = DAY_S / WINDOWS_PER_DAY  # the window of each scored detector
 SWEEP_BEST_HEADER = ("best_p", "best_nrmse")
 # p is written with 4 decimals, so a finer grid would write distinct
 # points as the same number
@@ -169,8 +171,9 @@ def check_detector_sets(real_ids: set[str], sim_ids: set[str]) -> None:
 @dataclass
 class Evaluator:
     """Runs and scores simulations of one scenario against the measured
-    series; refuses detectors other than those of `real`, and a scenario the
-    engine cannot run (`microsim.check_run`), before any simulation."""
+    series; refuses detectors other than those of `real`, a scenario the
+    engine cannot run (`microsim.check_run`), and a run or detector window
+    that does not give the day's quarter-hours, before any simulation."""
 
     net: netmodel.RoadNetwork
     plans: list[RoutePlan]
@@ -182,6 +185,12 @@ class Evaluator:
     def __post_init__(self):
         check_detector_sets({s.detector_id for s in self.real}, {d.id for d in self.detectors})
         check_run(self.net, self.plans, self.base, self.detectors, self.bus_lines)
+        span = self.base.end - self.base.begin
+        if span != DAY_S:
+            raise ValueError(f"scoring needs a run of {DAY_S:g} s, got end - begin = {span:g} s")
+        for d in self.detectors:
+            if d.window != WINDOW_S:
+                raise ValueError(f"detector '{d.id}': scoring needs a {WINDOW_S:g} s window, got {d.window:g} s")
         self.real_total = aggregate_series(self.real)
 
     def evaluate(self, theta: dict[str, float]) -> Run:

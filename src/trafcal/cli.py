@@ -247,6 +247,8 @@ def cmd_dua_iterate(ctx: _Ctx) -> int:
         f"{'converged' if result.converged else 'stopped'} after "
         f"{len(result.metrics)} iterations -> {routes_path}"
     )
+    if result.no_path:
+        ctx.log(f"{len(result.no_path)} trips had no route and were left out")
     print(
         f"iterations {len(result.metrics)} converged {result.converged}"
         f" avg_travel_time {last.avg_travel_time:.1f}s"
@@ -326,20 +328,19 @@ def cmd_data_ingest(ctx: _Ctx) -> int:
 
 def cmd_report_validate(ctx: _Ctx) -> int:
     p = ctx.args.p
-    config = ctx.settings("sim", rerouting_probability=p)
     if p is None:
         best_path = os.path.join(ctx.output_dir, "sweep_best.csv")
         if not os.path.exists(best_path):
             raise UsageError("--p not given and no sweep_best.csv in output dir")
         p = calibrate.read_sweep_best(best_path)[0]
-        config = dataclasses.replace(config, rerouting_probability=p)
+    config = ctx.settings("sim", rerouting_probability=p)
     paths, net, plans, detectors, lines = _scenario(ctx, detectors_required=True)
     real = dataio.ingest(dataio.read_measurements_csv(ctx.path("measurements"))).series
     ctx.log(f"validation run at p={p}")
     series = _swept_series(ctx, calibrate.simulation_key(paths, config), detectors)
     if series is None:
         evaluator = calibrate.Evaluator(net, plans, detectors, real, config, lines)
-        series = evaluator.evaluate({"rerouting_probability": p}).series
+        series = evaluator.evaluate({}).series
     report = dataio.validate(real, series)
     dataio.write_report(
         report,
@@ -359,14 +360,15 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     # the truth runs at the run seed, and so do the stages that read the
     # written project: its `sim` section carries no seed of its own
     seed = ctx.seed
-    sim_cfg = dataclasses.replace(ctx.settings("sim"), seed=seed)
+    scenario = fixtures.twin_scenario(seed)
+    # the assignment runs these settings without rerouting
+    truth_cfg = ctx.settings("sim", seed=seed, rerouting_probability=scenario.true_p)
     dua_params = ctx.settings("equilibrium", base=fixtures.TWIN_DUA)
     grid = ctx.settings("sweep", base=fixtures.TWIN_GRID)
-    scenario = fixtures.twin_scenario(seed)
     # the truth's demand, at the run seed like its simulation; the written
     # statistics carry it on to `demand generate`
-    stats = dataclasses.replace(scenario.statistics, config=dataclasses.replace(
-        ctx.settings("demand", base=scenario.statistics.config), seed=seed
+    stats = dataclasses.replace(scenario.statistics, config=ctx.settings(
+        "demand", base=scenario.statistics.config, seed=seed
     ))
     out = ctx.out_path  # ensures the directory exists
 
@@ -389,10 +391,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     # only the routes are read, so the cap round that cannot change them
     # is not simulated
     dua = equilibrium.dua_iterate(
-        scenario.net, table, sim_cfg, dua_params, simulate_final=False
-    )
-    truth_cfg = dataclasses.replace(
-        sim_cfg, rerouting_probability=scenario.true_p
+        scenario.net, table, truth_cfg, dua_params, simulate_final=False
     )
     truth = Simulation(
         scenario.net, dua.final_plans, truth_cfg,
@@ -439,13 +438,15 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
 @dataclasses.dataclass(frozen=True)
 class _Command:
     """One subcommand: its handler and help, the path keys it reads, the
-    settings sections whose flags it takes, and its own (flag, type, help)."""
+    settings sections whose flags it takes, its own (flag, type, help), and
+    the section keys it sets itself, which take no flag."""
 
     handler: typing.Callable[[_Ctx], int]
     help: str
     paths: tuple = ()
     sections: tuple = ()
     flags: tuple = ()
+    sets: tuple = ()
 
 
 _SCENARIO = ("network", "routes", "detectors", "bus_lines")
@@ -465,11 +466,12 @@ _COMMANDS = {
     ("sim", "run"): _Command(cmd_sim_run, "run one simulation", _SCENARIO, ("sim",)),
     ("dua", "iterate"): _Command(
         cmd_dua_iterate, "iterate assignment to equilibrium",
-        ("network", "trips"), ("sim", "equilibrium"),
+        ("network", "trips"), ("sim", "equilibrium"), sets=("rerouting_probability",),
     ),
     ("calib", "sweep"): _Command(
         cmd_calib_sweep, "grid sweep of the rerouting probability",
         (*_SCENARIO, "measurements"), ("sim", "sweep"), (("--workers", int, None),),
+        ("rerouting_probability",),
     ),
     ("data", "ingest"): _Command(
         cmd_data_ingest, "average raw counts into daily series", ("measurements",),
@@ -482,7 +484,7 @@ _COMMANDS = {
     ("report", "validate"): _Command(
         cmd_report_validate, "score a simulation against data",
         (*_SCENARIO, "measurements"), ("sim",),
-        (("--p", float, "rerouting probability to validate"),),
+        (("--p", float, "rerouting probability to validate"),), ("rerouting_probability",),
     ),
     ("fixture", "make"): _Command(cmd_fixture_make, "write the grid and twin fixtures"),
 }
@@ -506,9 +508,11 @@ _SECTION_KEYS = {
 }
 
 
-def _add_section_flags(sub: argparse.ArgumentParser, section: str) -> None:
+def _add_section_flags(sub: argparse.ArgumentParser, section: str, sets: tuple) -> None:
     types = typing.get_type_hints(_SECTIONS[section][0])
     for key in _SECTION_FLAGS[section]:
+        if key in sets:
+            continue
         flag = "--grid-step" if key == "step" else "--" + key.replace("_", "-")
         sub.add_argument(flag, dest=key, type=types[key])
 
@@ -532,11 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
         # the path flags follow the first section's flags, where `--help`
         # has always listed them
         for section in command.sections[:1]:
-            _add_section_flags(sub, section)
+            _add_section_flags(sub, section, command.sets)
         for key in command.paths:
             sub.add_argument("--" + key.replace("_", "-"))
         for section in command.sections[1:]:
-            _add_section_flags(sub, section)
+            _add_section_flags(sub, section, command.sets)
         for flag, type_, text in command.flags:
             sub.add_argument(flag, type=type_, help=text)
     return parser

@@ -373,14 +373,13 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
                     home, g.out_edge, "outgoing")
 
     # midday errands of non-working adults
-    errand_edges = sorted(e.id for e in net.edges.values() if not e.bus_only)
     for d in stats:
         adults = sum(d.age_brackets[ADULT_BRACKET_START:])
         idle = max(0, adults - d.workers)
         n_free = math.floor(idle * config.free_time_rate + 0.5)
         for _ in range(n_free):
             home = rng.choice(d.edge_ids)
-            dest = rng.choice(errand_edges)
+            dest = rng.choice(net.car_edges)
             out = rng.uniform(FREE_TIME_EARLIEST, FREE_TIME_LATEST)
             stay = rng.uniform(FREE_TIME_STAY_MIN, FREE_TIME_STAY_MAX)
             add(out, home, dest, "free_time")
@@ -401,17 +400,11 @@ def expand_routes(trips: TripTable, net: netmodel.RoadNetwork) -> ExpandResult:
     no_path: list[str] = []
     car_routes = netmodel.CarRoutes(net)
     for trip in trips.trips:
-        if trip.from_edge not in net.edges or trip.to_edge not in net.edges:
-            no_path.append(trip.id)
-            continue
-        if trip.from_edge == trip.to_edge:
-            routes.append(RoutePlan(trip.id, (trip.from_edge,), trip.depart))
-            continue
         edges = car_routes.route(trip.from_edge, trip.to_edge)
         if edges is None:
             no_path.append(trip.id)
-            continue
-        routes.append(RoutePlan(trip.id, tuple(edges), trip.depart))
+        else:
+            routes.append(RoutePlan(trip.id, tuple(edges), trip.depart))
     return ExpandResult(routes, no_path)
 
 

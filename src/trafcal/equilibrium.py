@@ -88,6 +88,7 @@ class DuaResult:
     metrics: list[IterationMetrics]
     converged: bool
     final_plans: list[RoutePlan] = field(default_factory=list)
+    no_path: list[str] = field(default_factory=list)  # trips left out, unroutable
 
 
 def _normalise(alternatives: list[Alternative]) -> None:
@@ -283,6 +284,7 @@ def dua_iterate(
         metrics=metrics,
         converged=converged,
         final_plans=plans,
+        no_path=expansion.no_path,
     )
 
 

@@ -148,11 +148,10 @@ def grid_network(
 def rush_trips(net: RoadNetwork, n: int = 5000, seed: int = 0) -> TripTable:
     """Random origin-destination trips clustered around two rush hours."""
     rng = random.Random(f"{seed}/fixture-rush")
-    pool = sorted(e.id for e in net.edges.values() if not e.bus_only)
     trips = []
     for i in range(n):
-        frm = rng.choice(pool)
-        to = rng.choice(pool)
+        frm = rng.choice(net.car_edges)
+        to = rng.choice(net.car_edges)
         if rng.random() < 0.6:
             depart = rng.gauss(8 * 3600.0, 1800.0)
         else:

@@ -861,7 +861,7 @@ class Simulation:
         )
         for trip_id in sorted(self.vehicles):
             veh = self.vehicles[trip_id]
-            if not veh.equipped or veh.vtype.id != "car":
+            if not veh.equipped:
                 continue
             if veh.idx + 1 >= len(veh.route):
                 continue

@@ -6,8 +6,9 @@ stops. Networks are immutable after construction and safe for concurrent
 read access. `validate_network` reports every structural violation as
 data; `engine_violations` keeps those the simulator cannot run, which
 `microsim.Simulation` refuses before it builds anything. Car routing goes
-through `CarRoutes`, one cached shortest-path tree per source with bus
-lanes barred.
+through `CarRoutes`: its first search weighs each of `RoadNetwork.car_edges`
+once into a table, which `shortest_paths_from` searches, one cached tree per
+source edge.
 Every JSON file the program reads is one dataclass record, read by
 `read_record`: it parses the document, refusing a repeated key and naming
 the line and column of a syntax error, and decodes it with `record_from`.
@@ -159,6 +160,8 @@ class RoadNetwork:
             out_edges[edge.from_junction].append(edge.id)
             in_edges[edge.to_junction].append(edge.id)
         self.out_edges = {j: tuple(sorted(ids)) for j, ids in out_edges.items()}
+        # the one statement of which edges a car may use
+        self.car_edges = tuple(sorted(e.id for e in self.edges.values() if not e.bus_only))
         self.in_edges = {j: tuple(sorted(ids)) for j, ids in in_edges.items()}
 
         self._connections = {
@@ -575,9 +578,9 @@ def engine_violations(net: RoadNetwork) -> list[Violation]:
 
 
 def _reachability_violations(net: RoadNetwork) -> list[Violation]:
-    # BFS over edge successors from all demand-capable (non-bus-only) edges.
-    reached = set(e.id for e in net.edges.values() if not e.bus_only)
-    frontier = list(reached)
+    # BFS over edge successors from all demand-capable (car) edges.
+    reached = set(net.car_edges)
+    frontier = list(net.car_edges)
     while frontier:
         nxt = []
         for eid in frontier:
@@ -608,48 +611,31 @@ WeightFn = Callable[[Edge], float]
 
 
 def shortest_paths_from(
-    net: RoadNetwork, from_edge: str, weight: Optional[WeightFn] = None
+    net: RoadNetwork, from_edge: str, cost: dict[str, float]
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """Costs and predecessor map of every edge reachable from from_edge.
+    """Costs and predecessor map of every edge reachable from from_edge
+    over the edges `cost` weighs; an edge it leaves out is barred, and a
+    barred or unknown source reaches nothing.
 
     A route's cost accumulates the weight of every edge on it, both ends
-    included, the default weight being the free-flow travel time
-    length/speed_limit. Edges with infinite weight are skipped. Ties resolve
-    deterministically by edge id ordering.
+    included. Ties resolve deterministically by edge id ordering.
     """
-    if from_edge not in net.edges:
-        raise KeyError(f"unknown edge '{from_edge}'")
-    if weight is None:
-        weight = free_flow_time
-
-    edges = net.edges
-    successors = net.successors
-
-    def edge_weight(eid: str) -> float:
-        w = weight(edges[eid])
-        if w < 0:
-            raise ValueError(f"negative weight {w} on edge '{eid}'")
-        return w
-
     dist: dict[str, float] = {}
     pred: dict[str, str] = {}
-    w0 = edge_weight(from_edge)
-    if math.isinf(w0):
+    if from_edge not in cost:
         return dist, pred
-    seen = {from_edge: w0}
-    heap: list[tuple[float, str]] = [(w0, from_edge)]
+    successors = net.successors
+    seen = {from_edge: cost[from_edge]}
+    heap: list[tuple[float, str]] = [(cost[from_edge], from_edge)]
     while heap:
         d, eid = heapq.heappop(heap)
         if eid in dist:
             continue
         dist[eid] = d
         for succ in successors[eid]:
-            if succ in dist:
+            if succ in dist or succ not in cost:
                 continue
-            w = edge_weight(succ)
-            if math.isinf(w):
-                continue
-            nd = d + w
+            nd = d + cost[succ]
             if succ not in seen or nd < seen[succ]:
                 seen[succ] = nd
                 pred[succ] = eid
@@ -658,21 +644,33 @@ def shortest_paths_from(
 
 
 class CarRoutes:
-    """Car routes under one edge cost, with bus-only edges barred.
-
-    Runs one single-source search per distinct source edge and keeps its
-    tree, so any number of destinations from that source cost no more.
-    """
+    """Car routes under one edge cost over `RoadNetwork.car_edges`, each
+    weighed once at the first search. One search runs per distinct source
+    edge and keeps its tree, so any number of destinations from that source
+    cost no more."""
 
     def __init__(self, net: RoadNetwork, cost: WeightFn = free_flow_time):
         self._net = net
-        self._weight = lambda edge: math.inf if edge.bus_only else cost(edge)
+        self._cost = cost
         self._trees: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+
+    @functools.cached_property
+    def _table(self) -> dict[str, float]:
+        """The cost of each car edge; a negative one is refused and an
+        infinite one left out, which bars the edge."""
+        table = {}
+        for eid in self._net.car_edges:
+            w = self._cost(self._net.edges[eid])
+            if w < 0:
+                raise ValueError(f"negative weight {w} on edge '{eid}'")
+            if w != math.inf:
+                table[eid] = w
+        return table
 
     def _tree(self, src: str) -> tuple[dict[str, float], dict[str, str]]:
         tree = self._trees.get(src)
         if tree is None:
-            tree = self._trees[src] = shortest_paths_from(self._net, src, self._weight)
+            tree = self._trees[src] = shortest_paths_from(self._net, src, self._table)
         return tree
 
     def route(self, src: str, dst: str) -> Optional[list[str]]:

@@ -110,7 +110,7 @@ def test_routing_matches_bellman_ford():
         net, weight_of = random_graph(rng)
         src = rng.choice(sorted(net.edges))
         weight = lambda e: weight_of[e.id]
-        dist, pred = shortest_paths_from(net, src, weight)
+        dist, pred = shortest_paths_from(net, src, weight_of)
         want = bellman_ford(net, src, weight_of)
         assert dist == want  # exact: integer-valued costs
 

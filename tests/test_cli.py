@@ -122,7 +122,8 @@ def write_one_trip(path):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    assert all(group in out for group in cli._GROUPS)
 
 
 def test_usage_errors_exit_two(ws, tmp_path, capsys):
@@ -311,18 +312,20 @@ def test_flag_surface():
     common = ["-h", "--help", "--config", "--seed", "--output-dir"]
     sim = ["--begin", "--end", "--step-length", "--time-to-teleport",
            "--ignore-junction-blocker", "--rerouting-probability", "--rerouting-period"]
+    # the stages that set the probability themselves take no flag for it
+    sim_set = [f for f in sim if f != "--rerouting-probability"]
     scenario = ["--network", "--routes", "--detectors", "--bus-lines"]
     expected = {
         ("net", "validate"): [*common, "--network"],
         ("demand", "generate"): [*common, "--network", "--statistics"],
         ("sim", "run"): [*common, *sim, *scenario],
-        ("dua", "iterate"): [*common, *sim, "--network", "--trips", "--max-iter", "--tol",
+        ("dua", "iterate"): [*common, *sim_set, "--network", "--trips", "--max-iter", "--tol",
                              "--window"],
-        ("calib", "sweep"): [*common, *sim, *scenario, "--measurements", "--p-min", "--p-max",
+        ("calib", "sweep"): [*common, *sim_set, *scenario, "--measurements", "--p-min", "--p-max",
                              "--grid-step", "--workers"],
         ("data", "ingest"): [*common, "--measurements", "--include-weekdays", "--exclude-dates",
                              "--date-from", "--date-to"],
-        ("report", "validate"): [*common, *sim, *scenario, "--measurements", "--p"],
+        ("report", "validate"): [*common, *sim_set, *scenario, "--measurements", "--p"],
         ("fixture", "make"): common,
     }
 
@@ -651,6 +654,18 @@ def test_dua_iterate(ws, tmp_path, capsys):
     assert len(metrics) == 3
 
 
+def test_dua_iterate_logs_the_trips_it_left_out(ws, tmp_path, capsys):
+    demandgen.write_trips(demandgen.TripTable([
+        demandgen.Trip("t0", 60.0, "e0", "e2", "work"),
+        demandgen.Trip("t1", 90.0, "e0", "nope", "work"),
+    ]), tmp_path / "trips.json")
+    assert run(["dua", "iterate", "--network", ws / "net.json", "--trips", tmp_path / "trips.json",
+                "--max-iter", "2", "--tol", "0.5", "--window", "2",
+                "--output-dir", tmp_path]) == 0
+    assert "1 trips had no route and were left out" in capsys.readouterr().err
+    assert [p.trip_id for p in load_route_plans(tmp_path / "dua_routes.json")] == ["t0"]
+
+
 def test_calib_sweep_single_point(ws, tmp_path, capsys):
     rc = run(["calib", "sweep", "--network", ws / "net.json",
               "--routes", ws / "routes.json", "--detectors", ws / "detectors.json",
@@ -863,6 +878,29 @@ def test_report_validate_checks_detectors_before_simulating(swept, sim_runs, cap
     save_detectors([Detector("elsewhere", "e2", 0, 50.0)], swept[-1].parent / "detectors.json")
     assert run(["report", "validate", *swept]) == 3
     assert "DetectorMismatchError: detector sets differ" in capsys.readouterr().err
+    assert sim_runs == []
+
+
+@pytest.mark.parametrize("stage, flags, message", [
+    (["calib", "sweep"], ["--window"],
+     "detector 'det_mid': scoring needs a 900 s window, got 300 s"),
+    (["calib", "sweep"], ["--end", "43200"],
+     "scoring needs a run of 86400 s, got end - begin = 43200 s"),
+    (["report", "validate", "--p", "0"], ["--window"],
+     "detector 'det_mid': scoring needs a 900 s window, got 300 s"),
+])
+def test_scoring_refuses_a_run_without_the_days_quarter_hours(
+    swept, sim_runs, capsys, stage, flags, message
+):
+    # the measured series hold 96 quarter-hours of one day; a run that
+    # cannot give them is refused before it simulates
+    (swept[-1] / cli.SWEPT_SERIES).unlink()
+    if flags == ["--window"]:
+        save_detectors([Detector("det_mid", "e2", 0, 50.0, window=300.0)],
+                       swept[-1].parent / "detectors.json")
+        flags = []
+    assert run([*stage, *swept, *flags]) == 3
+    assert capsys.readouterr().err.endswith(f"error: ValueError: {message}\n")
     assert sim_runs == []
 
 

@@ -326,6 +326,23 @@ def test_expand_routes_flags_unroutable():
     assert res.routes[1].edges == ("e1",)
 
 
+def test_expand_routes_leaves_out_a_trip_on_a_bus_lane():
+    # a car may not use a bus-only edge, even for a trip that starts and
+    # ends on it
+    base = chain_net()
+    edges = [Edge(e.id, e.from_junction, e.to_junction, e.length, bus_only=e.id == "e1")
+             for e in base.edges.values()]
+    net = RoadNetwork(base.junctions.values(), edges)
+    table = TripTable([
+        demandgen.Trip("bus_lane", 0.0, "e1", "e1", "work"),
+        demandgen.Trip("across", 0.0, "e0", "e2", "work"),
+        demandgen.Trip("self", 0.0, "e2", "e2", "work"),
+    ])
+    res = expand_routes(table, net)
+    assert [(p.trip_id, p.edges) for p in res.routes] == [("self", ("e2",))]
+    assert res.no_path == ["bus_lane", "across"]
+
+
 # -- files -------------------------------------------------------------------
 
 

@@ -511,8 +511,8 @@ def test_no_path_gives_none():
 
 def test_negative_weight_rejected():
     net = tiny_net()
-    with pytest.raises(ValueError):
-        shortest_paths_from(net, "ab", weight=lambda e: -1.0)
+    with pytest.raises(ValueError, match="^negative weight -1.0 on edge 'ab'$"):
+        CarRoutes(net, lambda e: -1.0).route("ab", "bc")
 
 
 def test_infinite_weight_edges_are_impassable():
@@ -529,9 +529,14 @@ def test_infinite_weight_edges_are_impassable():
         Edge("cd", "c", "d", 1.0),
     ]
     net = RoadNetwork(junctions, edges)
-    weight = lambda e: math.inf if e.bus_only else e.length
-    dist, _ = shortest_paths_from(net, "ab", weight=weight)
+    assert net.car_edges == ("ab", "bc_slow", "cd")
+    # an edge the table leaves out is barred, as is an unknown source
+    dist, _ = shortest_paths_from(net, "ab", {"ab": 1.0, "bc_slow": 1.0, "cd": 1.0})
     assert "bc_bus" not in dist and dist["cd"] == 3.0
+    assert shortest_paths_from(net, "nope", {"ab": 1.0}) == ({}, {})
+    # an infinite weight leaves a car edge out of the table
+    slow = CarRoutes(net, lambda e: math.inf if e.id == "bc_slow" else e.length)
+    assert slow.route("ab", "cd") is None
     assert CarRoutes(net, lambda e: e.length).route("ab", "cd") == ["ab", "bc_slow", "cd"]
 
 
@@ -544,11 +549,44 @@ def test_grid_corner_to_corner_route_is_connected():
     assert route_cost(net, route) == pytest.approx(8 * 200.0 / 13.89)
 
 
+def test_car_routes_weigh_each_car_edge_once():
+    # bus lanes are never weighed, a router that never searches weighs
+    # nothing, and any number of searches weigh each car edge once
+    junctions = [Junction("a", 0, 0, kind="dead_end"), Junction("b", 1, 0), Junction("c", 2, 0)]
+    edges = [
+        Edge("ab", "a", "b", 1.0), Edge("ba", "b", "a", 1.0),
+        Edge("bc", "b", "c", 1.0), Edge("cb", "c", "b", 1.0, bus_only=True),
+    ]
+    net = RoadNetwork(junctions, edges)
+    assert net.car_edges == ("ab", "ba", "bc")
+    weighed = []
+
+    def cost(edge):
+        weighed.append(edge.id)
+        return edge.length
+
+    routes = CarRoutes(net, cost)
+    assert weighed == []
+    assert routes.route("ab", "bc") == ["ab", "bc"]
+    assert routes.route("ba", "bc") == ["ba", "ab", "bc"]
+    assert routes.cost("bc", "bc") == 1.0 and routes.route("cb", "ab") is None
+    assert weighed == ["ab", "ba", "bc"]
+    # a negative weight is refused at the first search, wherever it lies
+    late = CarRoutes(net, lambda e: -2.0 if e.id == "ba" else e.length)
+    with pytest.raises(ValueError, match="^negative weight -2.0 on edge 'ba'$"):
+        late.route("bc", "bc")
+
+
 # -- Bellman-Ford oracle -----------------------------------------------------
 
 
+def weights(net, weight):
+    """The cost table of `weight` over every edge of `net`."""
+    return {eid: weight(edge) for eid, edge in net.edges.items()}
+
+
 def bellman_ford(net, source, weight):
-    w = {eid: weight(net.edges[eid]) for eid in net.edges}
+    w = weights(net, weight)
     dist = {source: w[source]}
     for _ in range(len(net.edges)):
         changed = False
@@ -586,7 +624,7 @@ def test_dijkstra_matches_bellman_ford_on_random_graphs():
         net = random_network(rng)
         source = rng.choice(sorted(net.edges))
         oracle = bellman_ford(net, source, weight)
-        dist, pred = shortest_paths_from(net, source, weight=weight)
+        dist, pred = shortest_paths_from(net, source, weights(net, weight))
         assert dist == oracle
         # spot-check one reconstructed route end to end
         if len(dist) > 1:
@@ -606,9 +644,9 @@ def test_car_routes_match_shortest_path_with_bus_lanes_barred(monkeypatch):
     real = netmodel.shortest_paths_from
     sources_searched = []
 
-    def counting(net, from_edge, weight=None):
+    def counting(net, from_edge, cost):
         sources_searched.append(from_edge)
-        return real(net, from_edge, weight)
+        return real(net, from_edge, cost)
 
     monkeypatch.setattr(netmodel, "shortest_paths_from", counting)
     cost = lambda e: e.length  # integer lengths keep float sums exact
