@@ -21,10 +21,8 @@ from typing import Optional, Sequence
 from trafcal import netmodel
 from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation, check_run
 from trafcal.microsim.engine import SimOutput
+from trafcal.microsim.simio import DAY_S, WINDOW_S, WINDOWS_PER_DAY
 
-WINDOWS_PER_DAY = 96
-DAY_S = 86400.0  # the span of a scored run
-WINDOW_S = DAY_S / WINDOWS_PER_DAY  # the window of each scored detector
 SWEEP_BEST_HEADER = ("best_p", "best_nrmse")
 # p is written with 4 decimals, so a finer grid would write distinct
 # points as the same number
@@ -168,12 +166,23 @@ def check_detector_sets(real_ids: set[str], sim_ids: set[str]) -> None:
         raise ValueError("scoring needs at least one detector")
 
 
+def check_scored_day(config: SimConfig) -> None:
+    """Refuse a run that is not the measured day: the engine counts its
+    windows from `begin`, the measurements theirs from midnight."""
+    if config.begin != 0 or config.end != DAY_S:
+        raise ValueError(
+            f"scoring needs a run from 0 to {DAY_S:g} s,"
+            f" got {config.begin:g} to {config.end:g} s"
+        )
+
+
 @dataclass
 class Evaluator:
     """Runs and scores simulations of one scenario against the measured
     series; refuses detectors other than those of `real`, a scenario the
     engine cannot run (`microsim.check_run`), and a run or detector window
-    that does not give the day's quarter-hours, before any simulation."""
+    that does not give the day's quarter-hours (`check_scored_day`), before
+    any simulation."""
 
     net: netmodel.RoadNetwork
     plans: list[RoutePlan]
@@ -183,11 +192,9 @@ class Evaluator:
     bus_lines: Sequence[BusLine] = ()
 
     def __post_init__(self):
+        check_scored_day(self.base)
         check_detector_sets({s.detector_id for s in self.real}, {d.id for d in self.detectors})
         check_run(self.net, self.plans, self.base, self.detectors, self.bus_lines)
-        span = self.base.end - self.base.begin
-        if span != DAY_S:
-            raise ValueError(f"scoring needs a run of {DAY_S:g} s, got end - begin = {span:g} s")
         for d in self.detectors:
             if d.window != WINDOW_S:
                 raise ValueError(f"detector '{d.id}': scoring needs a {WINDOW_S:g} s window, got {d.window:g} s")

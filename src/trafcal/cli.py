@@ -289,13 +289,14 @@ def _parse_date(text: str) -> datetime.date:
 
 def _ingestion_filter(args: argparse.Namespace) -> dataio.IngestionFilter:
     kwargs = {}
-    if args.include_weekdays:
-        days = set()
-        for name in args.include_weekdays.split(","):
-            if name.strip() not in dataio.WEEKDAY_NAMES:
-                raise UsageError(f"unknown weekday '{name.strip()}'")
-            days.add(dataio.WEEKDAY_NAMES[name.strip()])
-        kwargs["include_weekdays"] = frozenset(days)
+    if args.include_weekdays is not None:
+        names = [name.strip() for name in args.include_weekdays.split(",")]
+        if not any(names):
+            raise UsageError("--include-weekdays names no weekday")
+        for name in names:
+            if name not in dataio.WEEKDAY_NAMES:
+                raise UsageError(f"unknown weekday '{name}'")
+        kwargs["include_weekdays"] = frozenset(dataio.WEEKDAY_NAMES[name] for name in names)
     if args.exclude_dates:
         kwargs["exclude_dates"] = frozenset(
             _parse_date(d.strip()) for d in args.exclude_dates.split(",")
@@ -363,6 +364,8 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     scenario = fixtures.twin_scenario(seed)
     # the assignment runs these settings without rerouting
     truth_cfg = ctx.settings("sim", seed=seed, rerouting_probability=scenario.true_p)
+    # the truth's counts become measurements, which hold one whole day
+    calibrate.check_scored_day(truth_cfg)
     dua_params = ctx.settings("equilibrium", base=fixtures.TWIN_DUA)
     grid = ctx.settings("sweep", base=fixtures.TWIN_GRID)
     # the truth's demand, at the run seed like its simulation; the written

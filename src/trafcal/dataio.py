@@ -22,19 +22,17 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from trafcal import netmodel
 from trafcal.calibrate import (
-    WINDOWS_PER_DAY,
     DetectorMismatchError,
     DetectorSeries,
     aggregate_series,
     check_detector_sets,
     nrmse,
 )
-from trafcal.microsim.simio import write_detector_csv
+from trafcal.microsim.simio import DAY_S, WINDOW_S, WINDOWS_PER_DAY, write_detector_csv
 
 WEEKDAY_NAMES = {
     "Mon": 0, "Tue": 1, "Wed": 2, "Thu": 3, "Fri": 4, "Sat": 5, "Sun": 6,
 }
-WINDOW_S = 900
 MEASUREMENT_CSV_HEADER = ("detector_id", "date", "window_start_s", "count")
 
 
@@ -122,7 +120,7 @@ def _window_start(value: int) -> int:
     """`value` when it is an `int` quarter-hour of the day, in seconds."""
     if type(value) is not int:
         raise _BadValue(f"window_start {value!r} is not an int")
-    if value % WINDOW_S != 0 or not 0 <= value < 86400:
+    if value % WINDOW_S != 0 or not 0 <= value < DAY_S:
         raise _BadValue(f"window_start {value} not a quarter-hour of the day")
     return value
 

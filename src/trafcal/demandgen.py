@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field
 
 from trafcal import netmodel
-from trafcal.microsim.simio import RoutePlan
+from trafcal.microsim.simio import DAY_S, RoutePlan
 
 AGE_BRACKETS = (
     (0, 5), (6, 9), (10, 14), (15, 17), (18, 24), (25, 29), (30, 39),
@@ -27,7 +27,6 @@ TRIP_PURPOSES = (
     "work", "school_dropoff", "university", "incoming", "outgoing", "free_time",
 )
 
-DAY_S = 86400.0
 FREE_TIME_EARLIEST = 36000.0  # 10:00
 FREE_TIME_LATEST = 50400.0  # 14:00
 FREE_TIME_STAY_MIN = 1800.0
@@ -119,7 +118,8 @@ class Statistics:
     config: DemandConfig
 
 
-@dataclass(frozen=True)
+# one per trip, so without an instance dict
+@dataclass(frozen=True, slots=True)
 class Trip:
     id: str
     depart: float
@@ -422,7 +422,7 @@ def read_trips(path) -> TripTable:
     for i, trip in enumerate(trips):
         where = f"trips[{i}]"
         if not 0.0 <= trip.depart < DAY_S:
-            raise DemandError(f"{where}: depart {trip.depart} outside [0, 86400)")
+            raise DemandError(f"{where}: depart {trip.depart} outside [0, {DAY_S:g})")
         if trip.id in seen:
             raise DemandError(f"{where}: duplicate trip id '{trip.id}'")
         seen.add(trip.id)

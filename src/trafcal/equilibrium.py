@@ -51,14 +51,15 @@ class DuaConfig:
             raise ValueError("max_alternatives must be >= 1")
 
 
-@dataclass
+# built per trip and route alternative, so without an instance dict
+@dataclass(slots=True)
 class Alternative:
     route: tuple[str, ...]
     cost: float
     probability: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteSet:
     """One vehicle's route alternatives; probabilities form a simplex."""
 
@@ -154,7 +155,7 @@ def convergence_check(
     lo, hi = min(tail), max(tail)
     if lo <= 0:
         return hi == lo
-    return (hi - lo) / lo < tol
+    return (hi - lo) / lo <= tol
 
 
 def _experienced_cost(

@@ -52,6 +52,7 @@ from trafcal import netmodel
 from trafcal.microsim import tls
 from trafcal.microsim.carfollow import BUS, CAR, VehicleType
 from trafcal.microsim.simio import (
+    DAY_S,
     DEFAULT_BUS_DWELL,
     BusLine,
     Detector,
@@ -77,7 +78,7 @@ class SimConfig:
     blocked vehicle is let into the junction."""
 
     begin: float = 0.0
-    end: float = 86400.0
+    end: float = DAY_S
     step_length: float = 1.0
     ignore_junction_blocker: float = 15.0
     time_to_teleport: float = 300.0
@@ -108,7 +109,8 @@ class SimConfig:
             raise ValueError("speed_smoothing must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+# one per trip, so without an instance dict
+@dataclass(frozen=True, slots=True)
 class VehicleResult:
     trip_id: str
     arrived: bool

@@ -9,6 +9,9 @@ before it builds anything and refuses the first trip, detector or bus line
 the engine cannot run, by name. Detector windows and the running-vehicle
 series are CSV tables written by `netmodel.write_csv`. All writers emit
 rows in a fixed order so equal runs produce byte-identical files.
+
+A scored run covers one day, `DAY_S`, counted in `WINDOWS_PER_DAY`
+detector windows of `WINDOW_S`: the quarter-hours the measurements hold.
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ from trafcal.netmodel import RoadNetwork, read_records, write_csv, write_records
 
 VEHICLE_MODES = ("car", "bus")
 DEFAULT_BUS_DWELL = 10.0
+WINDOW_S = 900  # a measured window, one quarter-hour, in seconds
+WINDOWS_PER_DAY = 96
+DAY_S = float(WINDOWS_PER_DAY * WINDOW_S)
 
 
-@dataclass(frozen=True)
+# one per trip, so without an instance dict
+@dataclass(frozen=True, slots=True)
 class RoutePlan:
     """One vehicle's departure time and full edge sequence."""
 
@@ -40,7 +47,7 @@ class Detector:
     edge_id: str
     lane: int
     position: float
-    window: float = 900.0
+    window: float = float(WINDOW_S)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,8 @@ def test_sweep_scores_truth_seed_at_zero():
 
 def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     # every field differs from its default, so a field that a derived run
-    # rebuilds instead of copying shows up as a mismatch
+    # rebuilds instead of copying shows up as a mismatch; the scored runs
+    # must be the measured day, so only their begin and end keep the defaults
     base = SimConfig(
         begin=10.0, end=86410.0, step_length=0.5, ignore_junction_blocker=20.0,
         time_to_teleport=250.0, rerouting_probability=0.3, rerouting_period=120.0,
@@ -200,11 +201,12 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     default = SimConfig()
     for f in dataclasses.fields(SimConfig):
         assert getattr(base, f.name) != getattr(default, f.name), f.name
+    scored = dataclasses.replace(base, begin=default.begin, end=default.end)
 
     net = fixtures.two_route_network()
     plans = [RoutePlan(f"v{i:03d}", ("e_in", "e_dn", "e_out"), 10.0 + i) for i in range(10)]
     dets = [Detector("d", "e_out", 0, 50.0)]
-    real = sim_series(Simulation(net, plans, base, detectors=dets).run())
+    real = sim_series(Simulation(net, plans, scored, detectors=dets).run())
 
     seen = []
 
@@ -216,14 +218,14 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     monkeypatch.setattr(calibrate, "Simulation", Capturing)
     monkeypatch.setattr(equilibrium, "Simulation", Capturing)
     sweep_rerouting_probability(
-        net, plans, dets, real, grid=GridSpec(0.7, 0.7, 0.1), base_config=base
+        net, plans, dets, real, grid=GridSpec(0.7, 0.7, 0.1), base_config=scored
     )
-    assert seen == [dataclasses.replace(base, rerouting_probability=0.7)]
+    assert seen == [dataclasses.replace(scored, rerouting_probability=0.7)]
 
     seen.clear()
     theta = {"rerouting_probability": 0.2, "rerouting_period": 60.0}
-    Evaluator(net, plans, dets, real, base).evaluate(theta)
-    assert seen == [dataclasses.replace(base, **theta)]
+    Evaluator(net, plans, dets, real, scored).evaluate(theta)
+    assert seen == [dataclasses.replace(scored, **theta)]
 
     seen.clear()
     trips = fixtures.two_route_trips(n=10, begin=10.0)

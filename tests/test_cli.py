@@ -416,6 +416,25 @@ def test_fixture_make_skips_the_capped_rounds_simulation(tmp_path, monkeypatch, 
     assert skipped[1] == full[1]
 
 
+@pytest.mark.parametrize("sim, got", [
+    ({"end": 43200}, "0 to 43200 s"),
+    ({"begin": 3600, "end": 90000}, "3600 to 90000 s"),
+])
+def test_fixture_make_refuses_a_truth_that_is_not_the_measured_day(
+    tmp_path, sim_runs, capsys, sim, got
+):
+    # its counts become a day of measurements, so a truth run of another
+    # span is refused before any file is written
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sim": sim}) + "\n")
+    out = tmp_path / "out"
+    assert run(["fixture", "make", "--config", cfg, "--output-dir", out]) == 3
+    assert capsys.readouterr().err == (
+        f"error: ValueError: scoring needs a run from 0 to 86400 s, got {got}\n")
+    assert not out.exists()
+    assert sim_runs == []
+
+
 # -- net validate --------------------------------------------------------------
 
 
@@ -885,9 +904,15 @@ def test_report_validate_checks_detectors_before_simulating(swept, sim_runs, cap
     (["calib", "sweep"], ["--window"],
      "detector 'det_mid': scoring needs a 900 s window, got 300 s"),
     (["calib", "sweep"], ["--end", "43200"],
-     "scoring needs a run of 86400 s, got end - begin = 43200 s"),
+     "scoring needs a run from 0 to 86400 s, got 0 to 43200 s"),
     (["report", "validate", "--p", "0"], ["--window"],
      "detector 'det_mid': scoring needs a 900 s window, got 300 s"),
+    # a day-long run shifted off midnight would count its windows from
+    # `begin`, the measurements theirs from midnight
+    (["calib", "sweep"], ["--begin", "3600", "--end", "90000"],
+     "scoring needs a run from 0 to 86400 s, got 3600 to 90000 s"),
+    (["report", "validate", "--p", "0"], ["--begin", "3600", "--end", "90000"],
+     "scoring needs a run from 0 to 86400 s, got 3600 to 90000 s"),
 ])
 def test_scoring_refuses_a_run_without_the_days_quarter_hours(
     swept, sim_runs, capsys, stage, flags, message
@@ -954,6 +979,11 @@ def test_data_ingest_filter_flags(ws, tmp_path, capsys):
     base = ["data", "ingest", "--measurements", ws / "measurements.csv",
             "--output-dir", tmp_path]
     assert run([*base, "--include-weekdays", "Mo,Tue"]) == 2  # unknown name
+    assert capsys.readouterr().err == "error: unknown weekday 'Mo'\n"
+    # a list that names no weekday is refused, not read as the default
+    for empty in ("", " , "):
+        assert run([*base, "--include-weekdays", empty]) == 2
+        assert capsys.readouterr().err == "error: --include-weekdays names no weekday\n"
     assert run([*base, "--date-from", "2023-09-01"]) == 2  # missing --date-to
     capsys.readouterr()
     # filters that reject the only day of data surface as a runtime failure

@@ -1,12 +1,14 @@
 """Route assignment: probability updates, convergence, the full loop."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
 from trafcal import equilibrium, fixtures
-from trafcal.demandgen import expand_routes
+from trafcal.demandgen import Trip, expand_routes
 from trafcal.equilibrium import (
     Alternative,
     DuaConfig,
@@ -17,7 +19,7 @@ from trafcal.equilibrium import (
     gawron_update,
     write_metrics_csv,
 )
-from trafcal.microsim import SimConfig, VehicleResult
+from trafcal.microsim import RoutePlan, SimConfig, VehicleResult
 
 
 def route_set(costs, probs, chosen=0):
@@ -137,6 +139,13 @@ def test_convergence_relative_band():
     assert not convergence_check(metrics_of([120.0, 100.0, 101.0, 100.5]), 0.005, 3)
 
 
+def test_convergence_accepts_a_stable_tail_at_zero_tol():
+    # equal averages agree within any tol, 0 included
+    assert convergence_check(metrics_of([120.0, 100.0, 100.0]), 0.0, 2)
+    assert not convergence_check(metrics_of([100.0, 100.0 + 1e-9]), 0.0, 2)
+    assert convergence_check(metrics_of([100.0, 102.0]), 0.02, 2)
+
+
 def test_convergence_zero_floor():
     assert convergence_check(metrics_of([0.0, 0.0]), 0.1, 2)
     assert not convergence_check(metrics_of([0.0, 1.0]), 0.1, 2)
@@ -145,6 +154,26 @@ def test_convergence_zero_floor():
 def test_convergence_empty_rejected():
     with pytest.raises(ValueError):
         convergence_check([], 0.1, 3)
+
+
+# -- per-trip records ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("record", [
+    RoutePlan("t", ("e0", "e1"), 60.0),
+    Trip("t", 60.0, "e0", "e1", "work"),
+    VehicleResult("t", False, 60.0, 61.0, None, 2.5, 40.0, 1, True, 30.0, 1),
+    Alternative(("e0", "e1"), 12.5, 0.25),
+    RouteSet("t", [Alternative(("e0",), 1.0, 0.5), Alternative(("e1",), 2.0, 0.5)], 1),
+], ids=lambda record: type(record).__name__)
+def test_per_trip_records_have_no_instance_dict(record):
+    # one of each is built per trip or per route alternative, so an
+    # instance dict would grow memory with both
+    assert not hasattr(record, "__dict__")
+    # the sweep pool pickles its evaluator's plans under spawn and forkserver
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record)
+        assert copied == record
 
 
 # -- assignment settings -----------------------------------------------------
