@@ -9,11 +9,9 @@ probability and picks the one with the smallest error (ties to the smaller).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -217,6 +215,9 @@ class Evaluator:
         workers = min(workers, len(thetas))
         if workers <= 1:
             return [self.evaluate(theta) for theta in thetas]
+        # imported here, so only a pooled sweep loads multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(self,)
         ) as pool:
@@ -261,6 +262,9 @@ def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> s
     in order (None, an input not given, hashes as a fixed marker), every
     field of `config`, the Python version and the source of this package.
     Runs with equal keys give equal outputs."""
+    # imported here, so only the stages that key a run load OpenSSL
+    import hashlib
+
     h = hashlib.sha256()
 
     def part(label: str, data: bytes) -> None:

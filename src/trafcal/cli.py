@@ -90,7 +90,9 @@ class _Ctx:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = load_project(args.config) if args.config else ProjectConfig()
+        if args.config == "":
+            raise UsageError("--config names no file")
+        self.cfg = load_project(args.config) if args.config is not None else ProjectConfig()
         self.seed = args.seed if args.seed is not None else self.cfg.seed
         workers = getattr(args, "workers", None)
         self.workers = workers if workers is not None else self.cfg.workers
@@ -287,24 +289,33 @@ def _parse_date(text: str) -> datetime.date:
         raise UsageError(f"bad date '{text}': {exc}") from exc
 
 
+def _given(flag: str, text: typing.Optional[str], what: str) -> typing.Optional[str]:
+    """The value of `flag`, None if it was not given. A value of only
+    commas and whitespace names no `what`: it is refused, not read as the
+    flag's absence."""
+    if text is not None and not text.replace(",", " ").strip():
+        raise UsageError(f"{flag} names no {what}")
+    return text
+
+
 def _ingestion_filter(args: argparse.Namespace) -> dataio.IngestionFilter:
     kwargs = {}
-    if args.include_weekdays is not None:
-        names = [name.strip() for name in args.include_weekdays.split(",")]
-        if not any(names):
-            raise UsageError("--include-weekdays names no weekday")
+    weekdays = _given("--include-weekdays", args.include_weekdays, "weekday")
+    if weekdays is not None:
+        names = [name.strip() for name in weekdays.split(",")]
         for name in names:
             if name not in dataio.WEEKDAY_NAMES:
                 raise UsageError(f"unknown weekday '{name}'")
         kwargs["include_weekdays"] = frozenset(dataio.WEEKDAY_NAMES[name] for name in names)
-    if args.exclude_dates:
-        kwargs["exclude_dates"] = frozenset(
-            _parse_date(d.strip()) for d in args.exclude_dates.split(",")
-        )
-    if args.date_from or args.date_to:
-        if not (args.date_from and args.date_to):
+    excluded = _given("--exclude-dates", args.exclude_dates, "date")
+    if excluded is not None:
+        kwargs["exclude_dates"] = frozenset(_parse_date(d.strip()) for d in excluded.split(","))
+    first = _given("--date-from", args.date_from, "date")
+    last = _given("--date-to", args.date_to, "date")
+    if first is not None or last is not None:
+        if first is None or last is None:
             raise UsageError("--date-from and --date-to must be given together")
-        kwargs["date_range"] = (_parse_date(args.date_from), _parse_date(args.date_to))
+        kwargs["date_range"] = (_parse_date(first), _parse_date(last))
     try:
         return dataio.IngestionFilter(**kwargs)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 """Calibration objective and probability sweep."""
 
+import concurrent.futures
 import dataclasses
 import math
 import random
@@ -255,7 +256,7 @@ def pool_widths(monkeypatch):
         def map(self, fn, points):
             return map(fn, points)
 
-    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(calibrate, "_worker_evaluator", None)
     return widths
 

@@ -6,6 +6,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -1008,6 +1009,24 @@ def test_data_ingest_date_flags_are_yyyy_mm_dd(ws, tmp_path, capsys, flags, bad)
         f"error: bad date '{bad}': Invalid isoformat string: '{bad}'\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--date-from", "", "--date-to", ""], "--date-from names no date"),
+    (["--date-from", "", "--date-to", "2023-09-30"], "--date-from names no date"),
+    (["--date-from", "2023-09-01", "--date-to", " "], "--date-to names no date"),
+    (["--exclude-dates", ""], "--exclude-dates names no date"),
+    (["--exclude-dates", " , "], "--exclude-dates names no date"),
+    (["--config", ""], "--config names no file"),
+])
+def test_flags_given_empty_are_refused(ws, tmp_path, capsys, flags, message):
+    # a given but empty value is not read as the flag left out
+    out = tmp_path / "out"
+    rc = run(["data", "ingest", "--measurements", ws / "measurements.csv", *flags,
+              "--output-dir", out])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_data_ingest_outputs_are_pinned(tmp_path, capsys):
     # two weeks of three detectors, one with a comma in its id; d1 misses a
     # window on the 6th and d2 reports one twice on the 12th, so each keeps
@@ -1056,6 +1075,44 @@ def test_data_ingest_checks_rows_on_dropped_days(tmp_path, capsys, bad_cells, me
     assert capsys.readouterr().err == (
         f"error: MeasurementFormatError: {path}: line 42: {message}\n"
     )
+
+
+# -- import footprint ----------------------------------------------------------
+
+FOOTPRINT = """
+import json, sys
+from trafcal import cli
+
+def loaded():
+    heavy = ("concurrent.futures.process", "multiprocessing", "hashlib")
+    return [name for name in heavy if name in sys.modules]
+
+ws, out = sys.argv[1:]
+scenario = ["--network", f"{ws}/net.json", "--routes", f"{ws}/routes.json",
+            "--detectors", f"{ws}/detectors.json"]
+stages = {"import": loaded()}
+assert cli.main(["sim", "run", *scenario, "--output-dir", f"{out}/sim"]) == 0
+stages["sim run"] = loaded()
+assert cli.main(["calib", "sweep", *scenario, "--measurements", f"{ws}/measurements.csv",
+                 "--p-min", "0", "--p-max", "1", "--grid-step", "0.5", "--workers", "2",
+                 "--output-dir", f"{out}/sweep"]) == 0
+stages["calib sweep"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_only_a_pooled_sweep_loads_the_process_pool(ws, tmp_path):
+    # a fresh interpreter: this one has loaded every module the tests use
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(ws), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert stages["import"] == []
+    assert stages["sim run"] == []
+    assert "concurrent.futures.process" in stages["calib sweep"]
 
 
 # -- installed entry point -----------------------------------------------------
