@@ -90,26 +90,26 @@ class _Ctx:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        if args.config == "":
-            raise UsageError("--config names no file")
-        self.cfg = load_project(args.config) if args.config is not None else ProjectConfig()
+        config = _given("--config", args.config, "file")
+        self.cfg = load_project(config) if config is not None else ProjectConfig()
         self.seed = args.seed if args.seed is not None else self.cfg.seed
         workers = getattr(args, "workers", None)
         self.workers = workers if workers is not None else self.cfg.workers
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
-        out = args.output_dir or self.cfg.paths.get("output_dir")
-        self.output_dir = out or "."
+        out = _given("--output-dir", args.output_dir, "directory")
+        self.output_dir = out if out is not None else self.cfg.paths.get("output_dir", ".")
 
     def log(self, msg: str) -> None:
         print(f"[seed {self.seed}] {msg}", file=sys.stderr)
 
     def path(self, key: str, required: bool = True):
-        value = getattr(self.args, key) or self.cfg.paths.get(key)
+        flag = "--" + key.replace("_", "-")
+        value = _given(flag, getattr(self.args, key), "file")
+        if value is None:
+            value = self.cfg.paths.get(key)
         if value is None and required:
-            raise UsageError(
-                f"missing --{key.replace('_', '-')} (not given and not in config)"
-            )
+            raise UsageError(f"missing {flag} (not given and not in config)")
         return value
 
     def out_path(self, name: str) -> str:

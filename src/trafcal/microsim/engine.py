@@ -9,8 +9,11 @@ speed update, movement (including edge transitions), junction-blocker
 override, teleport of hopelessly stuck vehicles, insertion of due
 departures, periodic rerouting, and output sampling. However a vehicle
 reaches an edge (driving over the line, a junction-blocker override, a
-teleport or its insertion) it enters through one helper, and it leaves
-through one, so detectors, distance and edge times count every way alike.
+teleport or its insertion) it enters through one helper. Driving off an
+edge goes through one helper too, where detectors, distance and edge times
+count the rest of the edge. A teleport takes the vehicle off its lane
+without it: nothing counts the rest of the edge it leaves or the edges it
+skips, and only their free-flow times join the baseline.
 Bus stops are resolved once per trip, before the run. A network with a
 signal program the engine cannot run (`netmodel.engine_violations`) is
 refused before anything is built, and so is the first trip, detector or

@@ -5,6 +5,10 @@ verbose run reads as a pass/fail line per guarantee: objective and routing
 oracles, simulation safety and determinism, route-choice invariants,
 equilibrium quality, calibration recovery on a twin experiment, ingestion
 and report oracles, and the full command-line pipeline.
+
+The twin tests share one run of the five-stage command-line pipeline on the
+seed-7 twin (the `twin_run` fixture, once per module): they read its files,
+and the pipeline's wall-clock budget sits on the fixture.
 """
 
 import datetime
@@ -13,6 +17,8 @@ import math
 import random
 import subprocess
 import time
+
+import pytest
 
 from trafcal import calibrate, dataio, demandgen, equilibrium, fixtures
 from trafcal.calibrate import WINDOWS_PER_DAY, DetectorSeries, nrmse
@@ -269,30 +275,39 @@ def test_two_route_equilibrium_quality():
     clock.check()
 
 
+# -- the seed-7 twin through the command line ---------------------------------
+
+
+def cli(*args):
+    proc = subprocess.run(["trafcal", *args], capture_output=True, text=True, timeout=840)
+    assert proc.returncode == 0, f"trafcal {' '.join(args)}:\n{proc.stderr}"
+    return proc
+
+
+@pytest.fixture(scope="module")
+def twin_run(tmp_path_factory):
+    """The project directory of one run of the five CLI stages on the
+    seed-7 twin, with the sweep's grid and seed from `fixture make`."""
+    clock = Stopwatch(900.0)
+    root = tmp_path_factory.mktemp("twin")
+    project = str(root / "project.json")
+    cli("fixture", "make", "--seed", "7", "--output-dir", str(root))
+    cli("demand", "generate", "--config", project)
+    cli("dua", "iterate", "--config", project)
+    cli("calib", "sweep", "--config", project, "--workers", "4")
+    proc = cli("report", "validate", "--config", project)
+    assert "scenario_nrmse" in proc.stdout
+    clock.check()
+    return root
+
+
 # -- calibration recovery --------------------------------------------------------
 
 
-def test_twin_calibration_recovery():
-    clock = Stopwatch(600.0)
-    seed = 7
-    scenario = fixtures.twin_scenario(seed)
-    config = SimConfig(rerouting_probability=scenario.true_p, seed=seed)  # hidden truth
-
-    table = demandgen.generate_trips(scenario.statistics, scenario.net)
-    dua = equilibrium.dua_iterate(scenario.net, table, config, fixtures.TWIN_DUA)
-    truth = Simulation(
-        scenario.net, dua.final_plans, config,
-        scenario.detectors, scenario.bus_lines,
-    ).run()
-    real = calibrate.sim_series(truth)
-
-    result = calibrate.sweep_rerouting_probability(
-        scenario.net, dua.final_plans, scenario.detectors, real,
-        grid=fixtures.TWIN_GRID,
-        base_config=config, bus_lines=scenario.bus_lines,
-        workers=4,
-    )
-    assert abs(result.best.theta["rerouting_probability"] - scenario.true_p) <= 0.1
+def test_twin_calibration_recovery(twin_run):
+    clock = Stopwatch(5.0)
+    best_p, _ = calibrate.read_sweep_best(twin_run / "sweep_best.csv")
+    assert abs(best_p - fixtures.TWIN_TRUE_P) <= 0.1  # hidden truth: p = 0.6
     clock.check()
 
 
@@ -374,25 +389,9 @@ def test_validation_report_oracle():
 # -- full pipeline ----------------------------------------------------------------
 
 
-def test_end_to_end_pipeline(tmp_path):
-    clock = Stopwatch(900.0)
-    project = tmp_path / "project.json"
-
-    def cli(*args):
-        proc = subprocess.run(
-            ["trafcal", *args], capture_output=True, text=True, timeout=840
-        )
-        assert proc.returncode == 0, f"trafcal {' '.join(args)}:\n{proc.stderr}"
-        return proc
-
-    cli("fixture", "make", "--seed", "7", "--output-dir", str(tmp_path))
-    cli("demand", "generate", "--config", str(project))
-    cli("dua", "iterate", "--config", str(project))
-    cli("calib", "sweep", "--config", str(project), "--workers", "4")
-    proc = cli("report", "validate", "--config", str(project))
-    assert "scenario_nrmse" in proc.stdout
-
-    report = json.loads((tmp_path / "report.json").read_text())
+def test_end_to_end_pipeline(twin_run):
+    clock = Stopwatch(5.0)
+    report = json.loads((twin_run / "report.json").read_text())
     assert set(report) == {
         "scenario_nrmse", "per_window", "per_detector",
         "best_detector", "worst_detector",
@@ -404,7 +403,23 @@ def test_end_to_end_pipeline(tmp_path):
     assert detector_ids
     assert report["best_detector"] in detector_ids
     assert report["worst_detector"] in detector_ids
-    assert (tmp_path / "per_window.csv").exists()
-    assert (tmp_path / "per_detector.csv").exists()
-    assert (tmp_path / "sweep_best.csv").exists()
+    assert (twin_run / "per_window.csv").exists()
+    assert (twin_run / "per_detector.csv").exists()
+    assert (twin_run / "sweep_best.csv").exists()
+    clock.check()
+
+
+def test_twin_same_seed_oracle(twin_run):
+    # the measurements and the sweep simulate with one seed, so the true p
+    # reproduces them exactly
+    clock = Stopwatch(5.0)
+    header, *rows = (twin_run / "sweep.csv").read_text().splitlines()
+    assert header == "p,nrmse"
+    assert [row.split(",")[0] for row in rows] == [f"{p:.4f}" for p in fixtures.TWIN_GRID.points()]
+    assert len(rows) == 21
+    assert min(rows, key=lambda row: float(row.split(",")[1])) == "0.6000,0.000000"
+    assert (twin_run / "sweep_best.csv").read_text().splitlines() == [
+        "best_p,best_nrmse", "0.6000,0.000000",
+    ]
+    assert json.loads((twin_run / "report.json").read_text())["scenario_nrmse"] == 0.0
     clock.check()

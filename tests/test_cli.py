@@ -1009,22 +1009,37 @@ def test_data_ingest_date_flags_are_yyyy_mm_dd(ws, tmp_path, capsys, flags, bad)
         f"error: bad date '{bad}': Invalid isoformat string: '{bad}'\n")
 
 
+INGEST = ["data", "ingest", "--measurements", "{ws}/measurements.csv", "--output-dir", "{out}"]
+
+
 @pytest.mark.parametrize("flags, message", [
-    (["--date-from", "", "--date-to", ""], "--date-from names no date"),
-    (["--date-from", "", "--date-to", "2023-09-30"], "--date-from names no date"),
-    (["--date-from", "2023-09-01", "--date-to", " "], "--date-to names no date"),
-    (["--exclude-dates", ""], "--exclude-dates names no date"),
-    (["--exclude-dates", " , "], "--exclude-dates names no date"),
-    (["--config", ""], "--config names no file"),
+    ([*INGEST, "--date-from", "", "--date-to", ""], "--date-from names no date"),
+    ([*INGEST, "--date-from", "", "--date-to", "2023-09-30"], "--date-from names no date"),
+    ([*INGEST, "--date-from", "2023-09-01", "--date-to", " "], "--date-to names no date"),
+    ([*INGEST, "--exclude-dates", ""], "--exclude-dates names no date"),
+    ([*INGEST, "--exclude-dates", " , "], "--exclude-dates names no date"),
+    ([*INGEST, "--config", ""], "--config names no file"),
+    (["net", "validate", "--config", "{project}", "--network", ""], "--network names no file"),
+    (["net", "validate", "--network", ""], "--network names no file"),
+    ([*INGEST, "--config", "{project}", "--measurements", ""], "--measurements names no file"),
+    ([*INGEST, "--config", "{project}", "--output-dir", ""], "--output-dir names no directory"),
+    ([*INGEST, "--output-dir", ""], "--output-dir names no directory"),
 ])
-def test_flags_given_empty_are_refused(ws, tmp_path, capsys, flags, message):
-    # a given but empty value is not read as the flag left out
+def test_flags_given_empty_are_refused(ws, tmp_path, capsys, monkeypatch, flags, message):
+    # a given but empty value is not read as the flag left out, nor
+    # replaced by the config's value
+    monkeypatch.chdir(tmp_path)  # where an empty --output-dir would write
     out = tmp_path / "out"
-    rc = run(["data", "ingest", "--measurements", ws / "measurements.csv", *flags,
-              "--output-dir", out])
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps({"paths": {
+        "network": str(ws / "net.json"),
+        "measurements": str(ws / "measurements.csv"),
+        "output_dir": str(out),
+    }}) + "\n")
+    rc = run([flag.format(ws=ws, out=out, project=project) for flag in flags])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["project.json"]
 
 
 def test_data_ingest_outputs_are_pinned(tmp_path, capsys):
