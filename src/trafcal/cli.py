@@ -71,13 +71,15 @@ class ProjectConfig:
 
 
 def load_project(path) -> ProjectConfig:
-    """Read a project config: `paths` may hold only known path keys, and
-    each section only its own keys."""
+    """Read a project config: `paths` may hold only known path keys, each
+    naming a file or directory, and each section only its own keys."""
     cfg = netmodel.read_record(path, ProjectConfig, UsageError)
     for key, known in _SECTION_KEYS.items():
         bad = set(getattr(cfg, key)) - set(known)
         if bad:
             raise UsageError(f"{path}: unknown {key} keys {sorted(bad)}")
+    for k, v in cfg.paths.items():
+        _given(f"{path}: paths.{k}", v, "directory" if k == "output_dir" else "file")
     # relative paths are taken relative to the config file's directory
     base = os.path.dirname(os.path.abspath(path))
     return dataclasses.replace(cfg, paths={
@@ -118,21 +120,20 @@ class _Ctx:
 
     def settings(self, section: str, base=None, **overrides):
         """The record of a settings section. Each later source wins: the
-        record's defaults, `base`, the run seed (for a record with a seed),
-        the config section, the flags named like its keys, then the
-        `overrides` that are not None. A value of the wrong type or out of
+        record's defaults, `base`, the config section, the flags named like
+        its keys, the `overrides`, then the run seed for a record with a
+        seed, which nothing overrides. A value of the wrong type or out of
         its range is a usage error."""
         cls, label = _SECTIONS[section]
-        keys = _SECTION_KEYS[section]
         values = netmodel.record_to(base) if base is not None else {}
-        if "seed" in keys:
-            values["seed"] = self.seed
         values.update(getattr(self.cfg, section))
-        for key in keys:
+        for key in _SECTION_KEYS[section]:
             flag = getattr(self.args, key, None)
             if flag is not None:
                 values[key] = flag
-        values.update((k, v) for k, v in overrides.items() if v is not None)
+        values.update(overrides)
+        if "seed" in cls.__dataclass_fields__:
+            values["seed"] = self.seed
         try:
             return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
         except UsageError as exc:
@@ -273,7 +274,7 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
     )
     calibrate.write_sweep_csv(result, ctx.out_path("sweep.csv"))
     calibrate.write_sweep_best(result, ctx.out_path("sweep_best.csv"))
-    best = dataclasses.replace(config, **result.best.theta)
+    best = ctx.settings("sim", **result.best.theta)
     calibrate.write_best_series(
         result, calibrate.simulation_key(paths, best), ctx.out_path(SWEPT_SERIES)
     )
@@ -290,9 +291,9 @@ def _parse_date(text: str) -> datetime.date:
 
 
 def _given(flag: str, text: typing.Optional[str], what: str) -> typing.Optional[str]:
-    """The value of `flag`, None if it was not given. A value of only
-    commas and whitespace names no `what`: it is refused, not read as the
-    flag's absence."""
+    """The value of `flag` (a flag, or a config key with its file), None
+    if it was not given. A value of only commas and whitespace names no
+    `what`: it is refused, not read as the flag's absence."""
     if text is not None and not text.replace(",", " ").strip():
         raise UsageError(f"{flag} names no {what}")
     return text
@@ -370,11 +371,11 @@ def cmd_report_validate(ctx: _Ctx) -> int:
 
 def cmd_fixture_make(ctx: _Ctx) -> int:
     # the truth runs at the run seed, and so do the stages that read the
-    # written project: its `sim` section carries no seed of its own
+    # written project
     seed = ctx.seed
     scenario = fixtures.twin_scenario(seed)
     # the assignment runs these settings without rerouting
-    truth_cfg = ctx.settings("sim", seed=seed, rerouting_probability=scenario.true_p)
+    truth_cfg = ctx.settings("sim", rerouting_probability=scenario.true_p)
     # the truth's counts become measurements, which hold one whole day
     calibrate.check_scored_day(truth_cfg)
     dua_params = ctx.settings("equilibrium", base=fixtures.TWIN_DUA)
@@ -382,7 +383,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
     # the truth's demand, at the run seed like its simulation; the written
     # statistics carry it on to `demand generate`
     stats = dataclasses.replace(scenario.statistics, config=ctx.settings(
-        "demand", base=scenario.statistics.config, seed=seed
+        "demand", base=scenario.statistics.config
     ))
     out = ctx.out_path  # ensures the directory exists
 
@@ -435,7 +436,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
             "measurements": "measurements.csv",
             "output_dir": ".",
         },
-        "sim": {k: v for k, v in ctx.cfg.sim.items() if k != "seed"},
+        "sim": ctx.cfg.sim,
         "sweep": netmodel.record_to(grid),
         "equilibrium": netmodel.record_to(dua_params),
     }
@@ -512,11 +513,12 @@ _SECTION_FLAGS = {
     "sweep": ("p_min", "p_max", "step"),
 }
 
-# the keys each object section of a project config may hold
+# the keys each object section of a project config may hold; a record's
+# `seed` is the run seed, which no section sets
 _SECTION_KEYS = {
     "paths": (*dict.fromkeys(k for c in _COMMANDS.values() for k in c.paths), "output_dir"),
     **{
-        section: tuple(f.name for f in dataclasses.fields(cls))
+        section: tuple(f.name for f in dataclasses.fields(cls) if f.name != "seed")
         for section, (cls, _) in _SECTIONS.items()
     },
 }

@@ -67,7 +67,6 @@ def _jid(r: int, c: int, sep: str) -> str:
 def grid_network(
     n: int = GRID_N,
     spacing: float = GRID_SPACING,
-    speed_limit: float = GRID_SPEED,
     lane_count: int = 1,
     logic: str = "static",
     bus_stops: tuple[BusStop, ...] = (),
@@ -109,7 +108,7 @@ def grid_network(
                             to_junction=to,
                             length=spacing,
                             lane_count=lane_count,
-                            speed_limit=speed_limit,
+                            speed_limit=GRID_SPEED,
                         )
                     )
 
@@ -166,21 +165,21 @@ def rush_trips(net: RoadNetwork, n: int = 5000, seed: int = 0) -> TripTable:
 # ---------------------------------------------------------------------------
 
 
-def two_route_network(scale: float = 1.0) -> RoadNetwork:
+def two_route_network() -> RoadNetwork:
     """One origin, one destination, two identical single-lane paths
     between them. The entry and exit edges are two-lane so the only
     bottleneck is the route choice itself."""
     junctions = [
         Junction("s", 0.0, 0.0, kind="dead_end"),
-        Junction("a", 300.0 * scale, 0.0),
-        Junction("m", 800.0 * scale, 0.0),
-        Junction("t", 1100.0 * scale, 0.0),
+        Junction("a", 300.0, 0.0),
+        Junction("m", 800.0, 0.0),
+        Junction("t", 1100.0, 0.0),
     ]
     edges = [
-        Edge("e_in", "s", "a", 300.0 * scale, lane_count=2, speed_limit=GRID_SPEED),
-        Edge("e_dn", "a", "m", 500.0 * scale, lane_count=1, speed_limit=GRID_SPEED),
-        Edge("e_up", "a", "m", 500.0 * scale, lane_count=1, speed_limit=GRID_SPEED),
-        Edge("e_out", "m", "t", 300.0 * scale, lane_count=2, speed_limit=GRID_SPEED),
+        Edge("e_in", "s", "a", 300.0, lane_count=2, speed_limit=GRID_SPEED),
+        Edge("e_dn", "a", "m", 500.0, lane_count=1, speed_limit=GRID_SPEED),
+        Edge("e_up", "a", "m", 500.0, lane_count=1, speed_limit=GRID_SPEED),
+        Edge("e_out", "m", "t", 300.0, lane_count=2, speed_limit=GRID_SPEED),
     ]
     return RoadNetwork(junctions, edges)
 

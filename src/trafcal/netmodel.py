@@ -27,7 +27,6 @@ import csv
 import dataclasses
 import functools
 import heapq
-import itertools
 import json
 import math
 import typing
@@ -266,23 +265,19 @@ def _decoder(tp) -> Callable:
                 raise _wrong_type(where, key, error)
             return {k: decode(x, where, f"{key}.{k}", error) for k, x in value.items()}
         return mapping
-    if origin is not tuple or not args:
+    if origin is not tuple or len(args) != 2 or args[1] is not Ellipsis:
         raise TypeError(f"no JSON form for {tp!r}")
-    variadic = args[-1] is Ellipsis  # tuple[X, ...]; else one type per item
-    items = [_decoder(a) for a in (args[:1] if variadic else args)]
+    decode = _decoder(args[0])
     # the items of a tuple of scalars, such as a route's edges, are checked
     # in one pass; the item loop then only names the first bad one
-    scalars = _JSON_CLASSES.get(args[0]) if variadic else None
+    scalars = _JSON_CLASSES.get(args[0])
 
     def sequence(value, where, key, error):
-        if value.__class__ is not list or not (variadic or len(value) == len(items)):
+        if value.__class__ is not list:
             raise _wrong_type(where, key, error)
         if scalars is not None and {x.__class__ for x in value} <= scalars:
             return tuple(map(args[0], value))
-        out = []
-        for i, (decode, x) in enumerate(zip(itertools.cycle(items), value)):
-            out.append(decode(x, where, f"{key}[{i}]", error))
-        return tuple(out)
+        return tuple(decode(x, where, f"{key}[{i}]", error) for i, x in enumerate(value))
     return sequence
 
 

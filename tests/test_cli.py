@@ -355,7 +355,7 @@ def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equilibrium, "dua_iterate", capture)
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"sim": {"seed": 3}, "equilibrium": {"max_iter": 2}}\n')
+    cfg.write_text('{"sim": {"rerouting_period": 120.0}, "equilibrium": {"max_iter": 2}}\n')
     out = tmp_path / "out"
     assert run(["fixture", "make", "--config", cfg, "--seed", "7", "--output-dir", out]) == 0
     params = equilibrium.DuaConfig(max_iter=2, tol=0.05, window=3)
@@ -363,7 +363,7 @@ def test_fixture_make_writes_the_settings_it_used(tmp_path, monkeypatch):
     project = json.loads((out / "project.json").read_text())
     assert project["equilibrium"] == netmodel.record_to(params)
     assert project["sweep"] == netmodel.record_to(fixtures.TWIN_GRID)
-    assert project["seed"] == 7 and "seed" not in project["sim"]
+    assert project["seed"] == 7 and project["sim"] == {"rerouting_period": 120.0}
     later = cli.build_parser().parse_args(["sim", "run", "--config", str(out / "project.json")])
     assert cli._Ctx(later).settings("sim").seed == 7
 
@@ -380,7 +380,7 @@ def test_fixture_make_generates_the_demand_section(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equilibrium, "dua_iterate", capture)
     configs = {}
-    for name, doc in (("plain", {}), ("no_cars", {"demand": {"car_rate": 0.0, "seed": 3}})):
+    for name, doc in (("plain", {}), ("no_cars", {"demand": {"car_rate": 0.0}})):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(doc) + "\n")
         out = tmp_path / name
@@ -388,8 +388,7 @@ def test_fixture_make_generates_the_demand_section(tmp_path, monkeypatch):
         configs[name] = json.loads((out / "statistics.json").read_text())["config"]
     twin = fixtures.twin_scenario(7).statistics.config
     assert configs["plain"] == netmodel.record_to(twin)
-    # the section's `seed` is ignored: the truth's demand runs at the run
-    # seed, as `demand generate` will
+    # the truth's demand runs at the run seed, as `demand generate` will
     assert configs["no_cars"] == {**netmodel.record_to(twin), "car_rate": 0.0}
     assert seen[1] < seen[0]
 
@@ -959,6 +958,59 @@ def test_seed_flag_overrides_config(ws, tmp_path, capsys):
     assert "[seed 7]" in capsys.readouterr().err
 
 
+SCENARIO = ["--network", "{ws}/net.json", "--routes", "{ws}/routes.json",
+            "--detectors", "{ws}/detectors.json"]
+
+
+@pytest.mark.parametrize("stage, section", [
+    (["demand", "generate", "--network", "{ws}/net.json",
+      "--statistics", "{ws}/statistics.json"], "demand"),
+    (["sim", "run", *SCENARIO], "sim"),
+    (["dua", "iterate", "--network", "{ws}/net.json", "--trips", "{tmp}/trips.json",
+      "--max-iter", "1"], "sim"),
+    (["calib", "sweep", *SCENARIO, "--measurements", "{ws}/measurements.csv",
+      "--p-max", "0"], "sim"),
+    (["report", "validate", *SCENARIO, "--measurements", "{ws}/measurements.csv",
+      "--p", "0.5"], "sim"),
+    (["fixture", "make"], "sim"),
+    (["fixture", "make"], "demand"),
+], ids=["demand-generate", "sim-run", "dua-iterate", "calib-sweep", "report-validate",
+        "fixture-make-sim", "fixture-make-demand"])
+def test_each_stage_runs_at_the_seed_it_logs(ws, tmp_path, capsys, monkeypatch, sim_runs,
+                                             stage, section):
+    # the run seed is the only seed: a section may not carry one, and
+    # every record a stage builds runs at the seed it logs
+    built = sim_runs  # every SimConfig and DemandConfig the stage runs with
+    generate_trips = demandgen.generate_trips
+
+    def spied(stats, net):
+        built.append(stats.config)
+        return generate_trips(stats, net)
+
+    def assigned(net, trips, config, params, *, simulate_final):
+        built.append(config)
+        return equilibrium.DuaResult({}, [], False, [])
+
+    monkeypatch.setattr(demandgen, "generate_trips", spied)
+    if stage[0] == "fixture":  # the truth's routes are not needed here
+        monkeypatch.setattr(equilibrium, "dua_iterate", assigned)
+    write_one_trip(tmp_path / "trips.json")
+    argv = [a.format(ws=ws, tmp=tmp_path) for a in stage]
+    cfg = tmp_path / "project.json"
+    out = tmp_path / "out"
+
+    cfg.write_text(json.dumps({"seed": 5, section: {"seed": 3}}) + "\n")
+    assert run([*argv, "--config", cfg, "--output-dir", out]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown {section} keys ['seed']\n"
+    assert not out.exists() and built == []
+
+    cfg.write_text(json.dumps({"seed": 5}) + "\n")
+    assert run([*argv, "--config", cfg, "--output-dir", out]) == 0
+    err = capsys.readouterr().err
+    assert err and all(line.startswith("[seed 5] ") for line in err.splitlines())
+    assert built and {c.seed for c in built} == {5}
+
+
 # -- data ingest ---------------------------------------------------------------
 
 
@@ -1039,6 +1091,26 @@ def test_flags_given_empty_are_refused(ws, tmp_path, capsys, monkeypatch, flags,
     rc = run([flag.format(ws=ws, out=out, project=project) for flag in flags])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["project.json"]
+
+
+@pytest.mark.parametrize("paths, stage, message", [
+    ({"network": ""}, ["net", "validate"], "paths.network names no file"),
+    ({"network": " , "}, ["net", "validate"], "paths.network names no file"),
+    ({"measurements": "{ws}/measurements.csv", "output_dir": ""}, ["data", "ingest"],
+     "paths.output_dir names no directory"),
+], ids=["network-empty", "network-blanks", "output-dir-empty"])
+def test_config_paths_given_empty_are_refused(ws, tmp_path, capsys, monkeypatch,
+                                              paths, stage, message):
+    # an empty path in the config names no file, as an empty flag does; it
+    # is not the config's own directory
+    monkeypatch.chdir(tmp_path)
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps({"paths": {
+        k: v.format(ws=ws) for k, v in paths.items()
+    }}) + "\n")
+    assert run([*stage, "--config", project]) == 2
+    assert capsys.readouterr().err == f"error: {project}: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["project.json"]
 
 
