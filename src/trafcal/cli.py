@@ -201,17 +201,17 @@ def cmd_demand_generate(ctx: _Ctx) -> int:
     stats = demandgen.load_statistics(ctx.path("statistics"))
     stats = dataclasses.replace(stats, config=ctx.settings("demand", base=stats.config))
     net = netmodel.load_network(ctx.path("network"))
-    table = demandgen.generate_trips(stats, net)
-    expanded = demandgen.expand_routes(table, net)
+    trips = demandgen.generate_trips(stats, net)
+    expanded = demandgen.expand_routes(trips, net)
     trips_path = ctx.out_path("trips.json")
     routes_path = ctx.out_path("routes.json")
-    demandgen.write_trips(table, trips_path)
+    demandgen.write_trips(trips, trips_path)
     save_route_plans(expanded.routes, routes_path)
-    ctx.log(f"generated {len(table)} trips -> {trips_path}")
+    ctx.log(f"generated {len(trips)} trips -> {trips_path}")
     ctx.log(f"expanded {len(expanded.routes)} routes -> {routes_path}")
     if expanded.no_path:
         ctx.log(f"{len(expanded.no_path)} trips had no route and were left out")
-    print(f"{len(table)} trips, {len(expanded.routes)} routed")
+    print(f"{len(trips)} trips, {len(expanded.routes)} routed")
     return EXIT_OK
 
 
@@ -239,9 +239,9 @@ def cmd_dua_iterate(ctx: _Ctx) -> int:
     config = ctx.settings("sim")
     params = ctx.settings("equilibrium")
     net = netmodel.load_network(ctx.path("network"))
-    table = demandgen.read_trips(ctx.path("trips"))
-    ctx.log(f"assignment over {len(table)} trips, {params}")
-    result = equilibrium.dua_iterate(net, table, config, params)
+    trips = demandgen.read_trips(ctx.path("trips"))
+    ctx.log(f"assignment over {len(trips)} trips, {params}")
+    result = equilibrium.dua_iterate(net, trips, config, params)
     routes_path = ctx.out_path("dua_routes.json")
     save_route_plans(result.final_plans, routes_path)
     equilibrium.write_metrics_csv(result.metrics, ctx.out_path("dua_metrics.csv"))
@@ -401,12 +401,12 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
 
     # ground truth: the exact pipeline a user will run, ending in one
     # simulation at the hidden true rerouting probability
-    table = demandgen.generate_trips(stats, scenario.net)
-    ctx.log(f"twin demand: {len(table)} trips")
+    trips = demandgen.generate_trips(stats, scenario.net)
+    ctx.log(f"twin demand: {len(trips)} trips")
     # only the routes are read, so the cap round that cannot change them
     # is not simulated
     dua = equilibrium.dua_iterate(
-        scenario.net, table, truth_cfg, dua_params, simulate_final=False
+        scenario.net, trips, truth_cfg, dua_params, simulate_final=False
     )
     truth = Simulation(
         scenario.net, dua.final_plans, truth_cfg,

@@ -4,7 +4,7 @@ Trips come from five sources: resident workers commuting by shift,
 school drop-off chains, university students, external traffic through
 city gates, and midday errands of non-working adults. Everything is
 sampled from one seeded stream in a fixed iteration order, so a given
-statistics file and seed always produce the same trip table.
+statistics file and seed always produce the same trips.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from trafcal import netmodel
 from trafcal.microsim.simio import DAY_S, RoutePlan
@@ -21,7 +21,9 @@ AGE_BRACKETS = (
     (0, 5), (6, 9), (10, 14), (15, 17), (18, 24), (25, 29), (30, 39),
     (40, 49), (50, 59), (60, 64), (65, 74), (75, 84), (85, 120),
 )
-ADULT_BRACKET_START = 4  # first bracket whose lower bound is >= 18
+ADULT_AGE = 18
+ADULT_BRACKET_START = next(i for i, (lo, _) in enumerate(AGE_BRACKETS) if lo >= ADULT_AGE)
+LAST_DEPART_S = DAY_S - 1.0  # a trip departs within the simulated day
 
 TRIP_PURPOSES = (
     "work", "school_dropoff", "university", "incoming", "outgoing", "free_time",
@@ -35,6 +37,18 @@ FREE_TIME_STAY_MAX = 7200.0
 
 class DemandError(ValueError):
     """Raised when demand inputs are inconsistent."""
+
+
+# the statistics file's rules, written so that NaN fails them
+def _check_shares(what: str, shares) -> None:
+    total = sum(shares)
+    if not abs(total - 1.0) <= 1e-9:
+        raise DemandError(f"{what} sum to {total}, expected 1")
+
+
+def _check_hours(what: str, opening_h: float, closing_h: float) -> None:
+    if not opening_h < closing_h:
+        raise DemandError(f"{what}: opening_h must precede closing_h")
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,7 @@ class School:
 
     @property
     def is_university(self) -> bool:
-        return self.age_min >= 18
+        return self.age_min >= ADULT_AGE
 
 
 @dataclass(frozen=True)
@@ -95,9 +109,9 @@ class DemandConfig:
     def __post_init__(self):
         if not self.work_hours:
             raise DemandError("at least one work_hours entry is required")
-        share_sum = sum(w.worker_share for w in self.work_hours)
-        if not abs(share_sum - 1.0) <= 1e-9:
-            raise DemandError(f"work_hours shares sum to {share_sum}, expected 1")
+        _check_shares("work_hours shares", (w.worker_share for w in self.work_hours))
+        for i, w in enumerate(self.work_hours):
+            _check_hours(f"work_hours[{i}]", w.opening_h, w.closing_h)
         for bound in ("car_rate", "car_preference_rate", "free_time_rate"):
             if not 0.0 <= getattr(self, bound) <= 1.0:
                 raise DemandError(f"{bound} must be in [0, 1]")
@@ -126,14 +140,6 @@ class Trip:
     from_edge: str
     to_edge: str
     purpose: typing.Literal[TRIP_PURPOSES]
-
-
-@dataclass
-class TripTable:
-    trips: list[Trip] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.trips)
 
 
 @dataclass
@@ -178,9 +184,7 @@ def validate_inputs(statistics: Statistics, net: netmodel.RoadNetwork) -> None:
         raise DemandError("outgoing_total > 0 but no city gates are defined")
     if gates:
         for attr in ("incoming_share", "outgoing_share"):
-            total = sum(getattr(g, attr) for g in gates)
-            if abs(total - 1.0) > 1e-9:
-                raise DemandError(f"gate {attr}s sum to {total}, expected 1")
+            _check_shares(f"gate {attr}s", (getattr(g, attr) for g in gates))
         for g in gates:
             for eid in (g.in_edge, g.out_edge):
                 if eid not in net.edges:
@@ -188,8 +192,7 @@ def validate_inputs(statistics: Statistics, net: netmodel.RoadNetwork) -> None:
     for s in statistics.schools:
         if s.age_min > s.age_max:
             raise DemandError(f"school '{s.id}': age_min > age_max")
-        if not s.opening_h < s.closing_h:
-            raise DemandError(f"school '{s.id}': opening_h must precede closing_h")
+        _check_hours(f"school '{s.id}'", s.opening_h, s.closing_h)
         if s.edge_id not in net.edges:
             raise DemandError(f"school '{s.id}': unknown edge '{s.edge_id}'")
         if s.capacity < 0:
@@ -244,7 +247,7 @@ def _weighted_pick(rng: random.Random, items: list, weights: list[float]):
 # ---------------------------------------------------------------------------
 
 
-def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTable:
+def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> list[Trip]:
     """Sample the day's car trips from the demand statistics, seeded by
     their config.
 
@@ -267,7 +270,7 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
 
     def add(depart: float, from_edge: str, to_edge: str, purpose: str) -> None:
         nonlocal counter
-        depart = min(max(depart, 0.0), DAY_S - 1.0)
+        depart = min(max(depart, 0.0), LAST_DEPART_S)
         trips.append(Trip(f"t{counter:07d}", depart, from_edge, to_edge, purpose))
         counter += 1
 
@@ -276,6 +279,7 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
         return opening_h - est - abs(rng.gauss(0.0, config.departure_jitter_sd))
 
     work_pool = [d for d in stats if d.work_positions > 0]
+    shift_shares = [w.worker_share for w in config.work_hours]
     work_weights = [float(d.work_positions) for d in work_pool]
 
     # children enrol into schools, adults into universities, both capacity
@@ -285,7 +289,7 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
     assigned_unis: dict[str, list[School]] = {d.id: [] for d in stats}
     for d in stats:
         for bi, (lo, hi) in enumerate(AGE_BRACKETS):
-            adult = lo >= 18
+            adult = lo >= ADULT_AGE
             fitting = [
                 s for s in schools
                 if s.age_min <= lo and hi <= s.age_max and s.is_university == adult
@@ -309,9 +313,7 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
         n_chain = min(
             n_drivers, math.floor(len(chains) * drive_p + 0.5)
         )
-        per_shift = cumulative_counts(
-            [n_drivers * w.worker_share for w in config.work_hours]
-        )
+        per_shift = cumulative_counts([n_drivers * share for share in shift_shares])
         chained = 0
         for shift, n_shift in zip(config.work_hours, per_shift):
             for _ in range(n_shift):
@@ -350,25 +352,21 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
         n_in = round(config.incoming_total * config.car_preference_rate)
         for g, n_gate in zip(gates, largest_remainder(n_in, [g.incoming_share for g in gates])):
             for _ in range(n_gate):
-                wd = _weighted_pick(rng, work_pool, work_weights) if work_pool else None
-                if wd is None:
+                if not work_pool:
                     raise DemandError("incoming traffic needs a district with work positions")
+                wd = _weighted_pick(rng, work_pool, work_weights)
                 work_edge = rng.choice(wd.edge_ids)
-                shift = _weighted_pick(
-                    rng, config.work_hours, [w.worker_share for w in config.work_hours]
-                )
+                shift = _weighted_pick(rng, config.work_hours, shift_shares)
                 add(commute_depart(g.in_edge, work_edge, shift.opening_h),
                     g.in_edge, work_edge, "incoming")
         n_out = round(config.outgoing_total * config.car_preference_rate)
         for g, n_gate in zip(gates, largest_remainder(n_out, [g.outgoing_share for g in gates])):
             for _ in range(n_gate):
-                hd = _weighted_pick(rng, home_pool, home_weights) if home_pool else None
-                if hd is None:
+                if not home_pool:
                     raise DemandError("outgoing traffic needs an inhabited district")
+                hd = _weighted_pick(rng, home_pool, home_weights)
                 home = rng.choice(hd.edge_ids)
-                shift = _weighted_pick(
-                    rng, config.work_hours, [w.worker_share for w in config.work_hours]
-                )
+                shift = _weighted_pick(rng, config.work_hours, shift_shares)
                 add(commute_depart(home, g.out_edge, shift.opening_h),
                     home, g.out_edge, "outgoing")
 
@@ -385,7 +383,7 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
             add(out, home, dest, "free_time")
             add(out + stay, dest, home, "free_time")
 
-    return TripTable(trips)
+    return trips
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +391,13 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> TripTab
 # ---------------------------------------------------------------------------
 
 
-def expand_routes(trips: TripTable, net: netmodel.RoadNetwork) -> ExpandResult:
+def expand_routes(trips: list[Trip], net: netmodel.RoadNetwork) -> ExpandResult:
     """Free-flow shortest route for every trip; unroutable trips end up in
     the no_path list instead of being dropped silently."""
     routes: list[RoutePlan] = []
     no_path: list[str] = []
     car_routes = netmodel.CarRoutes(net)
-    for trip in trips.trips:
+    for trip in trips:
         edges = car_routes.route(trip.from_edge, trip.to_edge)
         if edges is None:
             no_path.append(trip.id)
@@ -409,14 +407,14 @@ def expand_routes(trips: TripTable, net: netmodel.RoadNetwork) -> ExpandResult:
 
 
 # ---------------------------------------------------------------------------
-# Trip table and statistics files
+# Trip and statistics files
 # ---------------------------------------------------------------------------
 
-def write_trips(table: TripTable, path) -> None:
-    netmodel.write_records(sorted(table.trips, key=lambda t: (t.depart, t.id)), path, "trips")
+def write_trips(trips: list[Trip], path) -> None:
+    netmodel.write_records(sorted(trips, key=lambda t: (t.depart, t.id)), path, "trips")
 
 
-def read_trips(path) -> TripTable:
+def read_trips(path) -> list[Trip]:
     trips = netmodel.read_records(path, "trips", Trip, DemandError)
     seen = set()
     for i, trip in enumerate(trips):
@@ -426,7 +424,7 @@ def read_trips(path) -> TripTable:
         if trip.id in seen:
             raise DemandError(f"{where}: duplicate trip id '{trip.id}'")
         seen.add(trip.id)
-    return TripTable(trips)
+    return trips
 
 
 def load_statistics(path) -> Statistics:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from trafcal import netmodel
-from trafcal.demandgen import TripTable, expand_routes
+from trafcal.demandgen import Trip, expand_routes
 from trafcal.microsim import RoutePlan, SimConfig, Simulation
 
 GAWRON_BETA = 0.9
@@ -63,7 +63,6 @@ class Alternative:
 class RouteSet:
     """One vehicle's route alternatives; probabilities form a simplex."""
 
-    trip_id: str
     alternatives: list[Alternative]
     chosen_index: int = 0
 
@@ -172,7 +171,7 @@ def _experienced_cost(
 
 def dua_iterate(
     net: netmodel.RoadNetwork,
-    trips: TripTable,
+    trips: list[Trip],
     config: SimConfig,
     params: DuaConfig = DuaConfig(),
     *,
@@ -196,10 +195,7 @@ def dua_iterate(
     route_sets: dict[str, RouteSet] = {}
     for plan in expansion.routes:
         cost = netmodel.route_cost(net, plan.edges)
-        route_sets[plan.trip_id] = RouteSet(
-            trip_id=plan.trip_id,
-            alternatives=[Alternative(plan.edges, cost, 1.0)],
-        )
+        route_sets[plan.trip_id] = RouteSet([Alternative(plan.edges, cost, 1.0)])
     departs = {p.trip_id: p.depart for p in expansion.routes}
 
     # keep assignment runs deterministic and rerouting-free

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from trafcal.calibrate import GridSpec
 from trafcal.demandgen import (
+    LAST_DEPART_S,
     CityGate,
     DemandConfig,
     DistrictStats,
     School,
     Statistics,
     Trip,
-    TripTable,
     WorkHours,
 )
 from trafcal.equilibrium import DuaConfig
@@ -144,7 +144,7 @@ def grid_network(
     return RoadNetwork(junctions, edges, programs, bus_stops=bus_stops)
 
 
-def rush_trips(net: RoadNetwork, n: int = 5000, seed: int = 0) -> TripTable:
+def rush_trips(net: RoadNetwork, n: int = 5000, seed: int = 0) -> list[Trip]:
     """Random origin-destination trips clustered around two rush hours."""
     rng = random.Random(f"{seed}/fixture-rush")
     trips = []
@@ -155,9 +155,9 @@ def rush_trips(net: RoadNetwork, n: int = 5000, seed: int = 0) -> TripTable:
             depart = rng.gauss(8 * 3600.0, 1800.0)
         else:
             depart = rng.gauss(17 * 3600.0, 1800.0)
-        depart = min(max(depart, 0.0), 86399.0)
+        depart = min(max(depart, 0.0), LAST_DEPART_S)
         trips.append(Trip(f"r{i:05d}", depart, frm, to, "free_time"))
-    return TripTable(trips)
+    return trips
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +184,8 @@ def two_route_network() -> RoadNetwork:
     return RoadNetwork(junctions, edges)
 
 
-def two_route_trips(n: int = 200, interval: float = 1.0, begin: float = 0.0) -> TripTable:
-    return TripTable(
-        [
-            Trip(f"v{i:04d}", begin + i * interval, "e_in", "e_out", "work")
-            for i in range(n)
-        ]
-    )
+def two_route_trips(n: int = 200, interval: float = 1.0, begin: float = 0.0) -> list[Trip]:
+    return [Trip(f"v{i:04d}", begin + i * interval, "e_in", "e_out", "work") for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

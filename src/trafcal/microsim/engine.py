@@ -37,8 +37,10 @@ was measured and dropped: fewer than one front in ten shares a next edge
 with an earlier one, and the lookups cost more than they saved.) The move
 pass lists the vehicles that have stood still long enough for an override
 or a teleport, so those phases look at nothing else. Crossing, overrides,
-teleports and insertion are cold paths: they use the one definition of
-`_crossing_state`, `_best_entry_lane`, `_exit_edge` and `_enter_edge`.
+teleports and insertion are cold paths, each using the one definition of
+the helpers it needs: crossing and overrides use `_crossing_state`,
+`_best_entry_lane`, `_exit_edge` and `_enter_edge`; teleports and
+insertion use only `_best_entry_lane` and `_enter_edge`.
 """
 
 from __future__ import annotations

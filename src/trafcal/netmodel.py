@@ -511,12 +511,16 @@ def validate_network(net: RoadNetwork) -> list[Violation]:
     for e in net.edges.values():
         if not e.length > 0:
             out.append(Violation("NONPOSITIVE_LENGTH", e.id, f"edge length {e.length} must be > 0"))
+        elif not math.isfinite(e.length):
+            out.append(Violation("NONFINITE_LENGTH", e.id, f"edge length {e.length} must be finite"))
         elif e.length < MIN_EDGE_LENGTH:
             out.append(Violation("SHORT_EDGE", e.id, f"edge length {e.length} is below {MIN_EDGE_LENGTH}"))
         if e.lane_count < 1:
             out.append(Violation("BAD_LANE_COUNT", e.id, f"lane_count {e.lane_count} must be >= 1"))
         if not e.speed_limit > 0:
             out.append(Violation("NONPOSITIVE_SPEED", e.id, f"speed_limit {e.speed_limit} must be > 0"))
+        elif not math.isfinite(e.speed_limit):
+            out.append(Violation("NONFINITE_SPEED", e.id, f"speed_limit {e.speed_limit} must be finite"))
 
     for j in net.junctions.values():
         if j.kind == "traffic_light" and j.id not in net.tls_programs:

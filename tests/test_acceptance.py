@@ -216,12 +216,11 @@ def test_detector_output_determinism(tmp_path):
 # -- route-choice invariants ----------------------------------------------------
 
 
-def random_route_set(rng, trip_id):
+def random_route_set(rng):
     k = rng.randint(2, 5)
     raw = [rng.random() + 1e-6 for _ in range(k)]
     total = sum(raw)
     return RouteSet(
-        trip_id=trip_id,
         alternatives=[
             Alternative(route=(f"r{i}",), cost=rng.uniform(1.0, 200.0), probability=x / total)
             for i, x in enumerate(raw)
@@ -233,10 +232,10 @@ def random_route_set(rng, trip_id):
 def test_gawron_simplex_invariants():
     clock = Stopwatch(10.0)
     rng = random.Random(1003)
-    pool = [random_route_set(rng, f"t{i}") for i in range(200)]
+    pool = [random_route_set(rng) for _ in range(200)]
     for step in range(100_000):
         if rng.random() < 0.3:
-            rs = random_route_set(rng, f"fresh{step}")
+            rs = random_route_set(rng)
         else:
             rs = rng.choice(pool)
             rs.chosen_index = rng.randrange(len(rs.alternatives))

@@ -113,9 +113,7 @@ def run(args):
 
 def write_one_trip(path):
     """A trips file for the `ws` network: one trip along the chain."""
-    demandgen.write_trips(
-        demandgen.TripTable([demandgen.Trip("t0", 60.0, "e0", "e2", "work")]), path
-    )
+    demandgen.write_trips([demandgen.Trip("t0", 60.0, "e0", "e2", "work")], path)
 
 
 # -- exit codes ----------------------------------------------------------------
@@ -276,6 +274,42 @@ def test_statistics_range_error_names_the_file(ws, tmp_path, capsys):
     assert run(["demand", "generate", "--network", ws / "net.json", "--statistics", path,
                 "--output-dir", tmp_path / "out"]) == 3
     assert f"{path}: config: car_rate must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_nan_gate_share_is_refused_by_name(tmp_path, capsys):
+    # NaN fails every comparison, so the share-sum rule is written to refuse
+    # it; before, apportioning the gate flows raised a bare ValueError
+    twin = fixtures.twin_scenario(7)
+    save_network(twin.net, tmp_path / "net.json")
+    gate = dataclasses.replace(twin.statistics.gates[0], incoming_share=math.nan)
+    path = tmp_path / "statistics.json"
+    save_statistics(dataclasses.replace(
+        twin.statistics, gates=(gate, *twin.statistics.gates[1:])), path)
+    assert run(["demand", "generate", "--network", tmp_path / "net.json", "--statistics", path,
+                "--output-dir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == (
+        "error: DemandError: gate incoming_shares sum to nan, expected 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_shift_hours_are_checked_where_they_are_read(ws, tmp_path, capsys):
+    # a shift opening at NaN wrote NaN departures into trips.json; in a
+    # project's demand section it is a usage error, a statistics file names itself
+    shifts = [{"opening_h": math.nan, "closing_h": 17 * H, "worker_share": 1.0}]
+    cfg = tmp_path / "project.json"
+    cfg.write_text(json.dumps({"demand": {"work_hours": shifts}}) + "\n")
+    generate = ["demand", "generate", "--network", ws / "net.json", "--output-dir", tmp_path / "out"]
+    assert run([*generate, "--statistics", ws / "statistics.json", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad demand settings: work_hours[0]: opening_h must precede closing_h\n")
+    doc = json.loads((ws / "statistics.json").read_text())
+    doc["config"]["work_hours"] = shifts
+    path = tmp_path / "statistics.json"
+    path.write_text(json.dumps(doc))
+    assert run([*generate, "--statistics", path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: DemandError: {path}: config: work_hours[0]: opening_h must precede closing_h\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -464,6 +498,22 @@ def test_net_validate_reports_violations(tmp_path, capsys):
 
 
 # -- pipeline steps ------------------------------------------------------------
+
+
+def test_demand_generate_outputs_are_pinned(tmp_path, capsys):
+    # the seed-7 twin's demand: any change to trip sampling, route expansion
+    # or the two writers must leave these bytes alone
+    twin = fixtures.twin_scenario(7)
+    save_network(twin.net, tmp_path / "net.json")
+    save_statistics(twin.statistics, tmp_path / "statistics.json")
+    out = tmp_path / "out"
+    assert run(["demand", "generate", "--seed", 7, "--network", tmp_path / "net.json",
+                "--statistics", tmp_path / "statistics.json", "--output-dir", out]) == 0
+    assert capsys.readouterr().out == "4924 trips, 4924 routed\n"
+    assert digest(out / "trips.json") == (
+        "863d8a377330b77a76a6706f5c528ca440f63cc2f8b663b51c5c47487f93556c")
+    assert digest(out / "routes.json") == (
+        "dc6556bef9412e5ec0a6ed42125e5890ff4cb876851159ff7e1a2b4e57fdc49c")
 
 
 def test_demand_generate(ws, tmp_path, capsys):
@@ -674,10 +724,10 @@ def test_dua_iterate(ws, tmp_path, capsys):
 
 
 def test_dua_iterate_logs_the_trips_it_left_out(ws, tmp_path, capsys):
-    demandgen.write_trips(demandgen.TripTable([
+    demandgen.write_trips([
         demandgen.Trip("t0", 60.0, "e0", "e2", "work"),
         demandgen.Trip("t1", 90.0, "e0", "nope", "work"),
-    ]), tmp_path / "trips.json")
+    ], tmp_path / "trips.json")
     assert run(["dua", "iterate", "--network", ws / "net.json", "--trips", tmp_path / "trips.json",
                 "--max-iter", "2", "--tol", "0.5", "--window", "2",
                 "--output-dir", tmp_path]) == 0

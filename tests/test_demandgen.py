@@ -7,6 +7,8 @@ import pytest
 
 from trafcal import demandgen
 from trafcal.demandgen import (
+    ADULT_AGE,
+    ADULT_BRACKET_START,
     AGE_BRACKETS,
     CityGate,
     DemandConfig,
@@ -14,7 +16,6 @@ from trafcal.demandgen import (
     DistrictStats,
     School,
     Statistics,
-    TripTable,
     WorkHours,
     cumulative_counts,
     expand_routes,
@@ -154,6 +155,23 @@ def test_validate_catches_bad_inputs():
             config(departure_jitter_sd=value)
     with pytest.raises(DemandError, match="shares sum to nan"):
         config(work_hours=(WorkHours(8 * H, 17 * H, math.nan),))
+    nan_gate = CityGate("g", "e0", "e3", math.nan, 1.0)
+    with pytest.raises(DemandError, match="gate incoming_shares sum to nan, expected 1"):
+        validate_inputs(Statistics(districts=ok, gates=[nan_gate], config=config()), net)
+    # the rule of a school holds for a shift: one that opened at NaN wrote
+    # NaN departures, one that closed first sent workers home before they left
+    for opening_h, closing_h in ((math.nan, 17 * H), (8 * H, math.nan), (17 * H, 17 * H),
+                                 (17 * H, 8 * H)):
+        shifts = (WorkHours(8 * H, 17 * H, 0.5), WorkHours(opening_h, closing_h, 0.5))
+        with pytest.raises(DemandError, match=r"work_hours\[1\]: opening_h must precede"):
+            config(work_hours=shifts)
+
+
+def test_age_rules_share_one_adult_age():
+    assert AGE_BRACKETS[ADULT_BRACKET_START][0] == ADULT_AGE
+    assert AGE_BRACKETS[ADULT_BRACKET_START - 1][1] < ADULT_AGE
+    assert School("u", "e0", ADULT_AGE, 120, 1, 8 * H, 9 * H).is_university
+    assert not School("s", "e0", ADULT_AGE - 1, 120, 1, 8 * H, 9 * H).is_university
 
 
 # -- generation invariants ---------------------------------------------------
@@ -172,7 +190,7 @@ def small_scenario():
 
 def by_purpose(table):
     out = {}
-    for t in table.trips:
+    for t in table:
         out.setdefault(t.purpose, []).append(t)
     return out
 
@@ -194,9 +212,9 @@ def test_trip_counts_follow_rates():
 def test_trip_table_well_formed():
     net, stats, gates, cfg = small_scenario()
     table = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
-    ids = [t.id for t in table.trips]
+    ids = [t.id for t in table]
     assert len(set(ids)) == len(ids)
-    for t in table.trips:
+    for t in table:
         assert 0.0 <= t.depart < 86400.0
         assert t.purpose in demandgen.TRIP_PURPOSES
         assert t.from_edge in net.edges and t.to_edge in net.edges
@@ -284,10 +302,10 @@ def test_generation_deterministic():
     net, stats, gates, cfg = small_scenario()
     a = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
     b = generate_trips(Statistics(districts=stats, gates=gates, config=cfg), net)
-    assert a.trips == b.trips
+    assert a == b
     other_seed = config(incoming_total=4, outgoing_total=3, seed=1)
     c = generate_trips(Statistics(districts=stats, gates=gates, config=other_seed), net)
-    assert a.trips != c.trips
+    assert a != c
 
 
 # -- route expansion ---------------------------------------------------------
@@ -312,14 +330,12 @@ def test_expand_routes_connected_paths():
 
 def test_expand_routes_flags_unroutable():
     net = chain_net()
-    table = TripTable(
-        [
-            demandgen.Trip("ok", 0.0, "e0", "e3", "work"),
-            demandgen.Trip("self", 0.0, "e1", "e1", "work"),
-            demandgen.Trip("back", 0.0, "e3", "e0", "work"),  # one-way chain
-            demandgen.Trip("ghost", 0.0, "e0", "zz", "work"),
-        ]
-    )
+    table = [
+        demandgen.Trip("ok", 0.0, "e0", "e3", "work"),
+        demandgen.Trip("self", 0.0, "e1", "e1", "work"),
+        demandgen.Trip("back", 0.0, "e3", "e0", "work"),  # one-way chain
+        demandgen.Trip("ghost", 0.0, "e0", "zz", "work"),
+    ]
     res = expand_routes(table, net)
     assert [p.trip_id for p in res.routes] == ["ok", "self"]
     assert res.no_path == ["back", "ghost"]
@@ -333,11 +349,11 @@ def test_expand_routes_leaves_out_a_trip_on_a_bus_lane():
     edges = [Edge(e.id, e.from_junction, e.to_junction, e.length, bus_only=e.id == "e1")
              for e in base.edges.values()]
     net = RoadNetwork(base.junctions.values(), edges)
-    table = TripTable([
+    table = [
         demandgen.Trip("bus_lane", 0.0, "e1", "e1", "work"),
         demandgen.Trip("across", 0.0, "e0", "e2", "work"),
         demandgen.Trip("self", 0.0, "e2", "e2", "work"),
-    ])
+    ]
     res = expand_routes(table, net)
     assert [(p.trip_id, p.edges) for p in res.routes] == [("self", ("e2",))]
     assert res.no_path == ["bus_lane", "across"]
@@ -352,8 +368,8 @@ def test_trip_file_round_trip(tmp_path):
     path = tmp_path / "trips.json"
     write_trips(table, path)
     back = read_trips(path)
-    assert sorted(back.trips, key=lambda t: t.id) == sorted(
-        table.trips, key=lambda t: t.id
+    assert sorted(back, key=lambda t: t.id) == sorted(
+        table, key=lambda t: t.id
     )
 
 

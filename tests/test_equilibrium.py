@@ -24,7 +24,6 @@ from trafcal.microsim import RoutePlan, SimConfig, VehicleResult
 
 def route_set(costs, probs, chosen=0):
     return RouteSet(
-        "t",
         [Alternative((f"e{i}",), c, p) for i, (c, p) in enumerate(zip(costs, probs))],
         chosen_index=chosen,
     )
@@ -164,7 +163,7 @@ def test_convergence_empty_rejected():
     Trip("t", 60.0, "e0", "e1", "work"),
     VehicleResult("t", False, 60.0, 61.0, None, 2.5, 40.0, 1, True, 30.0, 1),
     Alternative(("e0", "e1"), 12.5, 0.25),
-    RouteSet("t", [Alternative(("e0",), 1.0, 0.5), Alternative(("e1",), 2.0, 0.5)], 1),
+    RouteSet([Alternative(("e0",), 1.0, 0.5), Alternative(("e1",), 2.0, 0.5)], 1),
 ], ids=lambda record: type(record).__name__)
 def test_per_trip_records_have_no_instance_dict(record):
     # one of each is built per trip or per route alternative, so an

@@ -278,11 +278,11 @@ def busy_grid(logic, lanes, n, spread, seed, vehicle_types=None, **config):
     net = fixtures.grid_network(n=4, lane_count=lanes, logic=logic, bus_stops=stops)
     rng = random.Random(seed)
     pool = sorted(net.edges)
-    trips = demandgen.TripTable([
+    trips = [
         demandgen.Trip(f"t{i:04d}", rng.uniform(0.0, spread), rng.choice(pool),
                        rng.choice(pool), "free_time")
         for i in range(n)
-    ])
+    ]
     plans = [
         RoutePlan(p.trip_id, p.edges, p.depart, "bus") if i % 10 == 0 else p
         for i, p in enumerate(demandgen.expand_routes(trips, net).routes)
@@ -394,11 +394,11 @@ def test_override_chains_are_pinned():
     net = fixtures.grid_network(n=4, spacing=3.0, lane_count=2)
     rng = random.Random(2)
     pool = sorted(net.edges)
-    trips = demandgen.TripTable([
+    trips = [
         demandgen.Trip(f"t{i:04d}", rng.uniform(0.0, 300.0), rng.choice(pool),
                        rng.choice(pool), "free_time")
         for i in range(300)
-    ])
+    ]
     plans = demandgen.expand_routes(trips, net).routes
     sim = Simulation(
         net, plans, cfg(end=1200.0, seed=2, ignore_junction_blocker=0.0, time_to_teleport=20.0)

@@ -9,7 +9,7 @@ import typing
 
 import pytest
 
-from trafcal import fixtures
+from trafcal import cli, fixtures
 from trafcal import netmodel
 from trafcal.calibrate import SweptSeries
 from trafcal.cli import ProjectConfig, UsageError, load_project
@@ -246,7 +246,7 @@ REQUIRED_ONLY = {
         (save_bus_lines, "bus_lines"),
     ),
     "trips": (
-        lambda path: read_trips(path).trips,
+        read_trips,
         {"trips": [{"id": "t", "depart": 5, "from_edge": "e", "to_edge": "f", "purpose": "work"}]},
         [Trip(id="t", depart=5.0, from_edge="e", to_edge="f", purpose="work")],
         None,
@@ -408,6 +408,28 @@ def test_structural_violations_are_reported():
     ):
         assert expected in codes
     assert codes == sorted(codes)
+
+
+def test_non_finite_edges_are_reported(tmp_path, capsys):
+    # a network file can carry Infinity, which passes every `> 0` check
+    grid = fixtures.grid_network()
+    edges = [
+        dataclasses.replace(e, length=math.inf) if e.id == "e00_01"
+        else dataclasses.replace(e, speed_limit=math.inf) if e.id == "e01_00"
+        else e
+        for e in grid.edges.values()
+    ]
+    path = tmp_path / "net.json"
+    save_network(RoadNetwork(grid.junctions.values(), edges, grid.tls_programs.values()), path)
+    assert "Infinity" in path.read_text()
+    net = load_network(path)
+    assert [(v.code, v.subject_id, v.message) for v in validate_network(net)] == [
+        ("NONFINITE_LENGTH", "e00_01", "edge length inf must be finite"),
+        ("NONFINITE_SPEED", "e01_00", "speed_limit inf must be finite"),
+    ]
+    assert netmodel.engine_violations(net) == []
+    assert cli.main(["net", "validate", "--network", str(path)]) == 1
+    assert "2 violations" in capsys.readouterr().out
 
 
 def test_tls_violations():
