@@ -134,12 +134,15 @@ class _Ctx:
         values.update(overrides)
         if "seed" in cls.__dataclass_fields__:
             values["seed"] = self.seed
+        where = f"{self.args.config}: {section}"
         try:
-            return netmodel.record_from(cls, values, f"{self.args.config}: {section}", UsageError)
+            return netmodel.record_from(cls, values, where, UsageError)
         except UsageError as exc:
             if not isinstance(exc.__cause__, ValueError):  # a wrong type
                 raise
-            raise UsageError(f"bad {label}: {exc.__cause__}") from exc
+            # what follows `where` is the message, after the name of the
+            # nested record it comes from, such as "car: "
+            raise UsageError(f"bad {label}: {str(exc)[len(where) + 1:].lstrip()}") from exc
 
 
 def _scenario(ctx: _Ctx, detectors_required: bool) -> tuple:

@@ -49,6 +49,9 @@ def _check_shares(what: str, shares) -> None:
 def _check_hours(what: str, opening_h: float, closing_h: float) -> None:
     if not opening_h < closing_h:
         raise DemandError(f"{what}: opening_h must precede closing_h")
+    for key, value in (("opening_h", opening_h), ("closing_h", closing_h)):
+        if not 0.0 <= value <= DAY_S:
+            raise DemandError(f"{what}: {key} {value} outside [0, {DAY_S:.0f}] seconds of the day")
 
 
 @dataclass(frozen=True)

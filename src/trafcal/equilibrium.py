@@ -66,13 +66,6 @@ class RouteSet:
     alternatives: list[Alternative]
     chosen_index: int = 0
 
-    def check(self) -> None:
-        total = math.fsum(a.probability for a in self.alternatives)
-        assert abs(total - 1.0) <= 1e-9, f"probabilities sum to {total}"
-        assert all(a.probability >= 0 for a in self.alternatives)
-        assert all(a.cost >= 0 for a in self.alternatives)
-        assert 0 <= self.chosen_index < len(self.alternatives)
-
 
 @dataclass(frozen=True)
 class IterationMetrics:

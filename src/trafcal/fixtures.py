@@ -1,8 +1,7 @@
 """Bundled synthetic scenarios.
 
-Three families: a 5x5 signalised street grid, a symmetric two-route
-network for assignment experiments, and a "twin" scenario on the grid
-where the measured detector data is produced by a hidden ground-truth
+Two families: a 5x5 signalised street grid, and a "twin" scenario on the
+grid where the measured detector data is produced by a hidden ground-truth
 simulation, so the best-fitting rerouting probability is known exactly.
 """
 
@@ -158,34 +157,6 @@ def rush_trips(net: RoadNetwork, n: int = 5000, seed: int = 0) -> list[Trip]:
         depart = min(max(depart, 0.0), LAST_DEPART_S)
         trips.append(Trip(f"r{i:05d}", depart, frm, to, "free_time"))
     return trips
-
-
-# ---------------------------------------------------------------------------
-# Two-route assignment fixture
-# ---------------------------------------------------------------------------
-
-
-def two_route_network() -> RoadNetwork:
-    """One origin, one destination, two identical single-lane paths
-    between them. The entry and exit edges are two-lane so the only
-    bottleneck is the route choice itself."""
-    junctions = [
-        Junction("s", 0.0, 0.0, kind="dead_end"),
-        Junction("a", 300.0, 0.0),
-        Junction("m", 800.0, 0.0),
-        Junction("t", 1100.0, 0.0),
-    ]
-    edges = [
-        Edge("e_in", "s", "a", 300.0, lane_count=2, speed_limit=GRID_SPEED),
-        Edge("e_dn", "a", "m", 500.0, lane_count=1, speed_limit=GRID_SPEED),
-        Edge("e_up", "a", "m", 500.0, lane_count=1, speed_limit=GRID_SPEED),
-        Edge("e_out", "m", "t", 300.0, lane_count=2, speed_limit=GRID_SPEED),
-    ]
-    return RoadNetwork(junctions, edges)
-
-
-def two_route_trips(n: int = 200, interval: float = 1.0, begin: float = 0.0) -> list[Trip]:
-    return [Trip(f"v{i:04d}", begin + i * interval, "e_in", "e_out", "work") for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,34 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class VehicleType:
-    """Driving parameters shared by all vehicles of one kind."""
+    """Driving parameters shared by all vehicles of one kind: accelerations
+    in m/s^2, reaction time `tau` in s, imperfection `sigma` in [0, 1], gap
+    and length in m, speed in m/s. The checks are written so that NaN
+    fails them."""
 
-    id: str = "car"
-    accel: float = 2.6
-    decel: float = 4.5
-    tau: float = 1.0
-    sigma: float = 0.5
-    min_gap: float = 2.5
-    length: float = 5.0
-    max_speed: float = 50.0
+    accel: float
+    decel: float
+    tau: float
+    sigma: float
+    min_gap: float
+    length: float
+    max_speed: float
+
+    def __post_init__(self):
+        for key in ("accel", "decel", "length", "max_speed"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        for key in ("tau", "min_gap"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.sigma <= 1.0:
+            raise ValueError(f"sigma must be in [0, 1], got {self.sigma}")
 
 
-CAR = VehicleType()
-BUS = VehicleType(id="bus", accel=1.2, decel=4.0, length=12.0, max_speed=25.0)
+CAR = VehicleType(accel=2.6, decel=4.5, tau=1.0, sigma=0.5, min_gap=2.5, length=5.0, max_speed=50.0)
+BUS = VehicleType(accel=1.2, decel=4.0, tau=1.0, sigma=0.5, min_gap=2.5, length=12.0, max_speed=25.0)
 
 
 def safe_speed(leader_speed: float, gap: float, decel: float, tau: float) -> float:

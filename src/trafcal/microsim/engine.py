@@ -80,7 +80,8 @@ class SimConfig:
     `begin`, `end` and `step_length` must be finite. An infinite
     `time_to_teleport`, `rerouting_period` or `ignore_junction_blocker`
     means "never": no vehicle is teleported, no rerouting round runs, or no
-    blocked vehicle is let into the junction."""
+    blocked vehicle is let into the junction. `car` and `bus` are the
+    driving parameters of each vehicle mode."""
 
     begin: float = 0.0
     end: float = DAY_S
@@ -90,6 +91,8 @@ class SimConfig:
     rerouting_probability: float = 0.0
     rerouting_period: float = 300.0
     speed_smoothing: float = 0.5
+    car: VehicleType = CAR
+    bus: VehicleType = BUS
     seed: int = 0
 
     def __post_init__(self):
@@ -223,14 +226,15 @@ class Simulation:
         config: SimConfig,
         detectors: list[Detector] = (),
         bus_lines: list[BusLine] = (),
-        vehicle_types: Optional[dict[str, VehicleType]] = None,
     ):
         check_run(net, plans, config, detectors, bus_lines)
         self.net = net
         self.config = config
-        self.vehicle_types = {"car": CAR, "bus": BUS}
-        if vehicle_types:
-            self.vehicle_types.update(vehicle_types)
+        # mode -> (type, its _kinematics), read at insertion
+        self._types = {
+            mode: (vtype, _kinematics(vtype, config.step_length))
+            for mode, vtype in (("car", config.car), ("bus", config.bus))
+        }
         all_plans = list(plans)
         # trip id -> (stops as (route index, position), dwell) for every bus:
         # a line bus stops where its stop sequence says, a bus from a routes
@@ -846,13 +850,13 @@ class Simulation:
             ent = entry.get(eid)
             if ent is None:
                 ent = entry[eid] = self._best_entry_lane(eid)
-            vtype = self.vehicle_types.get(plan.mode, CAR)
+            vtype, kin = self._types[plan.mode]
             if ent[1] < vtype.min_gap:
                 left.append(plan)
                 continue
             del entry[eid]
             veh = _Vehicle(plan, vtype, self._equipped.get(plan.trip_id, False))
-            veh.kin = _kinematics(vtype, self.config.step_length)
+            veh.kin = kin
             stops, veh.dwell = self._bus_stops.get(plan.trip_id, ((), DEFAULT_BUS_DWELL))
             veh.stops = list(stops)
             veh.insert_time = now

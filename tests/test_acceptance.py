@@ -38,6 +38,8 @@ from trafcal.netmodel import (
     shortest_paths_from,
 )
 
+import scenarios
+
 
 class Stopwatch:
     def __init__(self, budget_s):
@@ -249,7 +251,7 @@ def test_gawron_simplex_invariants():
         before = rs.alternatives[cheapest].probability
 
         gawron_update(rs, experienced)
-        rs.check()  # sums to 1 within 1e-9, nothing negative
+        scenarios.check_route_set(rs)  # sums to 1 within 1e-9, nothing negative
         assert rs.alternatives[cheapest].probability >= before - 1e-9
     clock.check()
 
@@ -259,8 +261,8 @@ def test_gawron_simplex_invariants():
 
 def test_two_route_equilibrium_quality():
     clock = Stopwatch(60.0)
-    net = fixtures.two_route_network()
-    trips = fixtures.two_route_trips(n=200)
+    net = scenarios.two_route_network()
+    trips = scenarios.two_route_trips(n=200)
     # the fixture's stochastic noise sits around 6%, so the settled band
     # is wider than the library default
     result = equilibrium.dua_iterate(

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from trafcal import calibrate, equilibrium, fixtures
+from trafcal import calibrate, equilibrium
 from trafcal.calibrate import (
     DetectorMismatchError,
     DetectorSeries,
@@ -30,6 +30,9 @@ from trafcal.calibrate import (
     write_sweep_csv,
 )
 from trafcal.microsim import Detector, RoutePlan, SimConfig, Simulation
+from trafcal.microsim.carfollow import BUS, CAR
+
+import scenarios
 
 
 # -- the objective -----------------------------------------------------------
@@ -98,7 +101,7 @@ def test_aggregate_series_sums_windows():
 
 
 def test_sim_series_orders_by_detector():
-    net = fixtures.two_route_network()
+    net = scenarios.two_route_network()
     dets = [Detector("z", "e_out", 0, 10.0), Detector("a", "e_in", 0, 10.0)]
     plans = [RoutePlan("v0", ("e_in", "e_dn", "e_out"), 0.0)]
     out = Simulation(net, plans, SimConfig(end=86400.0), detectors=dets).run()
@@ -156,7 +159,7 @@ def test_grid_values_must_be_finite(key, value):
 
 
 def tiny_sweep_inputs():
-    net = fixtures.two_route_network()
+    net = scenarios.two_route_network()
     plans = [
         RoutePlan(f"v{i:03d}", ("e_in", "e_dn", "e_out"), float(i)) for i in range(30)
     ]
@@ -197,14 +200,15 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     base = SimConfig(
         begin=10.0, end=86410.0, step_length=0.5, ignore_junction_blocker=20.0,
         time_to_teleport=250.0, rerouting_probability=0.3, rerouting_period=120.0,
-        speed_smoothing=0.25, seed=9,
+        speed_smoothing=0.25, car=dataclasses.replace(CAR, sigma=0.3),
+        bus=dataclasses.replace(BUS, length=10.0), seed=9,
     )
     default = SimConfig()
     for f in dataclasses.fields(SimConfig):
         assert getattr(base, f.name) != getattr(default, f.name), f.name
     scored = dataclasses.replace(base, begin=default.begin, end=default.end)
 
-    net = fixtures.two_route_network()
+    net = scenarios.two_route_network()
     plans = [RoutePlan(f"v{i:03d}", ("e_in", "e_dn", "e_out"), 10.0 + i) for i in range(10)]
     dets = [Detector("d", "e_out", 0, 50.0)]
     real = sim_series(Simulation(net, plans, scored, detectors=dets).run())
@@ -229,7 +233,7 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     assert seen == [dataclasses.replace(scored, **theta)]
 
     seen.clear()
-    trips = fixtures.two_route_trips(n=10, begin=10.0)
+    trips = scenarios.two_route_trips(n=10, begin=10.0)
     equilibrium.dua_iterate(net, trips, base, equilibrium.DuaConfig(max_iter=1))
     assert seen == [dataclasses.replace(base, rerouting_probability=0.0)]
 
@@ -389,6 +393,10 @@ def test_simulation_key_covers_files_and_every_setting(tmp_path):
         simulation_key((net, routes, None), dataclasses.replace(cfg, seed=4)),
         simulation_key((net, routes, None), dataclasses.replace(cfg, rerouting_probability=0.3 + 1e-12)),
         simulation_key((net, routes, None), dataclasses.replace(cfg, end=86399.0)),
+        simulation_key((net, routes, None), dataclasses.replace(
+            cfg, car=dataclasses.replace(CAR, sigma=0.25))),
+        simulation_key((net, routes, None), dataclasses.replace(
+            cfg, bus=dataclasses.replace(BUS, length=10.0))),
     ]
     routes.write_text("{} ")
     others.append(simulation_key((net, routes, None), cfg))

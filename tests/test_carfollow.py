@@ -1,8 +1,12 @@
 """Car-following speed update: safe speed, desired speed, imperfection."""
 
+import dataclasses
 import math
 import random
 
+import pytest
+
+from trafcal.microsim import SimConfig
 from trafcal.microsim.carfollow import (
     BUS,
     CAR,
@@ -62,7 +66,8 @@ def test_safe_speed_satisfies_quadratic():
 def test_speed_box_and_envelope():
     rng = random.Random(482)
     for _ in range(2000):
-        vt = VehicleType(
+        vt = dataclasses.replace(
+            CAR,
             accel=rng.uniform(0.5, 4.0),
             decel=rng.uniform(2.0, 8.0),
             tau=rng.uniform(0.5, 2.0),
@@ -100,7 +105,21 @@ def test_next_speed_stops_at_floored_negative_gap():
 
 
 def test_default_types():
-    assert CAR.id == "car" and BUS.id == "bus"
     assert CAR.accel == 2.6 and CAR.decel == 4.5 and CAR.tau == 1.0
     assert CAR.sigma == 0.5 and CAR.min_gap == 2.5 and CAR.length == 5.0
     assert BUS.length == 12.0 and BUS.max_speed == 25.0
+    assert SimConfig().car == CAR and SimConfig().bus == BUS
+
+
+def test_vehicle_type_ranges_refuse_nan():
+    # a type may come from a config file, so each field is range-checked,
+    # in a form that NaN fails too
+    fields = dict(accel=2.6, decel=4.5, tau=1.0, sigma=0.5, min_gap=2.5, length=5.0,
+                  max_speed=50.0)
+    assert VehicleType(**fields) == CAR
+    assert VehicleType(**{**fields, "tau": 0.0, "min_gap": 0.0, "sigma": 1.0}).tau == 0.0
+    for key, bad in (("accel", 0.0), ("decel", -1.0), ("length", math.inf),
+                     ("max_speed", math.nan), ("tau", -0.1), ("min_gap", math.inf),
+                     ("tau", math.nan), ("sigma", 1.5), ("sigma", math.nan)):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            VehicleType(**{**fields, key: bad})

@@ -34,6 +34,7 @@ from trafcal.microsim import (
     save_detectors,
     save_route_plans,
 )
+from trafcal.microsim.carfollow import BUS, CAR
 from trafcal.microsim.simio import check_scenario
 from trafcal.netmodel import (
     Edge,
@@ -275,6 +276,32 @@ def test_statistics_range_error_names_the_file(ws, tmp_path, capsys):
                 "--output-dir", tmp_path / "out"]) == 3
     assert f"{path}: config: car_rate must be in [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_vehicle_types_are_run_settings(ws, tmp_path, capsys, sim_runs):
+    # `sim.car` and `sim.bus` are whole records: a partial one is refused,
+    # and a range error names the record it is in
+    cfg = tmp_path / "project.json"
+    argv = ["sim", "run", "--network", ws / "net.json", "--routes", ws / "routes.json",
+            "--output-dir", tmp_path / "out", "--config", cfg]
+    car = netmodel.record_to(CAR)
+    for sim, message in (
+        ({"bus": {"sigma": 0}}, f"{cfg}: sim.bus: missing field 'accel'"),
+        ({"car": {**car, "sigma": 1.5}},
+         "bad simulation settings: car: sigma must be in [0, 1], got 1.5"),
+        ({"bus": {**car, "length": math.nan}},
+         "bad simulation settings: bus: length must be finite and > 0, got nan"),
+        ({"car": {**car, "tau": math.nan}},
+         "bad simulation settings: car: tau must be finite and >= 0, got nan"),
+    ):
+        cfg.write_text(json.dumps({"sim": sim}) + "\n")
+        assert run(argv) == 2, sim
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists() and not sim_runs
+    # a whole record reaches the run
+    cfg.write_text(json.dumps({"sim": {"bus": {**netmodel.record_to(BUS), "sigma": 0}}}) + "\n")
+    assert run(argv) == 0
+    assert [(c.car, c.bus) for c in sim_runs] == [(CAR, dataclasses.replace(BUS, sigma=0.0))]
 
 
 def test_a_nan_gate_share_is_refused_by_name(tmp_path, capsys):

@@ -167,6 +167,28 @@ def test_validate_catches_bad_inputs():
             config(work_hours=shifts)
 
 
+def test_hours_lie_within_the_day():
+    # hours are seconds of the day: a shift at 30-40 h used to pass, and
+    # generate_trips moved nearly every one of its legs to the last second
+    net = chain_net()
+    ok = [district("a", ["e0"], workers=1, positions=1, inhabitants=1)]
+    for opening_h, closing_h, key, value in (
+        (30 * H, 40 * H, "opening_h", "108000.0"), (8 * H, 25 * H, "closing_h", "90000.0"),
+        (-H, 8 * H, "opening_h", "-3600.0"), (-math.inf, 8 * H, "opening_h", "-inf"),
+    ):
+        message = rf"{key} {value} outside \[0, 86400\] seconds of the day"
+        shifts = (WorkHours(8 * H, 17 * H, 0.5), WorkHours(opening_h, closing_h, 0.5))
+        with pytest.raises(DemandError, match=rf"work_hours\[1\]: {message}"):
+            config(work_hours=shifts)
+        school = School("s", "e1", 6, 9, 10, opening_h, closing_h)
+        with pytest.raises(DemandError, match=f"school 's': {message}"):
+            validate_inputs(Statistics(districts=ok, schools=[school], config=config()), net)
+    # the whole day, both ends included, is in
+    config(work_hours=(WorkHours(0.0, 24 * H, 1.0),))
+    school = School("s", "e1", 6, 9, 10, 0.0, 24 * H)
+    validate_inputs(Statistics(districts=ok, schools=[school], config=config()), net)
+
+
 def test_age_rules_share_one_adult_age():
     assert AGE_BRACKETS[ADULT_BRACKET_START][0] == ADULT_AGE
     assert AGE_BRACKETS[ADULT_BRACKET_START - 1][1] < ADULT_AGE

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from trafcal import equilibrium, fixtures
+from trafcal import equilibrium
 from trafcal.demandgen import Trip, expand_routes
 from trafcal.equilibrium import (
     Alternative,
@@ -20,6 +20,8 @@ from trafcal.equilibrium import (
     write_metrics_csv,
 )
 from trafcal.microsim import RoutePlan, SimConfig, VehicleResult
+
+import scenarios
 
 
 def route_set(costs, probs, chosen=0):
@@ -103,7 +105,7 @@ def test_gawron_simplex_preserved():
         probs = [x / sum(raw) for x in raw]
         rs = route_set(costs, probs, rng.randrange(k))
         gawron_update(rs, rng.uniform(0.0, 400.0))
-        rs.check()
+        scenarios.check_route_set(rs)
 
 
 def test_gawron_mass_moves_to_cheaper_route():
@@ -212,7 +214,7 @@ def result(**kw):
 
 
 def test_experienced_cost_paths():
-    net = fixtures.two_route_network()
+    net = scenarios.two_route_network()
     route = ("e_in", "e_dn", "e_out")
     # arrived: pay the actual travel time
     assert equilibrium._experienced_cost(result(), route, net) == 100.0
@@ -238,8 +240,8 @@ def test_experienced_cost_paths():
 
 
 def two_route_result(seed, max_iter=50, **kw):
-    net = fixtures.two_route_network()
-    trips = fixtures.two_route_trips(n=200, interval=1.0)
+    net = scenarios.two_route_network()
+    trips = scenarios.two_route_trips(n=200, interval=1.0)
     cfg = SimConfig(end=3600.0, step_length=1.0, seed=seed)
     params = DuaConfig(max_iter=max_iter, tol=0.1, window=5)
     return dua_iterate(net, trips, cfg, params, **kw)
@@ -255,7 +257,7 @@ def test_two_route_assignment_balances():
     assert 80 <= dn <= 120
     assert res.metrics[-1].avg_travel_time <= res.metrics[0].avg_travel_time
     for rs in res.route_sets.values():
-        rs.check()
+        scenarios.check_route_set(rs)
         assert len(rs.alternatives) <= equilibrium.MAX_ALTERNATIVES
 
 
@@ -283,8 +285,8 @@ def test_capped_run_can_skip_its_final_simulation(sim_runs, max_iter):
     assert not short.converged
     if max_iter == 1:
         free_flow = expand_routes(
-            fixtures.two_route_trips(n=200, interval=1.0),
-            fixtures.two_route_network(),
+            scenarios.two_route_trips(n=200, interval=1.0),
+            scenarios.two_route_network(),
         ).routes
         assert short.final_plans == sorted(free_flow, key=lambda p: p.trip_id)
 

@@ -1,5 +1,6 @@
 """Simulation engine: kinematics, signals, detectors, recovery actions."""
 
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 
 from trafcal import fixtures
 from trafcal.microsim import SimConfig, Simulation
-from trafcal.microsim.carfollow import VehicleType
+from trafcal.microsim.carfollow import BUS, CAR
 from trafcal.microsim.engine import STOP_SPEED
 from trafcal.microsim.simio import BusLine, Detector, RoutePlan
 from trafcal.netmodel import (
@@ -21,7 +22,7 @@ from trafcal.netmodel import (
     validate_network,
 )
 
-QUIET = VehicleType(sigma=0.0)  # deterministic driver for closed-form checks
+QUIET = dataclasses.replace(CAR, sigma=0.0)  # deterministic driver for closed-form checks
 
 
 def chain_net(lengths, speed=13.89, lanes=1, **kwargs):
@@ -52,8 +53,7 @@ def test_single_vehicle_arrival_time():
     out = Simulation(
         net,
         [RoutePlan("v0", ("e0",), 0.0)],
-        cfg(step_length=0.1),
-        vehicle_types={"car": QUIET},
+        cfg(step_length=0.1, car=QUIET),
     ).run()
     r = out.vehicles["v0"]
     assert r.arrived
@@ -65,8 +65,7 @@ def test_time_loss_is_duration_minus_free_flow():
     out = Simulation(
         net,
         [RoutePlan("v0", ("e0", "e1", "e2"), 0.0)],
-        cfg(step_length=0.1),
-        vehicle_types={"car": QUIET},
+        cfg(step_length=0.1, car=QUIET),
     ).run()
     r = out.vehicles["v0"]
     ff = sum(free_flow_time(e) for e in net.edges.values())
@@ -79,8 +78,7 @@ def test_running_count_per_minute():
     out = Simulation(
         net,
         [RoutePlan("v0", ("e0",), 0.0)],
-        cfg(step_length=0.1),
-        vehicle_types={"car": QUIET},
+        cfg(step_length=0.1, car=QUIET),
     ).run()
     # in the net at minutes 0 and 1, arrived by minute 2
     assert out.running[0] == 1 and out.running[1] == 1
@@ -116,8 +114,7 @@ def test_red_light_stops_before_line():
     out = Simulation(
         net,
         [RoutePlan("v0", ("in", "out"), 0.0)],
-        cfg(end=200.0, step_length=0.1, time_to_teleport=1e9),
-        vehicle_types={"car": QUIET},
+        cfg(end=200.0, step_length=0.1, time_to_teleport=1e9, car=QUIET),
     ).run(probe=probe)
     assert out.totals["still_running"] == 1  # never crossed
     assert all(pos < 200.0 for pos, _ in trace)
@@ -161,7 +158,7 @@ def test_actuated_green_extends_only_for_green_approaches():
             if not ends and sim.controllers["b"].index != 0:
                 ends.append(now)
 
-        out = Simulation(net, plans, cfg(end=300.0), vehicle_types={"car": QUIET}).run(probe=probe)
+        out = Simulation(net, plans, cfg(end=300.0, car=QUIET)).run(probe=probe)
         assert out.totals["arrived"] == len(plans)
         return ends[0]
 
@@ -213,9 +210,8 @@ def test_single_crossing_lands_in_one_window():
     out = Simulation(
         net,
         [RoutePlan("v0", ("e0", "e1"), 950.0)],
-        cfg(end=3600.0, step_length=0.1),
+        cfg(end=3600.0, step_length=0.1, car=QUIET),
         detectors=[det],
-        vehicle_types={"car": QUIET},
     ).run()
     counts = out.detector_counts["d0"]
     # depart 950, ~36 s to reach edge e1 and 50 m more: crossing past 986 s,
@@ -266,7 +262,7 @@ def test_different_seed_differs():
     )
 
 
-def busy_grid(logic, lanes, n, spread, seed, vehicle_types=None, **config):
+def busy_grid(logic, lanes, n, spread, seed, **config):
     """A 4x4 grid with `n` random trips departing within `spread` seconds
     (every tenth one a bus), a bus line over two stops and a 5-minute loop
     on every 7th edge."""
@@ -292,9 +288,7 @@ def busy_grid(logic, lanes, n, spread, seed, vehicle_types=None, **config):
         tuple(60.0 * i for i in range(10)), dwell=30.0,
     )
     dets = [Detector(f"d{i}", eid, 0, 100.0, window=300.0) for i, eid in enumerate(pool[::7])]
-    return Simulation(
-        net, plans, cfg(end=3600.0, seed=seed, **config), dets, [line], vehicle_types,
-    )
+    return Simulation(net, plans, cfg(end=3600.0, seed=seed, **config), dets, [line])
 
 
 def output_digest(out):
@@ -426,12 +420,8 @@ def test_followers_move_as_the_car_following_model_says():
     # carfollow.next_speed gives for each follower's previous state
     from trafcal.microsim import carfollow
 
-    types = {
-        "car": VehicleType(sigma=0.0),
-        "bus": VehicleType(id="bus", accel=1.2, decel=4.0, sigma=0.0, length=12.0,
-                           max_speed=25.0),
-    }
-    sim = busy_grid("static", 1, 800, 600.0, seed=3, vehicle_types=types)
+    sim = busy_grid("static", 1, 800, 600.0, seed=3, car=QUIET,
+                    bus=dataclasses.replace(BUS, sigma=0.0))
     prev = {}
     checked = 0
 
