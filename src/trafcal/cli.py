@@ -199,12 +199,28 @@ def cmd_net_validate(ctx: _Ctx) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
+def _generate_trips(
+    ctx: _Ctx, stats: demandgen.Statistics, net: netmodel.RoadNetwork
+) -> list[demandgen.Trip]:
+    """`demandgen.generate_trips`, logging how many departures it clamped
+    into the day: a shift hour written in hours, not seconds, causes that."""
+    trips = demandgen.generate_trips(stats, net)
+    clamped = sum(t.depart in (0.0, demandgen.LAST_DEPART_S) for t in trips)
+    if clamped:
+        ctx.log(
+            f"{clamped} of {len(trips)} departures sit at the first or last second "
+            "of the day, where generation clamps them; opening_h and closing_h "
+            "are seconds of the day"
+        )
+    return trips
+
+
 def cmd_demand_generate(ctx: _Ctx) -> int:
     # the statistics file's `config` is the base the demand settings overlay
     stats = demandgen.load_statistics(ctx.path("statistics"))
     stats = dataclasses.replace(stats, config=ctx.settings("demand", base=stats.config))
     net = netmodel.load_network(ctx.path("network"))
-    trips = demandgen.generate_trips(stats, net)
+    trips = _generate_trips(ctx, stats, net)
     expanded = demandgen.expand_routes(trips, net)
     trips_path = ctx.out_path("trips.json")
     routes_path = ctx.out_path("routes.json")
@@ -404,7 +420,7 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
 
     # ground truth: the exact pipeline a user will run, ending in one
     # simulation at the hidden true rerouting probability
-    trips = demandgen.generate_trips(stats, scenario.net)
+    trips = _generate_trips(ctx, stats, scenario.net)
     ctx.log(f"twin demand: {len(trips)} trips")
     # only the routes are read, so the cap round that cannot change them
     # is not simulated

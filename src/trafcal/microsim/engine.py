@@ -26,21 +26,21 @@ Loop layout. The active edges are kept sorted as they change, and one copy
 of that order serves both per-vehicle passes of a step, since the speed
 pass moves no vehicle. Both passes are flat loops over locals: an edge is
 read through one attribute tuple, a vehicle's type through its
-precomputed Krauss constants. The speed pass inlines the Krauss step of
-`carfollow.next_speed` with the same operations in the same order (a test
-holds it to that function), and a front vehicle's look across the
-junction: its next edge and signalised turn are cached on the vehicle
-whenever its route or edge changes, the signal state is read once per
-junction and step, and the room on the next edge is found as
-`_best_entry_lane` finds it. (Keeping that room for the rest of the pass
-was measured and dropped: fewer than one front in ten shares a next edge
-with an earlier one, and the lookups cost more than they saved.) The move
-pass lists the vehicles that have stood still long enough for an override
-or a teleport, so those phases look at nothing else. Crossing, overrides,
-teleports and insertion are cold paths, each using the one definition of
-the helpers it needs: crossing and overrides use `_crossing_state`,
-`_best_entry_lane`, `_exit_edge` and `_enter_edge`; teleports and
-insertion use only `_best_entry_lane` and `_enter_edge`.
+precomputed Krauss constants. Each junction movement is one shared
+`_Connection` record, and a vehicle points at the one ending its edge
+whenever its route or edge changes, so what a front meets at its stop
+line (the next edge, its signal and lanes, or its trip's end) is worked
+out there alone. The speed pass inlines `carfollow.next_speed`, `_green`
+(one signal read per junction and step) and `_best_entry_lane` with
+their operations in order; tests hold it to them. Keeping a next edge's
+room for the rest of the pass was measured and dropped: fewer than one
+front in ten shares a next edge with an earlier one, and the lookups
+cost more than they saved. The move pass lists the vehicles that have
+stood still long enough for an override or a teleport, so those phases
+look at nothing else. Crossing, overrides, teleports and insertion are
+cold paths: crossing and overrides use `_green`, `_best_entry_lane`,
+`_exit_edge` and `_enter_edge`; teleports and insertion use only
+`_best_entry_lane` and `_enter_edge`.
 """
 
 from __future__ import annotations
@@ -160,6 +160,17 @@ def _kinematics(vtype: VehicleType, dt: float) -> tuple:
     )
 
 
+# a junction movement as a front on its in edge meets it: the out edge, its
+# signal as (junction id, index into the state string) or None, and the out
+# edge's length and lanes
+@dataclass(frozen=True, slots=True)
+class _Connection:
+    out: str
+    signal: Optional[tuple[str, int]]
+    length: float
+    lanes: list[deque]
+
+
 def _in_sorted(items: list, item) -> bool:
     at = bisect.bisect_left(items, item)
     return at < len(items) and items[at] == item
@@ -195,7 +206,7 @@ class _Vehicle:
         self.dwell_until = -math.inf
         self.edge_entered = 0.0
         self.kin: tuple = ()  # _kinematics of its type
-        self.ahead: Optional[tuple] = None  # see Simulation._look_ahead
+        self.ahead: Optional[_Connection] = None  # see Simulation._look_ahead
 
 
 def check_run(
@@ -284,17 +295,21 @@ class Simulation:
         self._tls_cache: dict[str, str] = {}
         self.detectors = list(detectors)
         detected = {det.edge_id for det in self.detectors}
-        # edge id -> (length, speed limit, lanes, signalised turns, whether
-        # it has detectors), where a signalised turn maps an out edge to
-        # (junction id, index into the state string); the per-vehicle loops
-        # read an edge through these
-        self._edge_info: dict[str, tuple[float, float, list[deque], dict, bool]] = {
-            e.id: (e.length, e.speed_limit, self.lanes[e.id], {}, e.id in detected)
+        # edge id -> (length, speed limit, lanes, whether it has detectors);
+        # the per-vehicle loops read an edge through these
+        self._edge_info: dict[str, tuple[float, float, list[deque], bool]] = {
+            e.id: (e.length, e.speed_limit, self.lanes[e.id], e.id in detected)
             for e in net.edges.values()
         }
-        for jid in net.tls_programs:
-            for i, (ein, eout) in enumerate(net.connections(jid)):
-                self._edge_info[ein][3][eout] = (jid, i)
+        # (in edge, out edge) -> its _Connection, over every junction
+        self._connections: dict[tuple[str, str], _Connection] = {
+            (ein, eout): _Connection(
+                eout, (jid, i) if jid in net.tls_programs else None,
+                net.edges[eout].length, self.lanes[eout],
+            )
+            for jid in net.junctions
+            for i, (ein, eout) in enumerate(net.connections(jid))
+        }
 
         self._lane_detectors: dict[tuple[str, int], list[Detector]] = {}
         for det in self.detectors:
@@ -304,21 +319,19 @@ class Simulation:
         span = config.end - config.begin
         self.counts: dict[str, list[int]] = {}
         self.det_window: dict[str, float] = {}
-        self._det_n: dict[str, int] = {}
         for d in self.detectors:
-            n = max(1, math.ceil(span / d.window - 1e-9))
-            self.counts[d.id] = [0] * n
+            self.counts[d.id] = [0] * max(1, math.ceil(span / d.window - 1e-9))
             self.det_window[d.id] = d.window
-            self._det_n[d.id] = n
         self.n_minutes = int(span // 60) + 1
         self.running = [0] * self.n_minutes
 
-        self.edge_time_sum: dict[str, float] = {}
-        self.edge_time_n: dict[str, int] = {}
+        # edge id -> running [sum, count] of its traversal times over the
+        # run, and of its speeds over the rerouting period, added in exit order
+        self._edge_time: dict[str, list] = {}
+        self._period_speed: dict[str, list] = {}
         self._est_speed: dict[str, float] = {
             e.id: e.speed_limit for e in net.edges.values()
         }
-        self._period_speed: dict[str, list[float]] = {}
 
         self.totals = {
             "loaded": float(len(self.plans)),
@@ -339,25 +352,25 @@ class Simulation:
 
     # -- access helpers -----------------------------------------------------
 
-    def _crossing_state(self, ein: str, eout: str, now: float) -> str:
-        key = self._edge_info[ein][3].get(eout)
-        if key is None:
-            return "G"
-        jid, i = key
+    def _green(self, conn: _Connection, now: float) -> bool:
+        """Whether `conn` has green at `now`, reading a junction's state once
+        per step into the cache the speed pass shares; unsignalised is green."""
+        if conn.signal is None:
+            return True
+        jid, i = conn.signal
         state = self._tls_cache.get(jid)
         if state is None:
-            state = self.controllers[jid].state(now)
-            self._tls_cache[jid] = state
-        return state[i]
+            state = self._tls_cache[jid] = self.controllers[jid].state(now)
+        return state[i] == "G"
 
     def _best_entry_lane(self, edge_id: str) -> tuple[int, float, Optional[_Vehicle]]:
         """Lane with the most room at the edge start: (lane, rear space, last vehicle)."""
         best_li, best_space, best_last = 0, -math.inf, None
-        length, _, lanes, _, _ = self._edge_info[edge_id]
+        length, _, lanes, _ = self._edge_info[edge_id]
         for li, lane in enumerate(lanes):
             if lane:
                 last = lane[-1]
-                space = last.pos - last.vtype.length
+                space = last.pos - last.kin[7]
             else:
                 last = None
                 space = length
@@ -366,15 +379,11 @@ class Simulation:
         return best_li, best_space, best_last
 
     def _look_ahead(self, veh: _Vehicle) -> None:
-        """Set what the vehicle meets at the end of its edge, for the speed
-        pass: (next edge, its signalised turn or None), or None on the last
-        edge of its route. Whatever changes `route` or `idx` calls this."""
-        j = veh.idx + 1
-        if j >= len(veh.route):
-            veh.ahead = None
-        else:
-            nxt = veh.route[j]
-            veh.ahead = (nxt, self._edge_info[veh.route[veh.idx]][3].get(nxt))
+        """Point the vehicle at the _Connection it meets at the end of its
+        edge, or None on the last edge of its route. Whatever changes
+        `route` or `idx` calls this."""
+        j, route = veh.idx + 1, veh.route
+        veh.ahead = self._connections[route[j - 1], route[j]] if j < len(route) else None
 
     def _deactivate_if_empty(self, eid: str) -> None:
         if not any(self.lanes[eid]):
@@ -492,7 +501,7 @@ class Simulation:
         controllers = self.controllers
         inf = math.inf
         for eid in edges:
-            length, v_lim, lanes, _, _ = info[eid]
+            length, v_lim, lanes, _ = info[eid]
             for lane in lanes:
                 lead_rear = None
                 lead_speed = 0.0
@@ -517,11 +526,11 @@ class Simulation:
                         if ahead is None:
                             gap = None  # arrival: free run off the end
                         else:
-                            nxt, turn = ahead
-                            if turn is None:
+                            signal = ahead.signal
+                            if signal is None:
                                 green = True
                             else:
-                                jid, ci = turn
+                                jid, ci = signal
                                 state = tls_cache.get(jid)
                                 if state is None:
                                     state = tls_cache[jid] = controllers[jid].state(now)
@@ -531,10 +540,10 @@ class Simulation:
                                 lead_speed = 0.0
                             else:
                                 # the room and last vehicle _best_entry_lane finds
-                                n_length, _, n_lanes, _, _ = info[nxt]
+                                n_length = ahead.length
                                 space = -inf
                                 last = None
-                                for n_lane in n_lanes:
+                                for n_lane in ahead.lanes:
                                     if n_lane:
                                         n_last = n_lane[-1]
                                         n_space = n_last.pos - n_last.kin[7]
@@ -586,7 +595,7 @@ class Simulation:
         vehicles = self.vehicles
         stalled = []
         for eid in edges:
-            length, _, lanes, _, detected = info[eid]
+            length, _, lanes, detected = info[eid]
             for li, lane in enumerate(lanes):
                 if not lane:
                     continue
@@ -600,7 +609,7 @@ class Simulation:
                     new_pos = pos + v * dt
                     if new_pos > length:
                         veh.moved = k
-                        if front and self._cross(veh, eid, new_pos - length, v, now, dt):
+                        if front and self._cross(veh, new_pos - length, v, now, dt):
                             # it keeps its waiting clock when it creeps over
                             since = veh.stopped_since
                             if (
@@ -650,24 +659,23 @@ class Simulation:
         return new_pos
 
     def _cross(
-        self, veh: _Vehicle, eid: str, overshoot: float, v: float, now: float,
-        dt: float,
+        self, veh: _Vehicle, overshoot: float, v: float, now: float, dt: float,
     ) -> bool:
         """Move a front vehicle off its edge: either the trip ends here or
         it enters the next edge. Returns False if it must hold at the line."""
-        if veh.idx + 1 >= len(veh.route):
+        conn = veh.ahead
+        if conn is None:
             self._exit_edge(veh, now, timed=False)
             del self.vehicles[veh.trip_id]
             self.totals["arrived"] += 1
             self._record(veh, arrived=True, end_time=now + dt)
             return True
-        nxt = veh.route[veh.idx + 1]
-        if self._crossing_state(eid, nxt, now) != "G":
+        if not self._green(conn, now):
             return False
-        li_new, space, last = self._best_entry_lane(nxt)
+        li_new, space, last = self._best_entry_lane(conn.out)
         entry = overshoot
         if last is not None:
-            limit = last.pos - last.vtype.length - veh.vtype.min_gap
+            limit = space - veh.vtype.min_gap
             if limit < 0:
                 return False
             entry = min(entry, limit)
@@ -689,9 +697,10 @@ class Simulation:
         veh.ff_done += netmodel.free_flow_time(edge)
         if timed:
             t = now - veh.edge_entered + self.config.step_length
-            self.edge_time_sum[eid] = self.edge_time_sum.get(eid, 0.0) + t
-            self.edge_time_n[eid] = self.edge_time_n.get(eid, 0) + 1
-            self._period_speed.setdefault(eid, []).append(edge.length / t)
+            for stats, x in ((self._edge_time, t), (self._period_speed, edge.length / t)):
+                run = stats.setdefault(eid, [0.0, 0])
+                run[0] += x
+                run[1] += 1
 
     def _enter_edge(
         self, veh: _Vehicle, j: int, li: int, pos: float, speed: float,
@@ -733,8 +742,8 @@ class Simulation:
         """Fold the period's observed edge speeds into the running estimate."""
         alpha = self.config.speed_smoothing
         for eid in sorted(self._period_speed):
-            obs = self._period_speed[eid]
-            mean = netmodel.left_sum(obs) / len(obs)
+            total, n = self._period_speed[eid]
+            mean = total / n
             self._est_speed[eid] = (1 - alpha) * self._est_speed[eid] + alpha * mean
         self._period_speed.clear()
 
@@ -744,11 +753,9 @@ class Simulation:
             return
         for det in group:
             if prev < det.position <= new:
-                w = min(
-                    int((now - self.config.begin) // det.window),
-                    self._det_n[det.id] - 1,
-                )
-                self.counts[det.id][w] += 1
+                counts = self.counts[det.id]
+                w = int((now - self.config.begin) // det.window)
+                counts[min(w, len(counts) - 1)] += 1
 
     def _blocker_overrides(self, now: float, stalled: list[_Vehicle]) -> None:
         """Push a lane's front vehicle that has waited at the line for
@@ -771,19 +778,19 @@ class Simulation:
         while todo:
             eid, li = heapq.heappop(todo)
             veh = lanes[eid][li][0]
+            conn = veh.ahead
             if (
                 veh.stopped_since is None
                 or now - veh.stopped_since < ignore
                 # a follower blocked by the next edge parks up to one
                 # min_gap short of the line in addition to AT_LINE
                 or self._edge_info[eid][0] - veh.pos > veh.vtype.min_gap + AT_LINE
-                or veh.idx + 1 >= len(veh.route)
+                or conn is None
                 or veh.dwell_until > now
+                or not self._green(conn, now)
             ):
                 continue
-            nxt = veh.route[veh.idx + 1]
-            if self._crossing_state(eid, nxt, now) != "G":
-                continue
+            nxt = conn.out
             li_new, space, _ = self._best_entry_lane(nxt)
             if space <= OVERRIDE_MIN_SPACE:
                 continue
@@ -815,15 +822,12 @@ class Simulation:
             and v.dwell_until <= now
         ]
         for veh in sorted(stuck, key=lambda v: v.trip_id):
-            dest = None
             for j in range(veh.idx + 1, len(veh.route)):
                 li, space, _ = self._best_entry_lane(veh.route[j])
                 if space >= veh.vtype.length + veh.vtype.min_gap:
-                    dest = (j, li)
                     break
-            if dest is None:
-                continue
-            j, li = dest
+            else:
+                continue  # no edge ahead has room
             eid = veh.route[veh.idx]
             self.lanes[eid][veh.lane].remove(veh)
             self._deactivate_if_empty(eid)
@@ -872,9 +876,7 @@ class Simulation:
         )
         for trip_id in sorted(self.vehicles):
             veh = self.vehicles[trip_id]
-            if not veh.equipped:
-                continue
-            if veh.idx + 1 >= len(veh.route):
+            if not veh.equipped or veh.ahead is None:
                 continue
             new_tail = routes.route(veh.route[veh.idx], veh.route[-1])
             if new_tail is not None and new_tail != veh.route[veh.idx:]:
@@ -917,10 +919,8 @@ class Simulation:
         self.totals["avg_speed"] = total_dist / total_time if total_time > 0 else 0.0
         edge_mean = {}
         for eid, edge in self.net.edges.items():
-            n = self.edge_time_n.get(eid, 0)
-            edge_mean[eid] = (
-                self.edge_time_sum[eid] / n if n else netmodel.free_flow_time(edge)
-            )
+            total, n = self._edge_time.get(eid, (0.0, 0))
+            edge_mean[eid] = total / n if n else netmodel.free_flow_time(edge)
         return SimOutput(
             detector_counts=self.counts,
             detector_window=dict(self.det_window),

@@ -340,6 +340,26 @@ def test_shift_hours_are_checked_where_they_are_read(ws, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_demand_generate_reports_the_departures_it_clamps(ws, tmp_path, capsys):
+    # shift hours written as hours (8 for 08:00) put every outbound leg
+    # before midnight, where generation clamps it to the first second
+    generate = ["demand", "generate", "--network", ws / "net.json",
+                "--statistics", ws / "statistics.json"]
+    assert run([*generate, "--output-dir", tmp_path / "seconds"]) == 0
+    assert "clamps" not in capsys.readouterr().err
+    shifts = [{"opening_h": 8.0, "closing_h": 17.0, "worker_share": 1.0}]
+    cfg = tmp_path / "project.json"
+    cfg.write_text(json.dumps({"demand": {"work_hours": shifts}}) + "\n")
+    assert run([*generate, "--config", cfg, "--output-dir", tmp_path / "hours"]) == 0
+    trips = read_trips(tmp_path / "hours" / "trips.json")
+    clamped = sum(t.depart == 0.0 for t in trips)
+    assert 0 < clamped < len(trips)
+    assert (
+        f"[seed 0] {clamped} of {len(trips)} departures sit at the first or last second of the day, "
+        "where generation clamps them; opening_h and closing_h are seconds of the day\n"
+    ) in capsys.readouterr().err
+
+
 def test_non_finite_settings_exit_two(tmp_path, capsys):
     # a NaN or an infinity in a grid or run setting is a usage error naming
     # its field: rounding an infinite grid step, or sizing the per-minute

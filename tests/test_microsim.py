@@ -347,8 +347,8 @@ def test_engine_outputs_are_pinned():
             overrides(now, *args)
             fired["override"] += sum(veh.idx for veh in sim.vehicles.values()) - before
 
-        def counted_cross(veh, eid, overshoot, v, now, *args):
-            crossed = cross(veh, eid, overshoot, v, now, *args)
+        def counted_cross(veh, overshoot, v, now, *args):
+            crossed = cross(veh, overshoot, v, now, *args)
             fired["creep_at_teleport"] += (
                 crossed and v < STOP_SPEED and veh.trip_id in sim.vehicles
                 and now - veh.stopped_since >= teleport
@@ -450,6 +450,62 @@ def test_followers_move_as_the_car_following_model_says():
     out = sim.run(probe=probe)
     assert out.totals["collisions"] == 0
     assert checked > 10_000
+
+
+def test_fronts_move_as_the_car_following_model_says():
+    # the same check for each lane's front, whose leader is across the
+    # junction: a line without green at the next step is a standing wall,
+    # a green one shows the last vehicle of the next edge's roomiest lane
+    # beyond the line, and with neither the road is free
+    from trafcal.microsim import carfollow
+
+    sim = busy_grid("static", 1, 800, 600.0, seed=3, car=QUIET,
+                    bus=dataclasses.replace(BUS, sigma=0.0))
+    net = sim.net
+    prev = {}
+    checked = dict.fromkeys(("red", "leader", "free"), 0)
+
+    def probe(sim, now):
+        nonlocal prev
+        for trip_id, (idx, li, args, case) in prev.items():
+            veh = sim.vehicles.get(trip_id)
+            if veh is None or veh.idx != idx or veh.lane != li:
+                continue  # arrived, crossed, overridden or teleported
+            if veh.pos >= net.edges[veh.route[idx]].length:
+                continue  # held at the stop line
+            assert veh.speed == carfollow.next_speed(*args, 1.0, 0.0), (trip_id, now, case)
+            checked[case] += 1
+        prev = {}
+        for eid in sim.active_edges:
+            edge = net.edges[eid]
+            for li, lane in enumerate(sim.lanes[eid]):
+                if not lane:
+                    continue
+                veh = lane[0]
+                vt = veh.vtype
+                if veh.dwell_until > now or (veh.stops and veh.stops[0][0] == veh.idx):
+                    continue  # held by a dwell, or capped by the next stop
+                gap, lead_speed, case = math.inf, 0.0, "free"
+                if veh.idx + 1 < len(veh.route):
+                    nxt = veh.route[veh.idx + 1]
+                    jid = edge.to_junction
+                    state = "G"
+                    if jid in sim.controllers:
+                        i = net.connections(jid).index((eid, nxt))
+                        state = sim.controllers[jid].state(now + 1.0)[i]
+                    if state != "G":
+                        gap, case = edge.length - veh.pos, "red"
+                    else:
+                        _, space, last = sim._best_entry_lane(nxt)
+                        if last is not None:
+                            gap = edge.length - veh.pos + space - vt.min_gap
+                            lead_speed, case = last.speed, "leader"
+                args = (veh.speed, min(edge.speed_limit, vt.max_speed), gap, lead_speed, vt)
+                prev[veh.trip_id] = (veh.idx, li, args, case)
+
+    out = sim.run(probe=probe)
+    assert out.totals["collisions"] == 0
+    assert min(checked.values()) >= 500, checked
 
 
 # -- recovery: teleports and junction blockers -------------------------------
