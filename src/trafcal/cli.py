@@ -473,7 +473,8 @@ def cmd_fixture_make(ctx: _Ctx) -> int:
 class _Command:
     """One subcommand: its handler and help, the path keys it reads, the
     settings sections whose flags it takes, its own (flag, type, help), and
-    the section keys it sets itself, which take no flag."""
+    the section keys that take no flag: those it sets itself, or that have
+    one usable value (`calibrate.check_scored_day`)."""
 
     handler: typing.Callable[[_Ctx], int]
     help: str
@@ -484,6 +485,8 @@ class _Command:
 
 
 _SCENARIO = ("network", "routes", "detectors", "bus_lines")
+# the scoring stages set the probability and score the whole day only
+_SCORED = ("begin", "end", "rerouting_probability")
 
 # each group of subcommands and its help
 _GROUPS = {
@@ -505,7 +508,7 @@ _COMMANDS = {
     ("calib", "sweep"): _Command(
         cmd_calib_sweep, "grid sweep of the rerouting probability",
         (*_SCENARIO, "measurements"), ("sim", "sweep"), (("--workers", int, None),),
-        ("rerouting_probability",),
+        _SCORED,
     ),
     ("data", "ingest"): _Command(
         cmd_data_ingest, "average raw counts into daily series", ("measurements",),
@@ -518,7 +521,7 @@ _COMMANDS = {
     ("report", "validate"): _Command(
         cmd_report_validate, "score a simulation against data",
         (*_SCENARIO, "measurements"), ("sim",),
-        (("--p", float, "rerouting probability to validate"),), ("rerouting_probability",),
+        (("--p", float, "rerouting probability to validate"),), _SCORED,
     ),
     ("fixture", "make"): _Command(cmd_fixture_make, "write the grid and twin fixtures"),
 }

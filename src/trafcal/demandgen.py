@@ -120,8 +120,9 @@ class DemandConfig:
                 raise DemandError(f"{bound} must be in [0, 1]")
         if self.incoming_total < 0 or self.outgoing_total < 0:
             raise DemandError("gate totals must be >= 0")
-        if not self.departure_jitter_sd >= 0:
-            raise DemandError("departure_jitter_sd must be >= 0")
+        # an infinite spread clamps every commute departure to midnight
+        if not 0 <= self.departure_jitter_sd < math.inf:
+            raise DemandError("departure_jitter_sd must be finite and >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)

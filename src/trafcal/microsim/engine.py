@@ -13,28 +13,30 @@ teleport or its insertion) it enters through one helper. Driving off an
 edge goes through one helper too, where detectors, distance and edge times
 count the rest of the edge. A teleport takes the vehicle off its lane
 without it: nothing counts the rest of the edge it leaves or the edges it
-skips, and only their free-flow times join the baseline.
-Bus stops are resolved once per trip, before the run. A network with a
-signal program the engine cannot run (`netmodel.engine_violations`) is
+skips, and only their free-flow times join the baseline. Bus stops are
+resolved once per trip, before the run. A network with a signal program,
+edge or bus stop the engine cannot run (`netmodel.engine_violations`) is
 refused before anything is built, and so is the first trip, detector or
 bus line it cannot run (`simio.check_scenario`), so the run itself meets
-only known, connected edges and unique ids. All randomness comes from named
-substreams of the run seed, and every container is walked in a sorted
-order, so equal seeds give byte-equal outputs.
+only known, connected edges and unique ids. All randomness comes from
+named substreams of the run seed, and every container is walked in a
+sorted order, so equal seeds give byte-equal outputs.
 
-Loop layout. The active edges are kept sorted as they change, and one copy
-of that order serves both per-vehicle passes of a step, since the speed
-pass moves no vehicle. Both passes are flat loops over locals: an edge is
-read through one attribute tuple, a vehicle's type through its
-precomputed Krauss constants. Each junction movement is one shared
-`_Connection` record, and a vehicle points at the one ending its edge
-whenever its route or edge changes, so what a front meets at its stop
-line (the next edge, its signal and lanes, or its trip's end) is worked
-out there alone. The speed pass inlines `carfollow.next_speed`, `_green`
-(one signal read per junction and step) and `_best_entry_lane` with
-their operations in order; tests hold it to them. Keeping a next edge's
-room for the rest of the pass was measured and dropped: fewer than one
-front in ten shares a next edge with an earlier one, and the lookups
+Loop layout. Each edge is one `_Edge` record, built once from the network:
+its length, limit and free-flow time, its lanes and their detectors, and
+its traversal and rerouting statistics, so no step reads the network's
+edges. The active edges are kept as sorted ids, and one copy of that order
+serves both per-vehicle passes of a step, since the speed pass moves no
+vehicle. Both passes are flat loops over locals: an edge is read through
+its record, a vehicle's type through its precomputed Krauss constants.
+Each junction movement is one shared `_Connection` record, the out edge's
+record and its signal, and a vehicle points at the one ending its edge
+whenever its route or edge changes, so what a front meets at its stop line
+is worked out there alone. The speed pass inlines `carfollow.next_speed`,
+`_green` (one signal read per junction and step) and `_best_entry_lane`
+with their operations in order; tests hold it to them. Keeping a next
+edge's room for the rest of the pass was measured and dropped: fewer than
+one front in ten shares a next edge with an earlier one, and the lookups
 cost more than they saved. The move pass lists the vehicles that have
 stood still long enough for an override or a teleport, so those phases
 look at nothing else. Crossing, overrides, teleports and insertion are
@@ -160,15 +162,29 @@ def _kinematics(vtype: VehicleType, dt: float) -> tuple:
     )
 
 
-# a junction movement as a front on its in edge meets it: the out edge, its
-# signal as (junction id, index into the state string) or None, and the out
-# edge's length and lanes
+# one per network edge: its static data, lanes, each lane's detectors sorted
+# by (position, id) or None when it has none, the rerouting speed estimate,
+# and running [sum, count] of its traversal times over the run and of its
+# speeds over the rerouting period, added in exit order
+@dataclass(slots=True, eq=False)
+class _Edge:
+    id: str
+    length: float
+    speed_limit: float
+    free_flow: float
+    lanes: list[deque]
+    detectors: Optional[list[list[Detector]]]
+    est_speed: float
+    run_time: list
+    period_speed: list
+
+
+# a junction movement as a front on its in edge meets it: the out edge and
+# its signal as (junction id, index into the state string) or None
 @dataclass(frozen=True, slots=True)
 class _Connection:
-    out: str
+    edge: _Edge
     signal: Optional[tuple[str, int]]
-    length: float
-    lanes: list[deque]
 
 
 def _in_sorted(items: list, item) -> bool:
@@ -217,13 +233,13 @@ def check_run(
     bus_lines: list[BusLine] = (),
 ) -> None:
     """Raise `ValueError` for the first thing a run of `plans` on `net`
-    under `config` cannot simulate: a junction with a violation of
-    `netmodel.engine_violations`, then the trip, detector or bus line
+    under `config` cannot simulate: the junction, edge or bus stop of the
+    first `netmodel.engine_violations`, then the trip, detector or bus line
     `simio.check_scenario` refuses, each named in the message."""
     refused = netmodel.engine_violations(net)
     if refused:
         v = refused[0]
-        raise ValueError(f"junction '{v.subject_id}': {v.message}")
+        raise ValueError(f"{netmodel.ENGINE_CODES[v.code]} '{v.subject_id}': {v.message}")
     check_scenario(net, plans, detectors, bus_lines, config.begin)
 
 
@@ -278,9 +294,6 @@ class Simulation:
                 )
         self._noise = random.Random(f"{config.seed}/noise")
 
-        self.lanes: dict[str, list[deque]] = {
-            e.id: [deque() for _ in range(e.lane_count)] for e in net.edges.values()
-        }
         self.active_edges: list[str] = []  # edges with a vehicle, sorted
         self.vehicles: dict[str, _Vehicle] = {}
         self.results: dict[str, VehicleResult] = {}
@@ -294,28 +307,28 @@ class Simulation:
         ]
         self._tls_cache: dict[str, str] = {}
         self.detectors = list(detectors)
-        detected = {det.edge_id for det in self.detectors}
-        # edge id -> (length, speed limit, lanes, whether it has detectors);
-        # the per-vehicle loops read an edge through these
-        self._edge_info: dict[str, tuple[float, float, list[deque], bool]] = {
-            e.id: (e.length, e.speed_limit, self.lanes[e.id], e.id in detected)
+        lane_detectors: dict[str, list[list[Detector]]] = {}
+        for det in sorted(self.detectors, key=lambda d: (d.position, d.id)):
+            lane_detectors.setdefault(
+                det.edge_id, [[] for _ in range(net.edges[det.edge_id].lane_count)]
+            )[det.lane].append(det)
+        self.edges: dict[str, _Edge] = {
+            e.id: _Edge(
+                e.id, e.length, e.speed_limit, netmodel.free_flow_time(e),
+                [deque() for _ in range(e.lane_count)], lane_detectors.get(e.id),
+                e.speed_limit, [0.0, 0], [0.0, 0],
+            )
             for e in net.edges.values()
         }
         # (in edge, out edge) -> its _Connection, over every junction
         self._connections: dict[tuple[str, str], _Connection] = {
             (ein, eout): _Connection(
-                eout, (jid, i) if jid in net.tls_programs else None,
-                net.edges[eout].length, self.lanes[eout],
+                self.edges[eout], (jid, i) if jid in net.tls_programs else None
             )
             for jid in net.junctions
             for i, (ein, eout) in enumerate(net.connections(jid))
         }
 
-        self._lane_detectors: dict[tuple[str, int], list[Detector]] = {}
-        for det in self.detectors:
-            self._lane_detectors.setdefault((det.edge_id, det.lane), []).append(det)
-        for group in self._lane_detectors.values():
-            group.sort(key=lambda d: (d.position, d.id))
         span = config.end - config.begin
         self.counts: dict[str, list[int]] = {}
         self.det_window: dict[str, float] = {}
@@ -324,14 +337,6 @@ class Simulation:
             self.det_window[d.id] = d.window
         self.n_minutes = int(span // 60) + 1
         self.running = [0] * self.n_minutes
-
-        # edge id -> running [sum, count] of its traversal times over the
-        # run, and of its speeds over the rerouting period, added in exit order
-        self._edge_time: dict[str, list] = {}
-        self._period_speed: dict[str, list] = {}
-        self._est_speed: dict[str, float] = {
-            e.id: e.speed_limit for e in net.edges.values()
-        }
 
         self.totals = {
             "loaded": float(len(self.plans)),
@@ -363,17 +368,16 @@ class Simulation:
             state = self._tls_cache[jid] = self.controllers[jid].state(now)
         return state[i] == "G"
 
-    def _best_entry_lane(self, edge_id: str) -> tuple[int, float, Optional[_Vehicle]]:
+    def _best_entry_lane(self, edge: _Edge) -> tuple[int, float, Optional[_Vehicle]]:
         """Lane with the most room at the edge start: (lane, rear space, last vehicle)."""
         best_li, best_space, best_last = 0, -math.inf, None
-        length, _, lanes, _ = self._edge_info[edge_id]
-        for li, lane in enumerate(lanes):
+        for li, lane in enumerate(edge.lanes):
             if lane:
                 last = lane[-1]
                 space = last.pos - last.kin[7]
             else:
                 last = None
-                space = length
+                space = edge.length
             if space > best_space:
                 best_li, best_space, best_last = li, space, last
         return best_li, best_space, best_last
@@ -385,10 +389,10 @@ class Simulation:
         j, route = veh.idx + 1, veh.route
         veh.ahead = self._connections[route[j - 1], route[j]] if j < len(route) else None
 
-    def _deactivate_if_empty(self, eid: str) -> None:
-        if not any(self.lanes[eid]):
+    def _deactivate_if_empty(self, edge: _Edge) -> None:
+        if not any(edge.lanes):
             order = self.active_edges
-            del order[bisect.bisect_left(order, eid)]
+            del order[bisect.bisect_left(order, edge.id)]
 
     # -- main loop ----------------------------------------------------------
 
@@ -482,11 +486,11 @@ class Simulation:
         detection range of the stop line on an approach that has green."""
         for ctrl in self._actuated:
             conns = self.net.connections(ctrl.program.junction_id)
-            green = {ein for (ein, _), ch in zip(conns, ctrl.state(now)) if ch == "G"}
+            green = [self.edges[ein] for (ein, _), ch in zip(conns, ctrl.state(now)) if ch == "G"]
             ctrl.step(now, any(
-                self.net.edges[ein].length - lane[0].pos <= tls.DETECTION_RANGE
-                for ein in green
-                for lane in self.lanes[ein] if lane
+                edge.length - lane[0].pos <= tls.DETECTION_RANGE
+                for edge in green
+                for lane in edge.lanes if lane
             ))
 
     def _compute_speeds(self, edges: list[str], now: float, dt: float) -> None:
@@ -496,13 +500,14 @@ class Simulation:
         the lane it would enter next, or stops at a line without green."""
         noise = self._noise.random
         sqrt = math.sqrt
-        info = self._edge_info
+        records = self.edges
         tls_cache = self._tls_cache
         controllers = self.controllers
         inf = math.inf
         for eid in edges:
-            length, v_lim, lanes, _ = info[eid]
-            for lane in lanes:
+            edge = records[eid]
+            length, v_lim = edge.length, edge.speed_limit
+            for lane in edge.lanes:
                 lead_rear = None
                 lead_speed = 0.0
                 for veh in lane:
@@ -540,10 +545,11 @@ class Simulation:
                                 lead_speed = 0.0
                             else:
                                 # the room and last vehicle _best_entry_lane finds
-                                n_length = ahead.length
+                                n_edge = ahead.edge
+                                n_length = n_edge.length
                                 space = -inf
                                 last = None
-                                for n_lane in ahead.lanes:
+                                for n_lane in n_edge.lanes:
                                     if n_lane:
                                         n_last = n_lane[-1]
                                         n_space = n_last.pos - n_last.kin[7]
@@ -587,7 +593,7 @@ class Simulation:
         least the shorter of the junction-blocker and teleport thresholds,
         whether it stayed on its edge or crept over the stop line; the two
         phases after this one look at no other vehicle."""
-        info = self._edge_info
+        records = self.edges
         cfg = self.config
         waited = min(cfg.ignore_junction_blocker, cfg.time_to_teleport)
         stop_speed = STOP_SPEED
@@ -595,8 +601,9 @@ class Simulation:
         vehicles = self.vehicles
         stalled = []
         for eid in edges:
-            length, _, lanes, detected = info[eid]
-            for li, lane in enumerate(lanes):
+            edge = records[eid]
+            length, detected = edge.length, edge.detectors is not None
+            for li, lane in enumerate(edge.lanes):
                 if not lane:
                     continue
                 prev_rear = inf
@@ -630,7 +637,7 @@ class Simulation:
                         v = 0.0
                     if new_pos > pos:
                         if detected:
-                            self._detector_sweep(eid, li, pos, new_pos, now)
+                            self._detector_sweep(edge, li, pos, new_pos, now)
                         if veh.stops:
                             new_pos = self._bus_stop_check(veh, new_pos, now)
                     veh.distance += new_pos - pos
@@ -672,7 +679,7 @@ class Simulation:
             return True
         if not self._green(conn, now):
             return False
-        li_new, space, last = self._best_entry_lane(conn.out)
+        li_new, space, last = self._best_entry_lane(conn.edge)
         entry = overshoot
         if last is not None:
             limit = space - veh.vtype.min_gap
@@ -688,17 +695,15 @@ class Simulation:
         edge: the lane's detectors ahead of it and the metres to the line
         count, and the edge's free-flow time joins the baseline. `timed`
         also records how long the edge took, which an arrival does not."""
-        eid = veh.route[veh.idx]
-        edge = self.net.edges[eid]
-        self._detector_sweep(eid, veh.lane, veh.pos, edge.length, now)
+        edge = self.edges[veh.route[veh.idx]]
+        self._detector_sweep(edge, veh.lane, veh.pos, edge.length, now)
         veh.distance += edge.length - veh.pos
-        self.lanes[eid][veh.lane].popleft()
-        self._deactivate_if_empty(eid)
-        veh.ff_done += netmodel.free_flow_time(edge)
+        edge.lanes[veh.lane].popleft()
+        self._deactivate_if_empty(edge)
+        veh.ff_done += edge.free_flow
         if timed:
             t = now - veh.edge_entered + self.config.step_length
-            for stats, x in ((self._edge_time, t), (self._period_speed, edge.length / t)):
-                run = stats.setdefault(eid, [0.0, 0])
+            for run, x in ((edge.run_time, t), (edge.period_speed, edge.length / t)):
                 run[0] += x
                 run[1] += 1
 
@@ -714,7 +719,7 @@ class Simulation:
         skips the stops behind it. `stopped_since`, when given, restarts
         the waiting clock; otherwise a driven vehicle sets it from its
         speed as after any move and a placed one keeps its own."""
-        eid = veh.route[j]
+        edge = self.edges[veh.route[j]]
         if not driven:
             veh.stops = [s for s in veh.stops if s >= (j, pos)]
         veh.idx = j
@@ -722,12 +727,12 @@ class Simulation:
         veh.lane = li
         veh.speed = speed
         veh.edge_entered = now
-        self.lanes[eid][li].append(veh)
-        if not _in_sorted(self.active_edges, eid):
-            bisect.insort(self.active_edges, eid)
+        edge.lanes[li].append(veh)
+        if not _in_sorted(self.active_edges, edge.id):
+            bisect.insort(self.active_edges, edge.id)
         veh.pos = self._bus_stop_check(veh, pos, now)
         if driven:
-            self._detector_sweep(eid, li, -1.0, veh.pos, now)
+            self._detector_sweep(edge, li, -1.0, veh.pos, now)
             veh.distance += veh.pos
         if stopped_since is not None:
             veh.stopped_since = stopped_since
@@ -739,19 +744,17 @@ class Simulation:
                 veh.stopped_since = None
 
     def _flush_speed_estimates(self) -> None:
-        """Fold the period's observed edge speeds into the running estimate."""
+        """Fold the period's observed edge speeds into the running estimate
+        of each edge that has any; edges do not depend on each other."""
         alpha = self.config.speed_smoothing
-        for eid in sorted(self._period_speed):
-            total, n = self._period_speed[eid]
-            mean = total / n
-            self._est_speed[eid] = (1 - alpha) * self._est_speed[eid] + alpha * mean
-        self._period_speed.clear()
+        for edge in self.edges.values():
+            total, n = edge.period_speed
+            if n:
+                edge.est_speed = (1 - alpha) * edge.est_speed + alpha * (total / n)
+                edge.period_speed = [0.0, 0]
 
-    def _detector_sweep(self, eid: str, li: int, prev: float, new: float, now: float) -> None:
-        group = self._lane_detectors.get((eid, li))
-        if not group:
-            return
-        for det in group:
+    def _detector_sweep(self, edge: _Edge, li: int, prev: float, new: float, now: float) -> None:
+        for det in edge.detectors[li] if edge.detectors else ():
             if prev < det.position <= new:
                 counts = self.counts[det.id]
                 w = int((now - self.config.begin) // det.window)
@@ -765,11 +768,11 @@ class Simulation:
         `stalled`, or one an override fills from empty, can have such a
         front."""
         ignore = self.config.ignore_junction_blocker
-        lanes = self.lanes
+        records = self.edges
         fronts = set()
         for veh in stalled:
             eid = veh.route[veh.idx]
-            if lanes[eid][veh.lane][0] is veh:
+            if records[eid].lanes[veh.lane][0] is veh:
                 fronts.add((eid, veh.lane))
         if not fronts:
             return
@@ -777,20 +780,20 @@ class Simulation:
         active = self.active_edges[:]  # as the phase begins
         while todo:
             eid, li = heapq.heappop(todo)
-            veh = lanes[eid][li][0]
+            veh = records[eid].lanes[li][0]
             conn = veh.ahead
             if (
                 veh.stopped_since is None
                 or now - veh.stopped_since < ignore
                 # a follower blocked by the next edge parks up to one
                 # min_gap short of the line in addition to AT_LINE
-                or self._edge_info[eid][0] - veh.pos > veh.vtype.min_gap + AT_LINE
+                or records[eid].length - veh.pos > veh.vtype.min_gap + AT_LINE
                 or conn is None
                 or veh.dwell_until > now
                 or not self._green(conn, now)
             ):
                 continue
-            nxt = conn.out
+            nxt = conn.edge
             li_new, space, _ = self._best_entry_lane(nxt)
             if space <= OVERRIDE_MIN_SPACE:
                 continue
@@ -802,11 +805,11 @@ class Simulation:
             # a vehicle that fills an empty lane fronts it: the walk still
             # reaches that lane if it comes later and its edge was active
             if (
-                lanes[nxt][li_new][0] is veh
-                and (nxt, li_new) > (eid, li)
-                and _in_sorted(active, nxt)
+                nxt.lanes[li_new][0] is veh
+                and (nxt.id, li_new) > (eid, li)
+                and _in_sorted(active, nxt.id)
             ):
-                heapq.heappush(todo, (nxt, li_new))
+                heapq.heappush(todo, (nxt.id, li_new))
 
     def _teleports(self, now: float, stalled: list[_Vehicle]) -> None:
         """Relocate vehicles stuck past the threshold to the first edge on
@@ -823,19 +826,19 @@ class Simulation:
         ]
         for veh in sorted(stuck, key=lambda v: v.trip_id):
             for j in range(veh.idx + 1, len(veh.route)):
-                li, space, _ = self._best_entry_lane(veh.route[j])
+                li, space, _ = self._best_entry_lane(self.edges[veh.route[j]])
                 if space >= veh.vtype.length + veh.vtype.min_gap:
                     break
             else:
                 continue  # no edge ahead has room
-            eid = veh.route[veh.idx]
-            self.lanes[eid][veh.lane].remove(veh)
-            self._deactivate_if_empty(eid)
+            edge = self.edges[veh.route[veh.idx]]
+            edge.lanes[veh.lane].remove(veh)
+            self._deactivate_if_empty(edge)
             veh.teleports += 1
             self.totals["teleports"] += 1
             # edges skipped over still count toward the free-flow baseline
             for skipped in veh.route[veh.idx:j]:
-                veh.ff_done += netmodel.free_flow_time(self.net.edges[skipped])
+                veh.ff_done += self.edges[skipped].free_flow
             self._enter_edge(
                 veh, j, li, veh.vtype.length, 0.0, now, driven=False,
                 stopped_since=now,
@@ -853,7 +856,7 @@ class Simulation:
             eid = plan.edges[0]
             ent = entry.get(eid)
             if ent is None:
-                ent = entry[eid] = self._best_entry_lane(eid)
+                ent = entry[eid] = self._best_entry_lane(self.edges[eid])
             vtype, kin = self._types[plan.mode]
             if ent[1] < vtype.min_gap:
                 left.append(plan)
@@ -870,9 +873,9 @@ class Simulation:
         return left
 
     def _reroute(self, now: float) -> None:
-        est = self._est_speed
+        records = self.edges
         routes = netmodel.CarRoutes(
-            self.net, lambda edge: edge.length / max(est[edge.id], 0.1)
+            self.net, lambda e: (edge := records[e.id]).length / max(edge.est_speed, 0.1)
         )
         for trip_id in sorted(self.vehicles):
             veh = self.vehicles[trip_id]
@@ -888,8 +891,7 @@ class Simulation:
     def _time_loss(self, veh: _Vehicle, duration: float, arrived: bool) -> float:
         ff = veh.ff_done
         if not arrived and veh.idx < len(veh.route):
-            edge = self.net.edges[veh.route[veh.idx]]
-            ff += veh.pos / edge.speed_limit  # driven part of the current edge
+            ff += veh.pos / self.edges[veh.route[veh.idx]].speed_limit  # the edge so far
         return max(0.0, duration - ff)
 
     def _record(self, veh: _Vehicle, arrived: bool, end_time: float) -> None:
@@ -918,9 +920,9 @@ class Simulation:
         )
         self.totals["avg_speed"] = total_dist / total_time if total_time > 0 else 0.0
         edge_mean = {}
-        for eid, edge in self.net.edges.items():
-            total, n = self._edge_time.get(eid, (0.0, 0))
-            edge_mean[eid] = total / n if n else netmodel.free_flow_time(edge)
+        for eid, edge in self.edges.items():
+            total, n = edge.run_time
+            edge_mean[eid] = total / n if n else edge.free_flow
         return SimOutput(
             detector_counts=self.counts,
             detector_window=dict(self.det_window),

@@ -34,14 +34,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 TLS_STATE_CHARS = frozenset("Gry")
-# the violations the engine cannot run: a program it cannot cycle through
-# (a static cycle of no length; an actuated program catching up over phases
-# that last no time never returns) or a state it cannot read (a turn past
-# the end of a short state, or a character it takes for red)
-ENGINE_CODES = frozenset({
-    "EMPTY_PROGRAM", "PHASE_ARITY", "PHASE_STATE_CHARS",
-    "NONPOSITIVE_PHASE_DURATION", "PHASE_DURATION_BOUNDS",
-})
+# the violations the engine cannot run, with the kind of their subject: a
+# program it cannot cycle through (a static cycle of no length; an actuated
+# program catching up over phases that last no time never returns), a state
+# it cannot read (a turn past the end of a short state, or a character it
+# takes for red), an edge without a lane or a positive length or speed (NaN
+# included), and a bus stop off its edge, past which buses skip later stops
+ENGINE_CODES = {
+    **dict.fromkeys(("EMPTY_PROGRAM", "PHASE_ARITY", "PHASE_STATE_CHARS",
+                     "NONPOSITIVE_PHASE_DURATION", "PHASE_DURATION_BOUNDS"), "junction"),
+    **dict.fromkeys(("BAD_LANE_COUNT", "NONPOSITIVE_LENGTH", "NONPOSITIVE_SPEED"), "edge"),
+    "STOP_POSITION": "bus stop",
+}
 # a car's length plus its standstill gap (`microsim.carfollow.CAR`): on a
 # shorter edge the engine cannot keep vehicles apart and counts collisions
 MIN_EDGE_LENGTH = 7.5

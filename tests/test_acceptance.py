@@ -156,7 +156,7 @@ def test_simulation_safety_and_conservation():
             nonlocal worst_gap, box_ok, balanced
             for eid in sim.active_edges:
                 cap = net.edges[eid].speed_limit
-                for lane in sim.lanes[eid]:
+                for lane in sim.edges[eid].lanes:
                     lead = None
                     for veh in lane:
                         if lead is not None:

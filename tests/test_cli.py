@@ -44,6 +44,8 @@ from trafcal.netmodel import (
     save_network,
 )
 
+import scenarios
+
 H = 3600.0
 TUESDAY = datetime.date(2023, 9, 5)
 
@@ -394,8 +396,10 @@ def test_flag_surface():
     common = ["-h", "--help", "--config", "--seed", "--output-dir"]
     sim = ["--begin", "--end", "--step-length", "--time-to-teleport",
            "--ignore-junction-blocker", "--rerouting-probability", "--rerouting-period"]
-    # the stages that set the probability themselves take no flag for it
+    # the stages that set the probability themselves take no flag for it,
+    # and those that score a run none for the bounds of the day they score
     sim_set = [f for f in sim if f != "--rerouting-probability"]
+    sim_scored = sim_set[2:]
     scenario = ["--network", "--routes", "--detectors", "--bus-lines"]
     expected = {
         ("net", "validate"): [*common, "--network"],
@@ -403,11 +407,11 @@ def test_flag_surface():
         ("sim", "run"): [*common, *sim, *scenario],
         ("dua", "iterate"): [*common, *sim_set, "--network", "--trips", "--max-iter", "--tol",
                              "--window"],
-        ("calib", "sweep"): [*common, *sim_set, *scenario, "--measurements", "--p-min", "--p-max",
-                             "--grid-step", "--workers"],
+        ("calib", "sweep"): [*common, *sim_scored, *scenario, "--measurements", "--p-min",
+                             "--p-max", "--grid-step", "--workers"],
         ("data", "ingest"): [*common, "--measurements", "--include-weekdays", "--exclude-dates",
                              "--date-from", "--date-to"],
-        ("report", "validate"): [*common, *sim_set, *scenario, "--measurements", "--p"],
+        ("report", "validate"): [*common, *sim_scored, *scenario, "--measurements", "--p"],
         ("fixture", "make"): common,
     }
 
@@ -630,6 +634,20 @@ def test_sim_run_refuses_phase_states_of_the_wrong_length(tmp_path, capsys, twin
     jid = next(iter(net.tls_programs))
     assert f"junction '{jid}': phase 0 state length 1 != connection count" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sim_summary.json").exists()
+
+
+@pytest.mark.parametrize("fault", scenarios.CHAIN_FAULTS)
+def test_sim_run_refuses_edge_and_stop_faults(tmp_path, capsys, fault):
+    # the engine names the edge or bus stop `net validate` reports
+    net, message = scenarios.chain_with_fault(fault)
+    save_network(net, tmp_path / "net.json")
+    save_route_plans([RoutePlan("v0", ("e0", "e1", "e2"), 0.0)], tmp_path / "routes.json")
+    assert run(["net", "validate", "--network", tmp_path / "net.json"]) == 1
+    capsys.readouterr()
+    assert run(["sim", "run", "--network", tmp_path / "net.json",
+                "--routes", tmp_path / "routes.json", "--output-dir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.endswith(f"error: ValueError: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def sim_run_scenario(ws, tmp_path, plans, lines=None):
@@ -1000,15 +1018,17 @@ def test_report_validate_checks_detectors_before_simulating(swept, sim_runs, cap
 @pytest.mark.parametrize("stage, flags, message", [
     (["calib", "sweep"], ["--window"],
      "detector 'det_mid': scoring needs a 900 s window, got 300 s"),
-    (["calib", "sweep"], ["--end", "43200"],
+    # neither stage takes `--begin` or `--end`; the `sim` section of a
+    # config still can move them
+    (["calib", "sweep"], {"sim": {"end": 43200.0}},
      "scoring needs a run from 0 to 86400 s, got 0 to 43200 s"),
     (["report", "validate", "--p", "0"], ["--window"],
      "detector 'det_mid': scoring needs a 900 s window, got 300 s"),
     # a day-long run shifted off midnight would count its windows from
     # `begin`, the measurements theirs from midnight
-    (["calib", "sweep"], ["--begin", "3600", "--end", "90000"],
+    (["calib", "sweep"], {"sim": {"begin": 3600.0, "end": 90000.0}},
      "scoring needs a run from 0 to 86400 s, got 3600 to 90000 s"),
-    (["report", "validate", "--p", "0"], ["--begin", "3600", "--end", "90000"],
+    (["report", "validate", "--p", "0"], {"sim": {"begin": 3600.0, "end": 90000.0}},
      "scoring needs a run from 0 to 86400 s, got 3600 to 90000 s"),
 ])
 def test_scoring_refuses_a_run_without_the_days_quarter_hours(
@@ -1021,6 +1041,10 @@ def test_scoring_refuses_a_run_without_the_days_quarter_hours(
         save_detectors([Detector("det_mid", "e2", 0, 50.0, window=300.0)],
                        swept[-1].parent / "detectors.json")
         flags = []
+    else:  # a project config
+        cfg = swept[-1].parent / "project.json"
+        cfg.write_text(json.dumps(flags) + "\n")
+        flags = ["--config", cfg]
     assert run([*stage, *swept, *flags]) == 3
     assert capsys.readouterr().err.endswith(f"error: ValueError: {message}\n")
     assert sim_runs == []

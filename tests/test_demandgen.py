@@ -150,7 +150,7 @@ def test_validate_catches_bad_inputs():
     with pytest.raises(DemandError):
         validate_inputs(Statistics(districts=ok, config=config(car_rate=1.2)), net)
     # NaN passes a check written `x < 0`
-    for value in (-1.0, math.nan):
+    for value in (-1.0, math.nan, math.inf):
         with pytest.raises(DemandError, match="departure_jitter_sd"):
             config(departure_jitter_sd=value)
     with pytest.raises(DemandError, match="shares sum to nan"):

@@ -22,6 +22,8 @@ from trafcal.netmodel import (
     validate_network,
 )
 
+import scenarios
+
 QUIET = dataclasses.replace(CAR, sigma=0.0)  # deterministic driver for closed-form checks
 
 
@@ -179,7 +181,7 @@ def test_platoon_keeps_nonnegative_gaps():
     def probe(sim, now):
         nonlocal worst
         for eid in sim.active_edges:
-            for lane in sim.lanes[eid]:
+            for lane in sim.edges[eid].lanes:
                 lead = None
                 for veh in lane:
                     if lead is not None:
@@ -438,7 +440,7 @@ def test_followers_move_as_the_car_following_model_says():
         prev = {}
         for eid in sim.active_edges:
             v_lim = sim.net.edges[eid].speed_limit
-            for li, lane in enumerate(sim.lanes[eid]):
+            for li, lane in enumerate(sim.edges[eid].lanes):
                 for lead, veh in zip(lane, list(lane)[1:]):
                     vt = veh.vtype
                     if veh.dwell_until > now or (veh.stops and veh.stops[0][0] == veh.idx):
@@ -478,7 +480,7 @@ def test_fronts_move_as_the_car_following_model_says():
         prev = {}
         for eid in sim.active_edges:
             edge = net.edges[eid]
-            for li, lane in enumerate(sim.lanes[eid]):
+            for li, lane in enumerate(sim.edges[eid].lanes):
                 if not lane:
                     continue
                 veh = lane[0]
@@ -496,7 +498,7 @@ def test_fronts_move_as_the_car_following_model_says():
                     if state != "G":
                         gap, case = edge.length - veh.pos, "red"
                     else:
-                        _, space, last = sim._best_entry_lane(nxt)
+                        _, space, last = sim._best_entry_lane(sim.edges[nxt])
                         if last is not None:
                             gap = edge.length - veh.pos + space - vt.min_gap
                             lead_speed, case = last.speed, "leader"
@@ -678,6 +680,77 @@ def test_doubling_vehicles_never_reduces_total_time_loss():
         assert total_loss(b) >= total_loss(a) - 1e-9
 
 
+# -- per-edge statistics -----------------------------------------------------
+
+
+def traversal_probe(times):
+    """A probe that appends to `times` (step, edge, traversal time) for
+    each edge a vehicle drives off, the time being exit step - entry step +
+    step length; the edge a trip ends on is not timed."""
+    entered = {}  # trip id -> (route index, the step it entered that edge)
+
+    def probe(sim, now):
+        for trip_id, veh in sim.vehicles.items():
+            idx, since = entered.get(trip_id, (None, now))
+            if idx != veh.idx:
+                if idx is not None:
+                    times.append((now, veh.route[idx], now - since + sim.config.step_length))
+                entered[trip_id] = (veh.idx, now)
+
+    return probe
+
+
+def test_edge_mean_time_is_the_mean_traversal_time():
+    # a lone noise-free car: an edge it drives off took exit step - entry
+    # step + step_length, and the edge it arrives on keeps its free-flow time
+    net = chain_net([100.0, 100.0, 100.0])
+    times = []
+    out = Simulation(net, [RoutePlan("v0", ("e0", "e1", "e2"), 0.0)], cfg(car=QUIET)).run(
+        probe=traversal_probe(times)
+    )
+    assert times == [(10.0, "e0", 11.0), (17.0, "e1", 8.0)]
+    assert out.edge_mean_time == {"e0": 11.0, "e1": 8.0, "e2": free_flow_time(net.edges["e2"])}
+
+
+def test_rerouting_weighs_edges_by_the_smoothed_period_speed(monkeypatch):
+    # two equipped cars are still on the chain at the first rerouting
+    # round, which weighs each edge length / estimate: an edge driven off
+    # in the period has (1 - alpha) * limit + alpha * mean(length / t) over
+    # those traversals, any other edge its limit
+    from trafcal import netmodel
+
+    weights = []
+
+    class Spy(netmodel.CarRoutes):
+        def __init__(self, net, cost):
+            super().__init__(net, cost)
+            weights.append({eid: cost(net.edges[eid]) for eid in net.car_edges})
+
+    monkeypatch.setattr(netmodel, "CarRoutes", Spy)
+    net = chain_net([100.0, 100.0, 100.0])
+    plans = [RoutePlan(f"v{i}", ("e0", "e1", "e2"), 2.0 * i) for i in range(2)]
+    alpha, period = 0.25, 15.0
+    times = []
+    busy = traversal_probe(times)
+
+    def probe(sim, now):
+        busy(sim, now)
+        if now == period:
+            assert sorted(sim.vehicles) == ["v0", "v1"]
+
+    Simulation(net, plans, cfg(
+        car=QUIET, rerouting_probability=1.0, rerouting_period=period, speed_smoothing=alpha,
+    )).run(probe=probe)
+    driven = [(eid, t) for now, eid, t in times if now <= period]
+    assert [eid for eid, _ in driven] == ["e0", "e0"]
+    for eid, edge in net.edges.items():
+        speeds = [edge.length / t for e, t in driven if e == eid]
+        est = edge.speed_limit
+        if speeds:
+            est = (1 - alpha) * est + alpha * (sum(speeds) / len(speeds))
+        assert weights[0][eid] == edge.length / est, eid
+
+
 # -- input checking ----------------------------------------------------------
 
 
@@ -699,6 +772,16 @@ def test_phase_states_of_the_wrong_length_are_refused(twin_with_phase_states):
         with pytest.raises(ValueError, match=re.escape(f"junction '{first.subject_id}': {first.message}")):
             Simulation(net, plans, cfg())
     Simulation(twin, plans, cfg())
+
+
+@pytest.mark.parametrize("fault", scenarios.CHAIN_FAULTS)
+def test_edge_and_stop_faults_are_refused(fault):
+    # none can be driven: no lane or a speed limit of 0 stops a run midway,
+    # a negative length counts 180 m driven on 300 m and a NaN one never
+    # arrives, and a bus skips every stop after one past its edge's end
+    net, message = scenarios.chain_with_fault(fault)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Simulation(net, [RoutePlan("v0", ("e0", "e1", "e2"), 0.0)], cfg())
 
 
 def test_unknown_edge_in_plan():
