@@ -66,16 +66,14 @@ class DetectorSeries:
 
 @dataclass(frozen=True)
 class GridSpec:
-    p_min: float = 0.0
-    p_max: float = 1.0
-    step: float = 0.01
+    p_min: float = netmodel.bounded("[0, 1]", 0.0)
+    p_max: float = netmodel.bounded("[0, 1]", 1.0)
+    step: float = netmodel.bounded("(0, inf)", 0.01)
 
     def __post_init__(self):
         # before any arithmetic: round() of an infinity or NaN raises an
         # error that names no field
-        for key in ("p_min", "p_max", "step"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        netmodel.check_bounds(self)
         # every point must read back from sweep_best.csv as the p it was
         if self.step < MIN_GRID_STEP:
             raise ValueError(
@@ -89,8 +87,8 @@ class GridSpec:
                     f"{key} must be a multiple of {MIN_GRID_STEP}, got {value}:"
                     " sweep.csv and sweep_best.csv write p with 4 decimals"
                 )
-        if not 0.0 <= self.p_min <= self.p_max <= 1.0:
-            raise ValueError("grid bounds must satisfy 0 <= p_min <= p_max <= 1")
+        if not self.p_min <= self.p_max:
+            raise ValueError("grid bounds must satisfy p_min <= p_max")
 
     def points(self) -> list[float]:
         out = []

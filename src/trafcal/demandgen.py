@@ -39,7 +39,7 @@ class DemandError(ValueError):
     """Raised when demand inputs are inconsistent."""
 
 
-# the statistics file's rules, written so that NaN fails them
+# the rules across a statistics file's fields, written so that NaN fails them
 def _check_shares(what: str, shares) -> None:
     total = sum(shares)
     if not abs(total - 1.0) <= 1e-9:
@@ -58,13 +58,13 @@ def _check_hours(what: str, opening_h: float, closing_h: float) -> None:
 class DistrictStats:
     id: str
     edge_ids: tuple[str, ...]
-    inhabitants: int
-    households: int
-    workers: int
-    work_positions: int
-    unemployed: int
-    vehicles: int
-    age_brackets: tuple[int, ...]
+    inhabitants: int = netmodel.bounded("[0, inf)")
+    workers: int = netmodel.bounded("[0, inf)")
+    work_positions: int = netmodel.bounded("[0, inf)")
+    age_brackets: tuple[int, ...] = netmodel.bounded("[0, inf)")
+
+    def __post_init__(self):
+        netmodel.check_bounds(self, DemandError)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,11 @@ class CityGate:
     id: str
     in_edge: str
     out_edge: str
-    incoming_share: float
-    outgoing_share: float
+    incoming_share: float = netmodel.bounded("[0, 1]")
+    outgoing_share: float = netmodel.bounded("[0, 1]")
+
+    def __post_init__(self):
+        netmodel.check_bounds(self, DemandError)
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,12 @@ class School:
     edge_id: str
     age_min: int
     age_max: int
-    capacity: int
+    capacity: int = netmodel.bounded("[0, inf)")
     opening_h: float
     closing_h: float
+
+    def __post_init__(self):
+        netmodel.check_bounds(self, DemandError)
 
     @property
     def is_university(self) -> bool:
@@ -95,34 +101,31 @@ class School:
 class WorkHours:
     opening_h: float
     closing_h: float
-    worker_share: float
+    worker_share: float = netmodel.bounded("[0, 1]")
+
+    def __post_init__(self):
+        netmodel.check_bounds(self, DemandError)
 
 
 @dataclass(frozen=True)
 class DemandConfig:
-    car_rate: float
-    car_preference_rate: float
-    incoming_total: int
-    outgoing_total: int
+    car_rate: float = netmodel.bounded("[0, 1]")
+    car_preference_rate: float = netmodel.bounded("[0, 1]")
+    incoming_total: int = netmodel.bounded("[0, inf)")
+    outgoing_total: int = netmodel.bounded("[0, inf)")
     work_hours: tuple[WorkHours, ...]
-    departure_jitter_sd: float = 900.0
-    free_time_rate: float = 0.1
+    # an infinite spread clamps every commute departure to midnight
+    departure_jitter_sd: float = netmodel.bounded("[0, inf)", 900.0)
+    free_time_rate: float = netmodel.bounded("[0, 1]", 0.1)
     seed: int = 0
 
     def __post_init__(self):
+        netmodel.check_bounds(self, DemandError)
         if not self.work_hours:
             raise DemandError("at least one work_hours entry is required")
         _check_shares("work_hours shares", (w.worker_share for w in self.work_hours))
         for i, w in enumerate(self.work_hours):
             _check_hours(f"work_hours[{i}]", w.opening_h, w.closing_h)
-        for bound in ("car_rate", "car_preference_rate", "free_time_rate"):
-            if not 0.0 <= getattr(self, bound) <= 1.0:
-                raise DemandError(f"{bound} must be in [0, 1]")
-        if self.incoming_total < 0 or self.outgoing_total < 0:
-            raise DemandError("gate totals must be >= 0")
-        # an infinite spread clamps every commute departure to midnight
-        if not 0 <= self.departure_jitter_sd < math.inf:
-            raise DemandError("departure_jitter_sd must be finite and >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -162,16 +165,10 @@ def validate_inputs(statistics: Statistics, net: netmodel.RoadNetwork) -> None:
     if not stats:
         raise DemandError("at least one district is required")
     for d in stats:
-        for name in ("inhabitants", "households", "workers", "work_positions",
-                     "unemployed", "vehicles"):
-            if getattr(d, name) < 0:
-                raise DemandError(f"district '{d.id}': {name} must be >= 0")
         if len(d.age_brackets) != len(AGE_BRACKETS):
             raise DemandError(
                 f"district '{d.id}': expected {len(AGE_BRACKETS)} age brackets"
             )
-        if any(n < 0 for n in d.age_brackets):
-            raise DemandError(f"district '{d.id}': age bracket counts must be >= 0")
         if sum(d.age_brackets) != d.inhabitants:
             raise DemandError(
                 f"district '{d.id}': age brackets sum to {sum(d.age_brackets)}, "
@@ -199,8 +196,7 @@ def validate_inputs(statistics: Statistics, net: netmodel.RoadNetwork) -> None:
         _check_hours(f"school '{s.id}'", s.opening_h, s.closing_h)
         if s.edge_id not in net.edges:
             raise DemandError(f"school '{s.id}': unknown edge '{s.edge_id}'")
-        if s.capacity < 0:
-            raise DemandError(f"school '{s.id}': capacity must be >= 0")
+    netmodel.check_runnable(net, DemandError)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,9 @@ def generate_trips(statistics: Statistics, net: netmodel.RoadNetwork) -> list[Tr
 
 def expand_routes(trips: list[Trip], net: netmodel.RoadNetwork) -> ExpandResult:
     """Free-flow shortest route for every trip; unroutable trips end up in
-    the no_path list instead of being dropped silently."""
+    the no_path list instead of being dropped silently. A network the
+    engine cannot run is refused as `microsim.Simulation` refuses it."""
+    netmodel.check_runnable(net)
     routes: list[RoutePlan] = []
     no_path: list[str] = []
     car_routes = netmodel.CarRoutes(net)

@@ -29,26 +29,15 @@ class DuaConfig:
     `tol`; `beta` and `alpha` drive `gawron_update`, and each vehicle keeps
     at most `max_alternatives` routes."""
 
-    max_iter: int = 50
-    tol: float = 0.01
-    window: int = 5
-    beta: float = GAWRON_BETA
-    alpha: float = GAWRON_ALPHA
-    max_alternatives: int = MAX_ALTERNATIVES
+    max_iter: int = netmodel.bounded("[1, inf)", 50)
+    tol: float = netmodel.bounded("[0, inf]", 0.01)
+    window: int = netmodel.bounded("[1, inf)", 5)
+    beta: float = netmodel.bounded("[0, inf]", GAWRON_BETA)
+    alpha: float = netmodel.bounded("[0, 1]", GAWRON_ALPHA)
+    max_alternatives: int = netmodel.bounded("[1, inf)", MAX_ALTERNATIVES)
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
-        if not self.beta >= 0:
-            raise ValueError("beta must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must satisfy 0 <= alpha <= 1")
-        if self.max_alternatives < 1:
-            raise ValueError("max_alternatives must be >= 1")
+        netmodel.check_bounds(self)
 
 
 # built per trip and route alternative, so without an instance dict

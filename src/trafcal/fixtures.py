@@ -215,11 +215,8 @@ def twin_scenario(seed: int = 7) -> TwinScenario:
             id=f"d_{name}",
             edge_ids=tuple(edge_ids),
             inhabitants=1800,
-            households=800,
             workers=900,
             work_positions=200,
-            unemployed=80,
-            vehicles=1000,
             age_brackets=_TWIN_BRACKETS,
         )
         for name, edge_ids in sorted(quadrants.items())
@@ -229,11 +226,8 @@ def twin_scenario(seed: int = 7) -> TwinScenario:
             id="d_centre",
             edge_ids=tuple(corridor),
             inhabitants=0,
-            households=0,
             workers=0,
             work_positions=4000,
-            unemployed=0,
-            vehicles=0,
             age_brackets=(0,) * len(_TWIN_BRACKETS),
         )
     )

@@ -11,33 +11,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from trafcal import netmodel
+
 
 @dataclass(frozen=True)
 class VehicleType:
     """Driving parameters shared by all vehicles of one kind: accelerations
-    in m/s^2, reaction time `tau` in s, imperfection `sigma` in [0, 1], gap
-    and length in m, speed in m/s. The checks are written so that NaN
-    fails them."""
+    in m/s^2, reaction time `tau` in s, imperfection `sigma`, gap and
+    length in m, speed in m/s."""
 
-    accel: float
-    decel: float
-    tau: float
-    sigma: float
-    min_gap: float
-    length: float
-    max_speed: float
+    accel: float = netmodel.bounded("(0, inf)")
+    decel: float = netmodel.bounded("(0, inf)")
+    tau: float = netmodel.bounded("[0, inf)")
+    sigma: float = netmodel.bounded("[0, 1]")
+    min_gap: float = netmodel.bounded("[0, inf)")
+    length: float = netmodel.bounded("(0, inf)")
+    max_speed: float = netmodel.bounded("(0, inf)")
 
     def __post_init__(self):
-        for key in ("accel", "decel", "length", "max_speed"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and > 0, got {value}")
-        for key in ("tau", "min_gap"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must be in [0, 1], got {self.sigma}")
+        netmodel.check_bounds(self)
 
 
 CAR = VehicleType(accel=2.6, decel=4.5, tau=1.0, sigma=0.5, min_gap=2.5, length=5.0, max_speed=50.0)

@@ -79,44 +79,29 @@ class SimConfig:
     """Run parameters; defaults favour whole-day desk runs (drop
     step_length to 0.1 for fidelity).
 
-    `begin`, `end` and `step_length` must be finite. An infinite
-    `time_to_teleport`, `rerouting_period` or `ignore_junction_blocker`
-    means "never": no vehicle is teleported, no rerouting round runs, or no
-    blocked vehicle is let into the junction. `car` and `bus` are the
-    driving parameters of each vehicle mode."""
+    `begin`, `end` and `step_length` are finite: an infinite end overflows
+    the per-minute counts, an infinite step ends the day at once. An
+    infinite `time_to_teleport`, `rerouting_period` or
+    `ignore_junction_blocker` means "never": no vehicle is teleported, no
+    rerouting round runs, or no blocked vehicle is let into the junction.
+    `car` and `bus` are the driving parameters of each vehicle mode."""
 
-    begin: float = 0.0
-    end: float = DAY_S
-    step_length: float = 1.0
-    ignore_junction_blocker: float = 15.0
-    time_to_teleport: float = 300.0
-    rerouting_probability: float = 0.0
-    rerouting_period: float = 300.0
-    speed_smoothing: float = 0.5
+    begin: float = netmodel.bounded("(-inf, inf)", 0.0)
+    end: float = netmodel.bounded("(-inf, inf)", DAY_S)
+    step_length: float = netmodel.bounded("(0, inf)", 1.0)
+    ignore_junction_blocker: float = netmodel.bounded("[0, inf]", 15.0)
+    time_to_teleport: float = netmodel.bounded("(0, inf]", 300.0)
+    rerouting_probability: float = netmodel.bounded("[0, 1]", 0.0)
+    rerouting_period: float = netmodel.bounded("(0, inf]", 300.0)
+    speed_smoothing: float = netmodel.bounded("[0, 1]", 0.5)
     car: VehicleType = CAR
     bus: VehicleType = BUS
     seed: int = 0
 
     def __post_init__(self):
-        if not self.step_length > 0:
-            raise ValueError("step_length must be > 0")
+        netmodel.check_bounds(self)
         if not self.end > self.begin:
             raise ValueError("end must be after begin")
-        # an infinite end overflows the per-minute counts, and an infinite
-        # step ends the day after at most one step
-        for key in ("begin", "end", "step_length"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if not 0.0 <= self.rerouting_probability <= 1.0:
-            raise ValueError("rerouting_probability must be in [0, 1]")
-        if not self.rerouting_period > 0:
-            raise ValueError("rerouting_period must be > 0")
-        if not self.time_to_teleport > 0:
-            raise ValueError("time_to_teleport must be > 0")
-        if not self.ignore_junction_blocker >= 0:
-            raise ValueError("ignore_junction_blocker must be >= 0")
-        if not 0.0 <= self.speed_smoothing <= 1.0:
-            raise ValueError("speed_smoothing must be in [0, 1]")
 
 
 # one per trip, so without an instance dict
@@ -236,10 +221,7 @@ def check_run(
     under `config` cannot simulate: the junction, edge or bus stop of the
     first `netmodel.engine_violations`, then the trip, detector or bus line
     `simio.check_scenario` refuses, each named in the message."""
-    refused = netmodel.engine_violations(net)
-    if refused:
-        v = refused[0]
-        raise ValueError(f"{netmodel.ENGINE_CODES[v.code]} '{v.subject_id}': {v.message}")
+    netmodel.check_runnable(net)
     check_scenario(net, plans, detectors, bus_lines, config.begin)
 
 

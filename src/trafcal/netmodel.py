@@ -14,7 +14,8 @@ Every JSON file the program reads is one dataclass record, read by
 the line and column of a syntax error, and decodes it with `record_from`.
 That codec, and `record_to` its inverse, takes each record's fields, types
 and defaults from its dataclass, and a field's JSON key from its metadata,
-so no file format is checked by hand.
+so no file format is checked by hand. A numeric field declares its range
+there too, as a `bounded` field, which `check_bounds` checks.
 Every JSON output goes through `write_json`, and every CSV table is written
 by `write_csv` and read back through `csv_table` and `has_cells`, which own
 the header, column count, blank-line and error-line rules of them all.
@@ -29,6 +30,7 @@ import functools
 import heapq
 import json
 import math
+import operator
 import typing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -317,6 +319,41 @@ def _schema(cls) -> tuple:
     return frozenset(key for _, key, _, _, _, _ in fields), fields
 
 
+def bounded(interval: str, default=dataclasses.MISSING):
+    """A dataclass field whose `in` metadata holds `interval`, such as
+    '[0, 1]' or '(0, inf]': the range `check_bounds` holds its value, or
+    each item of a tuple value, to."""
+    _inside(interval)  # a malformed interval fails where it is declared
+    return dataclasses.field(default=default, metadata={"in": interval})
+
+
+@functools.cache
+def _inside(interval: str) -> Callable:
+    """Whether a number lies in `interval`, such as '[0, 1]' or '(0, inf]';
+    written with comparisons only, so NaN lies in no interval."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    above = {"[": operator.le, "(": operator.lt}[interval[0]]
+    below = {"]": operator.le, ")": operator.lt}[interval[-1]]
+    return lambda x: above(lo, x) and below(x, hi)
+
+
+def check_bounds(record, error=ValueError) -> None:
+    """Raise `error` for the first `bounded` field of `record`, in field
+    order, whose value, or an item of whose tuple value, lies outside its
+    interval; the message names the field, the interval and the value."""
+    for f in dataclasses.fields(record):
+        interval = f.metadata.get("in")
+        if interval is None:
+            continue
+        value, inside = getattr(record, f.name), _inside(interval)
+        if value.__class__ is tuple:
+            for i, x in enumerate(value):
+                if not inside(x):
+                    raise error(f"{f.name}[{i}] must be in {interval}, got {x}")
+        elif not inside(value):
+            raise error(f"{f.name} must be in {interval}, got {value}")
+
+
 def record_from(cls, rec, where: Optional[str] = None, error=NetworkFormatError):
     """Build a `cls` record from one JSON object.
 
@@ -578,6 +615,15 @@ def engine_violations(net: RoadNetwork) -> list[Violation]:
     """The violations of `validate_network` whose codes are in
     `ENGINE_CODES`, in its order: what the engine cannot run."""
     return [v for v in validate_network(net) if v.code in ENGINE_CODES]
+
+
+def check_runnable(net: RoadNetwork, error=ValueError) -> None:
+    """Raise `error` naming the junction, edge or bus stop of the first of
+    `engine_violations`, with its message: what no stage drives or routes on."""
+    refused = engine_violations(net)
+    if refused:
+        v = refused[0]
+        raise error(f"{ENGINE_CODES[v.code]} '{v.subject_id}': {v.message}")
 
 
 def _reachability_violations(net: RoadNetwork) -> list[Violation]:

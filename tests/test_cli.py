@@ -75,13 +75,11 @@ def ws(tmp_path_factory):
     save_network(net, root / "net.json")
 
     home = DistrictStats(
-        id="d_home", edge_ids=("e0",), inhabitants=20, households=8,
-        workers=8, work_positions=0, unemployed=0, vehicles=10,
+        id="d_home", edge_ids=("e0",), inhabitants=20, workers=8, work_positions=0,
         age_brackets=age_counts(20),
     )
     work = DistrictStats(
-        id="d_work", edge_ids=("e2",), inhabitants=0, households=0,
-        workers=0, work_positions=10, unemployed=0, vehicles=0,
+        id="d_work", edge_ids=("e2",), inhabitants=0, workers=0, work_positions=10,
         age_brackets=age_counts(0),
     )
     demand = DemandConfig(
@@ -217,15 +215,15 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
     # a flag out of its range is rejected the same way
     scenario = ["--network", ws / "net.json", "--routes", ws / "routes.json", "--output-dir", out]
     assert run(["sim", "run", *scenario, "--time-to-teleport", "-5"]) == 2
-    assert "time_to_teleport must be > 0" in capsys.readouterr().err
+    assert "time_to_teleport must be in (0, inf], got -5.0" in capsys.readouterr().err
     for workers in ("0", "-5"):
         assert run(["calib", "sweep", *scenario, "--detectors", ws / "detectors.json",
                     "--measurements", ws / "measurements.csv", "--workers", workers]) == 2
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
     # and so is NaN, which a JSON config file can carry: a day with NaN as
     # its rerouting period would run without a single rerouting round
-    for key, message in (("rerouting_period", "rerouting_period must be > 0"),
-                         ("end", "end must be after begin")):
+    for key, message in (("rerouting_period", "rerouting_period must be in (0, inf], got nan"),
+                         ("end", "end must be in (-inf, inf), got nan")):
         cfg.write_text(json.dumps({"sim": {key: math.nan}}) + "\n")
         assert "NaN" in cfg.read_text()
         assert run(["sim", "run", *scenario, "--config", cfg]) == 2, key
@@ -233,7 +231,7 @@ def test_bad_sim_settings_exit_two_before_any_output(ws, tmp_path, capsys):
     write_one_trip(tmp_path / "trips.json")
     assert run(["dua", "iterate", "--network", ws / "net.json", "--trips", tmp_path / "trips.json",
                 "--window", "0", "--output-dir", out]) == 2
-    assert "bad assignment settings: window must be >= 1" in capsys.readouterr().err
+    assert "bad assignment settings: window must be in [1, inf), got 0" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -247,11 +245,11 @@ def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
         (["calib", "sweep", *scenario, "--measurements", missing, "--grid-step", "0.00005"],
          "step must be >= 0.0001"),
         (["report", "validate", *scenario, "--measurements", missing, "--p", "0.5",
-          "--rerouting-period", "0"], "rerouting_period must be > 0"),
+          "--rerouting-period", "0"], "rerouting_period must be in (0, inf], got 0.0"),
         (["report", "validate", *scenario, "--measurements", missing, "--p", "1.5"],
-         "bad simulation settings: rerouting_probability must be in [0, 1]"),
+         "bad simulation settings: rerouting_probability must be in [0, 1], got 1.5"),
         (["dua", "iterate", "--network", missing, "--trips", missing, "--tol", "-1"],
-         "tol must be >= 0"),
+         "tol must be in [0, inf], got -1.0"),
         (["data", "ingest", "--measurements", missing, "--include-weekdays", "Funday"],
          "unknown weekday 'Funday'"),
         (["data", "ingest", "--measurements", missing, "--date-from", "2023-09-10",
@@ -265,7 +263,7 @@ def test_bad_settings_exit_two_before_reading_inputs(ws, tmp_path, capsys):
     cfg.write_text(json.dumps({"demand": {"car_rate": 1.5}}) + "\n")
     assert run(["demand", "generate", "--network", missing, "--statistics", ws / "statistics.json",
                 "--config", cfg, "--output-dir", tmp_path / "out"]) == 2
-    assert "bad demand settings: car_rate must be in [0, 1]" in capsys.readouterr().err
+    assert "bad demand settings: car_rate must be in [0, 1], got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -276,7 +274,7 @@ def test_statistics_range_error_names_the_file(ws, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["demand", "generate", "--network", ws / "net.json", "--statistics", path,
                 "--output-dir", tmp_path / "out"]) == 3
-    assert f"{path}: config: car_rate must be in [0, 1]" in capsys.readouterr().err
+    assert f"{path}: config: car_rate must be in [0, 1], got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -292,9 +290,9 @@ def test_vehicle_types_are_run_settings(ws, tmp_path, capsys, sim_runs):
         ({"car": {**car, "sigma": 1.5}},
          "bad simulation settings: car: sigma must be in [0, 1], got 1.5"),
         ({"bus": {**car, "length": math.nan}},
-         "bad simulation settings: bus: length must be finite and > 0, got nan"),
+         "bad simulation settings: bus: length must be in (0, inf), got nan"),
         ({"car": {**car, "tau": math.nan}},
-         "bad simulation settings: car: tau must be finite and >= 0, got nan"),
+         "bad simulation settings: car: tau must be in [0, inf), got nan"),
     ):
         cfg.write_text(json.dumps({"sim": sim}) + "\n")
         assert run(argv) == 2, sim
@@ -307,18 +305,25 @@ def test_vehicle_types_are_run_settings(ws, tmp_path, capsys, sim_runs):
 
 
 def test_a_nan_gate_share_is_refused_by_name(tmp_path, capsys):
-    # NaN fails every comparison, so the share-sum rule is written to refuse
-    # it; before, apportioning the gate flows raised a bare ValueError
+    # a share or count outside its range, NaN included, is refused where the
+    # statistics file is read; before, apportioning the gate flows raised a
+    # bare ValueError, and a negative share was apportioned as given
     twin = fixtures.twin_scenario(7)
     save_network(twin.net, tmp_path / "net.json")
-    gate = dataclasses.replace(twin.statistics.gates[0], incoming_share=math.nan)
     path = tmp_path / "statistics.json"
-    save_statistics(dataclasses.replace(
-        twin.statistics, gates=(gate, *twin.statistics.gates[1:])), path)
-    assert run(["demand", "generate", "--network", tmp_path / "net.json", "--statistics", path,
-                "--output-dir", tmp_path / "out"]) == 3
-    assert capsys.readouterr().err == (
-        "error: DemandError: gate incoming_shares sum to nan, expected 1\n")
+    for key, index, field, value, interval in (
+        ("gates", 0, "incoming_share", math.nan, "[0, 1]"),
+        ("gates", 1, "incoming_share", -0.5, "[0, 1]"),
+        ("districts", 0, "workers", -1, "[0, inf)"),
+    ):
+        doc = netmodel.record_to(twin.statistics)
+        doc[key][index][field] = value
+        netmodel.write_json(doc, path)
+        assert run(["demand", "generate", "--network", tmp_path / "net.json",
+                    "--statistics", path, "--output-dir", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: DemandError: {path}: {key}[{index}]: {field} must be in {interval},"
+            f" got {value}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -370,18 +375,18 @@ def test_non_finite_settings_exit_two(tmp_path, capsys):
     scenario = ["--network", missing, "--routes", missing, "--detectors", missing]
     sweep = ["calib", "sweep", *scenario, "--measurements", missing]
     cfg = tmp_path / "project.json"
-    for section, key, value, flag in (
-        ("sweep", "step", math.nan, None),
-        ("sweep", "step", math.inf, "--grid-step"),
-        ("sweep", "p_min", math.inf, None),
-        ("sweep", "p_max", -math.inf, "--p-max"),
-        ("sim", "begin", -math.inf, "--begin"),
-        ("sim", "end", math.inf, "--end"),
-        ("sim", "step_length", math.inf, "--step-length"),
+    for section, key, value, flag, interval in (
+        ("sweep", "step", math.nan, None, "(0, inf)"),
+        ("sweep", "step", math.inf, "--grid-step", "(0, inf)"),
+        ("sweep", "p_min", math.inf, None, "[0, 1]"),
+        ("sweep", "p_max", -math.inf, "--p-max", "[0, 1]"),
+        ("sim", "begin", -math.inf, "--begin", "(-inf, inf)"),
+        ("sim", "end", math.inf, "--end", "(-inf, inf)"),
+        ("sim", "step_length", math.inf, "--step-length", "(0, inf)"),
     ):
         argv = sweep if section == "sweep" else ["sim", "run", *scenario]
         label = "sweep grid" if section == "sweep" else "simulation settings"
-        message = f"bad {label}: {key} must be finite, got {value}"
+        message = f"bad {label}: {key} must be in {interval}, got {value}"
         cfg.write_text(json.dumps({section: {key: value}}) + "\n")
         assert run([*argv, "--config", cfg, "--output-dir", tmp_path / "out"]) == 2, key
         assert message in capsys.readouterr().err, key
@@ -646,6 +651,11 @@ def test_sim_run_refuses_edge_and_stop_faults(tmp_path, capsys, fault):
     capsys.readouterr()
     assert run(["sim", "run", "--network", tmp_path / "net.json",
                 "--routes", tmp_path / "routes.json", "--output-dir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.endswith(f"error: ValueError: {message}\n")
+    # and so does assignment, whose routing divided by a zero speed
+    write_one_trip(tmp_path / "trips.json")
+    assert run(["dua", "iterate", "--network", tmp_path / "net.json",
+                "--trips", tmp_path / "trips.json", "--output-dir", tmp_path / "out"]) == 3
     assert capsys.readouterr().err.endswith(f"error: ValueError: {message}\n")
     assert not (tmp_path / "out").exists()
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trafcal import demandgen
+from trafcal import demandgen, netmodel
 from trafcal.demandgen import (
     ADULT_AGE,
     ADULT_BRACKET_START,
@@ -27,7 +27,10 @@ from trafcal.demandgen import (
     validate_inputs,
     write_trips,
 )
+from trafcal.microsim import RoutePlan, SimConfig, Simulation
 from trafcal.netmodel import Edge, Junction, RoadNetwork
+
+import scenarios
 
 H = 3600.0
 
@@ -41,16 +44,13 @@ def brackets(**counts):
     return tuple(out)
 
 
-def district(id, edges, workers=0, positions=0, inhabitants=0, age=None, **kw):
+def district(id, edges, workers=0, positions=0, inhabitants=0, age=None):
     return DistrictStats(
         id=id,
         edge_ids=tuple(edges),
         inhabitants=inhabitants,
-        households=kw.get("households", 0),
         workers=workers,
         work_positions=positions,
-        unemployed=kw.get("unemployed", 0),
-        vehicles=kw.get("vehicles", 0),
         age_brackets=age if age is not None else brackets(b30=inhabitants),
     )
 
@@ -147,17 +147,8 @@ def test_validate_catches_bad_inputs():
     with pytest.raises(DemandError):
         shift = WorkHours(8 * H, 17 * H, 0.7)
         validate_inputs(Statistics(districts=ok, config=config(work_hours=(shift,))), net)
-    with pytest.raises(DemandError):
-        validate_inputs(Statistics(districts=ok, config=config(car_rate=1.2)), net)
-    # NaN passes a check written `x < 0`
-    for value in (-1.0, math.nan, math.inf):
-        with pytest.raises(DemandError, match="departure_jitter_sd"):
-            config(departure_jitter_sd=value)
-    with pytest.raises(DemandError, match="shares sum to nan"):
-        config(work_hours=(WorkHours(8 * H, 17 * H, math.nan),))
-    nan_gate = CityGate("g", "e0", "e3", math.nan, 1.0)
-    with pytest.raises(DemandError, match="gate incoming_shares sum to nan, expected 1"):
-        validate_inputs(Statistics(districts=ok, gates=[nan_gate], config=config()), net)
+    # a single field's range is checked when its record is built: see
+    # test_netmodel's table of bounded fields
     # the rule of a school holds for a shift: one that opened at NaN wrote
     # NaN departures, one that closed first sent workers home before they left
     for opening_h, closing_h in ((math.nan, 17 * H), (8 * H, math.nan), (17 * H, 17 * H),
@@ -381,6 +372,22 @@ def test_expand_routes_leaves_out_a_trip_on_a_bus_lane():
     assert res.no_path == ["bus_lane", "across"]
 
 
+@pytest.mark.parametrize("fault", scenarios.CHAIN_FAULTS)
+def test_routing_refuses_what_the_engine_refuses(fault):
+    # routing over a zero speed divided by zero, a negative length was a
+    # negative weight, and a NaN length or no lane gave a route no run drives
+    net, _ = scenarios.chain_with_fault(fault)
+    with pytest.raises(ValueError) as engine:
+        Simulation(net, [RoutePlan("v0", ("e0", "e1", "e2"), 0.0)], SimConfig())
+    with pytest.raises(ValueError) as routing:
+        expand_routes([demandgen.Trip("t0", 0.0, "e0", "e2", "work")], net)
+    assert str(routing.value) == str(engine.value)
+    ok = [district("a", ["e0"], workers=1, positions=1, inhabitants=1)]
+    with pytest.raises(DemandError) as demand:
+        validate_inputs(Statistics(districts=ok, config=config()), net)
+    assert str(demand.value) == str(engine.value)
+
+
 # -- files -------------------------------------------------------------------
 
 
@@ -432,3 +439,16 @@ def test_statistics_round_trip(tmp_path):
     again = tmp_path / "stats2.json"
     save_statistics(load_statistics(path), again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_unread_district_counts_are_refused(tmp_path):
+    # generation never read households, unemployed or vehicles, so a file
+    # that still carries them is refused like any other unknown field
+    _, stats, _, cfg = small_scenario()
+    path = tmp_path / "stats.json"
+    for key in ("households", "unemployed", "vehicles"):
+        doc = netmodel.record_to(Statistics(districts=tuple(stats), config=cfg))
+        doc["districts"][0][key] = 0
+        netmodel.write_json(doc, path)
+        with pytest.raises(DemandError, match=rf"districts\[0\]: unknown field '{key}'$"):
+            load_statistics(path)

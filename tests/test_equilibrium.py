@@ -181,23 +181,9 @@ def test_per_trip_records_have_no_instance_dict(record):
 
 
 def test_dua_config_ranges():
+    # each field's range is checked by test_netmodel's table of bounded fields
     assert DuaConfig() == DuaConfig(50, 0.01, 5, equilibrium.GAWRON_BETA,
                                     equilibrium.GAWRON_ALPHA, equilibrium.MAX_ALTERNATIVES)
-    DuaConfig(max_iter=1, tol=0.0, window=1, beta=0.0, alpha=0.0, max_alternatives=1)
-    DuaConfig(alpha=1.0)
-    for bad, message in (
-        ({"max_iter": 0}, "max_iter"),
-        ({"window": 0}, "window"),
-        ({"tol": -0.01}, "tol"),
-        ({"tol": math.nan}, "tol"),
-        ({"beta": -1.0}, "beta"),
-        ({"beta": math.nan}, "beta"),
-        ({"alpha": -0.1}, "alpha"),
-        ({"alpha": 7.0}, "alpha"),
-        ({"max_alternatives": 0}, "max_alternatives"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            DuaConfig(**bad)
 
 
 # -- experienced cost fallbacks ----------------------------------------------

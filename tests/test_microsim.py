@@ -829,28 +829,10 @@ def test_valid_scenario_records_are_accepted():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(step_length=0.0)
-    with pytest.raises(ValueError):
+    # each field's own range is checked by test_netmodel's table of bounded fields
+    with pytest.raises(ValueError, match="^end must be after begin$"):
         SimConfig(begin=100.0, end=100.0)
-    with pytest.raises(ValueError):
-        SimConfig(rerouting_probability=1.5)
-    for field, value in (
-        ("time_to_teleport", 0.0), ("time_to_teleport", -5.0),
-        ("ignore_junction_blocker", -1.0),
-        ("speed_smoothing", -0.1), ("speed_smoothing", 2.0),
-        # NaN passes a check written `x <= 0`
-        ("end", math.nan), ("step_length", math.nan), ("time_to_teleport", math.nan),
-        ("rerouting_period", math.nan), ("ignore_junction_blocker", math.nan),
-        ("rerouting_probability", math.nan), ("speed_smoothing", math.nan),
-        # an infinite end or step would overflow or end the day at once
-        ("begin", -math.inf), ("end", math.inf), ("step_length", math.inf),
-    ):
-        with pytest.raises(ValueError, match=field):
-            SimConfig(**{field: value})
-    # the ends of each range stay valid
-    SimConfig(ignore_junction_blocker=0.0, speed_smoothing=0.0)
-    SimConfig(speed_smoothing=1.0)
+    SimConfig(begin=100.0, end=math.nextafter(100.0, math.inf))
 
 
 def test_infinite_thresholds_mean_never():

@@ -11,11 +11,12 @@ import pytest
 
 from trafcal import cli, fixtures
 from trafcal import netmodel
-from trafcal.calibrate import SweptSeries
+from trafcal.calibrate import GridSpec, SweptSeries
 from trafcal.cli import ProjectConfig, UsageError, load_project
 from trafcal.demandgen import (
     CityGate,
     DemandConfig,
+    DemandError,
     DistrictStats,
     School,
     Trip,
@@ -23,6 +24,8 @@ from trafcal.demandgen import (
     load_statistics,
     read_trips,
 )
+from trafcal.equilibrium import DuaConfig
+from trafcal.microsim import SimConfig
 from trafcal.microsim.carfollow import CAR
 from trafcal.microsim.simio import (
     BusLine,
@@ -254,9 +257,8 @@ REQUIRED_ONLY = {
     "statistics": (
         _statistics_records,
         {
-            "districts": [{"id": "d", "edge_ids": ["e"], "inhabitants": 1, "households": 1,
-                           "workers": 0, "work_positions": 0, "unemployed": 0,
-                           "vehicles": 0, "age_brackets": [1]}],
+            "districts": [{"id": "d", "edge_ids": ["e"], "inhabitants": 1, "workers": 0,
+                           "work_positions": 0, "age_brackets": [1]}],
             "gates": [{"id": "g", "in_edge": "e", "out_edge": "f",
                        "incoming_share": 1, "outgoing_share": 1}],
             "schools": [{"id": "s", "edge_id": "e", "age_min": 6, "age_max": 9,
@@ -266,8 +268,8 @@ REQUIRED_ONLY = {
                        "work_hours": [{"opening_h": 8, "closing_h": 17, "worker_share": 1}]},
         },
         [
-            DistrictStats(id="d", edge_ids=("e",), inhabitants=1, households=1, workers=0,
-                          work_positions=0, unemployed=0, vehicles=0, age_brackets=(1,)),
+            DistrictStats(id="d", edge_ids=("e",), inhabitants=1, workers=0,
+                          work_positions=0, age_brackets=(1,)),
             CityGate(id="g", in_edge="e", out_edge="f", incoming_share=1.0, outgoing_share=1.0),
             School(id="s", edge_id="e", age_min=6, age_max=9, capacity=3,
                    opening_h=8.0, closing_h=16.0),
@@ -360,6 +362,118 @@ def test_literal_fields_take_only_their_values():
     doc["tls"][0]["logic"] = 1  # not a string at all
     with pytest.raises(NetworkFormatError, match=re.escape("tls[0]: field 'logic' has wrong type")):
         record_from(NetworkFile, doc).network()
+
+
+# -- record ranges -----------------------------------------------------------
+
+H = 3600.0
+# a valid record of each class with `bounded` fields, and the interval each
+# of those fields declares: the ranges the settings and statistics take
+BOUNDED = (
+    (SimConfig(), {
+        "begin": "(-inf, inf)", "end": "(-inf, inf)", "step_length": "(0, inf)",
+        "ignore_junction_blocker": "[0, inf]", "time_to_teleport": "(0, inf]",
+        "rerouting_probability": "[0, 1]", "rerouting_period": "(0, inf]",
+        "speed_smoothing": "[0, 1]",
+    }),
+    (CAR, {
+        "accel": "(0, inf)", "decel": "(0, inf)", "tau": "[0, inf)", "sigma": "[0, 1]",
+        "min_gap": "[0, inf)", "length": "(0, inf)", "max_speed": "(0, inf)",
+    }),
+    (DuaConfig(), {
+        "max_iter": "[1, inf)", "tol": "[0, inf]", "window": "[1, inf)", "beta": "[0, inf]",
+        "alpha": "[0, 1]", "max_alternatives": "[1, inf)",
+    }),
+    (GridSpec(), {"p_min": "[0, 1]", "p_max": "[0, 1]", "step": "(0, inf)"}),
+    (DemandConfig(0.5, 0.5, 0, 0, (WorkHours(8 * H, 17 * H, 1.0),)), {
+        "car_rate": "[0, 1]", "car_preference_rate": "[0, 1]", "incoming_total": "[0, inf)",
+        "outgoing_total": "[0, inf)", "departure_jitter_sd": "[0, inf)",
+        "free_time_rate": "[0, 1]",
+    }),
+    (WorkHours(8 * H, 17 * H, 1.0), {"worker_share": "[0, 1]"}),
+    (CityGate("g", "e0", "e1", 1.0, 1.0), {"incoming_share": "[0, 1]", "outgoing_share": "[0, 1]"}),
+    (DistrictStats("d", ("e0",), 2, 1, 1, (1, 1)), {
+        "inhabitants": "[0, inf)", "workers": "[0, inf)", "work_positions": "[0, inf)",
+        "age_brackets": "[0, inf)",
+    }),
+    (School("s", "e0", 6, 9, 10, 8 * H, 16 * H), {"capacity": "[0, inf)"}),
+)
+# the numeric fields of those records with no interval of their own
+UNBOUNDED = {
+    "seed": "any integer seeds the random stream",
+    "opening_h": "checked with closing_h by demandgen._check_hours, whose message says"
+                 " both are seconds of the day",
+    "closing_h": "checked with opening_h by demandgen._check_hours",
+    "age_min": "any integer: a school whose ages cover no whole bracket enrols nobody",
+    "age_max": "any integer, like age_min, and not below it",
+}
+# shares outside [0, 1] that still sum to 1, so only their range refuses
+# them; generation would apportion them as given. On the seed-7 twin, gate
+# incoming shares of -0.5 and 1.5 make 720 incoming trips, all at
+# `gate_se`, against 480 at 0.5 and 0.5; with only its first two shifts,
+# worker shares of 1.5 and -0.5 make 5,184 work legs against 3,456 at 1.0
+# and 0.0
+UNIT_SUM_SHARES = {("CityGate", "incoming_share"): (-0.5, 1.5),
+                   ("WorkHours", "worker_share"): (1.5, -0.5)}
+
+
+def _ends(interval: str) -> tuple:
+    """(low, high, low closed, high closed) of an interval written like
+    '[0, inf)'; an AssertionError when it is not written so."""
+    m = re.fullmatch(r"([\[(])(-?inf|-?\d+), (-?inf|-?\d+)([\])])", interval)
+    assert m, f"interval '{interval}' does not parse"
+    return float(m[2]), float(m[3]), m[1] == "[", m[4] == "]"
+
+
+def test_every_numeric_setting_declares_an_interval():
+    for record, intervals in BOUNDED:
+        hints = typing.get_type_hints(type(record))
+        numeric = {
+            f.name for f in dataclasses.fields(record)
+            if hints[f.name] in (int, float, tuple[int, ...], tuple[float, ...])
+        }
+        declared = {f.name: f.metadata["in"] for f in dataclasses.fields(record)
+                    if "in" in f.metadata}
+        assert numeric - set(declared) <= set(UNBOUNDED), type(record)
+        assert declared == intervals, type(record)
+        for interval in declared.values():
+            _ends(interval)
+
+
+@pytest.mark.parametrize("record, name, interval", [
+    pytest.param(record, name, interval, id=f"{type(record).__name__}.{name}")
+    for record, intervals in BOUNDED for name, interval in intervals.items()
+])
+def test_bounded_fields_take_exactly_their_interval(record, name, interval):
+    lo, hi, lo_closed, hi_closed = _ends(interval)
+    error = DemandError if type(record).__module__ == "trafcal.demandgen" else ValueError
+    value = getattr(record, name)
+    # a tuple field is checked item by item: the last item is varied
+    label = f"{name}[{len(value) - 1}]" if type(value) is tuple else name
+    integral = type(value[-1] if type(value) is tuple else value) is int
+
+    def replaced(x):
+        return dataclasses.replace(
+            record, **{name: (*value[:-1], x) if type(value) is tuple else x})
+
+    # each end, in or out as its bracket says; past a finite end, the next
+    # value outside it and the infinity on that side; NaN
+    accepted, refused = [], [math.nan, *UNIT_SUM_SHARES.get((type(record).__name__, name), ())]
+    for end, closed, outward in ((lo, lo_closed, -1), (hi, hi_closed, 1)):
+        finite = math.isfinite(end)
+        if finite and integral:
+            end = int(end)
+        (accepted if closed else refused).append(end)
+        if finite:
+            refused.append(end + outward if integral else math.nextafter(end, outward * math.inf))
+            refused.append(outward * math.inf)
+    for x in accepted:
+        replaced(x)
+    for x in refused:
+        with pytest.raises(ValueError) as exc:
+            replaced(x)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{label} must be in {interval}, got {x}"
 
 
 def test_save_is_deterministic(tmp_path):
