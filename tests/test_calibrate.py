@@ -146,6 +146,16 @@ def test_grid_finer_than_the_written_decimals_is_rejected():
         assert [float(f"{p:.4f}") for p in grid.points()] == grid.points()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["p_min", "p_max", "step"])
+def test_grid_values_must_be_finite(key, value):
+    # checked before any arithmetic: round() of a NaN or an infinity would
+    # raise an error that names no field, or an OverflowError
+    interval = re.escape("[0, 1]" if key != "step" else "(0, inf)")
+    with pytest.raises(ValueError, match=f"^{key} must be in {interval}, got {value}$"):
+        GridSpec(**{key: value})
+
+
 # -- the sweep ---------------------------------------------------------------
 
 
