@@ -306,28 +306,22 @@ def read_sweep_best(path) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SweptSeries:
-    """The record of `sweep_best_series.json`."""
+class SweptRun:
+    """One sweep run as `sweep_series.json` keeps it: the `simulation_key`
+    of the run, its theta and each detector's integer counts."""
 
-    inputs: str
-    p: float
+    key: str
+    theta: dict[str, float]
     counts: dict[str, tuple[int, ...]]
 
+    def __post_init__(self):
+        self.series()  # counts that make no detector series are refused on read
 
-def write_best_series(result: SweepResult, inputs: str, path) -> None:
-    """The best point's simulated counts, under `inputs`, the
-    `simulation_key` of the run that made them."""
-    counts = {s.detector_id: tuple(int(x) for x in s.counts) for s in result.best.series}
-    p = result.best.theta["rerouting_probability"]
-    netmodel.write_json(netmodel.record_to(SweptSeries(inputs, p, counts)), path)
+    @classmethod
+    def of(cls, key: str, run: Run) -> SweptRun:
+        return cls(key, run.theta, {s.detector_id: tuple(map(int, s.counts)) for s in run.series})
 
-
-def read_best_series(path) -> tuple[str, list[DetectorSeries]]:
-    """The (inputs, series) `write_best_series` wrote; a file of any other
-    shape is a ValueError."""
-    swept = netmodel.read_record(path, SweptSeries, ValueError)
-    series = [
-        DetectorSeries(det_id, tuple(float(x) for x in values))
-        for det_id, values in sorted(swept.counts.items())
-    ]
-    return swept.inputs, series
+    def series(self) -> list[DetectorSeries]:
+        """The counts as the run's `Run.series`, in detector-id order."""
+        counts = sorted(self.counts.items())
+        return [DetectorSeries(det_id, tuple(map(float, values))) for det_id, values in counts]

@@ -39,8 +39,8 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-# the best sweep point's simulated counts, kept for `report validate`
-SWEPT_SERIES = "sweep_best_series.json"
+# every sweep run's simulated counts, kept for `report validate`
+SWEPT_SERIES = "sweep_series.json"
 
 # each settings section of a project config: the record it becomes and the
 # label of the error its range check raises; `_SECTION_KEYS`, after the
@@ -162,26 +162,29 @@ def _scenario(ctx: _Ctx, detectors_required: bool) -> tuple:
     return paths, net, plans, detectors, lines
 
 
-def _swept_series(ctx: _Ctx, key: str, detectors) -> typing.Optional[list]:
-    """The series `calib sweep` kept for the run `key` names, or None,
-    with the reason logged, when there is none to reuse."""
+def _swept_series(ctx: _Ctx, paths, config: SimConfig, detectors) -> typing.Optional[list]:
+    """The series `calib sweep` kept for the run of `config` on `paths`, or
+    None, with the reason logged, when there is none to reuse."""
     path = os.path.normpath(os.path.join(ctx.output_dir, SWEPT_SERIES))
     if not os.path.exists(path):
         ctx.log(f"no {SWEPT_SERIES}: simulating")
         return None
     try:
-        inputs, series = calibrate.read_best_series(path)
+        runs = netmodel.read_records(path, "runs", calibrate.SweptRun, ValueError)
     except (OSError, ValueError) as exc:
         ctx.log(f"unreadable {SWEPT_SERIES} ({exc}): simulating")
         return None
-    if inputs != key:
-        ctx.log(f"{SWEPT_SERIES} is from other inputs: simulating")
+    key = calibrate.simulation_key(paths, config)
+    kept = next((run for run in runs if run.key == key), None)
+    if kept is None:
+        ctx.log(f"{SWEPT_SERIES} holds no run of these inputs and settings: simulating")
         return None
-    if [s.detector_id for s in series] != sorted(d.id for d in detectors):
+    if sorted(kept.counts) != sorted(d.id for d in detectors):
         ctx.log(f"{SWEPT_SERIES} names other detectors: simulating")
         return None
-    ctx.log(f"reusing the swept counts in {path}")
-    return series
+    # equal keys are equal settings, so the kept run is at this p
+    ctx.log(f"reusing the swept counts of p={config.rerouting_probability} in {path}")
+    return kept.series()
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +296,15 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
     )
     calibrate.write_sweep_csv(result, ctx.out_path("sweep.csv"))
     calibrate.write_sweep_best(result, ctx.out_path("sweep_best.csv"))
-    best = ctx.settings("sim", **result.best.theta)
-    calibrate.write_best_series(
-        result, calibrate.simulation_key(paths, best), ctx.out_path(SWEPT_SERIES)
-    )
+    kept = [
+        calibrate.SweptRun.of(calibrate.simulation_key(paths, ctx.settings("sim", **run.theta)), run)
+        for run in result.entries
+    ]
+    netmodel.write_records(kept, ctx.out_path(SWEPT_SERIES), "runs")
     ctx.log(f"swept {len(result.entries)} points -> {ctx.out_path('sweep.csv')}")
-    print(f"best_p {best.rerouting_probability:.4f} best_nrmse {result.best.nrmse:.6f}")
+    ctx.log(f"kept the counts of {len(kept)} runs -> {ctx.out_path(SWEPT_SERIES)}")
+    best = result.best
+    print(f"best_p {best.theta['rerouting_probability']:.4f} best_nrmse {best.nrmse:.6f}")
     return EXIT_OK
 
 
@@ -369,7 +375,7 @@ def cmd_report_validate(ctx: _Ctx) -> int:
     paths, net, plans, detectors, lines = _scenario(ctx, detectors_required=True)
     real = dataio.ingest(dataio.read_measurements_csv(ctx.path("measurements"))).series
     ctx.log(f"validation run at p={p}")
-    series = _swept_series(ctx, calibrate.simulation_key(paths, config), detectors)
+    series = _swept_series(ctx, paths, config, detectors)
     if series is None:
         evaluator = calibrate.Evaluator(net, plans, detectors, real, config, lines)
         series = evaluator.evaluate({}).series

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from trafcal import calibrate, equilibrium
+from trafcal import calibrate, equilibrium, netmodel
 from trafcal.calibrate import (
     DetectorMismatchError,
     DetectorSeries,
@@ -17,15 +17,14 @@ from trafcal.calibrate import (
     LengthMismatchError,
     Run,
     SweepResult,
+    SweptRun,
     ZeroMeanError,
     aggregate_series,
     nrmse,
-    read_best_series,
     read_sweep_best,
     sim_series,
     simulation_key,
     sweep_rerouting_probability,
-    write_best_series,
     write_sweep_best,
     write_sweep_csv,
 )
@@ -366,18 +365,26 @@ def test_sweep_csv_bad_header(tmp_path):
         read_sweep_best(path)
 
 
-def test_best_series_round_trip(tmp_path):
+def test_swept_run_round_trip(tmp_path):
     series = [DetectorSeries("b", counts((3, 2))), DetectorSeries("a", counts((0, 1)))]
-    best = Run({"rerouting_probability": 0.25}, 0.5, series)
-    res = SweepResult([best], best)
-    path = tmp_path / "best.json"
-    write_best_series(res, "k" * 64, path)
-    assert read_best_series(path) == ("k" * 64, sorted(series, key=lambda s: s.detector_id))
-    path.write_text('{"inputs": "k", "p": 1, "counts": {"a": [1.5]}}')
+    runs = [Run({"rerouting_probability": p}, 0.5, series) for p in (0.25, 0.5)]
+    kept = [SweptRun.of(str(i) * 64, run) for i, run in enumerate(runs)]
+    path = tmp_path / "sweep_series.json"
+    netmodel.write_records(kept, path, "runs")
+    assert netmodel.read_records(path, "runs", SweptRun, ValueError) == kept
+    for run, back in zip(runs, kept):
+        assert back.series() == sorted(run.series, key=lambda s: s.detector_id)
+    doc = '{"runs": [{"key": "k", "theta": {"rerouting_probability": 1}, "counts": {"a": %s}}]}'
+    path.write_text(doc % ([1.5] + [0] * 95))
     with pytest.raises(ValueError, match=re.escape(
-        f"{path}: top level: field 'counts.a[0]' has wrong type"
+        f"{path}: runs[0]: field 'counts.a[0]' has wrong type"
     )):
-        read_best_series(path)
+        netmodel.read_records(path, "runs", SweptRun, ValueError)
+    path.write_text(doc % [1])
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}: runs[0]: detector 'a': expected 96 windows, got 1"
+    )):
+        netmodel.read_records(path, "runs", SweptRun, ValueError)
 
 
 def test_simulation_key_covers_files_and_every_setting(tmp_path):

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from trafcal import cli, dataio, demandgen, equilibrium, fixtures, netmodel
+from trafcal import calibrate, cli, dataio, demandgen, equilibrium, fixtures, netmodel
 from trafcal.demandgen import (
     AGE_BRACKETS,
     DemandConfig,
@@ -29,6 +29,8 @@ from trafcal.microsim import (
     RoutePlan,
     SimConfig,
     Simulation,
+    load_bus_lines,
+    load_detectors,
     load_route_plans,
     save_bus_lines,
     save_detectors,
@@ -888,9 +890,28 @@ def test_calib_sweep_output_does_not_depend_on_workers(ws, tmp_path):
         assert digest(tmp_path / "w1" / name) == digest(tmp_path / "w2" / name), name
 
 
+def test_calib_sweep_output_does_not_depend_on_the_hash_seed(ws, tmp_path):
+    # string hashing, and so set order, differs between interpreters
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trafcal", "calib", "sweep", "--network", str(ws / "net.json"),
+             "--routes", str(ws / "routes.json"), "--detectors", str(ws / "detectors.json"),
+             "--measurements", str(ws / "measurements.csv"), "--p-min", "0", "--p-max", "1",
+             "--grid-step", "0.5", "--output-dir", str(tmp_path / seed)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"kept the counts of 3 runs -> {tmp_path / seed / cli.SWEPT_SERIES}" in proc.stderr
+    for name in ("sweep.csv", "sweep_best.csv", cli.SWEPT_SERIES):
+        assert digest(tmp_path / "0" / name) == digest(tmp_path / "1" / name), name
+
+
 # -- reuse of the swept counts ---------------------------------------------------
 
 REPORT_FILES = ("report.json", "per_window.csv", "per_detector.csv")
+NO_SUCH_RUN = f"{cli.SWEPT_SERIES} holds no run of these inputs and settings: simulating"
 
 
 @pytest.fixture
@@ -928,21 +949,52 @@ def fresh_report(common, *flags):
         kept.write_bytes(saved)
 
 
-def test_report_validate_reuses_the_swept_counts(swept, monkeypatch, capsys):
-    def no_run(sim, probe=None):
-        raise AssertionError("report validate simulated a run the sweep made")
+def no_run(sim, probe=None):
+    raise AssertionError("report validate simulated a run the sweep made")
 
+
+def test_report_validate_reuses_the_swept_counts(swept, monkeypatch, capsys):
     kept = json.loads((swept[-1] / cli.SWEPT_SERIES).read_text())
-    assert set(kept) == {"inputs", "p", "counts"}
-    assert kept["p"] == 0.0 and set(kept["counts"]) == {"det_mid"}
+    assert set(kept) == {"runs"}
+    assert [set(run) for run in kept["runs"]] == [{"key", "theta", "counts"}] * 3
+    assert [set(run["counts"]) for run in kept["runs"]] == [{"det_mid"}] * 3
     with monkeypatch.context() as m:
         m.setattr(Simulation, "run", no_run)
         reused = validate_report(swept)
         # an explicit --p equal to the swept best names the same run
         assert validate_report(swept, "--p", "0") == reused
-    assert "reusing the swept counts" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("reusing the swept counts of p=0.0 in ") == 2
     assert fresh_report(swept) == reused
     assert f"no {cli.SWEPT_SERIES}: simulating" in capsys.readouterr().err
+
+
+def test_report_validate_reuses_any_swept_point(swept, monkeypatch, capsys):
+    # the sweep's best is p = 0; p = 0.5 is another point of its grid
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "run", no_run)
+        reused = validate_report(swept, "--p", "0.5")
+    assert "reusing the swept counts of p=0.5 in " in capsys.readouterr().err
+    assert fresh_report(swept, "--p", "0.5") == reused
+
+
+def test_calib_sweep_keeps_every_run_in_grid_order(swept):
+    out = swept[-1]
+    kept = netmodel.read_records(out / cli.SWEPT_SERIES, "runs", calibrate.SweptRun)
+    paths = tuple(str(out.parent / name)
+                  for name in ("net.json", "routes.json", "detectors.json", "bus_lines.json"))
+    evaluator = calibrate.Evaluator(
+        load_network(paths[0]), load_route_plans(paths[1]), load_detectors(paths[2]),
+        dataio.ingest(dataio.read_measurements_csv(out.parent / "measurements.csv")).series,
+        SimConfig(), load_bus_lines(paths[3]),
+    )
+    thetas = [{"rerouting_probability": p} for p in calibrate.GridSpec(0, 1, 0.5).points()]
+    assert [r.theta for r in kept] == thetas
+    for r, theta in zip(kept, thetas):
+        assert r.key == calibrate.simulation_key(
+            paths, SimConfig(rerouting_probability=theta["rerouting_probability"])
+        )
+        assert r.series() == evaluator.evaluate(theta).series
 
 
 @pytest.mark.parametrize("name", ["net.json", "routes.json", "detectors.json", "bus_lines.json"])
@@ -951,7 +1003,7 @@ def test_report_validate_simulates_when_an_input_file_changed(swept, sim_runs, c
     path.write_text(path.read_text() + "\n")  # same records, other bytes
     report = validate_report(swept)
     assert len(sim_runs) == 1
-    assert "is from other inputs: simulating" in capsys.readouterr().err
+    assert NO_SUCH_RUN in capsys.readouterr().err
     assert fresh_report(swept) == report
 
 
@@ -968,12 +1020,12 @@ def test_report_validate_simulates_for_changed_routes(swept, sim_runs):
 @pytest.mark.parametrize("flags", [
     ["--seed", "1"],
     ["--time-to-teleport", "200"],
-    ["--p", "0.5"],
+    ["--p", "0.25"],  # off the swept grid
 ])
 def test_report_validate_simulates_another_run(swept, sim_runs, capsys, flags):
     report = validate_report(swept, *flags)
     assert len(sim_runs) == 1
-    assert "is from other inputs: simulating" in capsys.readouterr().err
+    assert NO_SUCH_RUN in capsys.readouterr().err
     assert fresh_report(swept, *flags) == report
 
 
@@ -984,6 +1036,8 @@ def test_report_validate_simulates_another_run(swept, sim_runs, capsys, flags):
     '{"inputs": 1, "p": 0.0, "counts": {}}',
     '{"inputs": "x", "p": 0.0, "counts": {"det_mid": [1, 2]}}',
     '{"inputs": "x", "p": 0.0, "counts": {"det_mid": "many"}}',
+    '{"runs": [{"key": "x", "theta": {}}]}',
+    '{"runs": [{"key": "x", "theta": {}, "counts": {"det_mid": [1, 2]}}]}',
 ])
 def test_report_validate_simulates_past_a_corrupt_file(swept, sim_runs, capsys, text):
     want = fresh_report(swept)
@@ -995,21 +1049,22 @@ def test_report_validate_simulates_past_a_corrupt_file(swept, sim_runs, capsys, 
 
 
 def test_report_validate_simulates_past_a_repeated_key(swept, sim_runs, capsys):
-    # `json` alone keeps the last of a repeated key, so these counts would
-    # be reused under the other `inputs`
+    # `json` alone keeps the last of a repeated key, so the first run's
+    # counts would be kept under the other `key`
     want = fresh_report(swept)
     sim_runs.clear()
     path = swept[-1] / cli.SWEPT_SERIES
-    path.write_text(path.read_text().replace("{", '{"inputs": "other",', 1))
+    path.write_text(path.read_text().replace('"key":', '"key": "other", "key":', 1))
     assert validate_report(swept) == want
     assert len(sim_runs) == 1
-    assert "repeated key 'inputs')" in capsys.readouterr().err
+    assert "repeated key 'key')" in capsys.readouterr().err
 
 
 def test_report_validate_simulates_for_other_detectors(swept, sim_runs, capsys):
     path = swept[-1] / cli.SWEPT_SERIES
     kept = json.loads(path.read_text())
-    kept["counts"]["elsewhere"] = kept["counts"]["det_mid"]
+    counts = kept["runs"][0]["counts"]  # the best run, p = 0
+    counts["elsewhere"] = counts["det_mid"]
     netmodel.write_json(kept, path)
     report = validate_report(swept)
     assert len(sim_runs) == 1

@@ -11,7 +11,7 @@ import pytest
 
 from trafcal import cli, fixtures
 from trafcal import netmodel
-from trafcal.calibrate import GridSpec, SweptSeries
+from trafcal.calibrate import GridSpec, SweptRun
 from trafcal.cli import ProjectConfig, UsageError, load_project
 from trafcal.demandgen import (
     CityGate,
@@ -53,7 +53,7 @@ from trafcal.netmodel import (
     left_sum,
     load_network,
     network_to_dict,
-    read_record,
+    read_records,
     record_from,
     route_cost,
     save_network,
@@ -280,9 +280,9 @@ REQUIRED_ONLY = {
     ),
     "project": (lambda path: [load_project(path)], {}, [ProjectConfig()], None),
     "swept_series": (
-        lambda path: [read_record(path, SweptSeries, ValueError)],
-        {"inputs": "k", "p": 0, "counts": {"d": [1, 2]}},
-        [SweptSeries(inputs="k", p=0.0, counts={"d": (1, 2)})],
+        lambda path: read_records(path, "runs", SweptRun, ValueError),
+        {"runs": [{"key": "k", "theta": {"rerouting_probability": 0}, "counts": {"d": [1] * 96}}]},
+        [SweptRun(key="k", theta={"rerouting_probability": 0.0}, counts={"d": (1,) * 96})],
         None,
     ),
 }
