@@ -1,9 +1,10 @@
-"""Detector-count calibration: NRMSE objective, evaluator and sweep.
+"""Detector-count calibration: run record, scorer, evaluator and sweep.
 
-An `Evaluator` runs one simulation per theta, a set of `SimConfig` fields,
-and scores it by the normalized root mean square error between aggregated
-real and simulated detector series. The sweep evaluates every grid
-probability and picks the one with the smallest error (ties to the smaller).
+An `Evaluator` simulates one `Run` per theta, a set of `SimConfig` fields.
+`score`, which the sweep and `dataio.validate` both call, gives a run's
+normalized root mean square error against the measured series, each
+summed over detectors. The sweep evaluates every grid probability and
+picks the one with the smallest error (ties to the smaller).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Sequence
 
 from trafcal import netmodel
 from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation, check_run
-from trafcal.microsim.engine import SimOutput
 from trafcal.microsim.simio import DAY_S, WINDOW_S, WINDOWS_PER_DAY
 
 SWEEP_BEST_HEADER = ("best_p", "best_nrmse")
@@ -104,17 +104,32 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Run:
-    """One simulation's theta (the `SimConfig` fields it set), NRMSE and series."""
+    """One simulated run, as `Evaluator.evaluate` returns it and
+    `sweep_series.json` keeps it: the `simulation_key` of the run, its
+    theta (the `SimConfig` fields it set) and each detector's integer
+    counts."""
 
+    key: str
     theta: dict[str, float]
-    nrmse: float
-    series: list[DetectorSeries]
+    counts: dict[str, tuple[int, ...]]
+
+    def __post_init__(self):
+        self.series()  # counts that make no detector series are refused on read
+
+    def series(self) -> list[DetectorSeries]:
+        """The counts as detector series, in detector-id order."""
+        counts = sorted(self.counts.items())
+        return [DetectorSeries(det_id, tuple(map(float, values))) for det_id, values in counts]
 
 
 @dataclass
 class SweepResult:
     entries: list[Run]  # in grid order
-    best: Run
+    scores: list[float]  # the `score` of each entry
+
+    def best(self) -> tuple[Run, float]:
+        """The entry of the smallest score, ties to the smaller p, and its score."""
+        return min(zip(self.entries, self.scores), key=lambda e: (e[1], e[0].theta["rerouting_probability"]))
 
 
 def nrmse(real: Sequence[float], sim: Sequence[float]) -> float:
@@ -145,21 +160,30 @@ def aggregate_series(series: Sequence[DetectorSeries]) -> list[float]:
     return out
 
 
-def sim_series(out: SimOutput) -> list[DetectorSeries]:
-    """Detector series from a simulation run, in detector-id order."""
-    return [
-        DetectorSeries(det_id, tuple(float(x) for x in out.detector_counts[det_id]))
-        for det_id in sorted(out.detector_counts)
-    ]
-
-
-def check_detector_sets(real_ids: set[str], sim_ids: set[str]) -> None:
-    """Refuse to score simulated detectors other than the measured ones, or
-    no detectors at all."""
-    if real_ids != sim_ids:
-        raise DetectorMismatchError(sorted(real_ids - sim_ids), sorted(sim_ids - real_ids))
-    if not real_ids:
+def check_detector_ids(real_ids: Sequence[str], sim_ids: Sequence[str]) -> None:
+    """Refuse to score an id repeated in either series, simulated detectors
+    other than the measured ones, or no detectors at all."""
+    for ids, which in ((real_ids, "measured"), (sim_ids, "simulated")):
+        if len(set(ids)) != len(ids):
+            repeated = next(det_id for det_id in ids if ids.count(det_id) > 1)
+            raise ValueError(f"detector '{repeated}' is repeated in the {which} series")
+    real_set, sim_set = set(real_ids), set(sim_ids)
+    if real_set != sim_set:
+        raise DetectorMismatchError(sorted(real_set - sim_set), sorted(sim_set - real_set))
+    if not real_set:
         raise ValueError("scoring needs at least one detector")
+
+
+def score(real: Sequence[DetectorSeries], sim: Sequence[DetectorSeries]) -> float:
+    """The scenario error of a run: the NRMSE of the simulated against the
+    measured series, each summed over detectors window by window in
+    detector-id order, whatever order they come in. Refuses what
+    `check_detector_ids` refuses."""
+    check_detector_ids([s.detector_id for s in real], [s.detector_id for s in sim])
+    real_total, sim_total = (
+        aggregate_series(sorted(series, key=lambda s: s.detector_id)) for series in (real, sim)
+    )
+    return nrmse(real_total, sim_total)
 
 
 def check_scored_day(config: SimConfig) -> None:
@@ -174,11 +198,12 @@ def check_scored_day(config: SimConfig) -> None:
 
 @dataclass
 class Evaluator:
-    """Runs and scores simulations of one scenario against the measured
-    series; refuses detectors other than those of `real`, a scenario the
-    engine cannot run (`microsim.check_run`), and a run or detector window
-    that does not give the day's quarter-hours (`check_scored_day`), before
-    any simulation."""
+    """Simulates runs of one scenario to score against the measured series;
+    refuses detectors other than those of `real` (`check_detector_ids`), a
+    scenario the engine cannot run (`microsim.check_run`), and a run or
+    detector window that does not give the day's quarter-hours
+    (`check_scored_day`), before any simulation. Each run's key covers
+    `inputs`, the paths of the scenario's files (`simulation_key`)."""
 
     net: netmodel.RoadNetwork
     plans: list[RoutePlan]
@@ -186,15 +211,15 @@ class Evaluator:
     real: list[DetectorSeries]
     base: SimConfig
     bus_lines: Sequence[BusLine] = ()
+    inputs: Sequence[Optional[str]] = ()
 
     def __post_init__(self):
         check_scored_day(self.base)
-        check_detector_sets({s.detector_id for s in self.real}, {d.id for d in self.detectors})
+        check_detector_ids([s.detector_id for s in self.real], [d.id for d in self.detectors])
         check_run(self.net, self.plans, self.base, self.detectors, self.bus_lines)
         for d in self.detectors:
             if d.window != WINDOW_S:
                 raise ValueError(f"detector '{d.id}': scoring needs a {WINDOW_S:g} s window, got {d.window:g} s")
-        self.real_total = aggregate_series(self.real)
 
     def evaluate(self, theta: dict[str, float]) -> Run:
         """Simulate `base` with the `SimConfig` fields in `theta` set."""
@@ -203,8 +228,8 @@ class Evaluator:
             out = Simulation(self.net, self.plans, cfg, self.detectors, self.bus_lines).run()
         except Exception as exc:
             raise RuntimeError(f"simulation failed at {theta}: {exc}") from exc
-        series = sim_series(out)
-        return Run(theta, nrmse(self.real_total, aggregate_series(series)), series)
+        counts = {det_id: tuple(out.detector_counts[det_id]) for det_id in sorted(out.detector_counts)}
+        return Run(simulation_key(self.inputs, cfg), theta, counts)
 
     def evaluate_all(self, thetas: list[dict[str, float]], workers: int) -> list[Run]:
         """`evaluate` of each theta, in input order, on up to `workers`
@@ -244,15 +269,17 @@ def sweep_rerouting_probability(
     base_config: Optional[SimConfig] = None,
     bus_lines: Sequence[BusLine] = (),
     workers: int = 1,
+    inputs: Sequence[Optional[str]] = (),
 ) -> SweepResult:
-    """Score every grid probability with the same routes and the seed and
-    other settings of `base_config`, on up to `workers` processes; the
-    outcome is the same however many ran."""
+    """Simulate every grid probability with the same routes and the seed
+    and other settings of `base_config`, on up to `workers` processes, and
+    `score` each run; the outcome is the same however many ran. `inputs`
+    are the scenario's file paths each run's key covers (`Evaluator`)."""
     base = base_config if base_config is not None else SimConfig()
     thetas = [{"rerouting_probability": p} for p in grid.points()]
-    entries = Evaluator(net, routes, detectors, real, base, bus_lines).evaluate_all(thetas, workers)
-    best = min(entries, key=lambda run: (run.nrmse, run.theta["rerouting_probability"]))
-    return SweepResult(entries, best)
+    evaluator = Evaluator(net, routes, detectors, real, base, bus_lines, inputs)
+    entries = evaluator.evaluate_all(thetas, workers)
+    return SweepResult(entries, [score(real, run.series()) for run in entries])
 
 
 def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> str:
@@ -283,16 +310,16 @@ def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> s
     return h.hexdigest()
 
 
-def _csv_row(run: Run) -> tuple[str, str]:
-    return f"{run.theta['rerouting_probability']:.4f}", f"{run.nrmse:.6f}"
+def _csv_row(run: Run, error: float) -> tuple[str, str]:
+    return f"{run.theta['rerouting_probability']:.4f}", f"{error:.6f}"
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    netmodel.write_csv(path, ("p", "nrmse"), map(_csv_row, result.entries))
+    netmodel.write_csv(path, ("p", "nrmse"), map(_csv_row, result.entries, result.scores))
 
 
 def write_sweep_best(result: SweepResult, path) -> None:
-    netmodel.write_csv(path, SWEEP_BEST_HEADER, [_csv_row(result.best)])
+    netmodel.write_csv(path, SWEEP_BEST_HEADER, [_csv_row(*result.best())])
 
 
 def read_sweep_best(path) -> tuple[float, float]:
@@ -303,25 +330,3 @@ def read_sweep_best(path) -> tuple[float, float]:
     if len(rows) != 1:
         raise ValueError(f"{path}: expected one summary row, found {len(rows)}")
     return rows[0]
-
-
-@dataclass(frozen=True)
-class SweptRun:
-    """One sweep run as `sweep_series.json` keeps it: the `simulation_key`
-    of the run, its theta and each detector's integer counts."""
-
-    key: str
-    theta: dict[str, float]
-    counts: dict[str, tuple[int, ...]]
-
-    def __post_init__(self):
-        self.series()  # counts that make no detector series are refused on read
-
-    @classmethod
-    def of(cls, key: str, run: Run) -> SweptRun:
-        return cls(key, run.theta, {s.detector_id: tuple(map(int, s.counts)) for s in run.series})
-
-    def series(self) -> list[DetectorSeries]:
-        """The counts as the run's `Run.series`, in detector-id order."""
-        counts = sorted(self.counts.items())
-        return [DetectorSeries(det_id, tuple(map(float, values))) for det_id, values in counts]

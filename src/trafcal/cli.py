@@ -162,15 +162,15 @@ def _scenario(ctx: _Ctx, detectors_required: bool) -> tuple:
     return paths, net, plans, detectors, lines
 
 
-def _swept_series(ctx: _Ctx, paths, config: SimConfig, detectors) -> typing.Optional[list]:
-    """The series `calib sweep` kept for the run of `config` on `paths`, or
-    None, with the reason logged, when there is none to reuse."""
+def _swept_run(ctx: _Ctx, paths, config: SimConfig, detectors) -> typing.Optional[calibrate.Run]:
+    """The run `calib sweep` kept for `config` on `paths`, or None, with
+    the reason logged, when there is none to reuse."""
     path = os.path.normpath(os.path.join(ctx.output_dir, SWEPT_SERIES))
     if not os.path.exists(path):
         ctx.log(f"no {SWEPT_SERIES}: simulating")
         return None
     try:
-        runs = netmodel.read_records(path, "runs", calibrate.SweptRun, ValueError)
+        runs = netmodel.read_records(path, "runs", calibrate.Run, ValueError)
     except (OSError, ValueError) as exc:
         ctx.log(f"unreadable {SWEPT_SERIES} ({exc}): simulating")
         return None
@@ -184,7 +184,7 @@ def _swept_series(ctx: _Ctx, paths, config: SimConfig, detectors) -> typing.Opti
         return None
     # equal keys are equal settings, so the kept run is at this p
     ctx.log(f"reusing the swept counts of p={config.rerouting_probability} in {path}")
-    return kept.series()
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +292,15 @@ def cmd_calib_sweep(ctx: _Ctx) -> int:
     )
     result = calibrate.sweep_rerouting_probability(
         net, plans, detectors, real, grid,
-        base_config=config, bus_lines=lines, workers=ctx.workers,
+        base_config=config, bus_lines=lines, workers=ctx.workers, inputs=paths,
     )
     calibrate.write_sweep_csv(result, ctx.out_path("sweep.csv"))
     calibrate.write_sweep_best(result, ctx.out_path("sweep_best.csv"))
-    kept = [
-        calibrate.SweptRun.of(calibrate.simulation_key(paths, ctx.settings("sim", **run.theta)), run)
-        for run in result.entries
-    ]
-    netmodel.write_records(kept, ctx.out_path(SWEPT_SERIES), "runs")
+    netmodel.write_records(result.entries, ctx.out_path(SWEPT_SERIES), "runs")
     ctx.log(f"swept {len(result.entries)} points -> {ctx.out_path('sweep.csv')}")
-    ctx.log(f"kept the counts of {len(kept)} runs -> {ctx.out_path(SWEPT_SERIES)}")
-    best = result.best
-    print(f"best_p {best.theta['rerouting_probability']:.4f} best_nrmse {best.nrmse:.6f}")
+    ctx.log(f"kept the counts of {len(result.entries)} runs -> {ctx.out_path(SWEPT_SERIES)}")
+    best, best_nrmse = result.best()
+    print(f"best_p {best.theta['rerouting_probability']:.4f} best_nrmse {best_nrmse:.6f}")
     return EXIT_OK
 
 
@@ -375,11 +371,10 @@ def cmd_report_validate(ctx: _Ctx) -> int:
     paths, net, plans, detectors, lines = _scenario(ctx, detectors_required=True)
     real = dataio.ingest(dataio.read_measurements_csv(ctx.path("measurements"))).series
     ctx.log(f"validation run at p={p}")
-    series = _swept_series(ctx, paths, config, detectors)
-    if series is None:
-        evaluator = calibrate.Evaluator(net, plans, detectors, real, config, lines)
-        series = evaluator.evaluate({}).series
-    report = dataio.validate(real, series)
+    run = _swept_run(ctx, paths, config, detectors)
+    if run is None:
+        run = calibrate.Evaluator(net, plans, detectors, real, config, lines, paths).evaluate({})
+    report = dataio.validate(real, run.series())
     dataio.write_report(
         report,
         ctx.out_path("report.json"),

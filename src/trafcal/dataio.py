@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from trafcal import netmodel
-from trafcal.calibrate import (
-    DetectorMismatchError,
-    DetectorSeries,
-    aggregate_series,
-    check_detector_sets,
-    nrmse,
-)
+from trafcal.calibrate import DetectorMismatchError, DetectorSeries, nrmse, score
 from trafcal.microsim.simio import DAY_S, WINDOW_S, WINDOWS_PER_DAY, write_detector_csv
 
 WEEKDAY_NAMES = {
@@ -391,20 +385,17 @@ def validate(
 ) -> ValidationReport:
     """Score how well the simulated series reproduce the measured ones.
 
-    Three granularities: one scenario number (error of the aggregated
-    series), a per-window slice (absolute error plus error across
-    detectors within that window), and a per-detector ranking ascending
-    from best reproduced to worst. Detector sets that differ are a
-    `DetectorMismatchError`.
+    Three granularities: one scenario number (`calibrate.score`, the error
+    of the series summed over detectors), a per-window slice (absolute
+    error plus error across detectors within that window), and a
+    per-detector ranking ascending from best reproduced to worst. Detector
+    sets that differ are a `DetectorMismatchError`, and a detector repeated
+    in either series a `ValueError`.
     """
+    scenario = score(real, sim)
     real_by_id = {s.detector_id: s for s in real}
     sim_by_id = {s.detector_id: s for s in sim}
-    check_detector_sets(set(real_by_id), set(sim_by_id))
     ids = sorted(real_by_id)
-
-    real_total = aggregate_series([real_by_id[i] for i in ids])
-    sim_total = aggregate_series([sim_by_id[i] for i in ids])
-    scenario = nrmse(real_total, sim_total)
 
     per_window = []
     for w in range(WINDOWS_PER_DAY):

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from trafcal import calibrate, equilibrium, netmodel
+from trafcal import calibrate, dataio, equilibrium, netmodel
 from trafcal.calibrate import (
     DetectorMismatchError,
     DetectorSeries,
@@ -17,12 +17,11 @@ from trafcal.calibrate import (
     LengthMismatchError,
     Run,
     SweepResult,
-    SweptRun,
     ZeroMeanError,
     aggregate_series,
     nrmse,
     read_sweep_best,
-    sim_series,
+    score,
     simulation_key,
     sweep_rerouting_probability,
     write_sweep_best,
@@ -99,14 +98,52 @@ def test_aggregate_series_sums_windows():
         aggregate_series([])
 
 
-def test_sim_series_orders_by_detector():
+def measured(out):
+    """A simulation's detector counts as measured series, in detector-id order."""
+    return [DetectorSeries(d, tuple(map(float, c))) for d, c in sorted(out.detector_counts.items())]
+
+
+def test_evaluated_run_orders_by_detector():
     net = scenarios.two_route_network()
     dets = [Detector("z", "e_out", 0, 10.0), Detector("a", "e_in", 0, 10.0)]
     plans = [RoutePlan("v0", ("e_in", "e_dn", "e_out"), 0.0)]
-    out = Simulation(net, plans, SimConfig(end=86400.0), detectors=dets).run()
-    series = sim_series(out)
-    assert [s.detector_id for s in series] == ["a", "z"]
-    assert sum(series[0].counts) == 1.0
+    cfg = SimConfig(end=86400.0)
+    real = [DetectorSeries(d.id, counts((0, 1))) for d in dets]
+    run = Evaluator(net, plans, dets, real, cfg).evaluate({})
+    assert list(run.counts) == ["a", "z"]
+    assert run.counts["a"] == tuple(map(int, counts((0, 1))))
+    assert [s.detector_id for s in run.series()] == ["a", "z"]
+    assert run.key == simulation_key((), cfg)
+
+
+def test_score_does_not_depend_on_the_order_of_the_series():
+    # fractional means, as `ingest` averages days, whose float sum moves
+    # with the order of its terms
+    rng = random.Random(57)
+    real, sim = (
+        [DetectorSeries(d, tuple(rng.randint(1, 40) / 3 for _ in range(96))) for d in "abc"]
+        for _ in range(2)
+    )
+    assert aggregate_series(real) != aggregate_series(real[::-1])
+    assert score(real, sim) == score(real[::-1], sim[::-1]) == score(real[::-1], sim)
+    assert score(real, sim) == nrmse(aggregate_series(real), aggregate_series(sim))
+
+
+def test_a_repeated_detector_is_refused_by_the_sweep_and_the_report():
+    # summed as given, `real + real` scored 4.899 at p = 0 in the sweep,
+    # and 0.0 in the report, which kept one series per id
+    net, plans, dets, real, cfg = tiny_sweep_inputs()
+    repeated = "^detector 'd' is repeated in the {} series$"
+    with pytest.raises(ValueError, match=repeated.format("measured")):
+        sweep_rerouting_probability(
+            net, plans, dets, real + real, grid=GridSpec(0.0, 0.0, 0.1), base_config=cfg
+        )
+    with pytest.raises(ValueError, match=repeated.format("measured")):
+        dataio.validate(real + real, real)
+    with pytest.raises(ValueError, match=repeated.format("simulated")):
+        dataio.validate(real, real + real)
+    with pytest.raises(ValueError, match=repeated.format("simulated")):
+        score(real, real + real)
 
 
 # -- the grid ----------------------------------------------------------------
@@ -165,8 +202,7 @@ def tiny_sweep_inputs():
     ]
     dets = [Detector("d", "e_out", 0, 50.0)]
     cfg = SimConfig(end=86400.0, seed=5)
-    truth = Simulation(net, plans, cfg, detectors=dets).run()
-    real = sim_series(truth)
+    real = measured(Simulation(net, plans, cfg, detectors=dets).run())
     return net, plans, dets, real, cfg
 
 
@@ -175,9 +211,9 @@ def test_single_point_sweep():
     res = sweep_rerouting_probability(
         net, plans, dets, real, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
     )
-    assert len(res.entries) == 1
-    assert res.best.theta == {"rerouting_probability": 0.5}
-    assert res.entries == [res.best]
+    assert len(res.entries) == len(res.scores) == 1
+    assert res.entries[0].theta == {"rerouting_probability": 0.5}
+    assert res.best() == (res.entries[0], res.scores[0])
 
 
 def test_sweep_scores_truth_seed_at_zero():
@@ -188,9 +224,9 @@ def test_sweep_scores_truth_seed_at_zero():
         net, plans, dets, real, grid=GridSpec(0.0, 1.0, 0.5), base_config=cfg
     )
     assert [run.theta["rerouting_probability"] for run in res.entries] == [0.0, 0.5, 1.0]
-    assert res.entries[0].nrmse == 0.0
-    assert res.best == res.entries[0]
-    assert res.best.series == real  # the best point's run is the truth's
+    assert res.scores[0] == 0.0
+    assert res.best() == (res.entries[0], 0.0)
+    assert res.entries[0].series() == real  # the best point's run is the truth's
 
 
 def test_sweep_and_dua_keep_every_base_field(monkeypatch):
@@ -211,7 +247,7 @@ def test_sweep_and_dua_keep_every_base_field(monkeypatch):
     net = scenarios.two_route_network()
     plans = [RoutePlan(f"v{i:03d}", ("e_in", "e_dn", "e_out"), 10.0 + i) for i in range(10)]
     dets = [Detector("d", "e_out", 0, 50.0)]
-    real = sim_series(Simulation(net, plans, scored, detectors=dets).run())
+    real = measured(Simulation(net, plans, scored, detectors=dets).run())
 
     seen = []
 
@@ -323,12 +359,12 @@ def test_evaluators_in_one_process_keep_their_own_inputs(pool_widths):
     # the evaluator that built it, not those of the last one built
     net, plans, dets, real, cfg = tiny_sweep_inputs()
     other_plans = plans[::2]
-    other_real = sim_series(Simulation(net, other_plans, cfg, detectors=dets).run())
+    other_real = measured(Simulation(net, other_plans, cfg, detectors=dets).run())
     first = Evaluator(net, plans, dets, real, cfg)
     second = Evaluator(net, other_plans, dets, other_real, dataclasses.replace(cfg, seed=6))
     thetas = [{"rerouting_probability": p} for p in (0.0, 0.5, 1.0)]
     serial = [first.evaluate_all(thetas, 1), second.evaluate_all(thetas, 1)]
-    assert all(a.series != b.series for a, b in zip(*serial))
+    assert all(a.counts != b.counts for a, b in zip(*serial))
     pooled = [first.evaluate_all(thetas, 2), second.evaluate_all(thetas, 2)]
     assert pooled == serial
     # and the first again, after the second's pool set the worker global
@@ -340,9 +376,9 @@ def test_evaluators_in_one_process_keep_their_own_inputs(pool_widths):
 
 
 def test_sweep_csv_round_trip(tmp_path):
-    entries = [Run({"rerouting_probability": 0.0}, 0.25, []),
-               Run({"rerouting_probability": 0.05}, 0.125, [])]
-    res = SweepResult(entries, best=entries[1])
+    entries = [Run("k0", {"rerouting_probability": 0.0}, {}),
+               Run("k1", {"rerouting_probability": 0.05}, {})]
+    res = SweepResult(entries, [0.25, 0.125])
     path = tmp_path / "sweep.csv"
     write_sweep_csv(res, path)
     lines = path.read_text().splitlines()
@@ -367,24 +403,24 @@ def test_sweep_csv_bad_header(tmp_path):
 
 def test_swept_run_round_trip(tmp_path):
     series = [DetectorSeries("b", counts((3, 2))), DetectorSeries("a", counts((0, 1)))]
-    runs = [Run({"rerouting_probability": p}, 0.5, series) for p in (0.25, 0.5)]
-    kept = [SweptRun.of(str(i) * 64, run) for i, run in enumerate(runs)]
+    by_id = {s.detector_id: tuple(map(int, s.counts)) for s in series}
+    kept = [Run(str(i) * 64, {"rerouting_probability": p}, by_id) for i, p in enumerate((0.25, 0.5))]
     path = tmp_path / "sweep_series.json"
     netmodel.write_records(kept, path, "runs")
-    assert netmodel.read_records(path, "runs", SweptRun, ValueError) == kept
-    for run, back in zip(runs, kept):
-        assert back.series() == sorted(run.series, key=lambda s: s.detector_id)
+    assert netmodel.read_records(path, "runs", Run, ValueError) == kept
+    for back in kept:
+        assert back.series() == sorted(series, key=lambda s: s.detector_id)
     doc = '{"runs": [{"key": "k", "theta": {"rerouting_probability": 1}, "counts": {"a": %s}}]}'
     path.write_text(doc % ([1.5] + [0] * 95))
     with pytest.raises(ValueError, match=re.escape(
         f"{path}: runs[0]: field 'counts.a[0]' has wrong type"
     )):
-        netmodel.read_records(path, "runs", SweptRun, ValueError)
+        netmodel.read_records(path, "runs", Run, ValueError)
     path.write_text(doc % [1])
     with pytest.raises(ValueError, match=re.escape(
         f"{path}: runs[0]: detector 'a': expected 96 windows, got 1"
     )):
-        netmodel.read_records(path, "runs", SweptRun, ValueError)
+        netmodel.read_records(path, "runs", Run, ValueError)
 
 
 def test_simulation_key_covers_files_and_every_setting(tmp_path):

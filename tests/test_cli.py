@@ -980,21 +980,31 @@ def test_report_validate_reuses_any_swept_point(swept, monkeypatch, capsys):
 
 def test_calib_sweep_keeps_every_run_in_grid_order(swept):
     out = swept[-1]
-    kept = netmodel.read_records(out / cli.SWEPT_SERIES, "runs", calibrate.SweptRun)
+    kept = netmodel.read_records(out / cli.SWEPT_SERIES, "runs", calibrate.Run)
     paths = tuple(str(out.parent / name)
                   for name in ("net.json", "routes.json", "detectors.json", "bus_lines.json"))
     evaluator = calibrate.Evaluator(
         load_network(paths[0]), load_route_plans(paths[1]), load_detectors(paths[2]),
         dataio.ingest(dataio.read_measurements_csv(out.parent / "measurements.csv")).series,
-        SimConfig(), load_bus_lines(paths[3]),
+        SimConfig(), load_bus_lines(paths[3]), inputs=paths,
     )
-    thetas = [{"rerouting_probability": p} for p in calibrate.GridSpec(0, 1, 0.5).points()]
-    assert [r.theta for r in kept] == thetas
-    for r, theta in zip(kept, thetas):
-        assert r.key == calibrate.simulation_key(
-            paths, SimConfig(rerouting_probability=theta["rerouting_probability"])
-        )
-        assert r.series() == evaluator.evaluate(theta).series
+    grid = calibrate.GridSpec(0, 1, 0.5).points()
+    assert kept == evaluator.evaluate_all([{"rerouting_probability": p} for p in grid], 1)
+    # the key `report validate` looks a run up by
+    assert [r.key for r in kept] == [
+        calibrate.simulation_key(paths, SimConfig(rerouting_probability=p)) for p in grid
+    ]
+
+
+def test_report_validate_scores_each_swept_point_as_the_sweep(swept, monkeypatch, capsys):
+    rows = (swept[-1] / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    monkeypatch.setattr(Simulation, "run", no_run)
+    for row in rows:
+        p, error = row.split(",")
+        capsys.readouterr()
+        validate_report(swept, "--p", p)
+        assert capsys.readouterr().out.startswith(f"scenario_nrmse {error} ")
 
 
 @pytest.mark.parametrize("name", ["net.json", "routes.json", "detectors.json", "bus_lines.json"])

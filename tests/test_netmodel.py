@@ -11,7 +11,7 @@ import pytest
 
 from trafcal import cli, fixtures
 from trafcal import netmodel
-from trafcal.calibrate import GridSpec, SweptRun
+from trafcal.calibrate import GridSpec, Run
 from trafcal.cli import ProjectConfig, UsageError, load_project
 from trafcal.demandgen import (
     CityGate,
@@ -280,9 +280,9 @@ REQUIRED_ONLY = {
     ),
     "project": (lambda path: [load_project(path)], {}, [ProjectConfig()], None),
     "swept_series": (
-        lambda path: read_records(path, "runs", SweptRun, ValueError),
+        lambda path: read_records(path, "runs", Run, ValueError),
         {"runs": [{"key": "k", "theta": {"rerouting_probability": 0}, "counts": {"d": [1] * 96}}]},
-        [SweptRun(key="k", theta={"rerouting_probability": 0.0}, counts={"d": (1,) * 96})],
+        [Run(key="k", theta={"rerouting_probability": 0.0}, counts={"d": (1,) * 96})],
         None,
     ),
 }
