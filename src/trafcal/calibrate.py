@@ -1,10 +1,13 @@
 """Detector-count calibration: run record, scorer, evaluator and sweep.
 
-An `Evaluator` simulates one `Run` per theta, a set of `SimConfig` fields.
-`score`, which the sweep and `dataio.validate` both call, gives a run's
-normalized root mean square error against the measured series, each
-summed over detectors. The sweep evaluates every grid probability and
-picks the one with the smallest error (ties to the smaller).
+A day's counts are held one way: a mapping from detector id to its 96
+quarter-hour window counts, as `dataio.ingest(...).series` gives the
+measured day and `Run.counts` keeps a simulated one. An `Evaluator`
+simulates one `Run` per theta, a set of `SimConfig` fields. `score`,
+which the sweep and `dataio.validate` both call, gives a run's normalized
+root mean square error against the measured counts, each summed over
+detectors. The sweep evaluates every grid probability and picks the one
+with the smallest error (ties to the smaller).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from trafcal import netmodel
 from trafcal.microsim import BusLine, Detector, RoutePlan, SimConfig, Simulation, check_run
@@ -25,6 +28,9 @@ SWEEP_BEST_HEADER = ("best_p", "best_nrmse")
 # p is written with 4 decimals, so a finer grid would write distinct
 # points as the same number
 MIN_GRID_STEP = 0.0001
+
+# A day's counts: each detector id to its 96 quarter-hour window counts.
+DayCounts = Mapping[str, Sequence[float]]
 
 
 class ZeroMeanError(ValueError):
@@ -44,24 +50,17 @@ class DetectorMismatchError(ValueError):
         self.extra = extra
 
 
-@dataclass(frozen=True)
-class DetectorSeries:
-    """One detector's daily counts in 96 quarter-hour windows."""
-
-    detector_id: str
-    counts: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != WINDOWS_PER_DAY:
+def check_day(counts: DayCounts) -> None:
+    """Refuse a detector without exactly 96 window counts, or a count that
+    is not finite and >= 0."""
+    for det_id, values in counts.items():
+        if len(values) != WINDOWS_PER_DAY:
             raise ValueError(
-                f"detector '{self.detector_id}': expected {WINDOWS_PER_DAY} "
-                f"windows, got {len(self.counts)}"
+                f"detector '{det_id}': expected {WINDOWS_PER_DAY} windows, got {len(values)}"
             )
-        for x in self.counts:
+        for x in values:
             if not math.isfinite(x) or x < 0:
-                raise ValueError(
-                    f"detector '{self.detector_id}': counts must be finite and >= 0"
-                )
+                raise ValueError(f"detector '{det_id}': counts must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,15 @@ class GridSpec:
 class Run:
     """One simulated run, as `Evaluator.evaluate` returns it and
     `sweep_series.json` keeps it: the `simulation_key` of the run, its
-    theta (the `SimConfig` fields it set) and each detector's integer
-    counts."""
+    theta (the `SimConfig` fields it set) and its day: each detector id
+    to its 96 integer window counts."""
 
     key: str
     theta: dict[str, float]
     counts: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
-        self.series()  # counts that make no detector series are refused on read
-
-    def series(self) -> list[DetectorSeries]:
-        """The counts as detector series, in detector-id order."""
-        counts = sorted(self.counts.items())
-        return [DetectorSeries(det_id, tuple(map(float, values))) for det_id, values in counts]
+        check_day(self.counts)  # a malformed day is refused on read
 
 
 @dataclass
@@ -149,24 +143,20 @@ def nrmse(real: Sequence[float], sim: Sequence[float]) -> float:
     return math.sqrt(sq / n) / mean_real
 
 
-def aggregate_series(series: Sequence[DetectorSeries]) -> list[float]:
-    """Window-wise total over detectors."""
-    if not series:
+def aggregate_series(counts: DayCounts) -> list[float]:
+    """Window-wise total over detectors, summed in detector-id order."""
+    if not counts:
         raise ValueError("aggregate needs at least one series")
     out = [0.0] * WINDOWS_PER_DAY
-    for s in series:
-        for i, x in enumerate(s.counts):
+    for det_id in sorted(counts):
+        for i, x in enumerate(counts[det_id]):
             out[i] += x
     return out
 
 
-def check_detector_ids(real_ids: Sequence[str], sim_ids: Sequence[str]) -> None:
-    """Refuse to score an id repeated in either series, simulated detectors
-    other than the measured ones, or no detectors at all."""
-    for ids, which in ((real_ids, "measured"), (sim_ids, "simulated")):
-        if len(set(ids)) != len(ids):
-            repeated = next(det_id for det_id in ids if ids.count(det_id) > 1)
-            raise ValueError(f"detector '{repeated}' is repeated in the {which} series")
+def check_detector_ids(real_ids: Iterable[str], sim_ids: Iterable[str]) -> None:
+    """Refuse to score simulated detectors other than the measured ones, or
+    no detectors at all."""
     real_set, sim_set = set(real_ids), set(sim_ids)
     if real_set != sim_set:
         raise DetectorMismatchError(sorted(real_set - sim_set), sorted(sim_set - real_set))
@@ -174,16 +164,15 @@ def check_detector_ids(real_ids: Sequence[str], sim_ids: Sequence[str]) -> None:
         raise ValueError("scoring needs at least one detector")
 
 
-def score(real: Sequence[DetectorSeries], sim: Sequence[DetectorSeries]) -> float:
+def score(real: DayCounts, sim: DayCounts) -> float:
     """The scenario error of a run: the NRMSE of the simulated against the
-    measured series, each summed over detectors window by window in
-    detector-id order, whatever order they come in. Refuses what
-    `check_detector_ids` refuses."""
-    check_detector_ids([s.detector_id for s in real], [s.detector_id for s in sim])
-    real_total, sim_total = (
-        aggregate_series(sorted(series, key=lambda s: s.detector_id)) for series in (real, sim)
-    )
-    return nrmse(real_total, sim_total)
+    measured counts, each summed over detectors window by window in
+    detector-id order, whatever order the mappings hold them in. Refuses
+    what `check_detector_ids` and `check_day` refuse."""
+    check_detector_ids(real, sim)
+    check_day(real)
+    check_day(sim)
+    return nrmse(aggregate_series(real), aggregate_series(sim))
 
 
 def check_scored_day(config: SimConfig) -> None:
@@ -198,24 +187,26 @@ def check_scored_day(config: SimConfig) -> None:
 
 @dataclass
 class Evaluator:
-    """Simulates runs of one scenario to score against the measured series;
-    refuses detectors other than those of `real` (`check_detector_ids`), a
-    scenario the engine cannot run (`microsim.check_run`), and a run or
-    detector window that does not give the day's quarter-hours
-    (`check_scored_day`), before any simulation. Each run's key covers
+    """Simulates runs of one scenario to score against the measured counts;
+    refuses a malformed measured day (`check_day`), detectors other than
+    those of `real` (`check_detector_ids`), a scenario the engine cannot
+    run (`microsim.check_run`), and a run or detector window that does not
+    give the day's quarter-hours (`check_scored_day`), before any
+    simulation. Each run's key covers
     `inputs`, the paths of the scenario's files (`simulation_key`)."""
 
     net: netmodel.RoadNetwork
     plans: list[RoutePlan]
     detectors: list[Detector]
-    real: list[DetectorSeries]
+    real: DayCounts
     base: SimConfig
     bus_lines: Sequence[BusLine] = ()
     inputs: Sequence[Optional[str]] = ()
 
     def __post_init__(self):
         check_scored_day(self.base)
-        check_detector_ids([s.detector_id for s in self.real], [d.id for d in self.detectors])
+        check_day(self.real)
+        check_detector_ids(self.real, [d.id for d in self.detectors])
         check_run(self.net, self.plans, self.base, self.detectors, self.bus_lines)
         for d in self.detectors:
             if d.window != WINDOW_S:
@@ -264,7 +255,7 @@ def sweep_rerouting_probability(
     net: netmodel.RoadNetwork,
     routes: list[RoutePlan],
     detectors: list[Detector],
-    real: list[DetectorSeries],
+    real: DayCounts,
     grid: GridSpec = GridSpec(),
     base_config: Optional[SimConfig] = None,
     bus_lines: Sequence[BusLine] = (),
@@ -279,7 +270,7 @@ def sweep_rerouting_probability(
     thetas = [{"rerouting_probability": p} for p in grid.points()]
     evaluator = Evaluator(net, routes, detectors, real, base, bus_lines, inputs)
     entries = evaluator.evaluate_all(thetas, workers)
-    return SweepResult(entries, [score(real, run.series()) for run in entries])
+    return SweepResult(entries, [score(real, run.counts) for run in entries])
 
 
 def simulation_key(input_paths: Sequence[Optional[str]], config: SimConfig) -> str:

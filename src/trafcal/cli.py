@@ -374,7 +374,7 @@ def cmd_report_validate(ctx: _Ctx) -> int:
     run = _swept_run(ctx, paths, config, detectors)
     if run is None:
         run = calibrate.Evaluator(net, plans, detectors, real, config, lines, paths).evaluate({})
-    report = dataio.validate(real, run.series())
+    report = dataio.validate(real, run.counts)
     dataio.write_report(
         report,
         ctx.out_path("report.json"),

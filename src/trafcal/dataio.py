@@ -1,10 +1,11 @@
 """Measurement ingestion and validation reporting.
 
 Raw induction-loop records (one count per detector, date, and quarter-hour
-window) are filtered down to clean weekdays, averaged into one daily
-series per detector, and later compared against simulated series to score
-a scenario: one overall error, an error per time window, and a ranking of
-detectors from best to worst reproduced.
+window) are filtered down to clean weekdays and averaged into one day: a
+mapping from detector id to its 96 window counts, the form a simulated
+`calibrate.Run` keeps its counts in. The two days are later compared to
+score a scenario: one overall error, an error per time window, and a
+ranking of detectors from best to worst reproduced.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from trafcal import netmodel
-from trafcal.calibrate import DetectorMismatchError, DetectorSeries, nrmse, score
+from trafcal.calibrate import DayCounts, DetectorMismatchError, nrmse, score
 from trafcal.microsim.simio import DAY_S, WINDOW_S, WINDOWS_PER_DAY, write_detector_csv
 
 WEEKDAY_NAMES = {
@@ -180,7 +181,7 @@ class IngestionFilter:
 
 @dataclass
 class IngestResult:
-    series: list[DetectorSeries]
+    series: dict[str, tuple[float, ...]]  # detector id to its 96 mean counts
     days_used: dict[str, int]
 
 
@@ -364,14 +365,14 @@ def ingest(records: Iterable[Measurement], filt: IngestionFilter = IngestionFilt
             acc[start // WINDOW_S] += count
         days[det] = days.get(det, 0) + 1
 
-    series = []
+    series = {}
     days_used = {}
     for det in sorted(detectors):
         n = days.get(det, 0)
         if n == 0:
             raise NoSurvivingDaysError(det)
         days_used[det] = n
-        series.append(DetectorSeries(det, tuple(s / n for s in sums[det])))
+        series[det] = tuple(s / n for s in sums[det])
     return IngestResult(series=series, days_used=days_used)
 
 
@@ -380,27 +381,23 @@ def ingest(records: Iterable[Measurement], filt: IngestionFilter = IngestionFilt
 # ---------------------------------------------------------------------------
 
 
-def validate(
-    real: Sequence[DetectorSeries], sim: Sequence[DetectorSeries]
-) -> ValidationReport:
-    """Score how well the simulated series reproduce the measured ones.
+def validate(real: DayCounts, sim: DayCounts) -> ValidationReport:
+    """Score how well the simulated counts reproduce the measured ones,
+    each a mapping from detector id to 96 window counts.
 
     Three granularities: one scenario number (`calibrate.score`, the error
-    of the series summed over detectors), a per-window slice (absolute
+    of the counts summed over detectors), a per-window slice (absolute
     error plus error across detectors within that window), and a
     per-detector ranking ascending from best reproduced to worst. Detector
-    sets that differ are a `DetectorMismatchError`, and a detector repeated
-    in either series a `ValueError`.
+    sets that differ are a `DetectorMismatchError`.
     """
     scenario = score(real, sim)
-    real_by_id = {s.detector_id: s for s in real}
-    sim_by_id = {s.detector_id: s for s in sim}
-    ids = sorted(real_by_id)
+    ids = sorted(real)
 
     per_window = []
     for w in range(WINDOWS_PER_DAY):
-        r_vec = [real_by_id[i].counts[w] for i in ids]
-        s_vec = [sim_by_id[i].counts[w] for i in ids]
+        r_vec = [real[i][w] for i in ids]
+        s_vec = [sim[i][w] for i in ids]
         abs_err = abs(math.fsum(r_vec) - math.fsum(s_vec))
         mean_r = math.fsum(r_vec) / len(r_vec)
         if mean_r > 0:
@@ -411,8 +408,8 @@ def validate(
 
     scores = []
     for det in ids:
-        r = real_by_id[det].counts
-        s = sim_by_id[det].counts
+        r = real[det]
+        s = sim[det]
         if math.fsum(r) > 0:
             scores.append(DetectorScore(det, nrmse(r, s)))
         else:
@@ -447,8 +444,7 @@ def _score_cell(score: Optional[float]) -> str:
     return "" if score is None else f"{score:.6f}"
 
 
-def series_to_csv(series: Sequence[DetectorSeries], begin: float, path) -> None:
-    """Detector series in the simulator's detector CSV shape (means may be
+def series_to_csv(series: DayCounts, begin: float, path) -> None:
+    """A day's counts in the simulator's detector CSV shape (means may be
     fractional)."""
-    windows = {s.detector_id: WINDOW_S for s in series}
-    write_detector_csv({s.detector_id: s.counts for s in series}, windows, begin, path)
+    write_detector_csv(series, dict.fromkeys(series, WINDOW_S), begin, path)

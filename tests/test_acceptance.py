@@ -21,7 +21,7 @@ import time
 import pytest
 
 from trafcal import calibrate, dataio, demandgen, equilibrium, fixtures
-from trafcal.calibrate import WINDOWS_PER_DAY, DetectorSeries, nrmse
+from trafcal.calibrate import WINDOWS_PER_DAY, nrmse
 from trafcal.equilibrium import Alternative, RouteSet, gawron_update
 from trafcal.microsim import (
     Detector,
@@ -343,11 +343,11 @@ def test_ingestion_matches_brute_force():
 
     result = dataio.ingest(records, filt)
     assert result.days_used == {det: len(surviving[det]) for det in dets}
-    for s in result.series:
-        days = surviving[s.detector_id]
+    for det, counts in result.series.items():
+        days = surviving[det]
         for w in range(WINDOWS_PER_DAY):
             mean = math.fsum(day[w].count for day in days) / len(days)
-            assert abs(s.counts[w] - mean) <= 1e-12
+            assert abs(counts[w] - mean) <= 1e-12
 
     for _ in range(3):
         shuffled = records[:]
@@ -364,18 +364,18 @@ def test_ingestion_matches_brute_force():
 def test_validation_report_oracle():
     clock = Stopwatch(5.0)
     rng = random.Random(1005)
-    real = [
-        DetectorSeries(f"L{i}", tuple(rng.uniform(4.0, 40.0) for _ in range(WINDOWS_PER_DAY)))
+    real = {
+        f"L{i}": tuple(rng.uniform(4.0, 40.0) for _ in range(WINDOWS_PER_DAY))
         for i in range(6)
-    ]
-    sim = [
-        DetectorSeries(s.detector_id, tuple(c * (1.0 + 0.02 * i) for c in s.counts))
-        for i, s in enumerate(real)
-    ]
-    sim[3] = DetectorSeries("L3", tuple(0.5 * c for c in real[3].counts))
+    }
+    sim = {
+        det: tuple(c * (1.0 + 0.02 * i) for c in counts)
+        for i, (det, counts) in enumerate(real.items())
+    }
+    sim["L3"] = tuple(0.5 * c for c in real["L3"])
 
     report = dataio.validate(real, sim)
-    want = sorted((nrmse(r.counts, s.counts), r.detector_id) for r, s in zip(real, sim))
+    want = sorted((nrmse(real[det], sim[det]), det) for det in real)
     assert [d.detector_id for d in report.per_detector] == [det for _, det in want]
     assert report.best_detector == want[0][1] == "L0"
     assert report.worst_detector == want[-1][1] == "L3"

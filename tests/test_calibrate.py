@@ -11,7 +11,6 @@ import pytest
 from trafcal import calibrate, dataio, equilibrium, netmodel
 from trafcal.calibrate import (
     DetectorMismatchError,
-    DetectorSeries,
     Evaluator,
     GridSpec,
     LengthMismatchError,
@@ -81,26 +80,39 @@ def counts(*pairs):
 
 
 def test_detector_series_validated():
-    DetectorSeries("d", counts((0, 1)))
-    with pytest.raises(ValueError):
-        DetectorSeries("d", (1.0, 2.0))  # not 96 windows
-    with pytest.raises(ValueError):
-        DetectorSeries("d", counts((0, -1)))
+    # a malformed day is refused wherever one can arrive: in a run read
+    # from a file, and in a measured day given to `score` or an `Evaluator`
+    net, plans, dets, real, cfg = tiny_sweep_inputs()
+    Run("k", {}, real)
+    malformed = [
+        ((1.0, 2.0), "^detector 'd': expected 96 windows, got 2$"),
+        (counts((0, -1)), "^detector 'd': counts must be finite and >= 0$"),
+        (counts((0, math.nan)), "^detector 'd': counts must be finite and >= 0$"),
+        (counts((0, math.inf)), "^detector 'd': counts must be finite and >= 0$"),
+    ]
+    for day, message in malformed:
+        bad = {"d": day}
+        with pytest.raises(ValueError, match=message):
+            Run("k", {}, bad)
+        with pytest.raises(ValueError, match=message):
+            score(bad, real)
+        with pytest.raises(ValueError, match=message):
+            score(real, bad)
+        with pytest.raises(ValueError, match=message):
+            Evaluator(net, plans, dets, bad, cfg)
 
 
 def test_aggregate_series_sums_windows():
-    a = DetectorSeries("a", counts((0, 1), (5, 2)))
-    b = DetectorSeries("b", counts((0, 3), (95, 4)))
-    agg = aggregate_series([a, b])
+    agg = aggregate_series({"b": counts((0, 3), (95, 4)), "a": counts((0, 1), (5, 2))})
     assert agg[0] == 4.0 and agg[5] == 2.0 and agg[95] == 4.0
     assert sum(agg) == 10.0
     with pytest.raises(ValueError):
-        aggregate_series([])
+        aggregate_series({})
 
 
 def measured(out):
-    """A simulation's detector counts as measured series, in detector-id order."""
-    return [DetectorSeries(d, tuple(map(float, c))) for d, c in sorted(out.detector_counts.items())]
+    """A simulation's detector counts as a measured day of float counts."""
+    return {d: tuple(map(float, c)) for d, c in out.detector_counts.items()}
 
 
 def test_evaluated_run_orders_by_detector():
@@ -108,11 +120,10 @@ def test_evaluated_run_orders_by_detector():
     dets = [Detector("z", "e_out", 0, 10.0), Detector("a", "e_in", 0, 10.0)]
     plans = [RoutePlan("v0", ("e_in", "e_dn", "e_out"), 0.0)]
     cfg = SimConfig(end=86400.0)
-    real = [DetectorSeries(d.id, counts((0, 1))) for d in dets]
+    real = {d.id: counts((0, 1)) for d in dets}
     run = Evaluator(net, plans, dets, real, cfg).evaluate({})
     assert list(run.counts) == ["a", "z"]
     assert run.counts["a"] == tuple(map(int, counts((0, 1))))
-    assert [s.detector_id for s in run.series()] == ["a", "z"]
     assert run.key == simulation_key((), cfg)
 
 
@@ -121,29 +132,51 @@ def test_score_does_not_depend_on_the_order_of_the_series():
     # with the order of its terms
     rng = random.Random(57)
     real, sim = (
-        [DetectorSeries(d, tuple(rng.randint(1, 40) / 3 for _ in range(96))) for d in "abc"]
+        {d: tuple(rng.randint(1, 40) / 3 for _ in range(96)) for d in "abc"}
         for _ in range(2)
     )
-    assert aggregate_series(real) != aggregate_series(real[::-1])
-    assert score(real, sim) == score(real[::-1], sim[::-1]) == score(real[::-1], sim)
+    real_rev, sim_rev = (dict(reversed(day.items())) for day in (real, sim))
+    assert list(real_rev) == ["c", "b", "a"]
+    # summed in the order the reversed day holds them, the totals differ
+    assert [c + b + a for c, b, a in zip(*real_rev.values())] != aggregate_series(real)
+    assert aggregate_series(real) == aggregate_series(real_rev)
+    assert score(real, sim) == score(real_rev, sim_rev) == score(real_rev, sim)
     assert score(real, sim) == nrmse(aggregate_series(real), aggregate_series(sim))
 
 
-def test_a_repeated_detector_is_refused_by_the_sweep_and_the_report():
-    # summed as given, `real + real` scored 4.899 at p = 0 in the sweep,
-    # and 0.0 in the report, which kept one series per id
+def test_integer_counts_score_as_their_floats():
+    # the sweep and the report score a run's integer counts; summed as
+    # ints they must give the bytes of sweep.csv, report.json and
+    # per_window.csv that float counts gave
+    net, plans, dets, _, cfg = tiny_sweep_inputs()
+    dets = dets + [Detector("e", "e_in", 0, 50.0)]
+    real = measured(Simulation(net, plans, cfg, detectors=dets).run())
+    rng = random.Random(58)
+    real = {d: tuple(c + rng.randint(0, 5) / 7 for c in values) for d, values in real.items()}
+    run = Evaluator(net, plans, dets, real, cfg).evaluate({"rerouting_probability": 0.5})
+    assert all(type(c) is int for values in run.counts.values() for c in values)
+    as_floats = {d: tuple(map(float, values)) for d, values in run.counts.items()}
+    assert score(real, run.counts) == score(real, as_floats)
+    assert dataio.validate(real, run.counts) == dataio.validate(real, as_floats)
+
+
+def test_a_repeated_detector_is_refused_by_the_sweep_and_the_report(monkeypatch):
+    # a day is a mapping, so it cannot repeat a detector and `real + real`
+    # cannot be written; what can still repeat is an id in the detector
+    # list, which is refused before any simulation
     net, plans, dets, real, cfg = tiny_sweep_inputs()
-    repeated = "^detector 'd' is repeated in the {} series$"
-    with pytest.raises(ValueError, match=repeated.format("measured")):
+    repeated = dets + dets
+
+    def no_run(self):
+        raise AssertionError("simulated a refused scenario")
+
+    monkeypatch.setattr(Simulation, "run", no_run)
+    with pytest.raises(ValueError, match="^detector 'd': duplicate detector id$"):
+        Evaluator(net, plans, repeated, real, cfg)
+    with pytest.raises(ValueError, match="^detector 'd': duplicate detector id$"):
         sweep_rerouting_probability(
-            net, plans, dets, real + real, grid=GridSpec(0.0, 0.0, 0.1), base_config=cfg
+            net, plans, repeated, real, grid=GridSpec(0.0, 0.0, 0.1), base_config=cfg
         )
-    with pytest.raises(ValueError, match=repeated.format("measured")):
-        dataio.validate(real + real, real)
-    with pytest.raises(ValueError, match=repeated.format("simulated")):
-        dataio.validate(real, real + real)
-    with pytest.raises(ValueError, match=repeated.format("simulated")):
-        score(real, real + real)
 
 
 # -- the grid ----------------------------------------------------------------
@@ -226,7 +259,7 @@ def test_sweep_scores_truth_seed_at_zero():
     assert [run.theta["rerouting_probability"] for run in res.entries] == [0.0, 0.5, 1.0]
     assert res.scores[0] == 0.0
     assert res.best() == (res.entries[0], 0.0)
-    assert res.entries[0].series() == real  # the best point's run is the truth's
+    assert res.entries[0].counts == real  # the best point's run is the truth's
 
 
 def test_sweep_and_dua_keep_every_base_field(monkeypatch):
@@ -338,7 +371,7 @@ def test_sweep_refuses_a_scenario_before_any_pool(pool_widths, bad, message):
 
 def test_sweep_checks_detector_ids():
     net, plans, dets, real, cfg = tiny_sweep_inputs()
-    stray = [DetectorSeries("other", counts((0, 1)))]
+    stray = {"other": counts((0, 1))}
     with pytest.raises(DetectorMismatchError) as caught:
         sweep_rerouting_probability(
             net, plans, dets, stray, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
@@ -350,7 +383,7 @@ def test_sweep_checks_detector_ids():
         )
     with pytest.raises(ValueError, match="^scoring needs at least one detector$"):
         sweep_rerouting_probability(
-            net, plans, [], [], grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
+            net, plans, [], {}, grid=GridSpec(0.5, 0.5, 0.1), base_config=cfg
         )
 
 
@@ -402,14 +435,11 @@ def test_sweep_csv_bad_header(tmp_path):
 
 
 def test_swept_run_round_trip(tmp_path):
-    series = [DetectorSeries("b", counts((3, 2))), DetectorSeries("a", counts((0, 1)))]
-    by_id = {s.detector_id: tuple(map(int, s.counts)) for s in series}
+    by_id = {"b": tuple(map(int, counts((3, 2)))), "a": tuple(map(int, counts((0, 1))))}
     kept = [Run(str(i) * 64, {"rerouting_probability": p}, by_id) for i, p in enumerate((0.25, 0.5))]
     path = tmp_path / "sweep_series.json"
     netmodel.write_records(kept, path, "runs")
     assert netmodel.read_records(path, "runs", Run, ValueError) == kept
-    for back in kept:
-        assert back.series() == sorted(series, key=lambda s: s.detector_id)
     doc = '{"runs": [{"key": "k", "theta": {"rerouting_probability": 1}, "counts": {"a": %s}}]}'
     path.write_text(doc % ([1.5] + [0] * 95))
     with pytest.raises(ValueError, match=re.escape(

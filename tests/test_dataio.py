@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from trafcal import dataio, netmodel
-from trafcal.calibrate import WINDOWS_PER_DAY, DetectorSeries, nrmse, read_sweep_best
+from trafcal.calibrate import WINDOWS_PER_DAY, nrmse, read_sweep_best
 from trafcal.dataio import (
     WINDOW_S,
     DetectorMismatchError,
@@ -40,12 +40,8 @@ def full_day(det, date, base=0, bump=None):
     ]
 
 
-def series(det, counts):
-    return DetectorSeries(det, tuple(counts))
-
-
-def flat(det, value):
-    return series(det, [value] * WINDOWS_PER_DAY)
+def flat(value):
+    return (value,) * WINDOWS_PER_DAY
 
 
 # September 2023: the 5th is a Tuesday.
@@ -94,10 +90,8 @@ def test_ingest_averages_admitted_days():
     records = full_day("d1", TUE, base=0) + full_day("d1", WED, base=2)
     result = ingest(records)
     assert result.days_used == {"d1": 2}
-    (s,) = result.series
-    assert s.detector_id == "d1"
     # mean of base 0 and base 2 is base 1
-    assert s.counts == tuple(1 + (w % 7) for w in range(WINDOWS_PER_DAY))
+    assert result.series == {"d1": tuple(1 + (w % 7) for w in range(WINDOWS_PER_DAY))}
 
 
 def test_ingest_skips_weekend_and_excluded_days():
@@ -109,14 +103,14 @@ def test_ingest_skips_weekend_and_excluded_days():
     filt = IngestionFilter(exclude_dates=frozenset({WED}))
     result = ingest(records, filt)
     assert result.days_used == {"d1": 1}
-    assert result.series[0].counts == tuple(w % 7 for w in range(WINDOWS_PER_DAY))
+    assert result.series["d1"] == tuple(w % 7 for w in range(WINDOWS_PER_DAY))
 
 
 def test_ingest_drops_day_with_missing_window():
     broken = [r for r in full_day("d1", WED, base=90) if r.window_start != 43200]
     result = ingest(full_day("d1", TUE, base=0) + broken)
     assert result.days_used == {"d1": 1}
-    assert max(result.series[0].counts) <= 6
+    assert max(result.series["d1"]) <= 6
 
 
 def test_ingest_drops_day_with_duplicate_window():
@@ -124,7 +118,7 @@ def test_ingest_drops_day_with_duplicate_window():
     day.append(RawMeasurement("d1", WED, 0, day[0].count))  # same value, still dup
     result = ingest(full_day("d1", TUE, base=0) + day)
     assert result.days_used == {"d1": 1}
-    assert max(result.series[0].counts) <= 6
+    assert max(result.series["d1"]) <= 6
 
 
 def test_ingest_requires_a_surviving_day_per_detector():
@@ -134,7 +128,7 @@ def test_ingest_requires_a_surviving_day_per_detector():
     assert exc.value.detector_id == "d2"
     # no detectors at all is not an error, just an empty result
     empty = ingest([])
-    assert empty.series == [] and empty.days_used == {}
+    assert empty.series == {} and empty.days_used == {}
 
 
 def test_ingest_rejects_malformed_records():
@@ -180,12 +174,12 @@ def test_ingest_against_brute_force():
 
     result = ingest(records, filt)
     assert result.days_used == {det: len(surviving[det]) for det in dets}
-    assert [s.detector_id for s in result.series] == sorted(dets)
-    for s in result.series:
-        days = surviving[s.detector_id]
+    assert list(result.series) == sorted(dets)
+    for det, counts in result.series.items():
+        days = surviving[det]
         for w in range(WINDOWS_PER_DAY):
             want = math.fsum(d[w].count for d in days) / len(days)
-            assert abs(s.counts[w] - want) < 1e-12
+            assert abs(counts[w] - want) < 1e-12
 
 
 def test_ingest_is_order_independent(tmp_path):
@@ -218,7 +212,7 @@ def test_ingest_is_order_independent(tmp_path):
     split = ingest(table)
     assert split == ingest(sorted(file_order, key=operator.itemgetter(0, 1, 2)))
     assert split.days_used == {"d1": 1, "d2": 1}
-    assert split.series[0].counts == tuple(r.count for r in tue)
+    assert split.series["d1"] == tuple(r.count for r in tue)
 
 
 def test_ingest_takes_a_one_shot_iterable():
@@ -497,10 +491,10 @@ def test_equal_numbers_read_the_same_from_other_texts(tmp_path):
 
 def test_validate_real_against_itself_is_all_zero():
     rng = random.Random(406)
-    real = [
-        series(f"d{i}", [rng.uniform(1.0, 30.0) for _ in range(WINDOWS_PER_DAY)])
+    real = {
+        f"d{i}": tuple(rng.uniform(1.0, 30.0) for _ in range(WINDOWS_PER_DAY))
         for i in range(4)
-    ]
+    }
     report = validate(real, real)
     assert report.scenario_nrmse == 0.0
     assert len(report.per_window) == WINDOWS_PER_DAY
@@ -512,20 +506,18 @@ def test_validate_real_against_itself_is_all_zero():
 
 def test_validate_ranks_detectors_by_error():
     rng = random.Random(407)
-    real = [
-        series(f"d{i}", [rng.uniform(5.0, 30.0) for _ in range(WINDOWS_PER_DAY)])
+    real = {
+        f"d{i}": tuple(rng.uniform(5.0, 30.0) for _ in range(WINDOWS_PER_DAY))
         for i in range(6)
-    ]
-    sim = []
-    for i, s in enumerate(real):
+    }
+    sim = {}
+    for i, (det, counts) in enumerate(real.items()):
         scale = 1.0 + 0.03 * i
-        sim.append(series(s.detector_id, [scale * c for c in s.counts]))
-    sim[2] = series("d2", [0.5 * c for c in real[2].counts])  # injected outlier
+        sim[det] = tuple(scale * c for c in counts)
+    sim["d2"] = tuple(0.5 * c for c in real["d2"])  # injected outlier
 
     report = validate(real, sim)
-    want = sorted(
-        (nrmse(r.counts, s.counts), r.detector_id) for r, s in zip(real, sim)
-    )
+    want = sorted((nrmse(real[det], sim[det]), det) for det in real)
     assert [d.detector_id for d in report.per_detector] == [d for _, d in want]
     for d, (score, _) in zip(report.per_detector, want):
         assert abs(d.nrmse - score) < 1e-12
@@ -535,8 +527,8 @@ def test_validate_ranks_detectors_by_error():
 
 
 def test_validate_per_window_stats():
-    real = [flat("d1", 4.0), flat("d2", 6.0)]
-    sim = [flat("d1", 5.0), flat("d2", 6.0)]
+    real = {"d1": flat(4.0), "d2": flat(6.0)}
+    sim = {"d1": flat(5.0), "d2": flat(6.0)}
     report = validate(real, sim)
     for ws in report.per_window:
         assert abs(ws.absolute_error - 1.0) < 1e-12
@@ -547,8 +539,8 @@ def test_validate_per_window_stats():
 def test_validate_flags_silent_windows_and_detectors():
     counts = [0.0] * WINDOWS_PER_DAY
     counts[10] = 8.0
-    real = [series("d_live", counts), flat("d_dead", 0.0)]
-    sim = [series("d_live", counts), flat("d_dead", 0.0)]
+    real = {"d_live": tuple(counts), "d_dead": flat(0.0)}
+    sim = {"d_live": tuple(counts), "d_dead": flat(0.0)}
     report = validate(real, sim)
     assert report.per_window[10].window_nrmse == 0.0
     assert report.per_window[0].window_nrmse is None
@@ -562,11 +554,11 @@ def test_validate_flags_silent_windows_and_detectors():
 
 def test_validate_requires_matching_detectors():
     with pytest.raises(DetectorMismatchError) as exc:
-        validate([flat("d1", 1.0)], [flat("d2", 1.0)])
+        validate({"d1": flat(1.0)}, {"d2": flat(1.0)})
     assert exc.value.missing == ["d1"]
     assert exc.value.extra == ["d2"]
     with pytest.raises(ValueError):
-        validate([], [])
+        validate({}, {})
 
 
 # -- report files --------------------------------------------------------------
@@ -574,14 +566,11 @@ def test_validate_requires_matching_detectors():
 
 def test_report_round_trip(tmp_path):
     rng = random.Random(408)
-    real = [
-        series(f"d{i}", [rng.uniform(0.0, 20.0) for _ in range(WINDOWS_PER_DAY)])
+    real = {
+        f"d{i}": tuple(rng.uniform(0.0, 20.0) for _ in range(WINDOWS_PER_DAY))
         for i in range(3)
-    ]
-    sim = [
-        series(s.detector_id, [c + rng.uniform(0.0, 2.0) for c in s.counts])
-        for s in real
-    ]
+    }
+    sim = {det: tuple(c + rng.uniform(0.0, 2.0) for c in counts) for det, counts in real.items()}
     report = validate(real, sim)
     json_path = tmp_path / "report.json"
     win_path = tmp_path / "per_window.csv"
@@ -603,11 +592,8 @@ def test_report_round_trip(tmp_path):
 
 def test_report_serializes_missing_scores_as_blank(tmp_path):
     # window 0 and d_dead carry no real traffic, so they have no score
-    real = [flat("d_dead", 0.0), series("d_live", [0.0] + [3.0] * (WINDOWS_PER_DAY - 1))]
-    sim = [
-        flat("d_dead", 0.0),
-        series("d_live", [1.0] + [4.0] * (WINDOWS_PER_DAY - 1)),
-    ]
+    real = {"d_dead": flat(0.0), "d_live": (0.0,) + (3.0,) * (WINDOWS_PER_DAY - 1)}
+    sim = {"d_dead": flat(0.0), "d_live": (1.0,) + (4.0,) * (WINDOWS_PER_DAY - 1)}
     report = validate(real, sim)
     json_path = tmp_path / "report.json"
     win_path = tmp_path / "per_window.csv"
@@ -634,23 +620,23 @@ def test_report_serializes_missing_scores_as_blank(tmp_path):
 
 def test_series_csv_round_trip(tmp_path):
     rng = random.Random(409)
-    original = [
-        series("d2", [rng.uniform(0.0, 9.0) for _ in range(WINDOWS_PER_DAY)]),
-        series("d1", [float(rng.randint(0, 9)) for _ in range(WINDOWS_PER_DAY)]),
-    ]
+    original = {
+        "d2": tuple(rng.uniform(0.0, 9.0) for _ in range(WINDOWS_PER_DAY)),
+        "d1": tuple(float(rng.randint(0, 9)) for _ in range(WINDOWS_PER_DAY)),
+    }
     path = tmp_path / "series.csv"
     series_to_csv(original, begin=21600.0, path=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "detector_id,window_start_s,count"
     # detectors sorted, one row per window from `begin`; integer means are
     # written without a decimal point, fractional ones in full
-    d1, d2 = sorted(original, key=lambda s: s.detector_id)
+    d1, d2 = original["d1"], original["d2"]
     assert lines[1:] == [
-        f"d1,{21600 + w * WINDOW_S},{int(c)}" for w, c in enumerate(d1.counts)
+        f"d1,{21600 + w * WINDOW_S},{int(c)}" for w, c in enumerate(d1)
     ] + [
-        f"d2,{21600 + w * WINDOW_S},{c!r}" for w, c in enumerate(d2.counts)
+        f"d2,{21600 + w * WINDOW_S},{c!r}" for w, c in enumerate(d2)
     ]
-    assert [float(line.split(",")[2]) for line in lines[1:]] == list(d1.counts + d2.counts)
+    assert [float(line.split(",")[2]) for line in lines[1:]] == list(d1 + d2)
 
 
 # -- one CSV reader ------------------------------------------------------------
